@@ -2,11 +2,13 @@
 //! matmul shape (reduced here to keep `cargo bench` fast; the `fig3` binary
 //! runs the larger shapes).
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use zkvc_core::api::{compile_shape, generate_witness_for};
 use zkvc_core::matmul::{MatMulBuilder, Strategy};
 use zkvc_core::Backend;
 
@@ -25,14 +27,17 @@ fn bench_fig3(c: &mut Criterion) {
     ] {
         group.bench_function(name, |b| {
             let mut rng = StdRng::seed_from_u64(1);
-            let job = MatMulBuilder::new(dims.0, dims.1, dims.2)
+            let circuit = MatMulBuilder::new(dims.0, dims.1, dims.2)
                 .strategy(strategy)
-                .build_random(&mut rng);
+                .build_circuit_random(&mut rng);
             // Setup (CRS generation / preprocessing) is amortised per
             // circuit shape in practice, so it stays outside the hot loop:
             // the bench measures proving, not setup.
-            let (pk, _vk) = backend.setup(&job.cs, &mut rng);
-            b.iter(|| backend.prove_with_key(&pk, &job.cs, &mut rng));
+            let system = backend.system();
+            let shape = Arc::new(compile_shape(&circuit));
+            let (pk, _vk) = system.setup_shape(&shape, &mut rng);
+            let witness = generate_witness_for(&circuit, &shape);
+            b.iter(|| system.prove_assignment(&pk, &witness, &mut rng));
         });
     }
     group.finish();

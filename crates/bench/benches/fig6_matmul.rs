@@ -2,11 +2,13 @@
 //! dimensions, plus the interactive baseline (reduced shapes; the `fig6`
 //! binary prints the full four-panel comparison).
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use zkvc_core::api::{compile_shape, generate_witness_for};
 use zkvc_core::matmul::{MatMulBuilder, Strategy};
 use zkvc_core::Backend;
 use zkvc_ff::{Fr, PrimeField};
@@ -19,23 +21,23 @@ fn bench_prover_scaling(c: &mut Criterion) {
 
     for dim in [64usize, 128, 320, 512] {
         let dims = (8, (dim / 16).max(2), (dim / 8).max(4));
-        group.bench_with_input(BenchmarkId::new("zkvc_g", dim), &dims, |b, dims| {
-            let mut rng = StdRng::seed_from_u64(2);
-            let job = MatMulBuilder::new(dims.0, dims.1, dims.2)
-                .strategy(Strategy::CrpcPsq)
-                .build_random(&mut rng);
-            // Setup amortises per shape; measure proving only.
-            let (pk, _vk) = Backend::Groth16.setup(&job.cs, &mut rng);
-            b.iter(|| Backend::Groth16.prove_with_key(&pk, &job.cs, &mut rng));
-        });
-        group.bench_with_input(BenchmarkId::new("zkvc_s", dim), &dims, |b, dims| {
-            let mut rng = StdRng::seed_from_u64(3);
-            let job = MatMulBuilder::new(dims.0, dims.1, dims.2)
-                .strategy(Strategy::CrpcPsq)
-                .build_random(&mut rng);
-            let (pk, _vk) = Backend::Spartan.setup(&job.cs, &mut rng);
-            b.iter(|| Backend::Spartan.prove_with_key(&pk, &job.cs, &mut rng));
-        });
+        for (name, backend, seed) in [
+            ("zkvc_g", Backend::Groth16, 2),
+            ("zkvc_s", Backend::Spartan, 3),
+        ] {
+            group.bench_with_input(BenchmarkId::new(name, dim), &dims, |b, dims| {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let circuit = MatMulBuilder::new(dims.0, dims.1, dims.2)
+                    .strategy(Strategy::CrpcPsq)
+                    .build_circuit_random(&mut rng);
+                // Setup amortises per shape; measure proving only.
+                let system = backend.system();
+                let shape = Arc::new(compile_shape(&circuit));
+                let (pk, _vk) = system.setup_shape(&shape, &mut rng);
+                let witness = generate_witness_for(&circuit, &shape);
+                b.iter(|| system.prove_assignment(&pk, &witness, &mut rng));
+            });
+        }
     }
     group.finish();
 }

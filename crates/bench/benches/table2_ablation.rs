@@ -1,11 +1,13 @@
 //! Criterion bench for Table II: the CRPC x PSQ ablation on both backends
 //! (reduced shape; the `table2` binary prints the full paper comparison).
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use zkvc_core::api::{compile_shape, generate_witness_for};
 use zkvc_core::matmul::{MatMulBuilder, Strategy};
 use zkvc_core::Backend;
 
@@ -21,12 +23,15 @@ fn bench_ablation(c: &mut Criterion) {
             let id = BenchmarkId::new(backend.name(), strategy.name());
             group.bench_function(id, |b| {
                 let mut rng = StdRng::seed_from_u64(5);
-                let job = MatMulBuilder::new(dims.0, dims.1, dims.2)
+                let circuit = MatMulBuilder::new(dims.0, dims.1, dims.2)
                     .strategy(strategy)
-                    .build_random(&mut rng);
+                    .build_circuit_random(&mut rng);
                 // Setup amortises per shape; measure proving only.
-                let (pk, _vk) = backend.setup(&job.cs, &mut rng);
-                b.iter(|| backend.prove_with_key(&pk, &job.cs, &mut rng));
+                let system = backend.system();
+                let shape = Arc::new(compile_shape(&circuit));
+                let (pk, _vk) = system.setup_shape(&shape, &mut rng);
+                let witness = generate_witness_for(&circuit, &shape);
+                b.iter(|| system.prove_assignment(&pk, &witness, &mut rng));
             });
         }
     }

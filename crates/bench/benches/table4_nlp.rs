@@ -2,14 +2,16 @@
 //! under each token-mixer schedule (the `table4` binary prints the full
 //! comparison with GLUE accuracy context).
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use zkvc_bench::model_statement;
+use zkvc_core::api::{compile_shape, generate_witness_for};
 use zkvc_core::matmul::Strategy;
 use zkvc_core::Backend;
-use zkvc_nn::circuit::ModelCircuit;
 use zkvc_nn::mixer::MixerSchedule;
 use zkvc_nn::models::{BertConfig, ModelConfig};
 
@@ -32,13 +34,16 @@ fn bench_nlp(c: &mut Criterion) {
         MixerSchedule::soft_free_l(2),
         MixerSchedule::zkvc_hybrid_nlp(2),
     ] {
-        let circuit = ModelCircuit::build(&model, &schedule, Strategy::CrpcPsq, 9);
-        assert!(circuit.cs.is_satisfied());
+        let statement = model_statement(&model, &schedule, Strategy::CrpcPsq, 9);
+        let shape = Arc::new(compile_shape(&statement));
+        let witness = generate_witness_for(&statement, &shape);
+        assert!(shape.is_satisfied(&witness));
         group.bench_function(BenchmarkId::new("spartan", schedule.name), |b| {
             let mut rng = StdRng::seed_from_u64(8);
             // Preprocessing amortises per model; measure proving only.
-            let (pk, _vk) = Backend::Spartan.setup(&circuit.cs, &mut rng);
-            b.iter(|| Backend::Spartan.prove_with_key(&pk, &circuit.cs, &mut rng));
+            let system = Backend::Spartan.system();
+            let (pk, _vk) = system.setup_shape(&shape, &mut rng);
+            b.iter(|| system.prove_assignment(&pk, &witness, &mut rng));
         });
     }
     group.finish();

@@ -1,7 +1,7 @@
 //! Kernel-level perf harness: tracks the prover's two hot kernels (MSM and
 //! FFT) against their seed implementations, the **synthesis pipeline**
-//! (witness-free shape compile vs witness pass vs the legacy single pass,
-//! with prove-many amortisation), plus end-to-end prove latency on the
+//! (witness-free shape compile, paid once per shape, vs the witness pass,
+//! paid per proof), plus end-to-end prove latency on the
 //! Figure 3 matmul shapes, and emits the results as machine-readable JSON
 //! (`BENCH_kernels.json`) so the perf trajectory is comparable across
 //! commits.
@@ -16,16 +16,12 @@
 //! * `--full`: adds the paper-scale Figure 3 shape.
 //!
 //! Acceptance bars asserted by the harness itself: the reworked MSM beats
-//! the seed window-parallel implementation at 2^14 points (ISSUE 2), the
-//! two-pass synthesis pipeline amortises to at least the single-pass
-//! baseline at batch 32, two-pass proofs are bit-identical to
-//! legacy-pipeline proofs under the same setup/prover randomness (ISSUE 5),
+//! the seed window-parallel implementation at 2^14 points (ISSUE 2),
 //! the FFT dispatch stays within 1.2x of the cached serial kernel at every
 //! size, and the calibrated tune profile (the `tuned` JSON section) is
 //! never slower than the static dispatch at any measured size (ISSUE 10).
 
 use std::fmt::Write as _;
-use std::sync::Arc;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
@@ -38,7 +34,6 @@ use zkvc_curve::tune::{self as curve_tune, msm_decision, MsmParams, ProbeConfig}
 use zkvc_curve::{msm, msm_window_parallel, G1Affine, G1Projective};
 use zkvc_ff::tune::FftParams;
 use zkvc_ff::{EvaluationDomain, Field, Fr};
-use zkvc_runtime::ProofEnvelope;
 
 struct MsmRow {
     log_size: u32,
@@ -75,136 +70,37 @@ struct TunedRow {
     speedup: f64,
 }
 
-struct AmortRow {
-    batch: usize,
-    two_pass_per_proof_ms: f64,
-    speedup: f64,
-}
-
 struct SynthRow {
     label: String,
     dims: (usize, usize, usize),
     constraints: usize,
-    /// Legacy single pass: statement + full constraint-system synthesis,
-    /// paid per proof by the pre-split pipeline.
-    legacy_single_pass_ms: f64,
     /// Witness-free shape compile (CSR + digest), paid once per shape.
     shape_compile_ms: f64,
     /// Witness pass against a compiled shape, paid per proof.
     witness_pass_ms: f64,
-    /// Per-proof synthesis cost of the two-pass pipeline at batch sizes
-    /// 1/8/32 (compile amortised over the batch) vs the single pass.
-    amortised: Vec<AmortRow>,
-    /// Whether two-pass proofs are bit-identical to legacy-pipeline proofs
-    /// under the same setup/prover randomness, on both backends.
-    proofs_bit_identical: bool,
 }
 
-/// Times the synthesis split: legacy single pass vs shape compile vs
-/// witness pass, plus prove-many amortisation and a bit-identical proof
-/// cross-check between the two pipelines.
+/// Times the two synthesis passes: the shape compile and the witness pass.
 fn bench_synth(shapes: &[(&str, (usize, usize, usize), Strategy)]) -> Vec<SynthRow> {
     let mut rows = Vec::new();
     for (i, (label, dims, strategy)) in shapes.iter().enumerate() {
-        let builder = MatMulBuilder::new(dims.0, dims.1, dims.2)
+        let mut rng = StdRng::seed_from_u64(7_000 + i as u64);
+        let circuit = MatMulBuilder::new(dims.0, dims.1, dims.2)
             .strategy(*strategy)
-            .public_outputs(true);
-        let seed = 7_000 + i as u64;
-        let reps = 5;
-
-        let mut rng = StdRng::seed_from_u64(seed);
-        let circuit = builder.build_circuit_random(&mut rng);
+            .public_outputs(true)
+            .build_circuit_random(&mut rng);
         let shape = compile_shape(&circuit);
-
-        // Interleave the four sub-millisecond measurements and take minima
-        // so a host scheduling burst cannot inflate one side of the
-        // amortisation ratio; retry while the batch-32 bar would fail
-        // (minima only improve, so a real regression still fails).
-        let mut legacy_ms = f64::INFINITY;
-        let mut stmt_ms = f64::INFINITY;
-        let mut compile_ms = f64::INFINITY;
-        let mut witness_ms = f64::INFINITY;
-        for _round in 0..3 {
-            for _ in 0..reps {
-                // Legacy single pass: statement + eager ConstraintSystem.
-                legacy_ms = legacy_ms.min(time_best(1, || {
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    builder.build_random(&mut rng)
-                }));
-                // Statement construction alone (shared by both pipelines).
-                stmt_ms = stmt_ms.min(time_best(1, || {
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    builder.build_circuit_random(&mut rng)
-                }));
-                compile_ms = compile_ms.min(time_best(1, || compile_shape(&circuit)));
-                witness_ms =
-                    witness_ms.min(time_best(1, || generate_witness_for(&circuit, &shape)));
-            }
-            if stmt_ms + witness_ms + compile_ms / 32.0 <= legacy_ms.max(1e-6) {
-                break;
-            }
-        }
-
-        // Prove-many amortisation: a batch of N same-shape statements pays
-        // one shape compile + N x (statement + witness pass) under the
-        // split pipeline, vs N x the full single pass.
-        let legacy_job_ms = legacy_ms.max(1e-6);
-        let amortised = [1usize, 8, 32]
-            .iter()
-            .map(|&batch| {
-                let two_pass = stmt_ms + witness_ms + compile_ms / batch as f64;
-                AmortRow {
-                    batch,
-                    two_pass_per_proof_ms: two_pass,
-                    speedup: legacy_job_ms / two_pass.max(1e-9),
-                }
-            })
-            .collect();
-
-        // Bit-identical proofs: same setup + prover randomness, legacy
-        // pipeline (eager cs -> prove) vs split pipeline (shape ->
-        // witness -> prove_assignment), on both backends.
-        let mut rng = StdRng::seed_from_u64(seed);
-        let job = builder.build_random(&mut rng);
-        let mut identical = true;
-        for backend in Backend::ALL {
-            let system = backend.system();
-            let mut setup_rng = StdRng::seed_from_u64(0xC0FFEE);
-            let (pk_legacy, _) = backend.setup(&job.cs, &mut setup_rng);
-            let mut prove_rng = StdRng::seed_from_u64(0xBEEF);
-            let legacy = backend.prove_with_key(&pk_legacy, &job.cs, &mut prove_rng);
-
-            let mut setup_rng = StdRng::seed_from_u64(0xC0FFEE);
-            let (pk_split, _) = system.setup_shape(&Arc::new(shape.clone()), &mut setup_rng);
-            let witness = generate_witness_for(&circuit, &shape);
-            let mut prove_rng = StdRng::seed_from_u64(0xBEEF);
-            let split = system.prove_assignment(&pk_split, &witness, &mut prove_rng);
-
-            identical &= ProofEnvelope::from_artifacts(&legacy).to_bytes()
-                == ProofEnvelope::from_artifacts(&split).to_bytes();
-        }
 
         let row = SynthRow {
             label: label.to_string(),
             dims: *dims,
             constraints: shape.num_constraints(),
-            legacy_single_pass_ms: legacy_ms,
-            shape_compile_ms: compile_ms,
-            witness_pass_ms: witness_ms,
-            amortised,
-            proofs_bit_identical: identical,
+            shape_compile_ms: time_best(15, || compile_shape(&circuit)),
+            witness_pass_ms: time_best(15, || generate_witness_for(&circuit, &shape)),
         };
         println!(
-            "synth {:<14} [{}x{}x{}]  legacy {:>8.3} ms  compile {:>8.3} ms  witness {:>8.3} ms  x32 {:>5.2}x  identical: {}",
-            row.label,
-            dims.0,
-            dims.1,
-            dims.2,
-            row.legacy_single_pass_ms,
-            row.shape_compile_ms,
-            row.witness_pass_ms,
-            row.amortised.last().map_or(0.0, |a| a.speedup),
-            row.proofs_bit_identical,
+            "synth {:<14} [{}x{}x{}]  compile {:>8.3} ms  witness {:>8.3} ms",
+            row.label, dims.0, dims.1, dims.2, row.shape_compile_ms, row.witness_pass_ms,
         );
         rows.push(row);
     }
@@ -564,29 +460,16 @@ fn render_json(
     let _ = writeln!(out, "  ],");
     let _ = writeln!(out, "  \"synth\": [");
     for (i, r) in synth.iter().enumerate() {
-        let amortised: Vec<String> = r
-            .amortised
-            .iter()
-            .map(|a| {
-                format!(
-                    "{{\"batch\": {}, \"two_pass_per_proof_ms\": {:.3}, \"speedup\": {:.3}}}",
-                    a.batch, a.two_pass_per_proof_ms, a.speedup
-                )
-            })
-            .collect();
         let _ = writeln!(
             out,
-            "    {{\"label\": \"{}\", \"dims\": [{}, {}, {}], \"constraints\": {}, \"legacy_single_pass_ms\": {:.3}, \"shape_compile_ms\": {:.3}, \"witness_pass_ms\": {:.3}, \"amortised\": [{}], \"proofs_bit_identical\": {}, \"workers\": {threads}, \"cores\": {threads}}}{}",
+            "    {{\"label\": \"{}\", \"dims\": [{}, {}, {}], \"constraints\": {}, \"shape_compile_ms\": {:.3}, \"witness_pass_ms\": {:.3}, \"workers\": {threads}, \"cores\": {threads}}}{}",
             r.label,
             r.dims.0,
             r.dims.1,
             r.dims.2,
             r.constraints,
-            r.legacy_single_pass_ms,
             r.shape_compile_ms,
             r.witness_pass_ms,
-            amortised.join(", "),
-            r.proofs_bit_identical,
             if i + 1 < synth.len() { "," } else { "" }
         );
     }
@@ -729,31 +612,6 @@ fn main() {
     println!(
         "acceptance: tuned dispatch >= 1.0x static at every measured size (profile {tuned_digest})"
     );
-
-    // ISSUE 5 acceptance bars: proofs are bit-identical across the
-    // legacy and split pipelines, and a warm-shape batch amortises the
-    // synthesis cost to at least the single-pass baseline by batch 32.
-    for row in &synth_rows {
-        assert!(
-            row.proofs_bit_identical,
-            "{}: two-pass proofs must be bit-identical to the legacy pipeline",
-            row.label
-        );
-        let x32 = row.amortised.last().expect("batch sizes measured");
-        assert!(
-            x32.speedup >= 1.0,
-            "{}: prove-many amortisation at batch 32 must be >= the single-pass \
-             baseline (got {:.2}x: two-pass {:.3} ms/proof vs legacy {:.3} ms)",
-            row.label,
-            x32.speedup,
-            x32.two_pass_per_proof_ms,
-            row.legacy_single_pass_ms,
-        );
-        println!(
-            "acceptance: {} two-pass amortises {:.2}x at batch 32, proofs bit-identical",
-            row.label, x32.speedup
-        );
-    }
 
     let json = render_json(
         mode,

@@ -3,21 +3,19 @@
 //! (`BENCH_pool.json`) alongside the kernel harness's
 //! `BENCH_kernels.json`.
 //!
-//! Two batches are measured, each across three execution strategies:
+//! Two batches are measured, each serially and on the pool:
 //!
 //! * **uniform** — N same-shape matmul jobs, the classic amortisation
-//!   case: serial one-shot proving (setup per job) vs the old
-//!   single-queue pool vs the work-stealing pool at 1 and K workers.
+//!   case: serial one-shot proving (setup per job) vs the work-stealing
+//!   pool at 1 and K workers.
 //! * **skewed** — one model-block job next to a pile of small matmuls,
 //!   the balance case the work-stealing + priority design exists for.
 //!
 //! The harness asserts the acceptance bars: work-stealing at K workers is
-//! at least 2x the serial baseline on the uniform batch, work-stealing
-//! does not lose to the single-queue baseline on the skewed batch, and —
-//! most importantly — proofs and verdicts are **bit-identical** across
-//! scheduling policies, worker counts, and reruns, and agree with
-//! `prove_batch_serial`. Scheduler nondeterminism can never silently
-//! change proof outcomes.
+//! at least 2x the serial baseline on the uniform batch, and — most
+//! importantly — proofs and verdicts are **bit-identical** across worker
+//! counts and reruns, and agree with `prove_batch_serial`. Scheduler
+//! nondeterminism can never silently change proof outcomes.
 //!
 //! ```text
 //! pool [--smoke] [--full] [--out PATH]
@@ -29,10 +27,7 @@ use std::time::{Duration, Instant};
 use zkvc_bench::{full_mode, paper_matmul_dims, quick_matmul_dims};
 use zkvc_core::matmul::Strategy;
 use zkvc_core::Backend;
-use zkvc_runtime::{
-    prove_batch_serial, prove_batch_with_policy, BatchReport, JobSpec, ModelPreset, Priority,
-    SchedulerPolicy,
-};
+use zkvc_runtime::{prove_batch, prove_batch_serial, BatchReport, JobSpec, ModelPreset, Priority};
 
 /// Physical core count recorded alongside every measured point.
 fn cores() -> usize {
@@ -48,19 +43,12 @@ struct Run {
     high_priority_mean_wait: Duration,
 }
 
-/// Best-of-`reps` run of one batch under one policy/worker count.
-fn run_pool(
-    specs: &[JobSpec],
-    workers: usize,
-    seed: u64,
-    policy: SchedulerPolicy,
-    reps: usize,
-    label: &'static str,
-) -> Run {
+/// Best-of-`reps` run of one batch at one worker count.
+fn run_pool(specs: &[JobSpec], workers: usize, seed: u64, reps: usize, label: &'static str) -> Run {
     let mut best: Option<Run> = None;
     for _ in 0..reps.max(1) {
         let t0 = Instant::now();
-        let report = prove_batch_with_policy(specs, workers, seed, policy);
+        let report = prove_batch(specs, workers, seed);
         let wall = t0.elapsed();
         assert!(report.all_verified(), "{label}: all proofs must verify");
         let candidate = Run {
@@ -113,11 +101,6 @@ impl Section {
         self.serial_wall.as_secs_f64() / self.run_of(label).wall.as_secs_f64()
     }
 
-    fn ws_vs_single_queue(&self) -> f64 {
-        self.run_of("single_queue").wall.as_secs_f64()
-            / self.run_of("work_stealing").wall.as_secs_f64()
-    }
-
     fn render_json(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "  \"{}\": {{", self.name);
@@ -156,8 +139,8 @@ impl Section {
     }
 }
 
-/// Measures one batch across serial / single-queue / work-stealing x
-/// worker counts, printing human-readable lines as it goes.
+/// Measures one batch serially and on the pool at 1 and `workers`
+/// workers, printing human-readable lines as it goes.
 fn measure(
     name: &'static str,
     specs: &[JobSpec],
@@ -169,12 +152,8 @@ fn measure(
     let (serial_wall, _serial) = run_serial(specs, seed, reps);
     println!("  serial (one-shot per job)     {serial_wall:>10.3?}");
     let mut runs = Vec::new();
-    for (label, policy, w) in [
-        ("single_queue", SchedulerPolicy::SingleQueue, workers),
-        ("work_stealing_1w", SchedulerPolicy::WorkStealing, 1),
-        ("work_stealing", SchedulerPolicy::WorkStealing, workers),
-    ] {
-        let run = run_pool(specs, w, seed, policy, reps, label);
+    for (label, w) in [("work_stealing_1w", 1), ("work_stealing", workers)] {
+        let run = run_pool(specs, w, seed, reps, label);
         println!(
             "  {label:<28}  {:>10.3?}  ({:.2} jobs/s, {:.2}x vs serial)",
             run.wall,
@@ -255,23 +234,17 @@ fn main() {
     }
     let skewed_section = measure("skewed", &skewed, workers, seed, reps);
 
-    // Determinism: rerunning the skewed batch must reproduce every proof
-    // byte-for-byte; the single-queue policy must agree with
-    // work-stealing; and pool verdicts must match the serial baseline.
+    // Determinism: rerunning the skewed batch at another worker count must
+    // reproduce every proof byte-for-byte, and pool verdicts must match
+    // the serial baseline.
     println!("\n== determinism ==");
-    let ws_a = prove_batch_with_policy(&skewed, workers, seed, SchedulerPolicy::WorkStealing);
-    let ws_b = prove_batch_with_policy(&skewed, 2, seed, SchedulerPolicy::WorkStealing);
-    let sq = prove_batch_with_policy(&skewed, workers, seed, SchedulerPolicy::SingleQueue);
+    let ws_a = prove_batch(&skewed, workers, seed);
+    let ws_b = prove_batch(&skewed, 2, seed);
     let serial = prove_batch_serial(&skewed, seed);
     let rerun_identical = ws_a
         .results
         .iter()
         .zip(ws_b.results.iter())
-        .all(|(a, b)| a.id == b.id && a.proof_bytes == b.proof_bytes);
-    let policies_agree = ws_a
-        .results
-        .iter()
-        .zip(sq.results.iter())
         .all(|(a, b)| a.id == b.id && a.proof_bytes == b.proof_bytes);
     let verdicts_match_serial = ws_a
         .results
@@ -282,10 +255,8 @@ fn main() {
         rerun_identical,
         "rerun at different worker count changed proof bytes"
     );
-    assert!(policies_agree, "scheduling policy changed proof bytes");
     assert!(verdicts_match_serial, "pool verdicts diverge from serial");
     println!("  rerun identical: {rerun_identical}");
-    println!("  policies agree:  {policies_agree}");
     println!("  verdicts match prove_batch_serial: {verdicts_match_serial}");
 
     // Acceptance bars. The 2x uniform bar holds even on one hardware
@@ -299,15 +270,6 @@ fn main() {
     );
     println!(
         "\nacceptance: work-stealing {uniform_speedup:.2}x vs serial on uniform (bar {uniform_bar}x): PASS"
-    );
-    let skew_ratio = skewed_section.ws_vs_single_queue();
-    let skew_bar = if smoke { 0.85 } else { 0.95 };
-    assert!(
-        skew_ratio >= skew_bar,
-        "acceptance: work-stealing must not lose to single-queue on the skewed batch, got {skew_ratio:.3}"
-    );
-    println!(
-        "acceptance: work-stealing/single-queue skewed ratio {skew_ratio:.3} (bar {skew_bar}): PASS"
     );
 
     let mut json = String::new();
@@ -326,7 +288,7 @@ fn main() {
     let _ = writeln!(json, "{},", skewed_section.render_json());
     let _ = writeln!(
         json,
-        "  \"determinism\": {{\"rerun_identical\": {rerun_identical}, \"policies_agree\": {policies_agree}, \"verdicts_match_serial\": {verdicts_match_serial}}}"
+        "  \"determinism\": {{\"rerun_identical\": {rerun_identical}, \"verdicts_match_serial\": {verdicts_match_serial}}}"
     );
     let _ = writeln!(json, "}}");
     std::fs::write(&out_path, &json).expect("write bench json");

@@ -14,10 +14,10 @@ use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use zkvc_bench::{full_mode, paper, secs};
+use zkvc_bench::{full_mode, model_statement, paper, secs};
+use zkvc_core::api::{compile_shape, generate_witness_for};
 use zkvc_core::matmul::Strategy;
 use zkvc_core::Backend;
-use zkvc_nn::circuit::ModelCircuit;
 use zkvc_nn::mixer::MixerSchedule;
 use zkvc_nn::models::{ModelConfig, VitConfig};
 
@@ -73,26 +73,30 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(99);
     for (dataset, model) in &datasets {
         for schedule in schedules(model.num_layers()) {
-            let circuit = ModelCircuit::build(model, &schedule, Strategy::CrpcPsq, 7);
-            assert!(circuit.cs.is_satisfied(), "{dataset}/{}", schedule.name);
+            let statement = model_statement(model, &schedule, Strategy::CrpcPsq, 7);
+            let shape = compile_shape(&statement);
+            assert!(
+                shape.is_satisfied(&generate_witness_for(&statement, &shape)),
+                "{dataset}/{}",
+                schedule.name
+            );
 
-            let t0 = Instant::now();
-            let g = Backend::Groth16.prove_cs(&circuit.cs, &mut rng);
-            let pg = t0.elapsed();
-            let (g_ok, gv) = Backend::Groth16.verify_cs_timed(&circuit.cs, &g);
-            assert!(g_ok);
-
-            let t1 = Instant::now();
-            let s = Backend::Spartan.prove_cs(&circuit.cs, &mut rng);
-            let ps = t1.elapsed();
-            let (s_ok, _sv) = Backend::Spartan.verify_cs_timed(&circuit.cs, &s);
-            assert!(s_ok);
+            // One-shot per backend: setup + prove, as the paper times it.
+            let [(pg, gv), (ps, _sv)] = Backend::ALL.map(|backend| {
+                let system = backend.system();
+                let t0 = Instant::now();
+                let artifacts = system.prove_oneshot(&statement, &mut rng);
+                let prove = t0.elapsed();
+                let t1 = Instant::now();
+                assert!(system.verify_with_shape(&shape, &artifacts), "{backend}");
+                (prove, t1.elapsed())
+            });
 
             println!(
                 "{:<15} {:<12} {:>12} {:>10} {:>10} {:>10}",
                 dataset,
                 schedule.name,
-                circuit.num_constraints(),
+                shape.num_constraints(),
                 secs(pg),
                 secs(ps),
                 secs(gv)

@@ -9,10 +9,10 @@ use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use zkvc_bench::{full_mode, paper, secs};
+use zkvc_bench::{full_mode, model_statement, paper, secs};
+use zkvc_core::api::{compile_shape, generate_witness_for};
 use zkvc_core::matmul::Strategy;
 use zkvc_core::Backend;
-use zkvc_nn::circuit::ModelCircuit;
 use zkvc_nn::mixer::MixerSchedule;
 use zkvc_nn::models::{BertConfig, ModelConfig};
 
@@ -52,23 +52,28 @@ fn main() {
 
     let mut rng = StdRng::seed_from_u64(123);
     for schedule in &schedules {
-        let circuit = ModelCircuit::build(&model, schedule, Strategy::CrpcPsq, 13);
-        assert!(circuit.cs.is_satisfied(), "{}", schedule.name);
+        let statement = model_statement(&model, schedule, Strategy::CrpcPsq, 13);
+        let shape = compile_shape(&statement);
+        assert!(
+            shape.is_satisfied(&generate_witness_for(&statement, &shape)),
+            "{}",
+            schedule.name
+        );
 
-        let t0 = Instant::now();
-        let g = Backend::Groth16.prove_cs(&circuit.cs, &mut rng);
-        let pg = t0.elapsed();
-        assert!(Backend::Groth16.verify_cs(&circuit.cs, &g));
-
-        let t1 = Instant::now();
-        let s = Backend::Spartan.prove_cs(&circuit.cs, &mut rng);
-        let ps = t1.elapsed();
-        assert!(Backend::Spartan.verify_cs(&circuit.cs, &s));
+        // One-shot per backend: setup + prove, as the paper times it.
+        let [pg, ps] = Backend::ALL.map(|backend| {
+            let system = backend.system();
+            let t0 = Instant::now();
+            let artifacts = system.prove_oneshot(&statement, &mut rng);
+            let prove = t0.elapsed();
+            assert!(system.verify_with_shape(&shape, &artifacts), "{backend}");
+            prove
+        });
 
         println!(
             "{:<12} {:>12} {:>10} {:>10}",
             schedule.name,
-            circuit.num_constraints(),
+            shape.num_constraints(),
             secs(pg),
             secs(ps)
         );

@@ -15,12 +15,18 @@
 #![deny(missing_debug_implementations)]
 #![warn(missing_docs)]
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use zkvc_core::api::{compile_shape, generate_witness_for};
 use zkvc_core::matmul::{MatMulBuilder, Strategy};
 use zkvc_core::Backend;
+use zkvc_ff::{Fr, PrimeField};
+use zkvc_nn::circuit::ModelStatement;
+use zkvc_nn::mixer::MixerSchedule;
+use zkvc_nn::models::ModelConfig;
 
 pub mod paper;
 
@@ -57,9 +63,24 @@ pub fn full_mode() -> bool {
     std::env::args().any(|a| a == "--full")
 }
 
+/// The model statement the Table III/IV harnesses prove: synthetic weights
+/// from `seed`, and a full-width CRPC challenge derived from it too (a
+/// deployment would sample it at setup time or from a transcript over the
+/// committed weights — see `zkvc_core::matmul::ZSource`; the cost profile
+/// only needs it not to be small).
+pub fn model_statement(
+    model: &ModelConfig,
+    schedule: &MixerSchedule,
+    strategy: Strategy,
+    seed: u64,
+) -> ModelStatement {
+    let z = Fr::from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+    ModelStatement::new(model.clone(), schedule.clone(), strategy, seed, z)
+}
+
 /// Measures one matmul proving run for a strategy/backend pair.
 ///
-/// Uses the split lifecycle API: setup is timed once, separately, and the
+/// Setup (shape compile included) is timed once, separately, and the
 /// `prove` column measures proving against the prepared key — so the
 /// Figure 3 / Figure 6 numbers report prover cost, not CRS generation.
 pub fn run_matmul(
@@ -70,15 +91,18 @@ pub fn run_matmul(
     seed: u64,
 ) -> RunResult {
     let mut rng = StdRng::seed_from_u64(seed);
-    let job = MatMulBuilder::new(dims.0, dims.1, dims.2)
+    let circuit = MatMulBuilder::new(dims.0, dims.1, dims.2)
         .strategy(strategy)
-        .build_random(&mut rng);
+        .build_circuit_random(&mut rng);
+    let system = backend.system();
     let t0 = Instant::now();
-    let (pk, vk) = backend.setup(&job.cs, &mut rng);
+    let shape = Arc::new(compile_shape(&circuit));
+    let (pk, vk) = system.setup_shape(&shape, &mut rng);
     let setup = t0.elapsed();
-    let artifacts = backend.prove_with_key(&pk, &job.cs, &mut rng);
+    let witness = generate_witness_for(&circuit, &shape);
+    let artifacts = system.prove_assignment(&pk, &witness, &mut rng);
     let t1 = Instant::now();
-    let ok = backend.verify_with_key(&vk, &artifacts);
+    let ok = system.verify(&vk, &artifacts);
     let verify = t1.elapsed();
     RunResult {
         label: label.to_string(),
@@ -95,7 +119,6 @@ pub fn run_matmul(
 /// matmul shape.
 pub fn run_interactive(label: &str, dims: (usize, usize, usize), seed: u64) -> RunResult {
     use rand::Rng;
-    use zkvc_ff::{Fr, PrimeField};
     let mut rng = StdRng::seed_from_u64(seed);
     let x: Vec<Vec<Fr>> = (0..dims.0)
         .map(|_| {

@@ -1,6 +1,6 @@
 //! Reference values reported by the paper, echoed by the harnesses next to
-//! the measured numbers so EXPERIMENTS.md can record paper-vs-measured for
-//! every experiment.
+//! the measured numbers so every table prints paper-vs-measured side by
+//! side.
 //!
 //! Sources: Fig. 3, Fig. 6, Table II, Table III and Table IV of
 //! "zkVC: Fast Zero-Knowledge Proof for Private and Verifiable Computing"

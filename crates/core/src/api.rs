@@ -1,21 +1,20 @@
 //! The circuit-generic proving API: the [`Circuit`] and [`ProofSystem`]
 //! traits that decouple *what* is proved from *how* it is proved.
 //!
-//! As of the compile-once / prove-many split, a [`Circuit`] is a *driver*:
-//! its [`Circuit::synthesize`] emits the constraint structure (and,
-//! when the sink carries values, the witness) into any
-//! [`ConstraintSink`]. Running it against a [`ShapeBuilder`] yields a
-//! [`CompiledShape`] — flat CSR matrices plus the canonical shape digest —
-//! **without ever materialising a witness value**; running it against a
-//! [`WitnessFiller`] yields only the flat
-//! assignment for a shape compiled earlier. Setup consumes shapes, proving
-//! consumes assignments, and a prove-many workload compiles each shape
-//! exactly once.
+//! A [`Circuit`] is a *driver*: its [`Circuit::synthesize`] emits the
+//! constraint structure (and, when the sink carries values, the witness)
+//! into any [`ConstraintSink`]. Running it against a [`ShapeBuilder`]
+//! yields a [`CompiledShape`] — flat CSR matrices plus the canonical shape
+//! digest — **without ever materialising a witness value**; running it
+//! against a [`WitnessFiller`] yields only the flat assignment for a shape
+//! compiled earlier. Setup consumes shapes, proving consumes assignments —
+//! a [`CompiledShape`] and a [`WitnessAssignment`] are the only things a
+//! prover accepts — and a prove-many workload compiles each shape exactly
+//! once.
 //!
 //! The two systems built in this workspace are [`Groth16System`] (`zkVC-G`)
-//! and [`SpartanSystem`] (`zkVC-S`); the [`Backend`] enum remains as a thin
-//! dispatcher over them for callers that want a `Copy` value instead of a
-//! trait object.
+//! and [`SpartanSystem`] (`zkVC-S`); the [`Backend`] enum is the `Copy`,
+//! hashable tag that names them ([`Backend::system`]).
 //!
 //! A circuit's **public outputs** are its instance assignment: the values a
 //! proof *binds*. A circuit with no instance variables (e.g. a matmul with
@@ -26,7 +25,8 @@
 //! outputs fails verification.
 //!
 //! ```rust
-//! use zkvc_core::api::{compile_shape, Circuit, ProofSystem};
+//! use std::sync::Arc;
+//! use zkvc_core::api::{compile_shape, generate_witness_for, ProofSystem};
 //! use zkvc_core::matmul::{MatMulBuilder, Strategy};
 //! use zkvc_core::Backend;
 //! use rand::rngs::StdRng;
@@ -35,15 +35,18 @@
 //! let mut rng = StdRng::seed_from_u64(7);
 //! let x = vec![vec![1i64, 2], vec![3, 4]];
 //! let w = vec![vec![5i64, 6], vec![7, 8]];
-//! let job = MatMulBuilder::new(2, 2, 2)
+//! let circuit = MatMulBuilder::new(2, 2, 2)
 //!     .strategy(Strategy::CrpcPsq)
 //!     .public_outputs(true)
-//!     .build_integers(&x, &w);
+//!     .build_circuit_integers(&x, &w);
 //!
-//! // Pick a proof system at runtime; `job` is just a `Circuit`.
+//! // Pick a proof system at runtime; once per shape: compile + setup.
 //! let system: &dyn ProofSystem = Backend::Spartan.system();
-//! let (pk, vk) = system.setup(&job, &mut rng);
-//! let artifacts = system.prove(&pk, &job, &mut rng);
+//! let shape = Arc::new(compile_shape(&circuit));
+//! let (pk, vk) = system.setup_shape(&shape, &mut rng);
+//! // Once per statement: witness pass + prove.
+//! let witness = generate_witness_for(&circuit, &shape);
+//! let artifacts = system.prove_assignment(&pk, &witness, &mut rng);
 //! assert!(system.verify(&vk, &artifacts));
 //!
 //! // The proof binds the public outputs: tampering with Y must fail.
@@ -60,8 +63,8 @@ use rand::RngCore;
 use zkvc_ff::Fr;
 use zkvc_groth16 as groth16;
 use zkvc_r1cs::{
-    replay, CompiledShape, ConstraintSink, ConstraintSystem, LinearCombination, ShapeBuilder,
-    WitnessAssignment, WitnessFiller,
+    CompiledShape, ConstraintSink, LinearCombination, ShapeBuilder, WitnessAssignment,
+    WitnessFiller,
 };
 use zkvc_spartan::{SpartanProver, SpartanVerifier};
 
@@ -73,8 +76,8 @@ use crate::backend::{Backend, ProofArtifacts, ProofData, ProverKey, VerifierKey}
 /// and constraint sequence whether or not the sink wants values, and only
 /// computes witness data when it does (the `Option`-returning sink
 /// evaluators make the skip natural). That contract is what lets
-/// [`compile_shape`] run witness-free and [`generate_witness`] skip all
-/// structural bookkeeping.
+/// [`compile_shape`] run witness-free and [`generate_witness_for`] skip
+/// all structural bookkeeping.
 pub trait Circuit {
     /// Drives synthesis into the sink: structure always, values only when
     /// `sink.wants_values()`.
@@ -100,8 +103,7 @@ pub trait Circuit {
     /// A collision-resistant fingerprint of the circuit *structure* (not
     /// the assignment): the identity under which proving/verifying key
     /// material is reusable. The default compiles the shape — witness-free
-    /// — and takes its digest; implementors holding a prebuilt
-    /// [`ConstraintSystem`] may override with [`circuit_shape_digest`].
+    /// — and takes its digest.
     fn shape_digest(&self) -> [u8; 32] {
         compile_shape(self).digest
     }
@@ -131,16 +133,13 @@ pub fn compile_shape<C: Circuit + ?Sized>(circuit: &C) -> CompiledShape<Fr> {
 }
 
 /// Runs the witness pass over a circuit, producing only the flat
-/// instance/witness assignment. No constraints are stored.
-pub fn generate_witness<C: Circuit + ?Sized>(circuit: &C) -> WitnessAssignment<Fr> {
-    let mut filler = WitnessFiller::new();
-    circuit.synthesize(&mut filler);
-    filler.finish()
-}
-
-/// [`generate_witness`] validated against an already-compiled shape:
-/// panics if the circuit's structure diverged from the shape (a
-/// pass-obliviousness bug in the circuit).
+/// instance/witness assignment (no constraints are stored), validated
+/// against the already-compiled shape the assignment will be proved under.
+///
+/// # Panics
+/// Panics if the circuit's allocation or constraint counts diverge from
+/// the shape: either the circuit is not the one the shape was compiled
+/// from, or its `synthesize` is not pass-oblivious.
 pub fn generate_witness_for<C: Circuit + ?Sized>(
     circuit: &C,
     shape: &CompiledShape<Fr>,
@@ -150,60 +149,15 @@ pub fn generate_witness_for<C: Circuit + ?Sized>(
     filler.finish_for(shape)
 }
 
-/// A raw constraint system viewed as a [`Circuit`], for callers that
-/// synthesise R1CS directly instead of going through a builder. Synthesis
-/// replays the stored system into the sink, so the legacy eager pipeline
-/// and the two-pass pipeline produce identical shapes and digests.
-#[derive(Clone, Debug)]
-pub struct RawCircuit<'a> {
-    cs: &'a ConstraintSystem<Fr>,
-    label: &'a str,
-}
-
-impl<'a> RawCircuit<'a> {
-    /// Wraps a constraint system with the default label.
-    pub fn new(cs: &'a ConstraintSystem<Fr>) -> Self {
-        RawCircuit { cs, label: "r1cs" }
-    }
-
-    /// Wraps a constraint system with a custom label.
-    pub fn named(cs: &'a ConstraintSystem<Fr>, label: &'a str) -> Self {
-        RawCircuit { cs, label }
-    }
-
-    /// The wrapped constraint system.
-    pub fn constraint_system(&self) -> &ConstraintSystem<Fr> {
-        self.cs
-    }
-}
-
-impl Circuit for RawCircuit<'_> {
-    fn synthesize(&self, sink: &mut dyn ConstraintSink<Fr>) {
-        replay(self.cs, sink);
-    }
-
-    fn name(&self) -> String {
-        self.label.to_string()
-    }
-
-    fn public_outputs(&self) -> Vec<Fr> {
-        self.cs.instance_assignment().to_vec()
-    }
-
-    fn shape_digest(&self) -> [u8; 32] {
-        circuit_shape_digest(self.cs)
-    }
-}
-
 /// A zero-knowledge proof system that can prove and verify any [`Circuit`]:
-/// per-shape `setup`, per-statement `prove`, and `verify` against prepared
-/// key material.
+/// per-shape setup, per-statement prove, and verify against prepared key
+/// material.
 ///
-/// The split API is shape/assignment-level: [`ProofSystem::setup_shape`]
+/// The API is shape/assignment-level: [`ProofSystem::setup_shape`]
 /// consumes a witness-free [`CompiledShape`] (and the returned keys retain
 /// it), [`ProofSystem::prove_assignment`] consumes only a statement's flat
-/// [`WitnessAssignment`]. The circuit-level methods are conveniences that
-/// compile/fill on the caller's behalf.
+/// [`WitnessAssignment`]. [`ProofSystem::prove_oneshot`] is the one
+/// circuit-level convenience, for callers that prove a shape exactly once.
 ///
 /// The trait is object-safe — the runtime's pool, cache and CLI all work
 /// with `&dyn ProofSystem` — which is why randomness arrives as
@@ -254,32 +208,6 @@ pub trait ProofSystem: Send + Sync {
     /// key material is known, prefer [`ProofSystem::verify`], which binds
     /// the proof to that key.
     fn verify_with_shape(&self, shape: &CompiledShape<Fr>, artifacts: &ProofArtifacts) -> bool;
-
-    /// Circuit-level setup: compiles the shape (witness-free) and runs
-    /// [`ProofSystem::setup_shape`].
-    fn setup(&self, circuit: &dyn Circuit, rng: &mut dyn RngCore) -> (ProverKey, VerifierKey) {
-        self.setup_shape(&Arc::new(compile_shape(circuit)), rng)
-    }
-
-    /// Circuit-level prove: runs the witness pass and
-    /// [`ProofSystem::prove_assignment`].
-    ///
-    /// # Panics
-    /// Panics if the key belongs to a different proof system.
-    fn prove(
-        &self,
-        key: &ProverKey,
-        circuit: &dyn Circuit,
-        rng: &mut dyn RngCore,
-    ) -> ProofArtifacts {
-        self.prove_assignment(key, &generate_witness(circuit), rng)
-    }
-
-    /// Circuit-level keyless verification: compiles the shape and runs
-    /// [`ProofSystem::verify_with_shape`].
-    fn verify_with_circuit(&self, circuit: &dyn Circuit, artifacts: &ProofArtifacts) -> bool {
-        self.verify_with_shape(&compile_shape(circuit), artifacts)
-    }
 
     /// One-shot setup + prove, with the setup time recorded in the
     /// metrics. The shape is compiled once and shared by both steps.
@@ -496,83 +424,212 @@ pub fn bind_public_outputs<S: ConstraintSink<Fr> + ?Sized>(
     }
 }
 
-/// Computes the shape digest of a constraint system: a collision-resistant
-/// fingerprint of the R1CS *structure* (constraint matrices, coefficient
-/// values and the instance/witness split — not the assignment).
-///
-/// Two constraint systems get the same digest iff Groth16 CRS material and
-/// Spartan preprocessed state are interchangeable between them. The
-/// encoding is injective: every section is length-prefixed and each
-/// linear-combination term serialises its resolved column index alongside
-/// the canonical coefficient bytes. The same digest is produced —
-/// witness-free — by the shape pass (see
-/// [`ShapeBuilder::finish`](zkvc_r1cs::ShapeBuilder::finish)); the
-/// canonical implementation lives in `zkvc-r1cs` and this is a re-export
-/// kept at its historical path.
-pub fn circuit_shape_digest(cs: &ConstraintSystem<Fr>) -> [u8; 32] {
-    zkvc_r1cs::shape_digest(cs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matmul::{MatMulBuilder, Strategy};
+    use crate::matmul::{CircuitStats, MatMulBuilder, MatMulCircuit, Strategy};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::time::Duration;
     use zkvc_ff::{Field, PrimeField};
+    use zkvc_r1cs::{shape_digest, ConstraintSystem, SinkExt};
 
-    fn square_cs(x: u64) -> ConstraintSystem<Fr> {
-        let mut cs = ConstraintSystem::<Fr>::new();
-        let out = cs.alloc_instance(Fr::from_u64(x * x));
-        let w = cs.alloc_witness(Fr::from_u64(x));
-        cs.enforce(w.into(), w.into(), out.into());
-        cs
+    /// `coeff * w * w = out` with `out` public: the smallest circuit with
+    /// a real public input. Different `coeff`s are different shapes with
+    /// identical variable and constraint counts.
+    struct Square {
+        w: u64,
+        coeff: u64,
+    }
+
+    impl Square {
+        fn of(w: u64) -> Self {
+            Square { w, coeff: 1 }
+        }
+    }
+
+    impl Circuit for Square {
+        fn synthesize(&self, sink: &mut dyn ConstraintSink<Fr>) {
+            let out = sink.alloc_instance_lazy(|| Fr::from_u64(self.coeff * self.w * self.w));
+            let w = sink.alloc_witness_lazy(|| Fr::from_u64(self.w));
+            sink.enforce(
+                LinearCombination::from(w) * Fr::from_u64(self.coeff),
+                w.into(),
+                out.into(),
+            );
+        }
+
+        fn name(&self) -> String {
+            "square".to_string()
+        }
+    }
+
+    fn matmul(strategy: Strategy) -> MatMulCircuit {
+        let x = vec![vec![1i64, -2, 3], vec![4, 5, -6]];
+        let w = vec![vec![7i64, 8], vec![-9, 10], vec![11, -12]];
+        MatMulBuilder::new(2, 3, 2)
+            .strategy(strategy)
+            .build_circuit_integers(&x, &w)
+    }
+
+    /// Compile + setup: the once-per-shape half of the pipeline.
+    fn setup(
+        system: &dyn ProofSystem,
+        circuit: &dyn Circuit,
+        rng: &mut StdRng,
+    ) -> (Arc<CompiledShape<Fr>>, ProverKey, VerifierKey) {
+        let shape = Arc::new(compile_shape(circuit));
+        let (pk, vk) = system.setup_shape(&shape, rng);
+        (shape, pk, vk)
     }
 
     #[test]
-    fn trait_objects_prove_and_verify_both_systems() {
-        let mut rng = StdRng::seed_from_u64(31);
-        let cs = square_cs(12);
-        let circuit = RawCircuit::named(&cs, "square");
-        assert_eq!(circuit.name(), "square");
-        assert_eq!(circuit.public_outputs(), vec![Fr::from_u64(144)]);
+    fn every_strategy_roundtrips_on_every_backend() {
+        let mut rng = StdRng::seed_from_u64(11);
         for backend in Backend::ALL {
             let system: &dyn ProofSystem = backend.system();
             assert_eq!(system.backend(), backend);
             assert_eq!(system.name(), backend.name());
-            let (pk, vk) = system.setup(&circuit, &mut rng);
-            let artifacts = system.prove(&pk, &circuit, &mut rng);
-            assert!(system.verify(&vk, &artifacts), "{backend:?}");
-            assert!(
-                system.verify_with_circuit(&circuit, &artifacts),
-                "{backend:?}"
-            );
-            // The trait binds public outputs exactly like the Backend API.
-            let mut tampered = artifacts.clone();
-            tampered.public_inputs[0] += Fr::one();
-            assert!(!system.verify(&vk, &tampered), "{backend:?}");
+            for strategy in Strategy::ALL {
+                let circuit = matmul(strategy);
+                let (shape, pk, vk) = setup(system, &circuit, &mut rng);
+                assert_eq!((pk.backend(), vk.backend()), (backend, backend));
+                let witness = generate_witness_for(&circuit, &shape);
+                let artifacts = system.prove_assignment(&pk, &witness, &mut rng);
+                assert!(system.verify(&vk, &artifacts), "{backend:?}/{strategy:?}");
+                assert!(system.verify_with_shape(&shape, &artifacts));
+                assert_eq!(artifacts.public_inputs, witness.instance);
+
+                let stats = CircuitStats::of(&shape);
+                let metrics = &artifacts.metrics;
+                assert_eq!(metrics.backend, backend);
+                assert_eq!(metrics.num_constraints, stats.num_constraints);
+                assert_eq!(metrics.num_variables, stats.num_variables);
+                assert_eq!(metrics.setup_time, Duration::ZERO, "key is amortised");
+                assert!(metrics.prove_time > Duration::ZERO);
+                if backend == Backend::Groth16 {
+                    assert_eq!(metrics.proof_size_bytes, 195);
+                } else {
+                    assert!(metrics.proof_size_bytes > 0);
+                }
+            }
         }
     }
 
     #[test]
-    fn split_shape_and_witness_pipeline_roundtrips() {
-        // The fully split flow: compile once, fill witnesses per
-        // statement, prove against the shape-bound key.
-        let mut rng = StdRng::seed_from_u64(35);
-        let cs12 = square_cs(12);
-        let cs13 = square_cs(13);
-        let shape = Arc::new(compile_shape(&RawCircuit::new(&cs12)));
-        assert_eq!(shape.digest, circuit_shape_digest(&cs12));
+    fn one_key_proves_many_statements_of_one_shape() {
+        // One setup, many proofs: the core amortisation contract the
+        // runtime's KeyCache builds on.
+        let mut rng = StdRng::seed_from_u64(21);
         for backend in Backend::ALL {
             let system = backend.system();
-            let (pk, vk) = system.setup_shape(&shape, &mut rng);
-            for cs in [&cs12, &cs13] {
-                let witness = generate_witness_for(&RawCircuit::new(cs), &shape);
-                assert_eq!(witness.full(), cs.full_assignment());
+            let (shape, pk, vk) = setup(system, &Square::of(12), &mut rng);
+            for w in [12, 13] {
+                let witness = generate_witness_for(&Square::of(w), &shape);
                 let artifacts = system.prove_assignment(&pk, &witness, &mut rng);
-                assert!(system.verify(&vk, &artifacts), "{backend:?}");
-                assert!(system.verify_with_shape(&shape, &artifacts), "{backend:?}");
-                assert_eq!(artifacts.public_inputs, witness.instance);
+                assert!(system.verify(&vk, &artifacts), "{backend:?} w={w}");
+                assert!(system.verify_with_shape(&shape, &artifacts));
+                assert_eq!(artifacts.public_inputs, vec![Fr::from_u64(w * w)]);
+            }
+        }
+    }
+
+    #[test]
+    fn tampered_public_input_rejected_keyed_and_keyless() {
+        let mut rng = StdRng::seed_from_u64(14);
+        for backend in Backend::ALL {
+            let system = backend.system();
+            let circuit = Square::of(12);
+            let (shape, pk, vk) = setup(system, &circuit, &mut rng);
+            let witness = generate_witness_for(&circuit, &shape);
+            let mut artifacts = system.prove_assignment(&pk, &witness, &mut rng);
+            artifacts.public_inputs[0] = Fr::from_u64(143);
+            assert!(!system.verify(&vk, &artifacts), "{backend:?} keyed");
+            assert!(
+                !system.verify_with_shape(&shape, &artifacts),
+                "{backend:?} keyless"
+            );
+        }
+    }
+
+    #[test]
+    fn cross_backend_artifacts_and_keys_are_rejected() {
+        // A mismatch is a `false`, not a panic, on every verify path.
+        let mut rng = StdRng::seed_from_u64(13);
+        let circuit = matmul(Strategy::CrpcPsq);
+        let shape = compile_shape(&circuit);
+        let [g, s] = Backend::ALL.map(|b| b.system().prove_oneshot(&circuit, &mut rng));
+        assert!(
+            g.metrics.setup_time > Duration::ZERO,
+            "oneshot records setup"
+        );
+        let (_, _, vk_g) = setup(Backend::Groth16.system(), &circuit, &mut rng);
+        let (_, _, vk_s) = setup(Backend::Spartan.system(), &circuit, &mut rng);
+        for system in Backend::ALL.map(|b| b.system()) {
+            assert!(!system.verify(&vk_g, &s));
+            assert!(!system.verify(&vk_s, &g));
+        }
+        assert!(Backend::Spartan.system().verify(&vk_s, &s));
+        assert!(!Backend::Spartan.system().verify_with_shape(&shape, &g));
+        assert!(!Backend::Groth16.system().verify_with_shape(&shape, &s));
+    }
+
+    #[test]
+    #[should_panic(expected = "backend/key mismatch")]
+    fn groth16_proving_with_a_spartan_key_panics() {
+        let mut rng = StdRng::seed_from_u64(23);
+        let circuit = Square::of(4);
+        let (shape, pk, _) = setup(Backend::Spartan.system(), &circuit, &mut rng);
+        let witness = generate_witness_for(&circuit, &shape);
+        Backend::Groth16
+            .system()
+            .prove_assignment(&pk, &witness, &mut rng);
+    }
+
+    #[test]
+    #[should_panic(expected = "backend/key mismatch")]
+    fn spartan_proving_with_a_groth16_key_panics() {
+        let mut rng = StdRng::seed_from_u64(33);
+        let circuit = Square::of(4);
+        let (shape, pk, _) = setup(Backend::Groth16.system(), &circuit, &mut rng);
+        let witness = generate_witness_for(&circuit, &shape);
+        Backend::Spartan
+            .system()
+            .prove_assignment(&pk, &witness, &mut rng);
+    }
+
+    #[test]
+    fn shape_mismatch_is_caught_at_witness_or_prove_time() {
+        // Every assignment reaches a prover through `generate_witness_for`,
+        // so the shape check is unconditional. Two ways to get it wrong:
+        let mut rng = StdRng::seed_from_u64(37);
+        let honest = Square::of(5);
+        for backend in Backend::ALL {
+            let system = backend.system();
+
+            // (a) different variable counts: the witness pass itself
+            // refuses the foreign shape.
+            let other_counts = compile_shape(&matmul(Strategy::Vanilla));
+            let refused = catch_unwind(|| generate_witness_for(&honest, &other_counts));
+            assert!(refused.is_err(), "{backend:?}: foreign shape accepted");
+
+            // (b) same counts, different coefficients: the witness pass
+            // cannot tell, so the prover must — by panicking or by
+            // producing a proof that does not verify.
+            let shape_a = compile_shape(&honest);
+            let (shape_b, pk_b, vk_b) = setup(system, &Square { w: 5, coeff: 3 }, &mut rng);
+            assert_ne!(shape_a.digest, shape_b.digest);
+            let witness_a = generate_witness_for(&honest, &shape_b);
+            assert!(shape_a.is_satisfied(&witness_a) && !shape_b.is_satisfied(&witness_a));
+            let proved = catch_unwind(AssertUnwindSafe(|| {
+                system.prove_assignment(&pk_b, &witness_a, &mut rng)
+            }));
+            if let Ok(artifacts) = proved {
+                assert!(
+                    !system.verify(&vk_b, &artifacts),
+                    "{backend:?}: shape-A witness proved under a shape-B key"
+                );
             }
         }
     }
@@ -584,106 +641,73 @@ mod tests {
         struct PanickyWitness;
         impl Circuit for PanickyWitness {
             fn synthesize(&self, sink: &mut dyn ConstraintSink<Fr>) {
-                use zkvc_r1cs::SinkExt;
                 let out = sink.alloc_instance_lazy(|| panic!("instance value materialised"));
                 let w = sink.alloc_witness_lazy(|| panic!("witness value materialised"));
                 sink.enforce(w.into(), w.into(), out.into());
             }
         }
         let circuit = PanickyWitness;
-        let shape = compile_shape(&circuit);
+        let shape = Arc::new(compile_shape(&circuit));
         assert_eq!(shape.num_constraints(), 1);
         assert_eq!(shape.num_instance(), 1);
         assert_eq!(shape.num_witness(), 1);
         assert_eq!(circuit.shape_digest(), shape.digest);
         let mut rng = StdRng::seed_from_u64(36);
         for backend in Backend::ALL {
-            // Both the shape-level and the circuit-level setup paths never
-            // materialise a value.
-            let _ = backend
-                .system()
-                .setup_shape(&Arc::new(shape.clone()), &mut rng);
-            let _ = backend.system().setup(&circuit, &mut rng);
+            let _ = backend.system().setup_shape(&shape, &mut rng);
         }
         // The witness pass, by contrast, must blow up.
-        assert!(std::panic::catch_unwind(|| generate_witness(&circuit)).is_err());
+        assert!(catch_unwind(|| generate_witness_for(&circuit, &shape)).is_err());
     }
 
     #[test]
-    fn oneshot_records_setup_time_and_cross_system_verify_fails() {
-        let mut rng = StdRng::seed_from_u64(32);
-        let cs = square_cs(5);
-        let circuit = RawCircuit::new(&cs);
-        let g = Backend::Groth16.system().prove_oneshot(&circuit, &mut rng);
-        let s = Backend::Spartan.system().prove_oneshot(&circuit, &mut rng);
-        let (_pk, vk_s) = Backend::Spartan.system().setup(&circuit, &mut rng);
-        // A Groth16 proof against a Spartan key is a mismatch, not a panic.
-        assert!(!Backend::Spartan.system().verify(&vk_s, &g));
-        assert!(Backend::Spartan.system().verify(&vk_s, &s));
-        assert!(!Backend::Groth16.system().verify_with_circuit(&circuit, &s));
+    fn circuit_defaults_match_the_single_pass_reference() {
+        let circuit = Square::of(12);
+        assert_eq!(circuit.name(), "square");
+        assert_eq!(circuit.public_outputs(), vec![Fr::from_u64(144)]);
+        assert_eq!(circuit.declared_publics(), 1);
+        let mut cs = ConstraintSystem::<Fr>::new();
+        circuit.synthesize(&mut cs);
+        assert!(cs.is_satisfied());
+        assert_eq!(circuit.shape_digest(), shape_digest(&cs));
+
+        let private = matmul(Strategy::CrpcPsq);
+        assert!(private.name().contains("2x3x2"));
+        // Private-output statements bind nothing.
+        assert!(private.public_outputs().is_empty());
     }
 
     #[test]
-    #[should_panic(expected = "backend/key mismatch")]
-    fn proving_with_foreign_key_panics() {
-        let mut rng = StdRng::seed_from_u64(33);
-        let cs = square_cs(4);
-        let circuit = RawCircuit::new(&cs);
-        let (pk, _vk) = Backend::Spartan.system().setup(&circuit, &mut rng);
-        Backend::Groth16.system().prove(&pk, &circuit, &mut rng);
-    }
-
-    #[test]
-    fn matmul_job_is_a_circuit() {
-        let mut rng = StdRng::seed_from_u64(34);
-        let job = MatMulBuilder::new(2, 3, 2)
-            .strategy(Strategy::CrpcPsq)
-            .build_random(&mut rng);
-        let circuit: &dyn Circuit = &job;
-        assert_eq!(circuit.shape_digest(), circuit_shape_digest(&job.cs));
-        assert!(circuit.name().contains("2x3x2"));
-        // Private-output jobs bind nothing.
-        assert!(circuit.public_outputs().is_empty());
-    }
-
-    #[test]
-    fn digest_ignores_assignment_values() {
-        assert_eq!(
-            circuit_shape_digest(&square_cs(3)),
-            circuit_shape_digest(&square_cs(7))
-        );
-    }
-
-    #[test]
-    fn digest_distinguishes_structure() {
-        let base = circuit_shape_digest(&square_cs(3));
-
-        // Extra constraint.
-        let mut cs = square_cs(3);
-        cs.enforce_zero(LinearCombination::zero());
-        assert_ne!(circuit_shape_digest(&cs), base);
-
-        // Extra (unconstrained) variable.
-        let mut cs = square_cs(3);
-        cs.alloc_witness(Fr::zero());
-        assert_ne!(circuit_shape_digest(&cs), base);
-
+    fn digest_covers_structure_not_assignment() {
+        let digest = |c: &dyn Circuit| c.shape_digest();
+        let base = digest(&Square::of(3));
+        assert_eq!(base, digest(&Square::of(7)));
         // Different coefficient.
-        let mut cs = ConstraintSystem::<Fr>::new();
-        let out = cs.alloc_instance(Fr::from_u64(18));
-        let w = cs.alloc_witness(Fr::from_u64(3));
-        cs.enforce(
-            LinearCombination::from(w) * Fr::from_u64(2),
-            w.into(),
-            out.into(),
-        );
-        assert_ne!(circuit_shape_digest(&cs), base);
+        assert_ne!(base, digest(&Square { w: 3, coeff: 2 }));
 
-        // Instance/witness split matters even with identical matrices.
-        let mut cs = ConstraintSystem::<Fr>::new();
-        let out = cs.alloc_witness(Fr::from_u64(9));
-        let w = cs.alloc_witness(Fr::from_u64(3));
-        cs.enforce(w.into(), w.into(), out.into());
-        assert_ne!(circuit_shape_digest(&cs), base);
+        /// `Square::of(3)` plus one structural change.
+        struct Variant(u8);
+        impl Circuit for Variant {
+            fn synthesize(&self, sink: &mut dyn ConstraintSink<Fr>) {
+                let nine = || Fr::from_u64(9);
+                // Variant 2 moves `out` from the instance to the witness:
+                // identical matrices, different instance/witness split.
+                let out = if self.0 == 2 {
+                    sink.alloc_witness_lazy(nine)
+                } else {
+                    sink.alloc_instance_lazy(nine)
+                };
+                let w = sink.alloc_witness_lazy(|| Fr::from_u64(3));
+                sink.enforce(w.into(), w.into(), out.into());
+                match self.0 {
+                    0 => sink.enforce_zero(LinearCombination::zero()), // extra constraint
+                    1 => drop(sink.alloc_witness_lazy(Fr::zero)),      // extra variable
+                    _ => {}
+                }
+            }
+        }
+        for v in 0..3 {
+            assert_ne!(base, digest(&Variant(v)), "variant {v}");
+        }
     }
 }

@@ -1,25 +1,19 @@
-//! A uniform prove/verify interface over the two ZKP backends used in the
-//! paper: Groth16 (`zkVC-G`) and the Spartan-style transparent SNARK
-//! (`zkVC-S`).
+//! The two ZKP backends used in the paper — Groth16 (`zkVC-G`) and the
+//! Spartan-style transparent SNARK (`zkVC-S`) — as a `Copy`, hashable
+//! [`Backend`] tag, plus the key, proof and metrics types both share.
 //!
-//! As of the circuit-generic API redesign the real proving logic lives in
-//! the [`crate::api`] module behind the [`ProofSystem`] trait; [`Backend`]
-//! remains as a `Copy` tag plus a thin dispatcher
-//! ([`Backend::system`]) so existing call sites — and anything that wants a
-//! hashable enum rather than a trait object — keep working unchanged.
+//! The proving logic itself lives in the [`crate::api`] module behind the
+//! [`ProofSystem`] trait; [`Backend::system`] is the way from a tag to it.
 
 use core::fmt;
 use std::str::FromStr;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use rand::Rng;
 use zkvc_ff::Fr;
 use zkvc_groth16 as groth16;
-use zkvc_r1cs::ConstraintSystem;
 use zkvc_spartan::{SpartanProof, SpartanProver, SpartanVerifier};
 
-use crate::api::{ProofSystem, RawCircuit, GROTH16, SPARTAN};
-use crate::matmul::MatMulJob;
+use crate::api::{ProofSystem, GROTH16, SPARTAN};
 
 /// The proof system used underneath a zkVC circuit.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
@@ -133,8 +127,8 @@ pub enum ProofData {
     },
 }
 
-/// The output of [`ProofSystem::prove`]: the proof data, the public inputs
-/// it binds, and the collected metrics.
+/// The output of [`ProofSystem::prove_assignment`]: the proof data, the
+/// public inputs it binds, and the collected metrics.
 #[derive(Clone, Debug)]
 pub struct ProofArtifacts {
     /// The proof and verification material.
@@ -146,7 +140,7 @@ pub struct ProofArtifacts {
 }
 
 /// Reusable prover-side key material for one circuit *shape*, produced by
-/// [`ProofSystem::setup`]: the Groth16 CRS, or the Spartan preprocessed
+/// [`ProofSystem::setup_shape`]: the Groth16 CRS, or the Spartan preprocessed
 /// instance. Computing this once and proving many statements against it is
 /// what makes batch proving amortise (see `zkvc-runtime`'s `KeyCache`).
 #[allow(clippy::large_enum_variant)]
@@ -169,7 +163,7 @@ impl ProverKey {
 }
 
 /// Reusable verifier-side key material for one circuit shape, produced by
-/// [`ProofSystem::setup`].
+/// [`ProofSystem::setup_shape`].
 #[allow(clippy::large_enum_variant)]
 #[derive(Clone, Debug)]
 pub enum VerifierKey {
@@ -189,242 +183,9 @@ impl VerifierKey {
     }
 }
 
-impl Backend {
-    /// Runs setup (if any) and proves the given matmul job, collecting
-    /// metrics along the way.
-    pub fn prove<R: Rng + ?Sized>(&self, job: &MatMulJob, rng: &mut R) -> ProofArtifacts {
-        let mut rng = rng;
-        self.system().prove_oneshot(job, &mut rng)
-    }
-
-    /// Runs the per-circuit-shape setup: CRS generation for Groth16,
-    /// transparent preprocessing for Spartan.
-    ///
-    /// Only the constraint *structure* (and coefficient values) of `cs`
-    /// matter; the assignment is ignored. The returned keys can prove and
-    /// verify any number of statements for circuits with identical
-    /// structure via [`Backend::prove_with_key`] /
-    /// [`Backend::verify_with_key`].
-    pub fn setup<R: Rng + ?Sized>(
-        &self,
-        cs: &ConstraintSystem<Fr>,
-        rng: &mut R,
-    ) -> (ProverKey, VerifierKey) {
-        let mut rng = rng;
-        self.system().setup(&RawCircuit::new(cs), &mut rng)
-    }
-
-    /// Proves the assignment held in `cs` against a key prepared by
-    /// [`Backend::setup`] for the same circuit shape. The returned metrics
-    /// report zero setup time: the key is assumed amortised across calls.
-    ///
-    /// # Panics
-    /// Panics if the key belongs to the other backend, or (for Spartan) if
-    /// the circuit shape differs from the preprocessed structure.
-    pub fn prove_with_key<R: Rng + ?Sized>(
-        &self,
-        key: &ProverKey,
-        cs: &ConstraintSystem<Fr>,
-        rng: &mut R,
-    ) -> ProofArtifacts {
-        let mut rng = rng;
-        self.system().prove(key, &RawCircuit::new(cs), &mut rng)
-    }
-
-    /// Verifies artifacts against a key prepared by [`Backend::setup`],
-    /// avoiding the per-verification re-preprocessing that
-    /// [`Backend::verify_cs`] performs for Spartan. Returns `false` on
-    /// backend/key mismatch.
-    pub fn verify_with_key(&self, key: &VerifierKey, artifacts: &ProofArtifacts) -> bool {
-        self.system().verify(key, artifacts)
-    }
-
-    /// Proves an arbitrary constraint system (used by `zkvc-nn` for whole
-    /// model layers): one-shot setup + prove, with the setup time recorded
-    /// in the metrics.
-    pub fn prove_cs<R: Rng + ?Sized>(
-        &self,
-        cs: &ConstraintSystem<Fr>,
-        rng: &mut R,
-    ) -> ProofArtifacts {
-        let mut rng = rng;
-        self.system().prove_oneshot(&RawCircuit::new(cs), &mut rng)
-    }
-
-    /// Verifies the artifacts produced by [`Backend::prove`] for the same
-    /// job.
-    pub fn verify(&self, job: &MatMulJob, artifacts: &ProofArtifacts) -> bool {
-        self.system().verify_with_circuit(job, artifacts)
-    }
-
-    /// Verifies against an arbitrary constraint system structure, returning
-    /// the verdict.
-    pub fn verify_cs(&self, cs: &ConstraintSystem<Fr>, artifacts: &ProofArtifacts) -> bool {
-        self.verify_cs_timed(cs, artifacts).0
-    }
-
-    /// Verifies and reports how long verification took (the "Verifier Time"
-    /// panel of Fig. 6).
-    pub fn verify_cs_timed(
-        &self,
-        cs: &ConstraintSystem<Fr>,
-        artifacts: &ProofArtifacts,
-    ) -> (bool, Duration) {
-        let t0 = Instant::now();
-        let ok = self
-            .system()
-            .verify_with_circuit(&RawCircuit::new(cs), artifacts);
-        (ok, t0.elapsed())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matmul::{MatMulBuilder, Strategy};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use zkvc_ff::PrimeField;
-
-    fn job(strategy: Strategy) -> MatMulJob {
-        let x = vec![vec![1i64, -2, 3], vec![4, 5, -6]];
-        let w = vec![vec![7i64, 8], vec![-9, 10], vec![11, -12]];
-        MatMulBuilder::new(2, 3, 2)
-            .strategy(strategy)
-            .build_integers(&x, &w)
-    }
-
-    #[test]
-    fn groth16_backend_roundtrip_all_strategies() {
-        let mut rng = StdRng::seed_from_u64(11);
-        for strategy in Strategy::ALL {
-            let j = job(strategy);
-            let artifacts = Backend::Groth16.prove(&j, &mut rng);
-            assert!(Backend::Groth16.verify(&j, &artifacts), "{strategy:?}");
-            assert_eq!(artifacts.metrics.proof_size_bytes, 195);
-            assert_eq!(artifacts.metrics.num_constraints, j.stats.num_constraints);
-        }
-    }
-
-    #[test]
-    fn spartan_backend_roundtrip_all_strategies() {
-        let mut rng = StdRng::seed_from_u64(12);
-        for strategy in Strategy::ALL {
-            let j = job(strategy);
-            let artifacts = Backend::Spartan.prove(&j, &mut rng);
-            assert!(Backend::Spartan.verify(&j, &artifacts), "{strategy:?}");
-            assert!(artifacts.metrics.proof_size_bytes > 0);
-        }
-    }
-
-    #[test]
-    fn cross_backend_verification_fails() {
-        let mut rng = StdRng::seed_from_u64(13);
-        let j = job(Strategy::CrpcPsq);
-        let g = Backend::Groth16.prove(&j, &mut rng);
-        assert!(!Backend::Spartan.verify(&j, &g));
-    }
-
-    #[test]
-    fn tampered_public_inputs_rejected() {
-        // Use a circuit with a real public input to check binding.
-        let mut rng = StdRng::seed_from_u64(14);
-        let mut cs = ConstraintSystem::<Fr>::new();
-        let out = cs.alloc_instance(Fr::from_u64(144));
-        let x = cs.alloc_witness(Fr::from_u64(12));
-        cs.enforce(x.into(), x.into(), out.into());
-        for backend in Backend::ALL {
-            let mut artifacts = backend.prove_cs(&cs, &mut rng);
-            assert!(backend.verify_cs(&cs, &artifacts), "{backend:?}");
-            artifacts.public_inputs[0] = Fr::from_u64(143);
-            assert!(!backend.verify_cs(&cs, &artifacts), "{backend:?}");
-        }
-    }
-
-    #[test]
-    fn split_setup_prove_reuses_keys_across_statements() {
-        // One setup, many proofs: the core amortisation contract the
-        // runtime's KeyCache builds on. The two statements share a circuit
-        // shape but carry different assignments.
-        let mut rng = StdRng::seed_from_u64(21);
-        let x1 = vec![vec![1i64, 2], vec![3, 4]];
-        let x2 = vec![vec![5i64, 6], vec![7, 8]];
-        let w = vec![vec![9i64, 1], vec![2, 3]];
-        for backend in Backend::ALL {
-            let build = |x: &Vec<Vec<i64>>| {
-                MatMulBuilder::new(2, 2, 2)
-                    .strategy(Strategy::Vanilla)
-                    .build_integers(x, &w)
-            };
-            let j1 = build(&x1);
-            let j2 = build(&x2);
-            let (pk, vk) = backend.setup(&j1.cs, &mut rng);
-            assert_eq!(pk.backend(), backend);
-            assert_eq!(vk.backend(), backend);
-            let a1 = backend.prove_with_key(&pk, &j1.cs, &mut rng);
-            let a2 = backend.prove_with_key(&pk, &j2.cs, &mut rng);
-            assert!(backend.verify_with_key(&vk, &a1), "{backend:?} stmt 1");
-            assert!(backend.verify_with_key(&vk, &a2), "{backend:?} stmt 2");
-            assert_eq!(a1.metrics.setup_time, Duration::ZERO);
-            // The keyed verifier agrees with the re-preprocessing one.
-            assert!(backend.verify_cs(&j2.cs, &a2));
-        }
-    }
-
-    #[test]
-    fn keyed_verification_binds_public_inputs() {
-        // Matmul jobs carry no instance variables by default, so
-        // public-input binding needs a circuit that actually has one.
-        let mut rng = StdRng::seed_from_u64(24);
-        let mut cs = ConstraintSystem::<Fr>::new();
-        let out = cs.alloc_instance(Fr::from_u64(121));
-        let x = cs.alloc_witness(Fr::from_u64(11));
-        cs.enforce(x.into(), x.into(), out.into());
-        for backend in Backend::ALL {
-            let (pk, vk) = backend.setup(&cs, &mut rng);
-            let mut artifacts = backend.prove_with_key(&pk, &cs, &mut rng);
-            assert!(backend.verify_with_key(&vk, &artifacts), "{backend:?}");
-            artifacts.public_inputs[0] = Fr::from_u64(120);
-            assert!(
-                !backend.verify_with_key(&vk, &artifacts),
-                "{backend:?} accepted tampered public input"
-            );
-        }
-    }
-
-    #[test]
-    fn mismatched_keys_are_rejected() {
-        let mut rng = StdRng::seed_from_u64(22);
-        let j = job(Strategy::CrpcPsq);
-        let (_pk_g, vk_g) = Backend::Groth16.setup(&j.cs, &mut rng);
-        let spartan_artifacts = Backend::Spartan.prove_cs(&j.cs, &mut rng);
-        // Verifying Spartan artifacts with a Groth16 key is a mismatch, not
-        // a panic.
-        assert!(!Backend::Groth16.verify_with_key(&vk_g, &spartan_artifacts));
-        assert!(!Backend::Spartan.verify_with_key(&vk_g, &spartan_artifacts));
-    }
-
-    #[test]
-    #[should_panic(expected = "backend/key mismatch")]
-    fn proving_with_wrong_key_panics() {
-        let mut rng = StdRng::seed_from_u64(23);
-        let j = job(Strategy::CrpcPsq);
-        let (pk, _vk) = Backend::Spartan.setup(&j.cs, &mut rng);
-        Backend::Groth16.prove_with_key(&pk, &j.cs, &mut rng);
-    }
-
-    #[test]
-    fn metrics_are_populated() {
-        let mut rng = StdRng::seed_from_u64(15);
-        let j = job(Strategy::CrpcPsq);
-        let artifacts = Backend::Spartan.prove(&j, &mut rng);
-        assert!(artifacts.metrics.prove_time > Duration::ZERO);
-        assert_eq!(artifacts.metrics.backend, Backend::Spartan);
-        assert_eq!(artifacts.metrics.num_variables, j.stats.num_variables);
-        let (ok, vt) = Backend::Spartan.verify_cs_timed(&j.cs, &artifacts);
-        assert!(ok);
-        assert!(vt > Duration::ZERO);
-    }
 
     #[test]
     fn backend_parses_and_displays() {

@@ -14,19 +14,18 @@
 //!   gadgets, all over fixed-point arithmetic.
 //! * [`fixed`] — NITI-style fixed-point quantisation shared with `zkvc-nn`.
 //! * [`api`] — the circuit-generic proving API: the [`Circuit`] and
-//!   [`ProofSystem`] traits, their Groth16/Spartan implementations, and the
-//!   canonical circuit-shape digest.
-//! * [`backend`] — the [`Backend`] enum, a `Copy` dispatcher over the two
-//!   [`ProofSystem`] implementations, with per-run cost metrics used by the
-//!   benchmark harnesses.
+//!   [`ProofSystem`] traits and their Groth16/Spartan implementations.
+//! * [`backend`] — the [`Backend`] enum, a `Copy` tag naming the two
+//!   [`ProofSystem`] implementations, plus the key/proof types and the
+//!   per-run cost metrics used by the benchmark harnesses.
 //! * [`schemes`] — the qualitative feature matrix of Table I.
 //!
 //! ## Example
 //!
 //! ```rust
+//! use zkvc_core::api::compile_shape;
 //! use zkvc_core::matmul::{MatMulBuilder, Strategy};
 //! use zkvc_core::backend::Backend;
-//! use zkvc_ff::{Fr, PrimeField};
 //! use rand::rngs::StdRng;
 //! use rand::SeedableRng;
 //!
@@ -34,11 +33,14 @@
 //! // Y = X * W for a small integer matrix multiplication.
 //! let x = vec![vec![1i64, 2], vec![3, 4]];
 //! let w = vec![vec![5i64, 6], vec![7, 8]];
-//! let job = MatMulBuilder::new(2, 2, 2)
+//! let circuit = MatMulBuilder::new(2, 2, 2)
 //!     .strategy(Strategy::CrpcPsq)
-//!     .build_integers(&x, &w);
-//! let artifacts = Backend::Groth16.prove(&job, &mut rng);
-//! assert!(Backend::Groth16.verify(&job, &artifacts));
+//!     .build_circuit_integers(&x, &w);
+//! // Setup + prove in one call (see `zkvc_core::api` for the split,
+//! // prove-many sequence), then verify against the circuit's shape.
+//! let system = Backend::Groth16.system();
+//! let artifacts = system.prove_oneshot(&circuit, &mut rng);
+//! assert!(system.verify_with_shape(&compile_shape(&circuit), &artifacts));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -52,9 +54,9 @@ pub mod matmul;
 pub mod nonlinear;
 pub mod schemes;
 
-pub use api::{circuit_shape_digest, Circuit, ProofSystem};
+pub use api::{Circuit, ProofSystem};
 pub use backend::{
     Backend, ProofArtifacts, ProveMetrics, ProverKey, UnknownTokenError, VerifierKey,
 };
 pub use fixed::FixedPointConfig;
-pub use matmul::{MatMulBuilder, MatMulJob, Strategy};
+pub use matmul::{MatMulBuilder, MatMulCircuit, Strategy};

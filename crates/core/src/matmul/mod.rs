@@ -35,7 +35,7 @@ use std::str::FromStr;
 use rand::Rng;
 use zkvc_ff::{Field, Fr, PrimeField};
 use zkvc_hash::Transcript;
-use zkvc_r1cs::{ConstraintSink, ConstraintSystem, LinearCombination};
+use zkvc_r1cs::{CompiledShape, ConstraintSink, LinearCombination};
 
 use crate::api::Circuit;
 use crate::backend::UnknownTokenError;
@@ -225,7 +225,7 @@ pub(crate) fn powers_of(z: Fr, count: usize) -> Vec<Fr> {
     out
 }
 
-/// Aggregate circuit statistics collected after synthesis; the quantities
+/// Aggregate circuit statistics read off a compiled shape; the quantities
 /// the paper's §III analyses (constraints for CRPC, left wires / variables
 /// for PSQ).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -241,13 +241,15 @@ pub struct CircuitStats {
 }
 
 impl CircuitStats {
-    /// Collects statistics from a constraint system.
-    pub fn of(cs: &ConstraintSystem<Fr>) -> Self {
+    /// Collects statistics from a compiled shape. CSR rows are normalised
+    /// (one entry per distinct variable, no zero coefficients), so a
+    /// matrix's non-zero count *is* its wire count.
+    pub fn of(shape: &CompiledShape<Fr>) -> Self {
         CircuitStats {
-            num_constraints: cs.num_constraints(),
-            num_variables: cs.num_variables(),
-            num_left_wires: cs.num_left_wires(),
-            num_right_wires: cs.num_right_wires(),
+            num_constraints: shape.num_constraints(),
+            num_variables: shape.num_variables(),
+            num_left_wires: shape.matrices.a.num_nonzero(),
+            num_right_wires: shape.matrices.b.num_nonzero(),
         }
     }
 }
@@ -256,12 +258,9 @@ impl CircuitStats {
 /// product `Y`, strategy and CRPC challenge — everything needed to drive
 /// synthesis, with no constraint system built up front.
 ///
-/// This is the lazy, two-pass-native form the runtime proves with: a
-/// [`compile_shape`](crate::api::compile_shape) over it is witness-free,
+/// A [`compile_shape`](crate::api::compile_shape) over it is witness-free,
 /// and on a warm shape only the witness pass
-/// ([`generate_witness`](crate::api::generate_witness)) runs. The eager
-/// [`MatMulJob`] wraps one of these plus the legacy single-pass
-/// [`ConstraintSystem`].
+/// ([`generate_witness_for`](crate::api::generate_witness_for)) runs.
 #[derive(Clone, Debug)]
 pub struct MatMulCircuit {
     x: Vec<Vec<Fr>>,
@@ -278,12 +277,11 @@ pub struct MatMulCircuit {
     pub outputs_public: bool,
 }
 
-impl MatMulCircuit {
-    /// Emits the statement into any sink: inputs and (when public) outputs
-    /// are allocated, then the strategy's constraints. Pass-oblivious by
-    /// construction — the shape pass allocates the same variables without
-    /// reading a single value.
-    fn emit(&self, cs: &mut dyn ConstraintSink<Fr>) {
+impl Circuit for MatMulCircuit {
+    /// Inputs and (when public) outputs are allocated, then the strategy's
+    /// constraints. Pass-oblivious by construction — the shape pass
+    /// allocates the same variables without reading a single value.
+    fn synthesize(&self, cs: &mut dyn ConstraintSink<Fr>) {
         let wants = cs.wants_values();
         let alloc_witness_matrix =
             |cs: &mut dyn ConstraintSink<Fr>, m: &[Vec<Fr>]| -> Vec<Vec<LinearCombination<Fr>>> {
@@ -312,12 +310,6 @@ impl MatMulCircuit {
             let _y_lcs = synthesize_matmul(cs, &x_lcs, &w_lcs, self.strategy, self.z);
         }
     }
-}
-
-impl Circuit for MatMulCircuit {
-    fn synthesize(&self, sink: &mut dyn ConstraintSink<Fr>) {
-        self.emit(sink);
-    }
 
     fn name(&self) -> String {
         format!(
@@ -342,66 +334,7 @@ impl Circuit for MatMulCircuit {
     }
 }
 
-/// A fully synthesised matrix-multiplication statement: the constraint
-/// system with its witness, the computed product, and circuit statistics.
-///
-/// This is the eager (legacy single-pass) product of [`MatMulBuilder`]; the
-/// lazy two-pass form is [`MatMulCircuit`]
-/// ([`MatMulBuilder::build_circuit_field`] and friends).
-#[derive(Clone, Debug)]
-pub struct MatMulJob {
-    /// The synthesised constraint system (witness included).
-    pub cs: ConstraintSystem<Fr>,
-    /// `(a, n, b)` dimensions.
-    pub dims: (usize, usize, usize),
-    /// The strategy used.
-    pub strategy: Strategy,
-    /// The product matrix computed by the (honest) prover.
-    pub y: Vec<Vec<Fr>>,
-    /// Circuit statistics.
-    pub stats: CircuitStats,
-    /// The CRPC challenge that was used (identity for vanilla strategies).
-    pub z: Fr,
-    /// Whether `Y` was allocated as public instance variables (statement
-    /// binding) rather than private witnesses (shape binding only). Named
-    /// distinctly from the inherited [`Circuit::public_outputs`] method,
-    /// which returns the bound *values*.
-    pub outputs_public: bool,
-    /// The underlying statement, kept so the job can re-synthesise through
-    /// the two-pass pipeline.
-    circuit: MatMulCircuit,
-}
-
-impl MatMulJob {
-    /// The lazy statement form of this job (same inputs, same challenge).
-    pub fn circuit(&self) -> &MatMulCircuit {
-        &self.circuit
-    }
-}
-
-impl Circuit for MatMulJob {
-    fn synthesize(&self, sink: &mut dyn ConstraintSink<Fr>) {
-        self.circuit.emit(sink);
-    }
-
-    fn name(&self) -> String {
-        Circuit::name(&self.circuit)
-    }
-
-    fn public_outputs(&self) -> Vec<Fr> {
-        self.cs.instance_assignment().to_vec()
-    }
-
-    fn shape_digest(&self) -> [u8; 32] {
-        crate::api::circuit_shape_digest(&self.cs)
-    }
-
-    fn declared_publics(&self) -> usize {
-        self.circuit.declared_publics()
-    }
-}
-
-/// Builder for matrix-multiplication proving jobs.
+/// Builder for matrix-multiplication statements.
 #[derive(Clone, Debug)]
 pub struct MatMulBuilder {
     a: usize,
@@ -458,31 +391,11 @@ impl MatMulBuilder {
         (self.a, self.n, self.b)
     }
 
-    /// Builds the job from signed-integer matrices (e.g. quantised model
-    /// weights and activations).
+    /// Builds the statement from signed-integer matrices (e.g. quantised
+    /// model weights and activations).
     ///
     /// # Panics
     /// Panics if the matrix dimensions do not match the builder.
-    pub fn build_integers(&self, x: &[Vec<i64>], w: &[Vec<i64>]) -> MatMulJob {
-        Self::eager(self.build_circuit_integers(x, w))
-    }
-
-    /// Builds the job with uniformly random matrices (used by the benchmark
-    /// harnesses, where only the cost profile matters).
-    pub fn build_random<R: Rng + ?Sized>(&self, rng: &mut R) -> MatMulJob {
-        Self::eager(self.build_circuit_random(rng))
-    }
-
-    /// Builds the job from field-element matrices.
-    ///
-    /// # Panics
-    /// Panics if the matrix dimensions do not match the builder.
-    pub fn build_field(&self, x: &[Vec<Fr>], w: &[Vec<Fr>]) -> MatMulJob {
-        Self::eager(self.build_circuit_field(x, w))
-    }
-
-    /// [`MatMulBuilder::build_integers`], but producing the lazy
-    /// [`MatMulCircuit`] statement (no constraint system is synthesised).
     pub fn build_circuit_integers(&self, x: &[Vec<i64>], w: &[Vec<i64>]) -> MatMulCircuit {
         let conv = |m: &[Vec<i64>]| -> Vec<Vec<Fr>> {
             m.iter()
@@ -492,8 +405,8 @@ impl MatMulBuilder {
         self.build_circuit_field(&conv(x), &conv(w))
     }
 
-    /// [`MatMulBuilder::build_random`], but producing the lazy
-    /// [`MatMulCircuit`] statement.
+    /// Builds the statement with uniformly random matrices (used by the
+    /// benchmark harnesses, where only the cost profile matters).
     pub fn build_circuit_random<R: Rng + ?Sized>(&self, rng: &mut R) -> MatMulCircuit {
         let x: Vec<Vec<Fr>> = (0..self.a)
             .map(|_| {
@@ -512,10 +425,10 @@ impl MatMulBuilder {
         self.build_circuit_field(&x, &w)
     }
 
-    /// [`MatMulBuilder::build_field`], but producing the lazy
-    /// [`MatMulCircuit`] statement: the honest product and the CRPC
-    /// challenge are computed, and synthesis is deferred to the two-pass
-    /// pipeline (shape pass for setup/digests, witness pass for proving).
+    /// Builds the statement from field-element matrices: the honest product
+    /// and the CRPC challenge are computed, and synthesis is deferred to
+    /// the two-pass pipeline (shape pass for setup/digests, witness pass
+    /// for proving).
     ///
     /// # Panics
     /// Panics if the matrix dimensions do not match the builder.
@@ -574,31 +487,27 @@ impl MatMulBuilder {
             outputs_public: self.public_outputs,
         }
     }
-
-    /// Runs the legacy single pass over a statement, producing the eager
-    /// job (constraint system + stats) most tests and harnesses consume.
-    fn eager(circuit: MatMulCircuit) -> MatMulJob {
-        let mut cs = ConstraintSystem::<Fr>::new();
-        circuit.emit(&mut cs);
-        let stats = CircuitStats::of(&cs);
-        MatMulJob {
-            cs,
-            dims: circuit.dims,
-            strategy: circuit.strategy,
-            y: circuit.y.clone(),
-            stats,
-            z: circuit.z,
-            outputs_public: circuit.outputs_public,
-            circuit,
-        }
-    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::api::compile_shape;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use zkvc_r1cs::ConstraintSystem;
+
+    /// The statement synthesised into the single-pass reference sink, for
+    /// satisfiability checks and witness tampering.
+    pub(crate) fn single_pass(circuit: &MatMulCircuit) -> ConstraintSystem<Fr> {
+        let mut cs = ConstraintSystem::new();
+        circuit.synthesize(&mut cs);
+        cs
+    }
+
+    fn stats(circuit: &MatMulCircuit) -> CircuitStats {
+        CircuitStats::of(&compile_shape(circuit))
+    }
 
     fn small_matrices() -> (Vec<Vec<i64>>, Vec<Vec<i64>>) {
         // 3x2 * 2x2 example from the paper's Figure 4.
@@ -613,8 +522,8 @@ mod tests {
         for strategy in Strategy::ALL {
             let job = MatMulBuilder::new(3, 2, 2)
                 .strategy(strategy)
-                .build_integers(&x, &w);
-            assert!(job.cs.is_satisfied(), "{strategy:?}");
+                .build_circuit_integers(&x, &w);
+            assert!(single_pass(&job).is_satisfied(), "{strategy:?}");
             // The product is the true product.
             assert_eq!(job.y[0][0], Fr::from_u64(7 + 2 * 9));
             assert_eq!(job.y[2][1], Fr::from_u64(5 * 8 + 6 * 10));
@@ -630,9 +539,9 @@ mod tests {
             .map(|s| {
                 let job = MatMulBuilder::new(a, n, b)
                     .strategy(*s)
-                    .build_random(&mut rng);
-                assert!(job.cs.is_satisfied());
-                (*s, job.stats.num_constraints)
+                    .build_circuit_random(&mut rng);
+                assert!(single_pass(&job).is_satisfied());
+                (*s, stats(&job).num_constraints)
             })
             .collect();
         assert_eq!(
@@ -651,21 +560,21 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let vanilla = MatMulBuilder::new(a, n, b)
             .strategy(Strategy::Vanilla)
-            .build_random(&mut rng);
+            .build_circuit_random(&mut rng);
         let psq = MatMulBuilder::new(a, n, b)
             .strategy(Strategy::VanillaPsq)
-            .build_random(&mut rng);
-        assert!(psq.stats.num_left_wires < vanilla.stats.num_left_wires);
-        assert!(psq.stats.num_variables <= vanilla.stats.num_variables);
+            .build_circuit_random(&mut rng);
+        assert!(stats(&psq).num_left_wires < stats(&vanilla).num_left_wires);
+        assert!(stats(&psq).num_variables <= stats(&vanilla).num_variables);
 
         let crpc = MatMulBuilder::new(a, n, b)
             .strategy(Strategy::Crpc)
-            .build_random(&mut rng);
+            .build_circuit_random(&mut rng);
         let crpc_psq = MatMulBuilder::new(a, n, b)
             .strategy(Strategy::CrpcPsq)
-            .build_random(&mut rng);
-        assert!(crpc_psq.stats.num_variables < crpc.stats.num_variables);
-        assert!(crpc_psq.stats.num_constraints < crpc.stats.num_constraints);
+            .build_circuit_random(&mut rng);
+        assert!(stats(&crpc_psq).num_variables < stats(&crpc).num_variables);
+        assert!(stats(&crpc_psq).num_constraints < stats(&crpc).num_constraints);
     }
 
     #[test]
@@ -676,12 +585,12 @@ mod tests {
         let w = vec![vec![5i64], vec![6], vec![7]];
         let vanilla = MatMulBuilder::new(1, 3, 1)
             .strategy(Strategy::Vanilla)
-            .build_integers(&x, &w);
+            .build_circuit_integers(&x, &w);
         let psq = MatMulBuilder::new(1, 3, 1)
             .strategy(Strategy::VanillaPsq)
-            .build_integers(&x, &w);
-        assert_eq!(vanilla.stats.num_left_wires, 6);
-        assert_eq!(psq.stats.num_left_wires, 3);
+            .build_circuit_integers(&x, &w);
+        assert_eq!(stats(&vanilla).num_left_wires, 6);
+        assert_eq!(stats(&psq).num_left_wires, 3);
     }
 
     #[test]
@@ -690,15 +599,15 @@ mod tests {
         for strategy in Strategy::ALL {
             let job = MatMulBuilder::new(3, 2, 2)
                 .strategy(strategy)
-                .build_integers(&x, &w);
+                .build_circuit_integers(&x, &w);
             // Find the first witness variable holding a Y value and corrupt it.
             // Y variables are allocated by the strategy after the 6 + 4 input
             // variables; corrupting any later witness must break satisfaction
             // for vanilla strategies, and break the folded identity for CRPC.
-            let mut witness = job.cs.witness_assignment().to_vec();
+            let mut cs = single_pass(&job);
+            let mut witness = cs.witness_assignment().to_vec();
             let idx = witness.len() - 1;
             witness[idx] += Fr::one();
-            let mut cs = job.cs.clone();
             cs.set_witness_assignment(witness);
             assert!(
                 !cs.is_satisfied(),
@@ -713,12 +622,12 @@ mod tests {
         let (x, w) = small_matrices();
         let job = MatMulBuilder::new(3, 2, 2)
             .strategy(Strategy::CrpcPsq)
-            .build_integers(&x, &w);
+            .build_circuit_integers(&x, &w);
         let num_inputs = 3 * 2 + 2 * 2;
         for y_idx in 0..6 {
-            let mut witness = job.cs.witness_assignment().to_vec();
+            let mut cs = single_pass(&job);
+            let mut witness = cs.witness_assignment().to_vec();
             witness[num_inputs + y_idx] += Fr::from_u64(3);
-            let mut cs = job.cs.clone();
             cs.set_witness_assignment(witness);
             assert!(!cs.is_satisfied(), "tampered y[{y_idx}] accepted");
         }
@@ -727,15 +636,15 @@ mod tests {
     #[test]
     fn transcript_z_depends_on_statement() {
         let (x, w) = small_matrices();
-        let j1 = MatMulBuilder::new(3, 2, 2).build_integers(&x, &w);
+        let j1 = MatMulBuilder::new(3, 2, 2).build_circuit_integers(&x, &w);
         let mut x2 = x.clone();
         x2[0][0] += 1;
-        let j2 = MatMulBuilder::new(3, 2, 2).build_integers(&x2, &w);
+        let j2 = MatMulBuilder::new(3, 2, 2).build_circuit_integers(&x2, &w);
         assert_ne!(j1.z, j2.z);
         // Fixed z is honoured.
         let j3 = MatMulBuilder::new(3, 2, 2)
             .z_source(ZSource::Fixed(Fr::from_u64(1234)))
-            .build_integers(&x, &w);
+            .build_circuit_integers(&x, &w);
         assert_eq!(j3.z, Fr::from_u64(1234));
     }
 
@@ -793,14 +702,15 @@ mod tests {
             let job = MatMulBuilder::new(a, n, b)
                 .strategy(strategy)
                 .public_outputs(true)
-                .build_random(&mut rng);
-            assert!(job.cs.is_satisfied(), "{strategy:?}");
+                .build_circuit_random(&mut rng);
+            let cs = single_pass(&job);
+            assert!(cs.is_satisfied(), "{strategy:?}");
             assert!(job.outputs_public);
-            assert_eq!(job.stats.num_constraints, count, "{strategy:?}");
-            assert_eq!(job.cs.num_instance(), a * b, "{strategy:?}");
+            assert_eq!(stats(&job).num_constraints, count, "{strategy:?}");
+            assert_eq!(cs.num_instance(), a * b, "{strategy:?}");
             // The instance assignment is exactly the flattened product.
             let flat: Vec<Fr> = job.y.iter().flatten().copied().collect();
-            assert_eq!(job.cs.instance_assignment(), &flat[..], "{strategy:?}");
+            assert_eq!(cs.instance_assignment(), &flat[..], "{strategy:?}");
         }
     }
 
@@ -811,12 +721,13 @@ mod tests {
             let job = MatMulBuilder::new(3, 2, 2)
                 .strategy(strategy)
                 .public_outputs(true)
-                .build_integers(&x, &w);
-            assert!(job.cs.is_satisfied(), "{strategy:?}");
+                .build_circuit_integers(&x, &w);
+            let honest = single_pass(&job);
+            assert!(honest.is_satisfied(), "{strategy:?}");
             for idx in 0..6 {
-                let mut instance = job.cs.instance_assignment().to_vec();
+                let mut instance = honest.instance_assignment().to_vec();
                 instance[idx] += Fr::one();
-                let mut cs = job.cs.clone();
+                let mut cs = honest.clone();
                 cs.set_instance_assignment(instance);
                 assert!(
                     !cs.is_satisfied(),
@@ -838,14 +749,14 @@ mod tests {
             let job = MatMulBuilder::new(3, 2, 2)
                 .strategy(strategy)
                 .public_outputs(true)
-                .build_integers(&x, &w);
-            assert!(job.cs.is_satisfied(), "{strategy:?}");
-            let mut instance = job.cs.instance_assignment().to_vec();
+                .build_circuit_integers(&x, &w);
+            let mut cs = single_pass(&job);
+            assert!(cs.is_satisfied(), "{strategy:?}");
+            let mut instance = cs.instance_assignment().to_vec();
             // coeff(y[0]) = Z^0 = 1, coeff(y[1]) = Z^1: net fold delta is
             // 1*Z + Z*(-1) = 0.
             instance[0] += job.z;
             instance[1] -= Fr::one();
-            let mut cs = job.cs.clone();
             cs.set_instance_assignment(instance);
             assert!(
                 !cs.is_satisfied(),
@@ -860,22 +771,22 @@ mod tests {
         for strategy in Strategy::ALL {
             let private = MatMulBuilder::new(3, 2, 2)
                 .strategy(strategy)
-                .build_integers(&x, &w);
+                .build_circuit_integers(&x, &w);
             let public = MatMulBuilder::new(3, 2, 2)
                 .strategy(strategy)
                 .public_outputs(true)
-                .build_integers(&x, &w);
+                .build_circuit_integers(&x, &w);
             assert_eq!(private.y, public.y, "{strategy:?}");
             // Vanilla public-output circuits drop the Y witnesses; CRPC
             // ones keep them (the fold runs over witnesses, each pinned to
             // a public cell), so witness counts never grow.
             assert!(
-                public.cs.num_witness() <= private.cs.num_witness(),
+                compile_shape(&public).num_witness() <= compile_shape(&private).num_witness(),
                 "{strategy:?}"
             );
             if !strategy.uses_crpc() {
                 assert!(
-                    public.cs.num_witness() < private.cs.num_witness(),
+                    compile_shape(&public).num_witness() < compile_shape(&private).num_witness(),
                     "{strategy:?}"
                 );
             }

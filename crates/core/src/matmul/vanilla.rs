@@ -164,7 +164,7 @@ fn vanilla_psq_core<S: ConstraintSink<Fr> + ?Sized>(
 mod tests {
     use super::*;
     use zkvc_ff::PrimeField;
-    use zkvc_r1cs::ConstraintSystem;
+    use zkvc_r1cs::{CompiledShape, ConstraintSystem};
 
     type LcMatrix = Vec<Vec<LinearCombination<Fr>>>;
 
@@ -224,7 +224,9 @@ mod tests {
             }
         }
         assert_eq!(cs_p.num_constraints(), 12); // abn only
-        assert!(cs_p.num_left_wires() < cs_v.num_left_wires());
+        let left_wires =
+            |cs: &ConstraintSystem<Fr>| CompiledShape::from_cs(cs).matrices.a.num_nonzero();
+        assert!(left_wires(&cs_p) < left_wires(&cs_v));
         assert!(cs_p.num_variables() < cs_v.num_variables());
     }
 

@@ -29,6 +29,7 @@
 //! message and the marker would be lost.
 
 use std::cell::RefCell;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A shared cancellation predicate: returns `true` once the surrounding
@@ -49,6 +50,19 @@ pub struct Cancelled;
 
 thread_local! {
     static CHECK: RefCell<Option<CancelCheck>> = const { RefCell::new(None) };
+}
+
+/// Process-wide count of checkpoints that unwound with [`Cancelled`].
+/// A statistic only (it publishes no other data), hence `Relaxed`.
+static UNWOUND: AtomicU64 = AtomicU64::new(0);
+
+/// How many [`checkpoint`] calls in this process have unwound with
+/// [`Cancelled`] so far. Monotonically increasing; robustness tests read it
+/// before and after a request to tell "a kernel was interrupted mid-flight"
+/// from "the job finished and its result was discarded" without timing
+/// anything.
+pub fn unwound_checkpoints() -> u64 {
+    UNWOUND.load(Ordering::Relaxed)
 }
 
 /// Guard returned by [`install`]; restores the previously installed
@@ -96,6 +110,7 @@ pub fn current() -> Option<CancelCheck> {
 pub fn checkpoint() {
     let cancelled = CHECK.with(|c| c.borrow().as_ref().is_some_and(|f| f()));
     if cancelled {
+        UNWOUND.fetch_add(1, Ordering::Relaxed);
         std::panic::panic_any(Cancelled);
     }
 }
@@ -117,8 +132,11 @@ mod tests {
         let guard = install(Arc::new(move || check.load(Ordering::Relaxed)));
         checkpoint(); // not tripped yet
         flag.store(true, Ordering::Relaxed);
+        let before = unwound_checkpoints();
         let payload = std::panic::catch_unwind(checkpoint).unwrap_err();
         assert!(payload.downcast_ref::<Cancelled>().is_some());
+        // Other tests in this binary trip checkpoints too: at least ours.
+        assert!(unwound_checkpoints() > before);
         drop(guard);
         checkpoint(); // uninstalled again: no panic even though flag is set
     }

@@ -7,7 +7,7 @@ use rand::Rng;
 use zkvc_curve::{pairing, G1Affine, G1Projective, Gt};
 use zkvc_ff::{Field, Fr};
 use zkvc_qap::evaluate_qap_at_point;
-use zkvc_r1cs::{CompiledShape, ConstraintSystem};
+use zkvc_r1cs::CompiledShape;
 
 /// A Groth16 proof: three group elements, independent of circuit size.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -170,17 +170,6 @@ impl ProvingKey {
     }
 }
 
-/// Runs the circuit-specific trusted setup from a legacy single-pass
-/// constraint system. The constraint *structure* of `cs` is what matters
-/// here; the assigned values are ignored. Equivalent to
-/// [`setup_shape`] over [`CompiledShape::from_cs`].
-pub fn setup<R: Rng + ?Sized>(
-    cs: &ConstraintSystem<Fr>,
-    rng: &mut R,
-) -> (ProvingKey, VerifyingKey) {
-    setup_shape(Arc::new(CompiledShape::from_cs(cs)), rng)
-}
-
 /// Runs the circuit-specific trusted setup against a compiled shape,
 /// producing a proving key and a verification key. This is the witness-free
 /// entry point: nothing here ever sees an assignment, only the CSR
@@ -290,9 +279,11 @@ pub fn setup_shape<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::{prove, setup};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use zkvc_ff::PrimeField;
+    use zkvc_r1cs::ConstraintSystem;
 
     fn square_circuit() -> ConstraintSystem<Fr> {
         let mut cs = ConstraintSystem::<Fr>::new();
@@ -357,7 +348,7 @@ mod tests {
         let cs = square_circuit();
         let mut rng = StdRng::seed_from_u64(5);
         let (pk, vk) = setup(&cs, &mut rng);
-        let proof = crate::prove(&pk, &cs, &mut rng);
+        let proof = prove(&pk, &cs, &mut rng);
 
         let vk2 = VerifyingKey::from_bytes(&vk.to_bytes()).unwrap();
         let proof_bytes = proof.to_bytes();

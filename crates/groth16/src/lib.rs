@@ -13,22 +13,32 @@
 //! ## Example
 //!
 //! ```rust
-//! use zkvc_groth16::{setup, prove, verify};
-//! use zkvc_r1cs::{ConstraintSystem, LinearCombination};
+//! use std::sync::Arc;
+//! use zkvc_groth16::{prove_assignment, setup_shape, verify};
+//! use zkvc_r1cs::{ConstraintSink, ShapeBuilder, SinkExt, WitnessFiller};
 //! use zkvc_ff::{Fr, PrimeField};
 //! use rand::rngs::StdRng;
 //! use rand::SeedableRng;
 //!
-//! // x * x = 25 with public 25.
-//! let mut cs = ConstraintSystem::<Fr>::new();
-//! let out = cs.alloc_instance(Fr::from_u64(25));
-//! let x = cs.alloc_witness(Fr::from_u64(5));
-//! cs.enforce(x.into(), x.into(), out.into());
+//! // x * x = 25 with public 25, written once against the sink trait.
+//! fn square(sink: &mut dyn ConstraintSink<Fr>) {
+//!     let out = sink.alloc_instance_lazy(|| Fr::from_u64(25));
+//!     let x = sink.alloc_witness_lazy(|| Fr::from_u64(5));
+//!     sink.enforce(x.into(), x.into(), out.into());
+//! }
+//!
+//! // Shape pass (witness-free) for setup, witness pass for proving.
+//! let mut shape = ShapeBuilder::new();
+//! square(&mut shape);
+//! let shape = Arc::new(shape.finish());
+//! let mut witness = WitnessFiller::new();
+//! square(&mut witness);
+//! let witness = witness.finish_for(&shape);
 //!
 //! let mut rng = StdRng::seed_from_u64(1);
-//! let (pk, vk) = setup(&cs, &mut rng);
-//! let proof = prove(&pk, &cs, &mut rng);
-//! assert!(verify(&vk, cs.instance_assignment(), &proof));
+//! let (pk, vk) = setup_shape(shape, &mut rng);
+//! let proof = prove_assignment(&pk, &witness.full(), &mut rng);
+//! assert!(verify(&vk, &witness.instance, &proof));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -37,8 +47,10 @@
 
 mod keys;
 mod prover;
+#[cfg(test)]
+mod testutil;
 mod verifier;
 
-pub use keys::{setup, setup_shape, Proof, ProvingKey, VerifyingKey};
-pub use prover::{prove, prove_assignment};
+pub use keys::{setup_shape, Proof, ProvingKey, VerifyingKey};
+pub use prover::prove_assignment;
 pub use verifier::{prepare_inputs, verify};

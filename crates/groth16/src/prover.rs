@@ -11,28 +11,8 @@ use rand::Rng;
 use zkvc_curve::msm;
 use zkvc_ff::{Field, Fr};
 use zkvc_qap::compute_h_coefficients_in;
-use zkvc_r1cs::ConstraintSystem;
 
 use crate::keys::{Proof, ProvingKey};
-
-/// Produces a proof from a legacy single-pass constraint system: the full
-/// assignment is extracted and handed to [`prove_assignment`]. The
-/// constraint matrices come from the shape compiled at setup time — the
-/// system's own constraints are *not* re-extracted.
-///
-/// # Panics
-/// Panics if the assignment does not satisfy the constraint system (callers
-/// should check [`ConstraintSystem::is_satisfied`] when the witness comes
-/// from untrusted code) or if the circuit shape does not match the proving
-/// key.
-pub fn prove<R: Rng + ?Sized>(pk: &ProvingKey, cs: &ConstraintSystem<Fr>, rng: &mut R) -> Proof {
-    assert_eq!(
-        pk.shape.num_variables(),
-        cs.num_variables(),
-        "proving key does not match this circuit"
-    );
-    prove_assignment(pk, &cs.full_assignment(), rng)
-}
 
 /// Produces a proof from a flat assignment `z = (1, instance, witness)`
 /// against the shape compiled into the proving key. This is the whole
@@ -87,12 +67,12 @@ pub fn prove_assignment<R: Rng + ?Sized>(pk: &ProvingKey, z: &[Fr], rng: &mut R)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::keys::setup;
+    use crate::testutil::{prove, setup};
     use crate::verifier::verify;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use zkvc_ff::PrimeField;
-    use zkvc_r1cs::LinearCombination;
+    use zkvc_r1cs::{ConstraintSystem, LinearCombination};
 
     /// Build the cubic circuit x^3 + x + 5 = out.
     fn cubic(x_val: u64) -> ConstraintSystem<Fr> {

@@ -46,8 +46,7 @@ pub fn verify(vk: &VerifyingKey, public_inputs: &[Fr], proof: &Proof) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::keys::setup;
-    use crate::prover::prove;
+    use crate::testutil::{prove, setup};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use zkvc_ff::{Field, PrimeField};

@@ -3,20 +3,14 @@
 //! (embedding, every Transformer block, pooling and the classifier head),
 //! together with per-layer constraint statistics.
 //!
-//! Two entry points share one emission driver:
-//!
-//! * [`ModelStatement`] — the lazy, two-pass-native form: holds only the
-//!   configuration, weight seed and CRPC challenge, and synthesises on
-//!   demand into any [`ConstraintSink`]. A shape pass over it generates
-//!   **no weight tensors at all**; a witness pass computes exactly the flat
-//!   assignment. This is what the `zkvc-runtime` pool proves with.
-//! * [`ModelCircuit`] — the eager legacy form: one single pass up front,
-//!   keeping the full [`ConstraintSystem`], per-layer stats and the logits.
+//! [`ModelStatement`] holds only the configuration, weight seed and CRPC
+//! challenge, and synthesises on demand into any [`ConstraintSink`]. A
+//! shape pass over it generates **no weight tensors at all**; a witness
+//! pass computes exactly the flat assignment.
 //!
 //! The class logits of the reference run are bound as **public instance
-//! variables**, so a proof over either form commits to the concrete
-//! inference result: verifying the same proof against different claimed
-//! logits fails.
+//! variables**, so a proof commits to the concrete inference result:
+//! verifying the same proof against different claimed logits fails.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -24,8 +18,8 @@ use zkvc_core::api::Circuit;
 use zkvc_core::fixed::FixedPointConfig;
 use zkvc_core::matmul::Strategy;
 use zkvc_core::nonlinear::SoftmaxConfig;
-use zkvc_ff::{Fr, PrimeField};
-use zkvc_r1cs::{ConstraintSink, ConstraintSystem};
+use zkvc_ff::Fr;
+use zkvc_r1cs::{ConstraintSink, ShapeBuilder};
 
 use crate::layers::{
     alloc_tensor_opt, linear, transformer_block_opt, BlockDims, BlockWeights, LcMatrix,
@@ -91,16 +85,19 @@ impl ModelStatement {
         }
     }
 
+    /// Per-layer constraint accounting (embedding, one entry per block,
+    /// classifier), from one witness-free shape pass.
+    pub fn layer_stats(&self) -> Vec<LayerStats> {
+        let mut stats = Vec::new();
+        self.emit(&mut ShapeBuilder::new(), Some(&mut stats));
+        stats
+    }
+
     /// Emits the whole forward pass into `sink`. Weight/input tensors are
     /// generated (from the seeded rng, in a fixed order) only when the sink
-    /// carries values; the structure is identical either way. Returns the
-    /// logits when values were carried, and appends per-layer stats when a
-    /// collector is supplied.
-    fn emit(
-        &self,
-        sink: &mut dyn ConstraintSink<Fr>,
-        mut stats: Option<&mut Vec<LayerStats>>,
-    ) -> Option<Vec<Fr>> {
+    /// carries values; the structure is identical either way. Appends
+    /// per-layer stats when a collector is supplied.
+    fn emit(&self, sink: &mut dyn ConstraintSink<Fr>, mut stats: Option<&mut Vec<LayerStats>>) {
         let model = &self.model;
         let strategy = self.strategy;
         let z = self.z;
@@ -211,8 +208,6 @@ impl ModelStatement {
             .collect();
         zkvc_core::api::bind_public_outputs(sink, &logits_lcs[0], &public_logits);
         record(&mut stats, "classifier".to_string(), before, sink);
-
-        logits
     }
 }
 
@@ -228,109 +223,6 @@ impl Circuit for ModelStatement {
     fn declared_publics(&self) -> usize {
         // One public logit per class, always bound.
         self.model.num_classes
-    }
-}
-
-/// A fully synthesised verifiable-inference circuit (the eager form; see
-/// [`ModelStatement`] for the lazy two-pass form).
-#[derive(Clone, Debug)]
-pub struct ModelCircuit {
-    /// The constraint system with the complete witness.
-    pub cs: ConstraintSystem<Fr>,
-    /// Per-layer statistics.
-    pub layers: Vec<LayerStats>,
-    /// The model's class-logit outputs (quantised) from the reference run.
-    pub logits: Vec<Fr>,
-    /// Name of the model + schedule combination.
-    pub name: String,
-    /// The underlying statement, kept so the circuit can re-synthesise
-    /// through the two-pass pipeline.
-    statement: ModelStatement,
-}
-
-impl ModelCircuit {
-    /// Builds the circuit for a model with synthetic weights and a synthetic
-    /// input, using the given matmul strategy. `seed` makes the synthetic
-    /// initialisation reproducible and also derives the CRPC challenge.
-    pub fn build(
-        model: &ModelConfig,
-        schedule: &MixerSchedule,
-        strategy: Strategy,
-        seed: u64,
-    ) -> ModelCircuit {
-        // CRPC challenge: derived from the seed here; production callers
-        // would derive it from a transcript over committed inputs/weights
-        // (see zkvc-core::matmul::ZSource) or sample it at setup time and
-        // pass it through [`ModelCircuit::build_seeded`].
-        let z = Fr::from_u64(seed.wrapping_mul(0x9E3779B97F4A7C15) | 1);
-        Self::build_seeded(model, schedule, strategy, seed, z)
-    }
-
-    /// Like [`ModelCircuit::build`], but with the CRPC challenge supplied
-    /// by the caller, decoupled from the weight/input seed. Because `z` is
-    /// baked into the constraint coefficients, every circuit built with the
-    /// same `(model, schedule, strategy, z)` shares one shape — which is
-    /// what lets a batch of per-`weight_seed` model jobs share a single
-    /// setup in the runtime's key cache.
-    pub fn build_seeded(
-        model: &ModelConfig,
-        schedule: &MixerSchedule,
-        strategy: Strategy,
-        weight_seed: u64,
-        z: Fr,
-    ) -> ModelCircuit {
-        let statement =
-            ModelStatement::new(model.clone(), schedule.clone(), strategy, weight_seed, z);
-        let mut cs = ConstraintSystem::<Fr>::new();
-        let mut layers = Vec::new();
-        let logits = statement
-            .emit(&mut cs, Some(&mut layers))
-            .expect("single pass carries values");
-        ModelCircuit {
-            cs,
-            layers,
-            logits,
-            name: statement.name.clone(),
-            statement,
-        }
-    }
-
-    /// The lazy statement form of this circuit (same configuration, same
-    /// weight seed and challenge).
-    pub fn statement(&self) -> &ModelStatement {
-        &self.statement
-    }
-
-    /// Total constraints in the circuit.
-    pub fn num_constraints(&self) -> usize {
-        self.cs.num_constraints()
-    }
-
-    /// Total variables in the circuit.
-    pub fn num_variables(&self) -> usize {
-        self.cs.num_variables()
-    }
-}
-
-impl Circuit for ModelCircuit {
-    fn synthesize(&self, sink: &mut dyn ConstraintSink<Fr>) {
-        self.statement.emit(sink, None);
-    }
-
-    fn name(&self) -> String {
-        self.name.clone()
-    }
-
-    fn public_outputs(&self) -> Vec<Fr> {
-        self.logits.clone()
-    }
-
-    fn shape_digest(&self) -> [u8; 32] {
-        zkvc_core::api::circuit_shape_digest(&self.cs)
-    }
-
-    fn declared_publics(&self) -> usize {
-        self.statement.declared_publics()
     }
 }
 
@@ -382,8 +274,30 @@ fn resize_tokens(
 mod tests {
     use super::*;
     use crate::models::VitConfig;
-    use zkvc_core::api::{circuit_shape_digest, compile_shape, generate_witness_for};
-    use zkvc_ff::Field;
+    use zkvc_core::api::{compile_shape, generate_witness_for};
+    use zkvc_ff::{Field, PrimeField};
+    use zkvc_r1cs::{shape_digest, ConstraintSystem};
+
+    fn statement(
+        model: &ModelConfig,
+        schedule: &MixerSchedule,
+        strategy: Strategy,
+        seed: u64,
+    ) -> ModelStatement {
+        let z = Fr::from_u64(0x9E37_79B9_7F4A_7C15);
+        ModelStatement::new(model.clone(), schedule.clone(), strategy, seed, z)
+    }
+
+    /// The statement synthesised into the single-pass reference sink.
+    fn single_pass(statement: &ModelStatement) -> ConstraintSystem<Fr> {
+        let mut cs = ConstraintSystem::new();
+        statement.synthesize(&mut cs);
+        cs
+    }
+
+    fn num_constraints(statement: &ModelStatement) -> usize {
+        compile_shape(statement).num_constraints()
+    }
 
     #[test]
     fn tiny_vit_circuit_is_satisfiable_for_all_schedules() {
@@ -394,93 +308,102 @@ mod tests {
             MixerSchedule::soft_free_p(2),
             MixerSchedule::zkvc_hybrid(2),
         ] {
-            let circuit = ModelCircuit::build(&cfg, &schedule, Strategy::CrpcPsq, 7);
-            assert!(circuit.cs.is_satisfied(), "{}", schedule.name);
-            // embed + 2 blocks + classifier
-            assert_eq!(circuit.layers.len(), 4);
-            assert_eq!(circuit.logits.len(), 4);
-            assert!(circuit.num_constraints() > 0);
+            let circuit = statement(&cfg, &schedule, Strategy::CrpcPsq, 7);
+            let cs = single_pass(&circuit);
+            assert!(cs.is_satisfied(), "{}", schedule.name);
+            assert_eq!(cs.num_instance(), 4, "one public logit per class");
+            // embed + 2 blocks + classifier, summing to the whole circuit.
+            let layers = circuit.layer_stats();
+            assert_eq!(layers.len(), 4);
+            let total: usize = layers.iter().map(|l| l.constraints).sum();
+            assert_eq!(total, cs.num_constraints());
+            assert!(total > 0);
         }
     }
 
     #[test]
-    fn statement_two_pass_matches_eager_build() {
-        // The lazy statement's shape pass (no weights generated) and
-        // witness pass must reproduce the eager build exactly: same digest,
-        // same matrices, same flat assignment, same logits.
+    fn two_pass_matches_the_single_pass_reference() {
+        // The shape pass (no weights generated) and the witness pass must
+        // reproduce the single pass exactly: same digest, same flat
+        // assignment.
         let cfg = VitConfig::custom(2, 2, 8, 4, 4).to_model();
-        let schedule = MixerSchedule::zkvc_hybrid(2);
-        let z = Fr::from_u64(0xFEED_5EED);
-        let eager = ModelCircuit::build_seeded(&cfg, &schedule, Strategy::CrpcPsq, 9, z);
-        let statement = ModelStatement::new(cfg, schedule, Strategy::CrpcPsq, 9, z);
+        let circuit = statement(&cfg, &MixerSchedule::zkvc_hybrid(2), Strategy::CrpcPsq, 9);
+        let cs = single_pass(&circuit);
 
-        let shape = compile_shape(&statement);
-        assert_eq!(shape.digest, circuit_shape_digest(&eager.cs));
-        assert_eq!(shape.num_constraints(), eager.num_constraints());
+        let shape = compile_shape(&circuit);
+        assert_eq!(shape.digest, shape_digest(&cs));
+        assert_eq!(shape.num_constraints(), cs.num_constraints());
 
-        let witness = generate_witness_for(&statement, &shape);
-        assert_eq!(witness.full(), eager.cs.full_assignment());
-        assert_eq!(witness.instance, eager.logits);
+        let witness = generate_witness_for(&circuit, &shape);
+        assert_eq!(witness.full(), cs.full_assignment());
+        assert_eq!(witness.instance, circuit.public_outputs());
         assert!(shape.is_satisfied(&witness));
-
-        // The eager circuit re-synthesises to the same shape too.
-        assert_eq!(compile_shape(&eager).digest, shape.digest);
     }
 
     #[test]
     fn zkvc_strategy_shrinks_the_circuit() {
         let cfg = VitConfig::custom(2, 2, 8, 4, 4).to_model();
         let schedule = MixerSchedule::soft_approx(2);
-        let vanilla = ModelCircuit::build(&cfg, &schedule, Strategy::Vanilla, 7);
-        let zkvc = ModelCircuit::build(&cfg, &schedule, Strategy::CrpcPsq, 7);
-        assert!(zkvc.num_constraints() < vanilla.num_constraints());
-        assert!(vanilla.cs.is_satisfied() && zkvc.cs.is_satisfied());
+        let vanilla = statement(&cfg, &schedule, Strategy::Vanilla, 7);
+        let zkvc = statement(&cfg, &schedule, Strategy::CrpcPsq, 7);
+        assert!(num_constraints(&zkvc) < num_constraints(&vanilla));
+        assert!(single_pass(&vanilla).is_satisfied() && single_pass(&zkvc).is_satisfied());
     }
 
     #[test]
     fn softmax_schedule_costs_more_than_hybrid() {
         let cfg = VitConfig::custom(3, 2, 8, 6, 4).to_model();
-        let soft = ModelCircuit::build(&cfg, &MixerSchedule::soft_approx(3), Strategy::CrpcPsq, 3);
-        let hybrid =
-            ModelCircuit::build(&cfg, &MixerSchedule::zkvc_hybrid(3), Strategy::CrpcPsq, 3);
-        let pool = ModelCircuit::build(&cfg, &MixerSchedule::soft_free_p(3), Strategy::CrpcPsq, 3);
-        assert!(soft.num_constraints() > hybrid.num_constraints());
-        assert!(hybrid.num_constraints() > pool.num_constraints());
+        let count = |s: &MixerSchedule| num_constraints(&statement(&cfg, s, Strategy::CrpcPsq, 3));
+        let soft = count(&MixerSchedule::soft_approx(3));
+        let hybrid = count(&MixerSchedule::zkvc_hybrid(3));
+        let pool = count(&MixerSchedule::soft_free_p(3));
+        assert!(soft > hybrid);
+        assert!(hybrid > pool);
     }
 
     #[test]
     fn logits_are_bound_as_public_outputs() {
         let cfg = VitConfig::custom(1, 1, 4, 2, 3).to_model();
-        let circuit =
-            ModelCircuit::build(&cfg, &MixerSchedule::soft_free_p(1), Strategy::CrpcPsq, 5);
-        assert!(circuit.cs.is_satisfied());
+        let circuit = statement(&cfg, &MixerSchedule::soft_free_p(1), Strategy::CrpcPsq, 5);
+        let mut cs = single_pass(&circuit);
+        assert!(cs.is_satisfied());
         // The instance assignment is exactly the logits, in order.
-        assert_eq!(circuit.cs.num_instance(), 3);
-        assert_eq!(circuit.public_outputs(), circuit.logits);
+        assert_eq!(circuit.declared_publics(), 3);
+        assert_eq!(cs.instance_assignment(), &circuit.public_outputs()[..]);
         // Claiming different logits breaks the circuit.
-        let mut instance = circuit.cs.instance_assignment().to_vec();
+        let mut instance = cs.instance_assignment().to_vec();
         instance[1] += Fr::one();
-        let mut cs = circuit.cs;
         cs.set_instance_assignment(instance);
         assert!(!cs.is_satisfied(), "tampered logit accepted");
     }
 
     #[test]
-    fn build_seeded_shares_shape_across_weight_seeds() {
+    fn statements_share_a_shape_across_weight_seeds() {
         // Same (model, schedule, strategy, z), different weights: one
         // circuit shape — the property the runtime key cache relies on.
         let cfg = VitConfig::custom(1, 1, 4, 2, 2).to_model();
         let schedule = MixerSchedule::soft_free_p(1);
         let z = Fr::from_u64(0xABCD_1234);
-        let c1 = ModelCircuit::build_seeded(&cfg, &schedule, Strategy::CrpcPsq, 1, z);
-        let c2 = ModelCircuit::build_seeded(&cfg, &schedule, Strategy::CrpcPsq, 2, z);
-        assert!(c1.cs.is_satisfied() && c2.cs.is_satisfied());
+        let build = |weight_seed, z| {
+            ModelStatement::new(
+                cfg.clone(),
+                schedule.clone(),
+                Strategy::CrpcPsq,
+                weight_seed,
+                z,
+            )
+        };
+        let (c1, c2) = (build(1, z), build(2, z));
+        assert!(single_pass(&c1).is_satisfied() && single_pass(&c2).is_satisfied());
         assert_eq!(c1.shape_digest(), c2.shape_digest());
-        assert_ne!(c1.logits, c2.logits, "different weights, different result");
+        assert_ne!(
+            c1.public_outputs(),
+            c2.public_outputs(),
+            "different weights, different result"
+        );
         // A different challenge is a different shape (z sits in the
         // constraint coefficients).
-        let c3 = ModelCircuit::build_seeded(&cfg, &schedule, Strategy::CrpcPsq, 1, z + Fr::one());
-        assert_ne!(c1.shape_digest(), c3.shape_digest());
+        assert_ne!(c1.shape_digest(), build(1, z + Fr::one()).shape_digest());
     }
 
     #[test]
@@ -506,16 +429,16 @@ mod tests {
             ],
             num_classes: 3,
         };
-        let circuit = ModelCircuit::build(
+        let circuit = statement(
             &model,
             &MixerSchedule::zkvc_hybrid(2),
             Strategy::CrpcPsq,
             11,
         );
-        assert!(circuit.cs.is_satisfied());
-        assert_eq!(circuit.logits.len(), 3);
+        let cs = single_pass(&circuit);
+        assert!(cs.is_satisfied());
+        assert_eq!(circuit.public_outputs().len(), 3);
         // The hierarchical resize path is pass-oblivious too.
-        let shape = compile_shape(circuit.statement());
-        assert_eq!(shape.digest, circuit.shape_digest());
+        assert_eq!(compile_shape(&circuit).digest, shape_digest(&cs));
     }
 }

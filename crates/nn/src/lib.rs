@@ -18,14 +18,19 @@
 //! ```rust
 //! use zkvc_nn::models::VitConfig;
 //! use zkvc_nn::mixer::MixerSchedule;
-//! use zkvc_nn::circuit::ModelCircuit;
+//! use zkvc_nn::circuit::ModelStatement;
+//! use zkvc_core::api::{compile_shape, generate_witness_for};
 //! use zkvc_core::matmul::Strategy;
+//! use zkvc_ff::{Fr, PrimeField};
 //!
-//! // A tiny ViT: 2 layers, 16 tokens, hidden dim 32.
+//! // A tiny ViT: 2 layers, 16 tokens, hidden dim 32. The last two
+//! // arguments seed the synthetic weights and fix the CRPC challenge.
 //! let cfg = VitConfig::custom(2, 2, 32, 16, 10);
 //! let schedule = MixerSchedule::zkvc_hybrid(cfg.num_layers);
-//! let circuit = ModelCircuit::build(&cfg.to_model(), &schedule, Strategy::CrpcPsq, 42);
-//! assert!(circuit.cs.is_satisfied());
+//! let statement =
+//!     ModelStatement::new(cfg.to_model(), schedule, Strategy::CrpcPsq, 42, Fr::from_u64(7));
+//! let shape = compile_shape(&statement);
+//! assert!(shape.is_satisfied(&generate_witness_for(&statement, &shape)));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -38,7 +43,7 @@ pub mod mixer;
 pub mod models;
 pub mod tensor;
 
-pub use circuit::{LayerStats, ModelCircuit, ModelStatement};
+pub use circuit::{LayerStats, ModelStatement};
 pub use mixer::{MixerSchedule, TokenMixer};
 pub use models::{BertConfig, ModelConfig, VitConfig};
 pub use tensor::Tensor;

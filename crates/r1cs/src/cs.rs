@@ -195,42 +195,6 @@ impl<F: Field> ConstraintSystem<F> {
         1 + self.instance.len() + self.witness.len()
     }
 
-    /// Total number of "left wires": distinct variables appearing in the `A`
-    /// linear combinations summed over all constraints. This is the quantity
-    /// the paper's PSQ optimisation reduces.
-    pub fn num_left_wires(&self) -> usize {
-        self.a
-            .iter()
-            .map(super::lc::LinearCombination::num_wires)
-            .sum()
-    }
-
-    /// Like [`Self::num_left_wires`] but for the `B` (right) wires.
-    pub fn num_right_wires(&self) -> usize {
-        self.b
-            .iter()
-            .map(super::lc::LinearCombination::num_wires)
-            .sum()
-    }
-
-    /// Density of the constraint matrices: total non-zero entries in A, B, C.
-    pub fn num_nonzero_entries(&self) -> (usize, usize, usize) {
-        (
-            self.a
-                .iter()
-                .map(super::lc::LinearCombination::num_wires)
-                .sum(),
-            self.b
-                .iter()
-                .map(super::lc::LinearCombination::num_wires)
-                .sum(),
-            self.c
-                .iter()
-                .map(super::lc::LinearCombination::num_wires)
-                .sum(),
-        )
-    }
-
     /// The instance (public input) assignment, without the leading constant.
     pub fn instance_assignment(&self) -> &[F] {
         &self.instance
@@ -347,19 +311,6 @@ mod tests {
         assert!(cs.is_satisfied());
         cs.enforce_zero(LinearCombination::from(a));
         assert!(!cs.is_satisfied());
-    }
-
-    #[test]
-    fn wire_counting() {
-        let mut cs = ConstraintSystem::<Fr>::new();
-        let vars: Vec<_> = (0..4).map(|i| cs.alloc_witness(Fr::from_u64(i))).collect();
-        // A row with 3 distinct wires, B with 1, C with 1
-        let a_lc = LinearCombination::from(vars[0])
-            + LinearCombination::from(vars[1])
-            + LinearCombination::from(vars[2]);
-        cs.enforce(a_lc, vars[3].into(), LinearCombination::zero());
-        assert_eq!(cs.num_left_wires(), 3);
-        assert_eq!(cs.num_right_wires(), 1);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! tests, conditional selection and product-of-many-terms.
 //!
 //! Every gadget is written against [`ConstraintSink`], so the same code
-//! drives the legacy single pass, the witness-free shape pass and the
+//! drives the single-pass reference sink, the witness-free shape pass and the
 //! witness pass (values are computed only when the sink carries them).
 
 use zkvc_ff::Field;

@@ -81,11 +81,6 @@ impl<F: Field> LinearCombination<F> {
             terms: map.into_iter().filter(|(_, c)| !c.is_zero()).collect(),
         }
     }
-
-    /// Number of distinct variables with non-zero coefficient.
-    pub fn num_wires(&self) -> usize {
-        self.normalize().terms.len()
-    }
 }
 
 impl<F: Field> From<Variable> for LinearCombination<F> {
@@ -165,7 +160,7 @@ mod tests {
             + LinearCombination::from(y).scale(&Fr::from_u64(3))
             + LinearCombination::from(x);
         let n = lc.normalize();
-        assert_eq!(n.num_wires(), 2);
+        assert_eq!(n.terms.len(), 2);
         assert!(n
             .terms
             .iter()
@@ -176,7 +171,7 @@ mod tests {
     fn zero_coefficients_are_dropped() {
         let x = Variable::Witness(0);
         let lc: LinearCombination<Fr> = LinearCombination::from(x) - LinearCombination::from(x);
-        assert_eq!(lc.normalize().num_wires(), 0);
+        assert!(lc.normalize().terms.is_empty());
         let mut lc2 = LinearCombination::<Fr>::zero();
         lc2.push(x, Fr::zero());
         assert!(lc2.is_empty());

@@ -51,6 +51,6 @@ pub use encode::{
 pub use lc::{LinearCombination, Variable};
 pub use matrices::{R1csMatrices, SparseMatrix};
 pub use sink::{
-    replay, shape_digest, CompiledShape, ConstraintSink, ShapeBuilder, SinkExt, WitnessAssignment,
+    shape_digest, CompiledShape, ConstraintSink, ShapeBuilder, SinkExt, WitnessAssignment,
     WitnessFiller,
 };

@@ -4,9 +4,10 @@
 //! Synthesis code (matmul strategies, gadgets, whole model compilers) is
 //! written once against `ConstraintSink` and can then run in three modes:
 //!
-//! * **Legacy single pass** — [`ConstraintSystem`] implements the trait:
-//!   values and structure are recorded together, exactly as before the
-//!   split. This is what the eager builders and most tests use.
+//! * **Single pass** — [`ConstraintSystem`] implements the trait: values
+//!   and structure are recorded together. No prover accepts one; it is the
+//!   reference sink gadget unit tests check satisfiability with and the
+//!   two-pass pipeline is compared against.
 //! * **Shape pass** — [`ShapeBuilder`] records the constraint structure
 //!   (variable layout, every linear combination) with *no field values*:
 //!   [`ConstraintSink::lc_value`] returns `None`, so witness computation is
@@ -20,9 +21,8 @@
 //!   linear-combination bookkeeping once per *shape*, not once per proof.
 //!
 //! The digest produced by the shape pass is byte-identical to
-//! [`shape_digest`] over a legacy single-pass [`ConstraintSystem`] for the
-//! same circuit, so key material cached under either pipeline is
-//! interchangeable (and proofs produced before the split keep verifying).
+//! [`shape_digest`] over a single-pass [`ConstraintSystem`] for the same
+//! circuit, which is what lets tests use the single pass as an oracle.
 
 use zkvc_ff::{Field, PrimeField};
 use zkvc_hash::Sha256;
@@ -161,7 +161,7 @@ pub trait SinkExt<F: Field>: ConstraintSink<F> {
 
 impl<F: Field, S: ConstraintSink<F> + ?Sized> SinkExt<F> for S {}
 
-/// The legacy single-pass driver: structure and assignment recorded
+/// The single-pass reference driver: structure and assignment recorded
 /// together in a full [`ConstraintSystem`].
 impl<F: Field> ConstraintSink<F> for ConstraintSystem<F> {
     fn wants_values(&self) -> bool {
@@ -538,7 +538,7 @@ impl<F: Field> WitnessAssignment<F> {
 }
 
 /// A circuit structure compiled by the witness-free shape pass (or lowered
-/// from a legacy [`ConstraintSystem`]): normalised CSR matrices plus the
+/// from a single-pass [`ConstraintSystem`]): normalised CSR matrices plus the
 /// canonical shape digest. This is the reusable artifact proof-system
 /// setup consumes and key caches store beside the keys.
 #[derive(Clone, Debug)]
@@ -558,9 +558,9 @@ pub struct CompiledShape<F: Field> {
 }
 
 impl<F: PrimeField> CompiledShape<F> {
-    /// Lowers a legacy single-pass constraint system into a compiled shape.
-    /// The digest equals [`shape_digest`] of `cs`, so both pipelines cache
-    /// and verify interchangeably.
+    /// Lowers a single-pass constraint system into a compiled shape — how
+    /// unit tests with a hand-built system cross over to the provers. The
+    /// digest equals [`shape_digest`] of `cs`.
     pub fn from_cs(cs: &ConstraintSystem<F>) -> Self {
         let ni = cs.num_instance();
         let (expected, provided) = cs.boolean_hints();
@@ -604,31 +604,6 @@ impl<F: Field> CompiledShape<F> {
     /// what a byte-bounded key cache charges this shape against its budget.
     pub fn approx_bytes(&self) -> usize {
         self.matrices.approx_bytes()
-    }
-}
-
-/// Replays a fully-built constraint system into a sink: every variable is
-/// re-allocated (with its value) and every constraint re-emitted, in the
-/// original order. This is how legacy eagerly-built circuits participate in
-/// the two-pass pipeline.
-pub fn replay<F: Field>(cs: &ConstraintSystem<F>, sink: &mut dyn ConstraintSink<F>) {
-    let wants = sink.wants_values();
-    for v in cs.instance_assignment() {
-        sink.alloc_instance_opt(wants.then_some(*v));
-    }
-    for v in cs.witness_assignment() {
-        sink.alloc_witness_opt(wants.then_some(*v));
-    }
-    let (a, b, c) = cs.constraints();
-    for i in 0..a.len() {
-        sink.enforce_named(a[i].clone(), b[i].clone(), c[i].clone(), "replay");
-    }
-    let (expected, provided) = cs.boolean_hints();
-    for v in expected {
-        sink.expect_boolean(*v);
-    }
-    for v in provided {
-        sink.provide_boolean(*v);
     }
 }
 
@@ -759,21 +734,6 @@ mod tests {
     }
 
     #[test]
-    fn replay_reproduces_digest_and_assignment() {
-        let mut cs = ConstraintSystem::<Fr>::new();
-        emit_cubic(&mut cs, 4);
-
-        let mut sb = ShapeBuilder::<Fr>::new();
-        replay(&cs, &mut sb);
-        let shape = sb.finish();
-        assert_eq!(shape.digest, shape_digest(&cs));
-
-        let mut wf = WitnessFiller::<Fr>::new();
-        replay(&cs, &mut wf);
-        assert_eq!(wf.finish_for(&shape).full(), cs.full_assignment());
-    }
-
-    #[test]
     fn compiled_shape_from_cs_matches_shape_pass() {
         let mut cs = ConstraintSystem::<Fr>::new();
         emit_cubic(&mut cs, 6);
@@ -819,7 +779,7 @@ mod tests {
 
     #[test]
     fn lc_memoisation_is_bit_identical_and_hits() {
-        // Reference: the legacy single pass (no memo) and a shape to
+        // Reference: the single pass (no memo) and a shape to
         // validate against.
         let mut cs = ConstraintSystem::<Fr>::new();
         emit_shared_lc(&mut cs, 0xfeed, 8);

@@ -46,10 +46,10 @@ use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use zkvc_core::api::{compile_shape, Circuit, RawCircuit};
+use zkvc_core::api::{compile_shape, Circuit};
 use zkvc_core::{Backend, ProverKey, VerifierKey};
 use zkvc_ff::Fr;
-use zkvc_r1cs::{CompiledShape, ConstraintSystem};
+use zkvc_r1cs::CompiledShape;
 
 /// The cached product of one shape compile + setup run for one circuit
 /// shape.
@@ -239,23 +239,13 @@ impl KeyCache {
         }
     }
 
-    /// Returns the keys for the shape of `cs`, compiling the shape and
-    /// running the backend's
-    /// [`ProofSystem::setup_shape`](zkvc_core::ProofSystem::setup_shape) at
-    /// most once per shape. The boolean is `true` when the entry already
-    /// existed (a cache hit).
-    pub fn get_or_setup(
-        &self,
-        backend: Backend,
-        cs: &ConstraintSystem<Fr>,
-    ) -> (Arc<CircuitKeys>, bool) {
-        self.get_or_setup_circuit(backend, &RawCircuit::new(cs))
-    }
-
     /// Trait-object entry point: any [`Circuit`] — a matmul statement, a
     /// whole model forward pass — is cached under its compiled shape's
-    /// digest and the cache's own default setup seed. The shape pass is
-    /// witness-free; no witness value is materialised on this path.
+    /// digest and the cache's own default setup seed, running the backend's
+    /// [`ProofSystem::setup_shape`](zkvc_core::ProofSystem::setup_shape) at
+    /// most once per shape. The boolean is `true` when the entry already
+    /// existed (a cache hit). The shape pass is witness-free; no witness
+    /// value is materialised on this path.
     pub fn get_or_setup_circuit(
         &self,
         backend: Backend,
@@ -270,10 +260,9 @@ impl KeyCache {
     /// reproducible — key material, while same-seed jobs still share one
     /// setup.
     ///
-    /// Warm lookups cost one [`Circuit::shape_digest`] — O(hash) for
-    /// circuits holding a prebuilt constraint system, one witness-free
-    /// shape pass for lazy statements — and never lower a shape to CSR;
-    /// only the first (miss) call compiles. Pool jobs that know their spec
+    /// Warm lookups cost one [`Circuit::shape_digest`] — one witness-free
+    /// shape pass — and never lower a shape to CSR; only the first (miss)
+    /// call compiles. Pool jobs that know their spec
     /// should prefer [`KeyCache::get_or_setup_template`], whose warm path
     /// skips even the digest.
     pub fn get_or_setup_circuit_seeded(
@@ -462,28 +451,28 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use zkvc_core::matmul::{MatMulBuilder, Strategy};
+    use zkvc_core::api::generate_witness_for;
+    use zkvc_core::matmul::{MatMulBuilder, MatMulCircuit, Strategy};
 
-    fn matmul_cs(seed: u64, n: usize) -> ConstraintSystem<Fr> {
+    fn matmul(seed: u64, n: usize) -> MatMulCircuit {
         let mut rng = StdRng::seed_from_u64(seed);
         MatMulBuilder::new(2, n, 2)
             .strategy(Strategy::Vanilla)
-            .build_random(&mut rng)
-            .cs
+            .build_circuit_random(&mut rng)
     }
 
     #[test]
     fn same_shape_hits_different_shape_misses() {
         let cache = KeyCache::new();
-        let (k1, hit1) = cache.get_or_setup(Backend::Spartan, &matmul_cs(1, 3));
-        let (k2, hit2) = cache.get_or_setup(Backend::Spartan, &matmul_cs(2, 3));
+        let (k1, hit1) = cache.get_or_setup_circuit(Backend::Spartan, &matmul(1, 3));
+        let (k2, hit2) = cache.get_or_setup_circuit(Backend::Spartan, &matmul(2, 3));
         assert!(!hit1 && hit2);
         assert_eq!(k1.digest, k2.digest);
         assert!(Arc::ptr_eq(&k1, &k2));
 
         // Different shape and different backend each get their own entry.
-        let (_k3, hit3) = cache.get_or_setup(Backend::Spartan, &matmul_cs(3, 4));
-        let (_k4, hit4) = cache.get_or_setup(Backend::Groth16, &matmul_cs(4, 3));
+        let (_k3, hit3) = cache.get_or_setup_circuit(Backend::Spartan, &matmul(3, 4));
+        let (_k4, hit4) = cache.get_or_setup_circuit(Backend::Groth16, &matmul(4, 3));
         assert!(!hit3 && !hit4);
 
         let stats = cache.stats();
@@ -498,28 +487,30 @@ mod tests {
         let cache = KeyCache::new();
         let mut rng = StdRng::seed_from_u64(99);
         for backend in Backend::ALL {
-            let cs1 = matmul_cs(10, 3);
-            let cs2 = matmul_cs(11, 3);
-            let (keys, _) = cache.get_or_setup(backend, &cs1);
-            let (keys_again, hit) = cache.get_or_setup(backend, &cs2);
+            let fresh = matmul(11, 3);
+            let (keys, _) = cache.get_or_setup_circuit(backend, &matmul(10, 3));
+            let (keys_again, hit) = cache.get_or_setup_circuit(backend, &fresh);
             assert!(hit, "{backend:?}");
-            let artifacts = backend.prove_with_key(&keys_again.prover, &cs2, &mut rng);
-            assert!(
-                backend.verify_with_key(&keys.verifier, &artifacts),
-                "{backend:?}"
-            );
+            let witness = generate_witness_for(&fresh, &keys_again.shape);
+            let system = backend.system();
+            let artifacts = system.prove_assignment(&keys_again.prover, &witness, &mut rng);
+            assert!(system.verify(&keys.verifier, &artifacts), "{backend:?}");
         }
     }
 
     #[test]
     fn cached_shape_matches_circuit() {
         let cache = KeyCache::new();
-        let cs = matmul_cs(12, 3);
-        let (keys, _) = cache.get_or_setup(Backend::Groth16, &cs);
+        let circuit = matmul(12, 3);
+        let (keys, _) = cache.get_or_setup_circuit(Backend::Groth16, &circuit);
         assert_eq!(keys.shape.digest, keys.digest);
-        assert_eq!(keys.shape.num_constraints(), cs.num_constraints());
-        assert_eq!(keys.shape.num_instance(), cs.num_instance());
-        assert!(keys.shape.matrices.is_satisfied(&cs.full_assignment()));
+        assert_eq!(keys.digest, circuit.shape_digest());
+        // 2x3x2 vanilla: abn products + ab additions, no public outputs.
+        assert_eq!(keys.shape.num_constraints(), 2 * 2 * 3 + 2 * 2);
+        assert_eq!(keys.shape.num_instance(), 0);
+        assert!(keys
+            .shape
+            .is_satisfied(&generate_witness_for(&circuit, &keys.shape)));
     }
 
     #[test]
@@ -529,8 +520,9 @@ mod tests {
         for i in 0..8 {
             let cache = cache.clone();
             handles.push(std::thread::spawn(move || {
-                let cs = matmul_cs(100 + i, 3);
-                cache.get_or_setup(Backend::Spartan, &cs).0
+                cache
+                    .get_or_setup_circuit(Backend::Spartan, &matmul(100 + i, 3))
+                    .0
             }));
         }
         let keys: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
@@ -592,10 +584,8 @@ mod tests {
 
     #[test]
     fn entries_are_seed_aware() {
-        use zkvc_core::api::RawCircuit;
         let cache = KeyCache::with_seed(1);
-        let cs = matmul_cs(5, 3);
-        let circuit = RawCircuit::new(&cs);
+        let circuit = matmul(5, 3);
         let digest = circuit.shape_digest();
 
         // Default-seed lookup and an explicit same-seed lookup share one
@@ -620,31 +610,23 @@ mod tests {
 
     #[test]
     fn byte_bound_evicts_cold_shapes_and_keeps_hot_ones_warm() {
-        use zkvc_core::api::{compile_shape, RawCircuit};
-        let hot_cs = matmul_cs(1, 3);
-        let probe = compile_shape(&RawCircuit::new(&hot_cs)).approx_bytes();
-        let max_cold = compile_shape(&RawCircuit::new(&matmul_cs(1, 9))).approx_bytes();
+        let hot_circuit = matmul(1, 3);
+        let probe = compile_shape(&hot_circuit).approx_bytes();
+        let max_cold = compile_shape(&matmul(1, 9)).approx_bytes();
         assert!(probe > 0);
         // Room for the hot shape plus any single cold one — never two colds.
         let bound = probe + max_cold;
         let cache = KeyCache::new().bound_shape_bytes(bound);
         assert_eq!(cache.shape_byte_bound(), Some(bound));
 
-        let (hot, _) =
-            cache.get_or_setup_template(Backend::Spartan, 0, "hot", &RawCircuit::new(&hot_cs));
+        let (hot, _) = cache.get_or_setup_template(Backend::Spartan, 0, "hot", &hot_circuit);
         // A stream of one-off shapes (largest first), with the hot template
         // touched after each: the strangers age out, the hot entry never
         // does.
         for n in (4..10).rev() {
-            let cs = matmul_cs(1, n);
-            cache.get_or_setup_template(
-                Backend::Spartan,
-                0,
-                &format!("cold-{n}"),
-                &RawCircuit::new(&cs),
-            );
+            cache.get_or_setup_template(Backend::Spartan, 0, &format!("cold-{n}"), &matmul(1, n));
             let (again, hit) =
-                cache.get_or_setup_template(Backend::Spartan, 0, "hot", &RawCircuit::new(&hot_cs));
+                cache.get_or_setup_template(Backend::Spartan, 0, "hot", &hot_circuit);
             assert!(hit, "hot shape must stay warm while n={n} streams past");
             assert!(Arc::ptr_eq(&again, &hot));
         }
@@ -661,12 +643,7 @@ mod tests {
         );
         // An evicted template alias was purged with its entry: looking it
         // up again re-runs setup instead of serving dropped keys.
-        let (_, hit) = cache.get_or_setup_template(
-            Backend::Spartan,
-            0,
-            "cold-9",
-            &RawCircuit::new(&matmul_cs(1, 9)),
-        );
+        let (_, hit) = cache.get_or_setup_template(Backend::Spartan, 0, "cold-9", &matmul(1, 9));
         assert!(!hit, "evicted template must miss");
     }
 
@@ -675,11 +652,11 @@ mod tests {
         // A bound smaller than any single shape: each insertion survives
         // its own eviction pass and is displaced by the next shape.
         let cache = KeyCache::new().bound_shape_bytes(1);
-        let (k1, hit1) = cache.get_or_setup(Backend::Spartan, &matmul_cs(1, 3));
+        let (k1, hit1) = cache.get_or_setup_circuit(Backend::Spartan, &matmul(1, 3));
         assert!(!hit1);
         assert!(cache.get(&k1.digest, Backend::Spartan, 0).is_some());
 
-        let (k2, _) = cache.get_or_setup(Backend::Spartan, &matmul_cs(1, 4));
+        let (k2, _) = cache.get_or_setup_circuit(Backend::Spartan, &matmul(1, 4));
         assert!(
             cache.get(&k1.digest, Backend::Spartan, 0).is_none(),
             "previous oversized entry displaced"
@@ -692,7 +669,7 @@ mod tests {
     #[test]
     fn clear_retains_counters() {
         let cache = KeyCache::new();
-        cache.get_or_setup(Backend::Spartan, &matmul_cs(1, 2));
+        cache.get_or_setup_circuit(Backend::Spartan, &matmul(1, 2));
         cache.clear();
         let stats = cache.stats();
         assert_eq!(stats.entries, 0);

@@ -96,10 +96,9 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use zkvc_core::matmul::{MatMulBuilder, Strategy};
-    use zkvc_core::{Backend, VerifierKey};
+    use zkvc_core::{Backend, Circuit, VerifierKey};
 
     use crate::cache::KeyCache;
-    use zkvc_core::circuit_shape_digest;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -115,14 +114,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let job = MatMulBuilder::new(2, 3, 2)
             .strategy(Strategy::Vanilla)
-            .build_random(&mut rng);
-        let digest = circuit_shape_digest(&job.cs);
+            .build_circuit_random(&mut rng);
+        let digest = job.shape_digest();
 
         // Cold cache: miss.
         assert!(cache.load_groth16_vk(&digest, 7).is_none());
 
         let mem = KeyCache::with_seed(7);
-        let (keys, _) = mem.get_or_setup(Backend::Groth16, &job.cs);
+        let (keys, _) = mem.get_or_setup_circuit(Backend::Groth16, &job);
         let VerifierKey::Groth16(vk) = &keys.verifier else {
             panic!("groth16 setup must yield a groth16 key");
         };

@@ -7,7 +7,8 @@
 //! traits, so a bare matmul and a whole Transformer-block inference are
 //! the same thing to the pool, the cache and the CLI.
 //!
-//! * [`KeyCache`] — runs [`ProofSystem::setup`](zkvc_core::ProofSystem::setup)
+//! * [`KeyCache`] — runs
+//!   [`ProofSystem::setup_shape`](zkvc_core::ProofSystem::setup_shape)
 //!   once per circuit shape (keyed by
 //!   [`Circuit::shape_digest`](zkvc_core::Circuit::shape_digest)) and
 //!   shares the resulting [`ProverKey`](zkvc_core::ProverKey)/
@@ -86,15 +87,11 @@ pub use net::{
     NetConfig, NetSummary, SessionReport,
 };
 pub use pool::{
-    build_statement, prove_batch, prove_batch_serial, prove_batch_with_policy, BatchKey,
-    BatchReport, JobError, JobOptions, JobResult, PoolConfig, ProvingPool, ResultSink, SessionCtl,
+    build_statement, prove_batch, prove_batch_serial, BatchKey, BatchReport, JobError, JobOptions,
+    JobResult, PoolConfig, ProvingPool, ResultSink, SessionCtl,
 };
-pub use sched::{Priority, SchedulerPolicy};
+pub use sched::Priority;
 pub use serial::{EnvelopeProof, ProofEnvelope};
 pub use serve::{serve, ServeConfig, ServeSummary, DEFAULT_CACHE_BYTES};
 pub use spec::{JobSpec, ModelPreset, SMALL_MATMUL_CELLS};
 pub use worker::{run_worker, WorkerConfig, WorkerSummary};
-// The shape digest moved into `zkvc-core` with the trait API; re-exported
-// here so existing `zkvc_runtime::circuit_shape_digest` callers keep
-// working.
-pub use zkvc_core::circuit_shape_digest;

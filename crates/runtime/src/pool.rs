@@ -7,7 +7,7 @@
 //! inputs, the CRPC folding challenge, setup randomness (via the cache)
 //! and prover randomness are all derived from them, so a batch re-run
 //! reproduces byte-identical proofs regardless of how jobs land on
-//! workers, which policy the scheduler runs, or who steals what. Proofs
+//! workers or who steals what. Proofs
 //! additionally make a round trip through the
 //! [`ProofEnvelope`](crate::ProofEnvelope) byte format before
 //! verification, so the pool continuously exercises the cross-process
@@ -40,7 +40,7 @@ use zkvc_hash::{sha256, Transcript};
 use zkvc_nn::circuit::ModelStatement;
 
 use crate::cache::{CacheStats, KeyCache};
-use crate::sched::{Priority, Scheduler, SchedulerPolicy};
+use crate::sched::{Priority, Scheduler};
 use crate::serial::ProofEnvelope;
 use crate::spec::JobSpec;
 use crate::util::{hex, json_escape};
@@ -89,8 +89,9 @@ impl fmt::Display for JobError {
 ///
 /// Two jobs it does for the network layer:
 ///
-/// * **Per-session backpressure** — [`ProvingPool::submit_for_session`]
-///   blocks while the session already has `limit` jobs in flight
+/// * **Per-session backpressure** — [`ProvingPool::submit`] with
+///   [`JobOptions::session`] blocks while the session already has `limit`
+///   jobs in flight
 ///   (queued or proving), so one flooding client fills its own pipe
 ///   instead of monopolising the pool's shared queue bound.
 /// * **Cancel-on-disconnect** — [`SessionCtl::cancel`] marks the
@@ -491,9 +492,6 @@ pub struct PoolConfig {
     /// Backpressure bound: `submit` blocks while this many jobs are
     /// queued and unclaimed.
     pub queue_bound: usize,
-    /// Queueing discipline (work-stealing by default; single-queue is the
-    /// bench baseline).
-    pub policy: SchedulerPolicy,
     /// Whether results accumulate for [`ProvingPool::join`]'s report. A
     /// resident `zkvc serve` pool sets this to `false` and consumes
     /// results through its sink instead, so a long-lived process does not
@@ -503,13 +501,12 @@ pub struct PoolConfig {
 
 impl PoolConfig {
     /// Defaults: `workers` threads, seed 0, a 1024-job queue bound,
-    /// work-stealing, results retained.
+    /// results retained.
     pub fn new(workers: usize) -> Self {
         PoolConfig {
             workers: workers.max(1),
             seed: 0,
             queue_bound: 1024,
-            policy: SchedulerPolicy::WorkStealing,
             retain_results: true,
         }
     }
@@ -526,12 +523,6 @@ impl PoolConfig {
         self
     }
 
-    /// Sets the queueing discipline.
-    pub fn policy(mut self, policy: SchedulerPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// Sets whether results accumulate for the final report.
     pub fn retain_results(mut self, retain: bool) -> Self {
         self.retain_results = retain;
@@ -544,10 +535,8 @@ impl PoolConfig {
 pub type ResultSink = Arc<dyn Fn(&JobResult) + Send + Sync>;
 
 /// Per-job submission options for [`ProvingPool::submit`] — the one
-/// submission surface, replacing the accreted
-/// `submit`/`submit_prioritized`/`submit_request`/`submit_for_session`
-/// method family. Build with the fluent setters; the default is a plain
-/// batch job at its spec-derived priority:
+/// submission surface. Build with the fluent setters; the default is a
+/// plain batch job at its spec-derived priority:
 ///
 /// ```rust
 /// use zkvc_runtime::{JobOptions, JobSpec, Priority, ProvingPool};
@@ -745,19 +734,15 @@ impl ProvingPool {
         Self::configured(PoolConfig::new(workers).seed(seed), cache, None)
     }
 
-    /// The fully-configurable constructor: scheduling policy, queue
-    /// bound, result retention, and an optional per-result sink invoked
-    /// from worker threads as each job completes.
+    /// The fully-configurable constructor: queue bound, result retention,
+    /// and an optional per-result sink invoked from worker threads as each
+    /// job completes.
     // The pool owns its config and cache handle; constructors take them
     // by value so call sites read as hand-offs.
     #[allow(clippy::needless_pass_by_value)]
     pub fn configured(config: PoolConfig, cache: Arc<KeyCache>, sink: Option<ResultSink>) -> Self {
         let workers = config.workers.max(1);
-        let sched = Arc::new(Scheduler::<QueuedJob>::new(
-            workers,
-            config.queue_bound,
-            config.policy,
-        ));
+        let sched = Arc::new(Scheduler::<QueuedJob>::new(workers, config.queue_bound));
         let results = Arc::new(Mutex::new(Vec::new()));
         let in_flight = Arc::new(AtomicUsize::new(0));
         let deliverer = Arc::new(Deliverer {
@@ -840,93 +825,6 @@ impl ProvingPool {
             deadline: deadline.map(|d| now + d),
             priority: priority.unwrap_or_else(|| spec.priority()),
         })
-    }
-
-    /// Enqueues a batch-mode job with an explicit priority.
-    #[deprecated(note = "use submit(spec, JobOptions::new().priority(..))")]
-    pub fn submit_prioritized(&self, spec: JobSpec, priority: Priority) -> usize {
-        self.submit(spec, JobOptions::new().priority(priority))
-    }
-
-    /// Enqueues a request-mode job (own seed, statement id 0, echoed tag).
-    #[deprecated(note = "use submit(spec, JobOptions::new().seed(..).tag_opt(..))")]
-    pub fn submit_request(
-        &self,
-        spec: JobSpec,
-        seed: u64,
-        priority: Priority,
-        tag: Option<String>,
-    ) -> usize {
-        self.submit(
-            spec,
-            JobOptions::new().seed(seed).priority(priority).tag_opt(tag),
-        )
-    }
-
-    /// Enqueues a request-mode job with an optional deadline.
-    #[deprecated(note = "use submit(spec, JobOptions::new().seed(..).deadline_opt(..))")]
-    pub fn submit_request_with_deadline(
-        &self,
-        spec: JobSpec,
-        seed: u64,
-        priority: Priority,
-        tag: Option<String>,
-        deadline: Option<Duration>,
-    ) -> usize {
-        self.submit(
-            spec,
-            JobOptions::new()
-                .seed(seed)
-                .priority(priority)
-                .tag_opt(tag)
-                .deadline_opt(deadline),
-        )
-    }
-
-    /// Enqueues a request-mode job scoped to a client session.
-    #[deprecated(note = "use submit(spec, JobOptions::new().seed(..).session(..))")]
-    pub fn submit_for_session(
-        &self,
-        spec: JobSpec,
-        seed: u64,
-        priority: Priority,
-        tag: Option<String>,
-        session: Arc<SessionCtl>,
-    ) -> usize {
-        self.submit(
-            spec,
-            JobOptions::new()
-                .seed(seed)
-                .priority(priority)
-                .tag_opt(tag)
-                .session(session),
-        )
-    }
-
-    /// Enqueues a session-scoped request-mode job with an optional
-    /// deadline; the deadline clock starts *after* the session's
-    /// admission gate admits the job.
-    #[deprecated(
-        note = "use submit(spec, JobOptions::new().seed(..).session(..).deadline_opt(..))"
-    )]
-    pub fn submit_for_session_with_deadline(
-        &self,
-        spec: JobSpec,
-        seed: u64,
-        priority: Priority,
-        tag: Option<String>,
-        session: Arc<SessionCtl>,
-        deadline: Option<Duration>,
-    ) -> usize {
-        self.submit(
-            spec,
-            JobOptions::new()
-                .seed(seed)
-                .priority(priority)
-                .tag_opt(tag)
-                .session(session)
-                .deadline_opt(deadline),
-        )
     }
 
     /// Shared tail of every submit path: counts the job in flight and
@@ -1366,22 +1264,7 @@ fn run_job(
 /// Proves `specs` on a `workers`-thread pool with a fresh cache; the
 /// convenience entry point behind the `zkvc prove-batch` CLI.
 pub fn prove_batch(specs: &[JobSpec], workers: usize, seed: u64) -> BatchReport {
-    prove_batch_with_policy(specs, workers, seed, SchedulerPolicy::WorkStealing)
-}
-
-/// [`prove_batch`] with an explicit scheduling policy (the pool bench
-/// compares `WorkStealing` against the `SingleQueue` baseline).
-pub fn prove_batch_with_policy(
-    specs: &[JobSpec],
-    workers: usize,
-    seed: u64,
-    policy: SchedulerPolicy,
-) -> BatchReport {
-    let pool = ProvingPool::configured(
-        PoolConfig::new(workers).seed(seed).policy(policy),
-        Arc::new(KeyCache::with_seed(seed)),
-        None,
-    );
+    let pool = ProvingPool::with_cache(workers, seed, Arc::new(KeyCache::with_seed(seed)));
     for spec in specs {
         pool.submit(*spec, JobOptions::new());
     }
@@ -1485,13 +1368,10 @@ mod tests {
         assert!(report.jobs_per_sec() > 0.0);
 
         // Re-running the identical batch reproduces byte-identical proofs,
-        // regardless of worker scheduling or queueing policy.
+        // regardless of how many workers share (and steal) the backlog.
         for (label, rerun) in [
             ("2 workers", prove_batch(&specs, 2, 42)),
-            (
-                "single-queue",
-                prove_batch_with_policy(&specs, 2, 42, SchedulerPolicy::SingleQueue),
-            ),
+            ("1 worker", prove_batch(&specs, 1, 42)),
         ] {
             for (a, b) in report.results.iter().zip(rerun.results.iter()) {
                 assert_eq!(a.id, b.id);
@@ -1566,8 +1446,9 @@ mod tests {
         let cache = KeyCache::with_seed(21);
         let (keys, _) = cache.get_or_setup_circuit(spec.backend(), s0.as_ref());
         let mut rng = StdRng::seed_from_u64(99);
+        let witness = generate_witness_for(s0.as_ref(), &keys.shape);
         let system = spec.backend().system();
-        let artifacts = system.prove(&keys.prover, s0.as_ref(), &mut rng);
+        let artifacts = system.prove_assignment(&keys.prover, &witness, &mut rng);
         let bytes = ProofEnvelope::from_artifacts(&artifacts).to_bytes();
         let p0 = s0.public_outputs();
         let p1 = s1.public_outputs();
@@ -1639,7 +1520,7 @@ mod tests {
 
     #[test]
     fn serve_style_requests_match_single_prove() {
-        // submit_request pins the statement id to 0: the proof is
+        // JobOptions::seed pins the statement id to 0: the proof is
         // byte-identical to job 0 of a fresh batch at the same seed, no
         // matter how many requests preceded it in the resident pool.
         let cache = Arc::new(KeyCache::with_seed(0));
@@ -1736,47 +1617,5 @@ mod tests {
         ctl.cancel();
         post_cancel.join().unwrap();
         assert!(ctl.in_flight() >= 2);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_submit_shims_match_the_unified_entry_point() {
-        // The five legacy submission methods are thin shims over
-        // submit(spec, JobOptions): each pair below must produce
-        // byte-identical proofs and identical metadata.
-        let spec = JobSpec::new(3, 3, 3).with_backend(Backend::Spartan);
-        let run = |f: &dyn Fn(&ProvingPool)| {
-            let pool = ProvingPool::with_cache(1, 3, Arc::new(KeyCache::with_seed(3)));
-            f(&pool);
-            pool.join()
-        };
-        let ctl = || Arc::new(SessionCtl::new(9, 4));
-
-        let old = run(&|p| {
-            p.submit_prioritized(spec, Priority::High);
-            p.submit_request(spec, 5, Priority::Normal, Some("r".into()));
-            p.submit_request_with_deadline(spec, 5, Priority::Normal, None, None);
-            p.submit_for_session(spec, 5, Priority::Normal, None, ctl());
-            p.submit_for_session_with_deadline(spec, 5, Priority::Normal, None, ctl(), None);
-        });
-        let new = run(&|p| {
-            p.submit(spec, JobOptions::new().priority(Priority::High));
-            p.submit(spec, JobOptions::new().seed(5).tag("r"));
-            p.submit(spec, JobOptions::new().seed(5));
-            p.submit(spec, JobOptions::new().seed(5).session(ctl()));
-            p.submit(
-                spec,
-                JobOptions::new().seed(5).session(ctl()).deadline_opt(None),
-            );
-        });
-        assert_eq!(old.results.len(), new.results.len());
-        for (a, b) in old.results.iter().zip(new.results.iter()) {
-            assert_eq!(a.id, b.id);
-            assert_eq!(a.seed, b.seed);
-            assert_eq!(a.tag, b.tag);
-            assert_eq!(a.session_id, b.session_id);
-            assert_eq!(a.proof_bytes, b.proof_bytes, "job {}", a.id);
-            assert!(a.verified && b.verified);
-        }
     }
 }

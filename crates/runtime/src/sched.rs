@@ -24,9 +24,7 @@
 //!
 //! The scheduler is generic over the job type and does no proving itself,
 //! so its concurrency semantics are unit-testable without touching a
-//! backend. [`SchedulerPolicy::SingleQueue`] reproduces the pre-sharding
-//! design (one shared FIFO, no priorities) and exists so the pool bench
-//! can measure the old scheduler against the new one forever.
+//! backend.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -42,18 +40,6 @@ pub enum Priority {
     High,
     /// Default class (bulk and model-block jobs).
     Normal,
-}
-
-/// Which queueing discipline the scheduler runs.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum SchedulerPolicy {
-    /// Per-worker sharded deques with steal-on-idle and priorities (the
-    /// default).
-    #[default]
-    WorkStealing,
-    /// One shared strict-FIFO queue, no priorities: the pre-sharding pool
-    /// design, kept as the bench baseline.
-    SingleQueue,
 }
 
 /// One worker's slice of the queue: a deque per priority level.
@@ -98,13 +84,12 @@ pub struct Scheduler<T> {
     cancelled: AtomicBool,
     next_shard: AtomicUsize,
     bound: usize,
-    policy: SchedulerPolicy,
 }
 
 impl<T> Scheduler<T> {
     /// A scheduler with one shard per worker, blocking submissions once
     /// `bound` jobs are queued (`bound` is clamped to at least 1).
-    pub fn new(workers: usize, bound: usize, policy: SchedulerPolicy) -> Self {
+    pub fn new(workers: usize, bound: usize) -> Self {
         let workers = workers.max(1);
         Scheduler {
             shards: (0..workers).map(|_| Shard::new()).collect(),
@@ -117,7 +102,6 @@ impl<T> Scheduler<T> {
             cancelled: AtomicBool::new(false),
             next_shard: AtomicUsize::new(0),
             bound: bound.max(1),
-            policy,
         }
     }
 
@@ -144,18 +128,11 @@ impl<T> Scheduler<T> {
             }
             st.queued += 1;
         }
-        let shard = match self.policy {
-            SchedulerPolicy::SingleQueue => &self.shards[0],
-            SchedulerPolicy::WorkStealing => {
-                let idx = self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-                &self.shards[idx]
-            }
-        };
-        match (self.policy, priority) {
-            // The single-queue baseline is strict FIFO: priorities collapse.
-            (SchedulerPolicy::SingleQueue, _) => shard.normal.push(item),
-            (SchedulerPolicy::WorkStealing, Priority::High) => shard.high.push(item),
-            (SchedulerPolicy::WorkStealing, Priority::Normal) => shard.normal.push(item),
+        let shard =
+            &self.shards[self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len()];
+        match priority {
+            Priority::High => shard.high.push(item),
+            Priority::Normal => shard.normal.push(item),
         }
         self.work.notify_one();
         Ok(())
@@ -167,31 +144,23 @@ impl<T> Scheduler<T> {
     fn try_pop(&self, worker: usize) -> Option<T> {
         let n = self.shards.len();
         let worker = worker % n;
-        match self.policy {
-            SchedulerPolicy::SingleQueue => self.shards[0].normal.pop(),
-            SchedulerPolicy::WorkStealing => {
-                if let Some(item) = self.shards[worker].high.pop() {
-                    return Some(item);
-                }
-                for k in 1..n {
-                    if let Steal::Success(item) = self.shards[(worker + k) % n].high_stealer.steal()
-                    {
-                        return Some(item);
-                    }
-                }
-                if let Some(item) = self.shards[worker].normal.pop() {
-                    return Some(item);
-                }
-                for k in 1..n {
-                    if let Steal::Success(item) =
-                        self.shards[(worker + k) % n].normal_stealer.steal()
-                    {
-                        return Some(item);
-                    }
-                }
-                None
+        if let Some(item) = self.shards[worker].high.pop() {
+            return Some(item);
+        }
+        for k in 1..n {
+            if let Steal::Success(item) = self.shards[(worker + k) % n].high_stealer.steal() {
+                return Some(item);
             }
         }
+        if let Some(item) = self.shards[worker].normal.pop() {
+            return Some(item);
+        }
+        for k in 1..n {
+            if let Steal::Success(item) = self.shards[(worker + k) % n].normal_stealer.steal() {
+                return Some(item);
+            }
+        }
+        None
     }
 
     /// Blocks until a job is available for `worker` (own or stolen) and
@@ -268,7 +237,7 @@ mod tests {
         // one job and then stalls (a long model block, say). Worker 1 must
         // drain *everything else*, including the jobs parked on shard 0 —
         // that is steal-on-idle, deterministically.
-        let sched = Scheduler::new(2, 64, SchedulerPolicy::WorkStealing);
+        let sched = Scheduler::new(2, 64);
         for i in 0..4 {
             sched.submit(i, Priority::Normal).unwrap();
         }
@@ -289,7 +258,7 @@ mod tests {
         // Normal jobs across both shards, then high-priority ones: every
         // reachable high job must be dispatched before any normal job,
         // from the owner's shard or a victim's.
-        let sched = Scheduler::new(2, 64, SchedulerPolicy::WorkStealing);
+        let sched = Scheduler::new(2, 64);
         for i in 0..4 {
             sched
                 .submit((Priority::Normal, i), Priority::Normal)
@@ -304,20 +273,8 @@ mod tests {
     }
 
     #[test]
-    fn single_queue_policy_is_strict_fifo() {
-        let sched = Scheduler::new(3, 64, SchedulerPolicy::SingleQueue);
-        sched.submit(0, Priority::Normal).unwrap();
-        sched.submit(1, Priority::High).unwrap();
-        sched.submit(2, Priority::Normal).unwrap();
-        // Any worker index pops from the one shared queue, in order.
-        assert_eq!(sched.next(2), Some(0));
-        assert_eq!(sched.next(0), Some(1));
-        assert_eq!(sched.next(1), Some(2));
-    }
-
-    #[test]
     fn submit_blocks_at_the_bound_and_unblocks_on_pop() {
-        let sched = Arc::new(Scheduler::new(1, 2, SchedulerPolicy::WorkStealing));
+        let sched = Arc::new(Scheduler::new(1, 2));
         sched.submit(0, Priority::Normal).unwrap();
         sched.submit(1, Priority::Normal).unwrap();
         assert_eq!(sched.queued(), 2);
@@ -351,7 +308,7 @@ mod tests {
 
     #[test]
     fn cancel_releases_blocked_producers_and_keeps_draining() {
-        let sched = Arc::new(Scheduler::new(1, 1, SchedulerPolicy::WorkStealing));
+        let sched = Arc::new(Scheduler::new(1, 1));
         sched.submit(0, Priority::Normal).unwrap();
         let handle = {
             let sched = Arc::clone(&sched);
@@ -370,7 +327,7 @@ mod tests {
 
     #[test]
     fn close_drains_then_exits_workers() {
-        let sched = Arc::new(Scheduler::new(2, 16, SchedulerPolicy::WorkStealing));
+        let sched = Arc::new(Scheduler::new(2, 16));
         for i in 0..8 {
             sched.submit(i, Priority::Normal).unwrap();
         }
@@ -397,7 +354,7 @@ mod tests {
 
     #[test]
     fn blocked_workers_wake_on_late_submissions() {
-        let sched = Arc::new(Scheduler::new(1, 16, SchedulerPolicy::WorkStealing));
+        let sched = Arc::new(Scheduler::new(1, 16));
         let worker = {
             let sched = Arc::clone(&sched);
             std::thread::spawn(move || sched.next(0))

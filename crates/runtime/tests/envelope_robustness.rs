@@ -3,9 +3,12 @@
 //! The decoder must never panic, never accept a malformed envelope, and
 //! never let a mutated envelope verify.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use zkvc_core::api::{compile_shape, generate_witness_for};
 use zkvc_core::matmul::{MatMulBuilder, Strategy};
 use zkvc_core::{Backend, VerifierKey};
 use zkvc_runtime::ProofEnvelope;
@@ -22,10 +25,12 @@ fn proved_envelope(
     let job = MatMulBuilder::new(a, n, b)
         .strategy(Strategy::CrpcPsq)
         .public_outputs(true)
-        .build_random(&mut rng);
+        .build_circuit_random(&mut rng);
     let system = backend.system();
-    let (pk, vk) = system.setup(&job, &mut rng);
-    let artifacts = system.prove(&pk, &job, &mut rng);
+    let shape = Arc::new(compile_shape(&job));
+    let (pk, vk) = system.setup_shape(&shape, &mut rng);
+    let witness = generate_witness_for(&job, &shape);
+    let artifacts = system.prove_assignment(&pk, &witness, &mut rng);
     (ProofEnvelope::from_artifacts(&artifacts).to_bytes(), vk)
 }
 
@@ -130,8 +135,10 @@ fn truncated_and_padded_groth16_key_table_entries_rejected() {
     let job = MatMulBuilder::new(2, 2, 2)
         .strategy(Strategy::Vanilla)
         .public_outputs(true)
-        .build_random(&mut rng);
-    let (_pk, vk) = Backend::Groth16.system().setup(&job, &mut rng);
+        .build_circuit_random(&mut rng);
+    let (_pk, vk) = Backend::Groth16
+        .system()
+        .setup_shape(&Arc::new(compile_shape(&job)), &mut rng);
     let VerifierKey::Groth16(vk) = vk else {
         unreachable!()
     };

@@ -10,8 +10,8 @@ use std::time::{Duration, Instant};
 use zkvc_core::matmul::Strategy;
 use zkvc_core::Backend;
 use zkvc_runtime::{
-    prove_batch, prove_batch_serial, prove_batch_with_policy, JobError, JobOptions, JobSpec,
-    KeyCache, ModelPreset, PoolConfig, ProvingPool, SchedulerPolicy,
+    prove_batch, prove_batch_serial, JobError, JobOptions, JobSpec, KeyCache, ModelPreset,
+    PoolConfig, ProvingPool,
 };
 
 /// Cancelling a loaded pool must drain the backlog as recorded
@@ -125,12 +125,12 @@ fn abandoned_pool_with_poison_job_is_safe() {
 }
 
 /// The acceptance property behind the whole scheduler rewrite: proofs and
-/// verdicts are a function of `(seed, job id)` only. Work-stealing,
-/// single-queue, different worker counts, and the serial baseline must
-/// agree bit-for-bit on a skewed batch (one model block + many small
-/// matmuls).
+/// verdicts are a function of `(seed, job id)` only. Three workers
+/// stealing from each other, one worker with nobody to steal from, and the
+/// serial baseline must agree bit-for-bit on a skewed batch (one model
+/// block + many small matmuls).
 #[test]
-fn skewed_batch_verdicts_identical_across_schedulers_and_serial() {
+fn skewed_batch_verdicts_identical_across_worker_counts_and_serial() {
     let mut specs = vec![JobSpec::model(ModelPreset::MixerBlock).with_backend(Backend::Spartan)];
     for _ in 0..6 {
         specs.push(JobSpec::new(2, 2, 2).with_backend(Backend::Spartan));
@@ -138,15 +138,15 @@ fn skewed_batch_verdicts_identical_across_schedulers_and_serial() {
     let seed = 0x5EED;
 
     let ws = prove_batch(&specs, 3, seed);
-    let sq = prove_batch_with_policy(&specs, 3, seed, SchedulerPolicy::SingleQueue);
+    let one = prove_batch(&specs, 1, seed);
     let serial = prove_batch_serial(&specs, seed);
 
-    assert!(ws.all_verified(), "work-stealing batch verifies");
-    assert!(sq.all_verified(), "single-queue batch verifies");
+    assert!(ws.all_verified(), "three-worker batch verifies");
+    assert!(one.all_verified(), "one-worker batch verifies");
     assert!(serial.all_verified(), "serial batch verifies");
 
     // Pool-vs-pool: byte-identical proofs job by job.
-    for (a, b) in ws.results.iter().zip(sq.results.iter()) {
+    for (a, b) in ws.results.iter().zip(one.results.iter()) {
         assert_eq!(a.id, b.id);
         assert_eq!(a.proof_bytes, b.proof_bytes, "job {} differs", a.id);
     }
@@ -162,7 +162,7 @@ fn skewed_batch_verdicts_identical_across_schedulers_and_serial() {
     // And the machine-readable reports agree on everything they print
     // except the key-table section (serial one-shot envelopes carry their
     // keys inline, so serial reports have an empty table by design).
-    assert_eq!(ws.render_report_json(), sq.render_report_json());
+    assert_eq!(ws.render_report_json(), one.render_report_json());
 }
 
 /// Work-stealing spreads a skewed backlog across workers: with the model

@@ -3,21 +3,44 @@
 //! both backends and all four circuit strategies — keyed verification,
 //! envelope round trips and the pool's rebuilt-statement check included.
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use zkvc_core::api::{Circuit, ProofSystem};
-use zkvc_core::matmul::{MatMulBuilder, Strategy};
-use zkvc_core::Backend;
+use zkvc_core::api::{compile_shape, generate_witness_for, Circuit, ProofSystem};
+use zkvc_core::matmul::{MatMulBuilder, MatMulCircuit, Strategy};
+use zkvc_core::{Backend, ProofArtifacts, VerifierKey};
 use zkvc_ff::{Field, Fr};
-use zkvc_runtime::{build_statement, JobSpec, KeyCache, ProofEnvelope};
+use zkvc_runtime::{build_statement, CircuitKeys, JobSpec, KeyCache, ProofEnvelope};
 
-fn public_job(strategy: Strategy) -> zkvc_core::MatMulJob {
+fn public_job(strategy: Strategy) -> MatMulCircuit {
     let x = vec![vec![2i64, -3, 5], vec![7, 1, -4]];
     let w = vec![vec![6i64, -2], vec![3, 8], vec![-1, 9]];
     MatMulBuilder::new(2, 3, 2)
         .strategy(strategy)
         .public_outputs(true)
-        .build_integers(&x, &w)
+        .build_circuit_integers(&x, &w)
+}
+
+/// Compile, set up, fill the witness and prove: one honest proof with the
+/// key that verifies it.
+fn setup_and_prove(
+    system: &dyn ProofSystem,
+    circuit: &dyn Circuit,
+    rng: &mut StdRng,
+) -> (VerifierKey, ProofArtifacts) {
+    let shape = Arc::new(compile_shape(circuit));
+    let (pk, vk) = system.setup_shape(&shape, rng);
+    let witness = generate_witness_for(circuit, &shape);
+    (vk, system.prove_assignment(&pk, &witness, rng))
+}
+
+/// Proves `circuit` against keys a [`KeyCache`] already holds.
+fn prove_with(keys: &CircuitKeys, circuit: &dyn Circuit, rng: &mut StdRng) -> ProofArtifacts {
+    let witness = generate_witness_for(circuit, &keys.shape);
+    keys.backend
+        .system()
+        .prove_assignment(&keys.prover, &witness, rng)
 }
 
 #[test]
@@ -28,8 +51,7 @@ fn tampered_y_fails_for_both_backends_and_all_strategies() {
         for strategy in Strategy::ALL {
             let job = public_job(strategy);
             assert_eq!(job.public_outputs().len(), 4, "Y is 2x2");
-            let (pk, vk) = system.setup(&job, &mut rng);
-            let artifacts = system.prove(&pk, &job, &mut rng);
+            let (vk, artifacts) = setup_and_prove(system, &job, &mut rng);
             assert!(
                 system.verify(&vk, &artifacts),
                 "honest {backend:?}/{strategy:?}"
@@ -59,8 +81,7 @@ fn fold_preserving_forgery_fails_for_crpc_public_outputs() {
         let system = backend.system();
         for strategy in [Strategy::Crpc, Strategy::CrpcPsq] {
             let job = public_job(strategy);
-            let (pk, vk) = system.setup(&job, &mut rng);
-            let artifacts = system.prove(&pk, &job, &mut rng);
+            let (vk, artifacts) = setup_and_prove(system, &job, &mut rng);
             assert!(system.verify(&vk, &artifacts), "{backend:?}/{strategy:?}");
 
             let mut forged = artifacts.clone();
@@ -83,8 +104,7 @@ fn tampered_y_fails_through_the_envelope() {
     for backend in Backend::ALL {
         let system = backend.system();
         let job = public_job(Strategy::CrpcPsq);
-        let (pk, vk) = system.setup(&job, &mut rng);
-        let artifacts = system.prove(&pk, &job, &mut rng);
+        let (vk, artifacts) = setup_and_prove(system, &job, &mut rng);
 
         let bytes = ProofEnvelope::from_artifacts(&artifacts).to_bytes();
         let mut envelope = ProofEnvelope::from_bytes(&bytes).expect("decodes");
@@ -118,7 +138,7 @@ fn replayed_proof_for_same_shape_but_different_y_is_rejected() {
         let cache = KeyCache::with_seed(seed);
         let (keys, _) = cache.get_or_setup_circuit(backend, s0.as_ref());
         let mut rng = StdRng::seed_from_u64(5);
-        let artifacts = backend.system().prove(&keys.prover, s0.as_ref(), &mut rng);
+        let artifacts = prove_with(&keys, s0.as_ref(), &mut rng);
         let envelope =
             ProofEnvelope::from_bytes(&ProofEnvelope::from_artifacts(&artifacts).to_bytes())
                 .expect("decodes");
@@ -148,9 +168,6 @@ fn private_jobs_still_prove_but_bind_nothing() {
     let cache = KeyCache::new();
     let (keys, _) = cache.get_or_setup_circuit(spec.backend(), statement.as_ref());
     let mut rng = StdRng::seed_from_u64(6);
-    let artifacts = spec
-        .backend()
-        .system()
-        .prove(&keys.prover, statement.as_ref(), &mut rng);
+    let artifacts = prove_with(&keys, statement.as_ref(), &mut rng);
     assert!(spec.backend().system().verify(&keys.verifier, &artifacts));
 }

@@ -1,26 +1,34 @@
 //! Compile-once / prove-many pipeline equivalence and digest stability.
 //!
 //! The two-pass pipeline (witness-free shape pass + witness pass) must be
-//! observably identical to the legacy single pass: same matrices, same
-//! public outputs, same shape digests — across random matmul dimensions,
-//! strategies, output binding and every model preset — and proofs produced
-//! through the legacy eager pipeline must keep verifying under keys the
-//! two-pass cache derives (digests key the deterministic CRS, so digest
-//! stability *is* proof compatibility).
+//! observably identical to the single-pass reference sink
+//! (`circuit.synthesize(&mut ConstraintSystem::new())`): same matrices,
+//! same public outputs, same shape digests, same full assignment — across
+//! random matmul dimensions, strategies, output binding and every model
+//! preset.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use zkvc_core::api::{circuit_shape_digest, compile_shape, generate_witness_for, Circuit};
+use zkvc_core::api::{compile_shape, generate_witness_for, Circuit};
 use zkvc_core::matmul::{MatMulBuilder, Strategy};
 use zkvc_core::Backend;
-use zkvc_nn::circuit::{ModelCircuit, ModelStatement};
-use zkvc_runtime::{build_statement, JobSpec, KeyCache, ModelPreset, ProofEnvelope};
+use zkvc_ff::Fr;
+use zkvc_nn::circuit::ModelStatement;
+use zkvc_r1cs::{shape_digest, ConstraintSystem};
+use zkvc_runtime::{KeyCache, ModelPreset};
+
+/// The oracle: one eager pass recording structure and values together.
+fn single_pass(circuit: &dyn Circuit) -> ConstraintSystem<Fr> {
+    let mut cs = ConstraintSystem::new();
+    circuit.synthesize(&mut cs);
+    cs
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Two-pass and legacy single-pass produce identical matrices, digests,
+    /// Two-pass and single-pass produce identical matrices, digests,
     /// public outputs and full assignments for random matmul statements.
     #[test]
     fn prop_two_pass_matches_single_pass_matmul(
@@ -33,26 +41,24 @@ proptest! {
     ) {
         let strategy = Strategy::ALL[strategy_idx];
         let public = public_idx == 1;
-        let builder = MatMulBuilder::new(a, n, b)
+        let mut rng = StdRng::seed_from_u64(seed);
+        let circuit = MatMulBuilder::new(a, n, b)
             .strategy(strategy)
-            .public_outputs(public);
-        // Legacy eager pipeline: single pass into a ConstraintSystem.
-        let mut rng = StdRng::seed_from_u64(seed);
-        let job = builder.build_random(&mut rng);
-        // Two-pass pipeline over the *same* statement.
-        let mut rng = StdRng::seed_from_u64(seed);
-        let circuit = builder.build_circuit_random(&mut rng);
+            .public_outputs(public)
+            .build_circuit_random(&mut rng);
+        let cs = single_pass(&circuit);
+        prop_assert!(cs.is_satisfied());
 
         let shape = compile_shape(&circuit);
-        prop_assert_eq!(shape.digest, circuit_shape_digest(&job.cs));
-        let legacy = job.cs.to_matrices();
-        prop_assert_eq!(&shape.matrices.a, &legacy.a);
-        prop_assert_eq!(&shape.matrices.b, &legacy.b);
-        prop_assert_eq!(&shape.matrices.c, &legacy.c);
-        prop_assert_eq!(circuit.public_outputs(), Circuit::public_outputs(&job));
+        prop_assert_eq!(shape.digest, shape_digest(&cs));
+        let reference = cs.to_matrices();
+        prop_assert_eq!(&shape.matrices.a, &reference.a);
+        prop_assert_eq!(&shape.matrices.b, &reference.b);
+        prop_assert_eq!(&shape.matrices.c, &reference.c);
+        prop_assert_eq!(&circuit.public_outputs()[..], cs.instance_assignment());
 
         let witness = generate_witness_for(&circuit, &shape);
-        prop_assert_eq!(witness.full(), job.cs.full_assignment());
+        prop_assert_eq!(witness.full(), cs.full_assignment());
         prop_assert!(shape.is_satisfied(&witness));
     }
 }
@@ -61,76 +67,27 @@ proptest! {
 fn model_presets_two_pass_matches_single_pass() {
     for preset in ModelPreset::ALL {
         let (model, schedule) = preset.config();
-        let z = <zkvc_ff::Fr as zkvc_ff::PrimeField>::from_u64(0x5EED_0000 + preset as u64);
-        let eager = ModelCircuit::build_seeded(&model, &schedule, Strategy::CrpcPsq, 3, z);
-        let lazy = ModelStatement::new(model, schedule, Strategy::CrpcPsq, 3, z);
-        let shape = compile_shape(&lazy);
+        let z = <Fr as zkvc_ff::PrimeField>::from_u64(0x5EED_0000 + preset as u64);
+        let statement = ModelStatement::new(model, schedule, Strategy::CrpcPsq, 3, z);
+        let cs = single_pass(&statement);
+        let shape = compile_shape(&statement);
+        assert_eq!(shape.digest, shape_digest(&cs), "{preset:?} digest");
+        assert_eq!(shape.matrices.a, cs.to_matrices().a, "{preset:?} matrices");
+        let witness = generate_witness_for(&statement, &shape);
+        assert_eq!(witness.full(), cs.full_assignment(), "{preset:?}");
         assert_eq!(
-            shape.digest,
-            circuit_shape_digest(&eager.cs),
-            "{preset:?} digest"
+            &statement.public_outputs()[..],
+            cs.instance_assignment(),
+            "{preset:?} logits"
         );
-        let witness = generate_witness_for(&lazy, &shape);
-        assert_eq!(witness.full(), eager.cs.full_assignment(), "{preset:?}");
-        assert_eq!(witness.instance, eager.logits, "{preset:?} logits");
-    }
-}
-
-#[test]
-fn legacy_proofs_verify_under_two_pass_keys() {
-    // Digest stability across the refactor, end to end: a proof produced
-    // through the *legacy* eager pipeline (single-pass ConstraintSystem →
-    // digest-keyed cache) round-trips through envelope bytes and verifies
-    // under the keys the two-pass template path derives for the same spec
-    // — because both pipelines produce the same digest, and the digest
-    // (plus seed) deterministically derives the CRS.
-    for spec in [
-        JobSpec::new(3, 4, 3),
-        JobSpec::new(2, 2, 2)
-            .with_strategy(Strategy::Vanilla)
-            .with_backend(Backend::Spartan),
-        JobSpec::model(ModelPreset::MixerBlock).with_backend(Backend::Spartan),
-    ] {
-        let seed = 11u64;
-        let system = spec.backend().system();
-
-        // Legacy pipeline: eager statements proved against a digest-keyed
-        // cache (exactly what the pre-split pool did).
-        let legacy_cache = KeyCache::with_seed(seed);
-        let statement = build_statement(seed, 0, &spec);
-        let (legacy_keys, _) =
-            legacy_cache.get_or_setup_circuit_seeded(spec.backend(), statement.as_ref(), seed);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let artifacts = system.prove(&legacy_keys.prover, statement.as_ref(), &mut rng);
-        let bytes = ProofEnvelope::from_artifacts(&artifacts).to_bytes();
-
-        // Two-pass pipeline: a *fresh* cache, template path (shape pass +
-        // setup once, witness pass per job).
-        let two_pass_cache = KeyCache::with_seed(seed);
-        let (keys, hit) = two_pass_cache.get_or_setup_template(
-            spec.backend(),
-            seed,
-            &spec.to_string(),
-            statement.as_ref(),
-        );
-        assert!(!hit);
-        assert_eq!(keys.digest, legacy_keys.digest, "{spec} digest moved");
-
-        let envelope = ProofEnvelope::from_bytes(&bytes).expect("decodes");
-        assert!(
-            envelope.verify_with_key(&keys.verifier),
-            "{spec}: legacy proof rejected by two-pass keys"
-        );
-        assert_eq!(envelope.public_inputs, statement.public_outputs());
     }
 }
 
 #[test]
 fn setup_path_never_materialises_witness_values() {
     // A circuit whose witness closures panic if ever invoked: the cache's
-    // setup path (template and digest-keyed), Backend::setup via the
-    // ProofSystem trait, and shape digests must all run clean. Only a
-    // witness pass may blow up.
+    // setup path (template and digest-keyed) and shape digests must all
+    // run clean. Only a witness pass may blow up.
     struct PanickyWitness;
     impl Circuit for PanickyWitness {
         fn synthesize(&self, sink: &mut dyn zkvc_r1cs::ConstraintSink<zkvc_ff::Fr>) {
@@ -161,6 +118,7 @@ fn setup_path_never_materialises_witness_values() {
         assert_eq!(keys.shape.num_witness(), 2);
     }
     // The witness pass is the only place the closures run.
-    let result = std::panic::catch_unwind(|| zkvc_core::api::generate_witness(&circuit));
+    let shape = compile_shape(&circuit);
+    let result = std::panic::catch_unwind(|| generate_witness_for(&circuit, &shape));
     assert!(result.is_err(), "witness pass must invoke the closures");
 }

@@ -21,22 +21,31 @@
 //! ## Example
 //!
 //! ```rust
-//! use zkvc_spartan::{SpartanProver, SpartanVerifier};
-//! use zkvc_r1cs::ConstraintSystem;
+//! use zkvc_spartan::SpartanProver;
+//! use zkvc_r1cs::{ConstraintSink, ShapeBuilder, SinkExt, WitnessFiller};
 //! use zkvc_ff::{Fr, PrimeField};
 //! use rand::rngs::StdRng;
 //! use rand::SeedableRng;
 //!
-//! let mut cs = ConstraintSystem::<Fr>::new();
-//! let out = cs.alloc_instance(Fr::from_u64(36));
-//! let x = cs.alloc_witness(Fr::from_u64(6));
-//! cs.enforce(x.into(), x.into(), out.into());
+//! // x * x = 36 with public 36, written once against the sink trait.
+//! fn square(sink: &mut dyn ConstraintSink<Fr>) {
+//!     let out = sink.alloc_instance_lazy(|| Fr::from_u64(36));
+//!     let x = sink.alloc_witness_lazy(|| Fr::from_u64(6));
+//!     sink.enforce(x.into(), x.into(), out.into());
+//! }
+//!
+//! // Shape pass (witness-free) for preprocessing, witness pass for proving.
+//! let mut shape = ShapeBuilder::new();
+//! square(&mut shape);
+//! let shape = shape.finish();
+//! let mut witness = WitnessFiller::new();
+//! square(&mut witness);
+//! let witness = witness.finish_for(&shape);
 //!
 //! let mut rng = StdRng::seed_from_u64(7);
-//! let prover = SpartanProver::preprocess(&cs);
-//! let proof = prover.prove(&cs, &mut rng);
-//! let verifier = SpartanVerifier::preprocess(&cs);
-//! assert!(verifier.verify(cs.instance_assignment(), &proof));
+//! let prover = SpartanProver::preprocess_shape(&shape);
+//! let proof = prover.prove_assignment(&witness.instance, &witness.witness, &mut rng);
+//! assert!(prover.to_verifier().verify(&witness.instance, &proof));
 //! ```
 
 #![forbid(unsafe_code)]

@@ -212,7 +212,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use zkvc_ff::Field;
-    use zkvc_r1cs::{ConstraintSystem, LinearCombination};
+    use zkvc_r1cs::{CompiledShape, ConstraintSystem, LinearCombination};
 
     fn proof_fixture() -> (ConstraintSystem<Fr>, SpartanProof) {
         let x_val = 5u64;
@@ -230,7 +230,11 @@ mod tests {
             out.into(),
         );
         let mut rng = StdRng::seed_from_u64(0x5EB1A1);
-        let proof = SpartanProver::preprocess(&cs).prove(&cs, &mut rng);
+        let proof = SpartanProver::preprocess_shape(&CompiledShape::from_cs(&cs)).prove_assignment(
+            cs.instance_assignment(),
+            cs.witness_assignment(),
+            &mut rng,
+        );
         (cs, proof)
     }
 
@@ -245,7 +249,7 @@ mod tests {
         assert_eq!(back.sc2, proof.sc2);
         assert_eq!(back.eval_w, proof.eval_w);
         assert_eq!(back.ipa, proof.ipa);
-        let verifier = SpartanVerifier::preprocess(&cs);
+        let verifier = SpartanVerifier::preprocess_shape(&CompiledShape::from_cs(&cs));
         assert!(verifier.verify(cs.instance_assignment(), &back));
         // Serialisation is stable.
         assert_eq!(back.to_bytes(), bytes);
@@ -265,7 +269,7 @@ mod tests {
     #[test]
     fn bit_flipped_proof_bytes_fail_verification() {
         let (cs, proof) = proof_fixture();
-        let verifier = SpartanVerifier::preprocess(&cs);
+        let verifier = SpartanVerifier::preprocess_shape(&CompiledShape::from_cs(&cs));
         let bytes = proof.to_bytes();
         // Walk a deterministic sample of byte positions (every 13th, plus
         // both ends): each flip must fail to decode or fail to verify.

@@ -8,7 +8,7 @@ use zkvc_curve::G1Projective;
 use zkvc_ff::poly::eq_evals;
 use zkvc_ff::{Field, Fr, MultilinearPolynomial};
 use zkvc_hash::Transcript;
-use zkvc_r1cs::{CompiledShape, ConstraintSystem, R1csMatrices, SparseMatrix};
+use zkvc_r1cs::{CompiledShape, R1csMatrices, SparseMatrix};
 
 use crate::ipa::{InnerProductProof, IpaGenerators};
 use crate::sumcheck::{self, SumcheckProof};
@@ -36,14 +36,9 @@ struct Instance {
 }
 
 impl Instance {
-    fn from_cs(cs: &ConstraintSystem<Fr>) -> Self {
-        Self::from_matrices(&cs.to_matrices())
-    }
-
-    /// Builds the remapped instance from CSR matrices (the compiled-shape
-    /// path; no constraint system required). Column remapping is monotone
-    /// (instance columns keep their index, witness columns shift up into
-    /// the upper half), so the CSR rows stay sorted.
+    /// Builds the remapped instance from CSR matrices. Column remapping is
+    /// monotone (instance columns keep their index, witness columns shift
+    /// up into the upper half), so the CSR rows stay sorted.
     fn from_matrices(m: &R1csMatrices<Fr>) -> Self {
         let num_io = m.num_instance;
         let num_witness = m.num_witness;
@@ -146,16 +141,8 @@ pub struct SpartanVerifier {
 }
 
 impl SpartanProver {
-    /// Preprocesses the circuit structure (no trusted setup — everything is
-    /// derived transparently).
-    pub fn preprocess(cs: &ConstraintSystem<Fr>) -> Self {
-        SpartanProver {
-            instance: std::sync::Arc::new(Instance::from_cs(cs)),
-        }
-    }
-
-    /// Preprocesses a compiled shape — the witness-free entry point used
-    /// by the two-pass pipeline.
+    /// Preprocesses a compiled shape (no trusted setup — everything is
+    /// derived transparently, and nothing here ever sees an assignment).
     pub fn preprocess_shape(shape: &CompiledShape<Fr>) -> Self {
         SpartanProver {
             instance: std::sync::Arc::new(Instance::from_matrices(&shape.matrices)),
@@ -174,20 +161,12 @@ impl SpartanProver {
     }
 
     /// Builds the matching verifier, sharing the already-preprocessed
-    /// instance instead of running the `from_cs` pass (matrix remap and
-    /// generator derivation) a second time.
+    /// instance instead of running the matrix remap and generator
+    /// derivation a second time.
     pub fn to_verifier(&self) -> SpartanVerifier {
         SpartanVerifier {
             instance: std::sync::Arc::clone(&self.instance),
         }
-    }
-
-    /// Produces a proof for the assignment held in `cs`.
-    ///
-    /// # Panics
-    /// Panics if the circuit shape differs from the preprocessed structure.
-    pub fn prove<R: Rng + ?Sized>(&self, cs: &ConstraintSystem<Fr>, rng: &mut R) -> SpartanProof {
-        self.prove_assignment(cs.instance_assignment(), cs.witness_assignment(), rng)
     }
 
     /// Produces a proof from a flat instance/witness assignment against the
@@ -284,13 +263,6 @@ impl SpartanProver {
 }
 
 impl SpartanVerifier {
-    /// Preprocesses the circuit structure for verification.
-    pub fn preprocess(cs: &ConstraintSystem<Fr>) -> Self {
-        SpartanVerifier {
-            instance: std::sync::Arc::new(Instance::from_cs(cs)),
-        }
-    }
-
     /// Preprocesses a compiled shape for verification (witness-free).
     pub fn preprocess_shape(shape: &CompiledShape<Fr>) -> Self {
         SpartanVerifier {
@@ -381,7 +353,21 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use zkvc_ff::PrimeField;
-    use zkvc_r1cs::LinearCombination;
+    use zkvc_r1cs::{ConstraintSystem, LinearCombination};
+
+    /// Hand-built single-pass systems cross over through their lowered
+    /// shape and flat assignment.
+    fn preprocess(cs: &ConstraintSystem<Fr>) -> (SpartanProver, SpartanVerifier) {
+        let shape = CompiledShape::from_cs(cs);
+        (
+            SpartanProver::preprocess_shape(&shape),
+            SpartanVerifier::preprocess_shape(&shape),
+        )
+    }
+
+    fn prove(prover: &SpartanProver, cs: &ConstraintSystem<Fr>, rng: &mut StdRng) -> SpartanProof {
+        prover.prove_assignment(cs.instance_assignment(), cs.witness_assignment(), rng)
+    }
 
     fn cubic_cs(x_val: u64) -> ConstraintSystem<Fr> {
         let out_val = x_val * x_val * x_val + x_val + 5;
@@ -407,9 +393,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(77);
         let cs = cubic_cs(3);
         assert!(cs.is_satisfied());
-        let prover = SpartanProver::preprocess(&cs);
-        let verifier = SpartanVerifier::preprocess(&cs);
-        let proof = prover.prove(&cs, &mut rng);
+        let (prover, verifier) = preprocess(&cs);
+        let proof = prove(&prover, &cs, &mut rng);
         assert!(verifier.verify(cs.instance_assignment(), &proof));
         assert!(proof.size_in_bytes() > 0);
     }
@@ -436,9 +421,9 @@ mod tests {
             )
         };
         let cs = cubic_cs(3);
-        let prover = SpartanProver::preprocess(&cs);
+        let (prover, _) = preprocess(&cs);
         let mut rng = StdRng::seed_from_u64(80);
-        let baseline = canonical(&prover.prove(&cs, &mut rng));
+        let baseline = canonical(&prove(&prover, &cs, &mut rng));
 
         let mut extreme = zkvc_curve::tune::TuneProfile::static_profile();
         extreme.msm.affine_mask = !0u64;
@@ -446,7 +431,7 @@ mod tests {
         extreme.fft.par_mask = !0u64;
         let previous = zkvc_curve::tune::activate(&extreme);
         let mut rng = StdRng::seed_from_u64(80);
-        let tuned = canonical(&prover.prove(&cs, &mut rng));
+        let tuned = canonical(&prove(&prover, &cs, &mut rng));
         zkvc_curve::tune::restore(previous);
 
         assert_eq!(tuned, baseline);
@@ -456,9 +441,8 @@ mod tests {
     fn wrong_public_input_rejected() {
         let mut rng = StdRng::seed_from_u64(78);
         let cs = cubic_cs(3);
-        let prover = SpartanProver::preprocess(&cs);
-        let verifier = SpartanVerifier::preprocess(&cs);
-        let proof = prover.prove(&cs, &mut rng);
+        let (prover, verifier) = preprocess(&cs);
+        let proof = prove(&prover, &cs, &mut rng);
         assert!(!verifier.verify(&[Fr::from_u64(36)], &proof));
         assert!(!verifier.verify(&[], &proof));
     }
@@ -467,9 +451,8 @@ mod tests {
     fn tampered_proof_rejected() {
         let mut rng = StdRng::seed_from_u64(79);
         let cs = cubic_cs(4);
-        let prover = SpartanProver::preprocess(&cs);
-        let verifier = SpartanVerifier::preprocess(&cs);
-        let base = prover.prove(&cs, &mut rng);
+        let (prover, verifier) = preprocess(&cs);
+        let base = prove(&prover, &cs, &mut rng);
         assert!(verifier.verify(cs.instance_assignment(), &base));
 
         let mut p = base.clone();
@@ -500,9 +483,8 @@ mod tests {
         w[2] = Fr::from_u64(28);
         cs.set_witness_assignment(w);
         assert!(!cs.is_satisfied());
-        let prover = SpartanProver::preprocess(&cs);
-        let verifier = SpartanVerifier::preprocess(&cs);
-        let proof = prover.prove(&cs, &mut rng);
+        let (prover, verifier) = preprocess(&cs);
+        let proof = prove(&prover, &cs, &mut rng);
         assert!(!verifier.verify(cs.instance_assignment(), &proof));
     }
 
@@ -521,9 +503,8 @@ mod tests {
             val = next_val;
         }
         assert!(cs.is_satisfied());
-        let prover = SpartanProver::preprocess(&cs);
-        let verifier = SpartanVerifier::preprocess(&cs);
-        let proof = prover.prove(&cs, &mut rng);
+        let (prover, verifier) = preprocess(&cs);
+        let proof = prove(&prover, &cs, &mut rng);
         assert!(verifier.verify(cs.instance_assignment(), &proof));
     }
 }

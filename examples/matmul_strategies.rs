@@ -8,7 +8,8 @@ use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use zkvc::core::matmul::{MatMulBuilder, Strategy};
+use zkvc::core::api::{compile_shape, generate_witness_for};
+use zkvc::core::matmul::{CircuitStats, MatMulBuilder, Strategy};
 use zkvc::core::Backend;
 
 fn main() {
@@ -22,20 +23,23 @@ fn main() {
 
     let mut baseline = None;
     for strategy in Strategy::ALL {
-        let job = MatMulBuilder::new(a, n, b)
+        let circuit = MatMulBuilder::new(a, n, b)
             .strategy(strategy)
-            .build_random(&mut rng);
-        assert!(job.cs.is_satisfied());
+            .build_circuit_random(&mut rng);
+        let shape = compile_shape(&circuit);
+        assert!(shape.is_satisfied(&generate_witness_for(&circuit, &shape)));
+        let stats = CircuitStats::of(&shape);
+        let system = Backend::Groth16.system();
         let t = Instant::now();
-        let artifacts = Backend::Groth16.prove(&job, &mut rng);
+        let artifacts = system.prove_oneshot(&circuit, &mut rng);
         let total = t.elapsed();
-        assert!(Backend::Groth16.verify(&job, &artifacts));
+        assert!(system.verify_with_shape(&shape, &artifacts));
         println!(
             "{:<20} {:>12} {:>12} {:>12} {:>12.3} {:>12.3}",
             strategy.name(),
-            job.stats.num_constraints,
-            job.stats.num_variables,
-            job.stats.num_left_wires,
+            stats.num_constraints,
+            stats.num_variables,
+            stats.num_left_wires,
             artifacts.metrics.setup_time.as_secs_f64(),
             artifacts.metrics.prove_time.as_secs_f64(),
         );

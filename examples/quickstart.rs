@@ -3,9 +3,11 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use zkvc::core::api::{Circuit, ProofSystem};
+use zkvc::core::api::{compile_shape, generate_witness_for, ProofSystem};
 use zkvc::core::matmul::{MatMulBuilder, Strategy};
 use zkvc::core::Backend;
 use zkvc::ff::Field;
@@ -20,23 +22,27 @@ fn main() {
     let w = vec![vec![2i64, 7], vec![1, -8], vec![-2, 8]];
 
     println!("Building the CRPC+PSQ circuit for a 3x3 * 3x2 multiplication...");
-    let job = MatMulBuilder::new(3, 3, 2)
+    let circuit = MatMulBuilder::new(3, 3, 2)
         .strategy(Strategy::CrpcPsq)
         .public_outputs(true)
-        .build_integers(&x, &w);
+        .build_circuit_integers(&x, &w);
+    // The witness-free shape pass: everything setup needs, no values.
+    let shape = Arc::new(compile_shape(&circuit));
     println!(
         "  constraints: {}   variables: {}   public outputs: {}   (a vanilla circuit would need {} constraints)",
-        job.stats.num_constraints,
-        job.stats.num_variables,
-        job.public_outputs().len(),
+        shape.num_constraints(),
+        shape.num_variables(),
+        shape.num_instance(),
         3 * 3 * 2 + 3 * 2,
     );
+    // The witness pass: the flat assignment, checked against the shape.
+    let witness = generate_witness_for(&circuit, &shape);
 
     for backend in Backend::ALL {
-        // `job` is just a `Circuit`; either proof system proves it.
+        // Either proof system takes the same shape and assignment.
         let system: &dyn ProofSystem = backend.system();
-        let (pk, vk) = system.setup(&job, &mut rng);
-        let artifacts = system.prove(&pk, &job, &mut rng);
+        let (pk, vk) = system.setup_shape(&shape, &mut rng);
+        let artifacts = system.prove_assignment(&pk, &witness, &mut rng);
         let ok = system.verify(&vk, &artifacts);
         println!(
             "{:<8}  prove: {:>8.3?}  proof: {:>6} bytes  verified: {}",
@@ -57,7 +63,7 @@ fn main() {
     }
 
     println!("\nThe product the proof binds (and attests to):");
-    for row in &job.y {
+    for row in &circuit.y {
         println!("  {row:?}");
     }
     println!("Tampering with any bound output makes verification fail.");

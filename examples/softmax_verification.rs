@@ -6,46 +6,76 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use zkvc::core::api::{bind_public_outputs, compile_shape, generate_witness_for, Circuit};
 use zkvc::core::fixed::FixedPointConfig;
 use zkvc::core::nonlinear::{synthesize_softmax, SoftmaxConfig};
 use zkvc::core::Backend;
 use zkvc::ff::{Fr, PrimeField};
-use zkvc::r1cs::{ConstraintSystem, LinearCombination};
+use zkvc::r1cs::{ConstraintSink, LinearCombination, SinkExt};
+
+/// SoftMax over private quantised logits, with the outputs bound as public
+/// instance variables so the proof commits to the probabilities.
+struct SoftmaxCircuit {
+    quantised: Vec<i64>,
+    cfg: SoftmaxConfig,
+}
+
+impl Circuit for SoftmaxCircuit {
+    fn synthesize(&self, sink: &mut dyn ConstraintSink<Fr>) {
+        let inputs: Vec<LinearCombination<Fr>> = self
+            .quantised
+            .iter()
+            .map(|q| sink.alloc_witness_lazy(|| Fr::from_i64(*q)).into())
+            .collect();
+        let outputs: Vec<LinearCombination<Fr>> = synthesize_softmax(sink, &inputs, &self.cfg)
+            .expect("inputs are in range")
+            .into_iter()
+            .map(Into::into)
+            .collect();
+        let publics: Vec<LinearCombination<Fr>> = outputs
+            .iter()
+            .map(|out| sink.alloc_instance_opt(sink.lc_value(out)).into())
+            .collect();
+        bind_public_outputs(sink, &outputs, &publics);
+    }
+}
 
 fn main() {
-    let cfg = SoftmaxConfig::default();
     let fixed = FixedPointConfig::default();
     let logits = [1.25f64, -0.5, 0.75, 2.0, -1.0, 0.0];
-    let quantised: Vec<i64> = logits.iter().map(|v| fixed.quantize(*v)).collect();
+    let circuit = SoftmaxCircuit {
+        quantised: logits.iter().map(|v| fixed.quantize(*v)).collect(),
+        cfg: SoftmaxConfig::default(),
+    };
 
     println!("Logits: {logits:?}");
-    println!("Quantised (scale 2^{}): {quantised:?}", fixed.fraction_bits);
+    println!(
+        "Quantised (scale 2^{}): {:?}",
+        fixed.fraction_bits, circuit.quantised
+    );
 
-    let mut cs = ConstraintSystem::<Fr>::new();
-    let inputs: Vec<LinearCombination<Fr>> = quantised
-        .iter()
-        .map(|q| cs.alloc_witness(Fr::from_i64(*q)).into())
-        .collect();
-    let outputs = synthesize_softmax(&mut cs, &inputs, &cfg).expect("inputs are in range");
-    assert!(cs.is_satisfied());
+    let shape = compile_shape(&circuit);
+    let witness = generate_witness_for(&circuit, &shape);
+    assert!(shape.is_satisfied(&witness));
     println!(
         "SoftMax circuit: {} constraints, {} variables",
-        cs.num_constraints(),
-        cs.num_variables()
+        shape.num_constraints(),
+        shape.num_variables()
     );
 
     // Compare the in-circuit approximation against the real softmax.
     let exp: Vec<f64> = logits.iter().map(|v| v.exp()).collect();
     let total: f64 = exp.iter().sum();
     println!("{:<8} {:>12} {:>12}", "index", "true", "in-circuit");
-    for (i, out) in outputs.iter().enumerate() {
-        let circuit_val = cs.value(*out).to_canonical()[0] as f64 / fixed.scale() as f64;
+    for (i, out) in witness.instance.iter().enumerate() {
+        let circuit_val = out.to_canonical()[0] as f64 / fixed.scale() as f64;
         println!("{:<8} {:>12.4} {:>12.4}", i, exp[i] / total, circuit_val);
     }
 
     let mut rng = StdRng::seed_from_u64(5);
-    let artifacts = Backend::Groth16.prove_cs(&cs, &mut rng);
-    let ok = Backend::Groth16.verify_cs(&cs, &artifacts);
+    let system = Backend::Groth16.system();
+    let artifacts = system.prove_oneshot(&circuit, &mut rng);
+    let ok = system.verify_with_shape(&shape, &artifacts);
     println!(
         "\nGroth16 proof of the SoftMax evaluation: {} bytes, proved in {:.3?}, verified: {ok}",
         artifacts.metrics.proof_size_bytes, artifacts.metrics.prove_time

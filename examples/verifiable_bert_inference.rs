@@ -5,9 +5,11 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use zkvc::core::api::{compile_shape, generate_witness_for};
 use zkvc::core::matmul::Strategy;
 use zkvc::core::Backend;
-use zkvc::nn::circuit::ModelCircuit;
+use zkvc::ff::{Fr, PrimeField};
+use zkvc::nn::circuit::ModelStatement;
 use zkvc::nn::mixer::MixerSchedule;
 use zkvc::nn::models::{BertConfig, ModelConfig};
 
@@ -33,26 +35,29 @@ fn main() {
         MixerSchedule::soft_free_l(n),
         MixerSchedule::zkvc_hybrid_nlp(n),
     ];
-    let mut circuits = Vec::new();
+    // Synthetic weights from seed 31; the CRPC challenge is fixed up front
+    // (a deployment samples it at setup time or from a transcript over the
+    // committed weights).
+    let z = Fr::from_u64(0x9E37_79B9_7F4A_7C15);
+    let mut compiled = Vec::new();
     for schedule in schedules {
-        let circuit = ModelCircuit::build(&model, &schedule, Strategy::CrpcPsq, 31);
-        assert!(circuit.cs.is_satisfied());
-        println!(
-            "  {:<12} {:>9} constraints",
-            schedule.name,
-            circuit.num_constraints()
-        );
-        circuits.push((schedule, circuit));
+        let name = schedule.name;
+        let statement = ModelStatement::new(model.clone(), schedule, Strategy::CrpcPsq, 31, z);
+        let shape = compile_shape(&statement);
+        assert!(shape.is_satisfied(&generate_witness_for(&statement, &shape)));
+        println!("  {:<12} {:>9} constraints", name, shape.num_constraints());
+        compiled.push((name, statement, shape));
     }
 
     // Prove the zkVC hybrid with the transparent backend.
-    let (schedule, circuit) = circuits.last().unwrap();
+    let (name, statement, shape) = compiled.last().unwrap();
     let mut rng = StdRng::seed_from_u64(77);
-    let artifacts = Backend::Spartan.prove_cs(&circuit.cs, &mut rng);
-    let ok = Backend::Spartan.verify_cs(&circuit.cs, &artifacts);
+    let system = Backend::Spartan.system();
+    let artifacts = system.prove_oneshot(statement, &mut rng);
+    let ok = system.verify_with_shape(shape, &artifacts);
     println!(
-        "\nProved the '{}' schedule with the Spartan backend in {:.3?} ({} byte proof). Verified: {ok}",
-        schedule.name, artifacts.metrics.prove_time, artifacts.metrics.proof_size_bytes
+        "\nProved the '{name}' schedule with the Spartan backend in {:.3?} ({} byte proof). Verified: {ok}",
+        artifacts.metrics.prove_time, artifacts.metrics.proof_size_bytes
     );
     assert!(ok);
 }

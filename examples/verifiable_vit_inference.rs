@@ -8,9 +8,13 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::time::Instant;
+
+use zkvc::core::api::{compile_shape, generate_witness_for};
 use zkvc::core::matmul::Strategy;
 use zkvc::core::Backend;
-use zkvc::nn::circuit::ModelCircuit;
+use zkvc::ff::{Fr, PrimeField};
+use zkvc::nn::circuit::ModelStatement;
 use zkvc::nn::mixer::MixerSchedule;
 use zkvc::nn::models::VitConfig;
 
@@ -23,14 +27,20 @@ fn main() {
         model.name, schedule.name
     );
 
-    let circuit = ModelCircuit::build(&model, &schedule, Strategy::CrpcPsq, 2024);
+    // Synthetic weights from seed 2024; the CRPC challenge is fixed up front
+    // (a deployment samples it at setup time or from a transcript over the
+    // committed weights).
+    let z = Fr::from_u64(0x9E37_79B9_7F4A_7C15);
+    let statement = ModelStatement::new(model, schedule, Strategy::CrpcPsq, 2024, z);
+    let shape = compile_shape(&statement);
+    let witness = generate_witness_for(&statement, &shape);
     assert!(
-        circuit.cs.is_satisfied(),
+        shape.is_satisfied(&witness),
         "the forward pass must satisfy its own circuit"
     );
 
     println!("Per-layer constraint breakdown:");
-    for layer in &circuit.layers {
+    for layer in &statement.layer_stats() {
         println!(
             "  {:<28} {:>8} constraints  {:>8} variables",
             layer.label, layer.constraints, layer.variables
@@ -39,18 +49,21 @@ fn main() {
     println!(
         "  {:<28} {:>8} constraints  {:>8} variables",
         "TOTAL",
-        circuit.num_constraints(),
-        circuit.num_variables()
+        shape.num_constraints(),
+        shape.num_variables()
     );
     println!(
         "Class logits (fixed-point field elements): {:?}",
-        circuit.logits
+        witness.instance
     );
 
     let mut rng = StdRng::seed_from_u64(9);
     for backend in Backend::ALL {
-        let artifacts = backend.prove_cs(&circuit.cs, &mut rng);
-        let (ok, verify_time) = backend.verify_cs_timed(&circuit.cs, &artifacts);
+        let system = backend.system();
+        let artifacts = system.prove_oneshot(&statement, &mut rng);
+        let t0 = Instant::now();
+        let ok = system.verify_with_shape(&shape, &artifacts);
+        let verify_time = t0.elapsed();
         println!(
             "{:<8}  setup: {:>8.3?}  prove: {:>8.3?}  verify: {:>8.3?}  proof: {:>7} bytes  ok: {}",
             backend.name(),

@@ -11,7 +11,8 @@
 //! users can depend on `zkvc` alone.
 //!
 //! ```rust
-//! use zkvc::core::api::ProofSystem;
+//! use std::sync::Arc;
+//! use zkvc::core::api::{compile_shape, generate_witness_for};
 //! use zkvc::core::matmul::{MatMulBuilder, Strategy};
 //! use zkvc::core::Backend;
 //! use rand::rngs::StdRng;
@@ -21,13 +22,16 @@
 //! let x = vec![vec![1i64, 2], vec![3, 4]];
 //! let w = vec![vec![5i64, 6], vec![7, 8]];
 //! // Public outputs: the proof binds Y, not just the circuit shape.
-//! let job = MatMulBuilder::new(2, 2, 2)
+//! let circuit = MatMulBuilder::new(2, 2, 2)
 //!     .strategy(Strategy::CrpcPsq)
 //!     .public_outputs(true)
-//!     .build_integers(&x, &w);
+//!     .build_circuit_integers(&x, &w);
 //! let system = Backend::Spartan.system();
-//! let (pk, vk) = system.setup(&job, &mut rng);
-//! let proof = system.prove(&pk, &job, &mut rng);
+//! // Once per shape: compile + setup. Once per statement: witness + prove.
+//! let shape = Arc::new(compile_shape(&circuit));
+//! let (pk, vk) = system.setup_shape(&shape, &mut rng);
+//! let witness = generate_witness_for(&circuit, &shape);
+//! let proof = system.prove_assignment(&pk, &witness, &mut rng);
 //! assert!(system.verify(&vk, &proof));
 //! ```
 
@@ -44,7 +48,7 @@ pub use zkvc_curve as curve;
 /// SHA-256 and Fiat-Shamir transcripts.
 pub use zkvc_hash as hash;
 
-/// The R1CS constraint system and gadget library.
+/// R1CS constraint sinks, compiled shapes and the gadget library.
 pub use zkvc_r1cs as r1cs;
 
 /// The R1CS-to-QAP reduction.

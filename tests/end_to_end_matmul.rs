@@ -1,11 +1,20 @@
 //! Integration tests spanning the whole stack: matmul circuits through both
 //! proof-system backends, including adversarial cases.
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use zkvc::core::matmul::{MatMulBuilder, Strategy, ZSource};
+use zkvc::core::api::{compile_shape, generate_witness_for};
+use zkvc::core::matmul::{CircuitStats, MatMulBuilder, MatMulCircuit, Strategy, ZSource};
 use zkvc::core::Backend;
 use zkvc::ff::{Field, Fr, PrimeField};
+
+/// Whether the statement's own witness satisfies its compiled shape.
+fn is_satisfied(circuit: &MatMulCircuit) -> bool {
+    let shape = compile_shape(circuit);
+    shape.is_satisfied(&generate_witness_for(circuit, &shape))
+}
 
 fn matrices(a: usize, n: usize, b: usize, seed: i64) -> (Vec<Vec<i64>>, Vec<Vec<i64>>) {
     let x = (0..a)
@@ -32,12 +41,14 @@ fn every_strategy_proves_and_verifies_on_both_backends() {
     for strategy in Strategy::ALL {
         let job = MatMulBuilder::new(4, 6, 5)
             .strategy(strategy)
-            .build_integers(&x, &w);
-        assert!(job.cs.is_satisfied(), "{strategy:?}");
+            .build_circuit_integers(&x, &w);
+        let shape = compile_shape(&job);
+        assert!(is_satisfied(&job), "{strategy:?}");
         for backend in Backend::ALL {
-            let artifacts = backend.prove(&job, &mut rng);
+            let system = backend.system();
+            let artifacts = system.prove_oneshot(&job, &mut rng);
             assert!(
-                backend.verify(&job, &artifacts),
+                system.verify_with_shape(&shape, &artifacts),
                 "{strategy:?} on {backend:?}"
             );
         }
@@ -50,14 +61,15 @@ fn zkvc_strategy_reduces_constraints_as_the_paper_claims() {
     let (x, w) = matrices(a, n, b, 7);
     let vanilla = MatMulBuilder::new(a, n, b)
         .strategy(Strategy::Vanilla)
-        .build_integers(&x, &w);
+        .build_circuit_integers(&x, &w);
     let zkvc = MatMulBuilder::new(a, n, b)
         .strategy(Strategy::CrpcPsq)
-        .build_integers(&x, &w);
+        .build_circuit_integers(&x, &w);
+    let constraints = |c: &MatMulCircuit| CircuitStats::of(&compile_shape(c)).num_constraints;
     // O(abn) -> O(n)
-    assert_eq!(vanilla.stats.num_constraints, a * b * n + a * b);
-    assert_eq!(zkvc.stats.num_constraints, n);
-    assert!(zkvc.stats.num_constraints * 50 < vanilla.stats.num_constraints);
+    assert_eq!(constraints(&vanilla), a * b * n + a * b);
+    assert_eq!(constraints(&zkvc), n);
+    assert!(constraints(&zkvc) * 50 < constraints(&vanilla));
     // Identical results.
     assert_eq!(vanilla.y, zkvc.y);
 }
@@ -68,22 +80,18 @@ fn groth16_proof_does_not_verify_for_a_different_statement() {
     let (x, w) = matrices(3, 4, 3, 1);
     let job = MatMulBuilder::new(3, 4, 3)
         .strategy(Strategy::CrpcPsq)
-        .build_integers(&x, &w);
-    let artifacts = Backend::Groth16.prove(&job, &mut rng);
-    // Same circuit, different witness/statement: the verification key does
-    // not carry over to a circuit with different constants.
-    let (x2, w2) = matrices(3, 4, 3, 9);
-    let other = MatMulBuilder::new(3, 4, 3)
-        .strategy(Strategy::CrpcPsq)
-        .build_integers(&x2, &w2);
-    // The proof still verifies under its own public inputs (there are none
+        .build_circuit_integers(&x, &w);
+    let system = Backend::Groth16.system();
+    let shape = compile_shape(&job);
+    let artifacts = system.prove_oneshot(&job, &mut rng);
+    assert!(system.verify_with_shape(&shape, &artifacts));
+    // The proof verifies under its own public inputs (there are none
     // beyond the statement structure), but a tampered proof must fail.
     let mut bad = artifacts;
     if let zkvc::core::backend::ProofData::Groth16 { proof, .. } = &mut bad.data {
         proof.a = (proof.a.to_projective() + zkvc::curve::G1Projective::generator()).to_affine();
     }
-    assert!(!Backend::Groth16.verify(&job, &bad));
-    let _ = other;
+    assert!(!system.verify_with_shape(&shape, &bad));
 }
 
 #[test]
@@ -94,15 +102,16 @@ fn dishonest_witness_cannot_be_proved_with_spartan() {
     let (x, w) = matrices(3, 3, 3, 5);
     let job = MatMulBuilder::new(3, 3, 3)
         .strategy(Strategy::CrpcPsq)
-        .build_integers(&x, &w);
-    let mut cs = job.cs;
-    let mut witness = cs.witness_assignment().to_vec();
+        .build_circuit_integers(&x, &w);
+    let system = Backend::Spartan.system();
+    let shape = Arc::new(compile_shape(&job));
+    let (pk, vk) = system.setup_shape(&shape, &mut rng);
+    let mut witness = generate_witness_for(&job, &shape);
     let y_index = 3 * 3 + 3 * 3; // first output variable after the inputs
-    witness[y_index] += Fr::from_u64(1);
-    cs.set_witness_assignment(witness);
-    assert!(!cs.is_satisfied());
-    let artifacts = Backend::Spartan.prove_cs(&cs, &mut rng);
-    assert!(!Backend::Spartan.verify_cs(&cs, &artifacts));
+    witness.witness[y_index] += Fr::from_u64(1);
+    assert!(!shape.is_satisfied(&witness));
+    let artifacts = system.prove_assignment(&pk, &witness, &mut rng);
+    assert!(!system.verify(&vk, &artifacts));
 }
 
 #[test]
@@ -112,12 +121,12 @@ fn fixed_z_matches_transcript_z_semantics() {
     let fixed = MatMulBuilder::new(2, 5, 2)
         .strategy(Strategy::Crpc)
         .z_source(ZSource::Fixed(Fr::from_u64(31337)))
-        .build_integers(&x, &w);
+        .build_circuit_integers(&x, &w);
     let transcript = MatMulBuilder::new(2, 5, 2)
         .strategy(Strategy::Crpc)
-        .build_integers(&x, &w);
-    assert!(fixed.cs.is_satisfied());
-    assert!(transcript.cs.is_satisfied());
+        .build_circuit_integers(&x, &w);
+    assert!(is_satisfied(&fixed));
+    assert!(is_satisfied(&transcript));
     assert_eq!(fixed.y, transcript.y);
     assert_ne!(fixed.z, Fr::zero());
 }
@@ -140,6 +149,6 @@ fn interactive_baseline_agrees_with_snark_statement() {
 
     let job = MatMulBuilder::new(4, 4, 4)
         .strategy(Strategy::CrpcPsq)
-        .build_integers(&x, &w);
+        .build_circuit_integers(&x, &w);
     assert_eq!(job.y, claim.y, "both pipelines attest to the same product");
 }

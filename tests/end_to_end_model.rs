@@ -3,11 +3,39 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use zkvc::core::api::{compile_shape, generate_witness_for};
 use zkvc::core::matmul::Strategy;
 use zkvc::core::Backend;
-use zkvc::nn::circuit::ModelCircuit;
+use zkvc::ff::{Fr, PrimeField};
+use zkvc::nn::circuit::ModelStatement;
 use zkvc::nn::mixer::{MixerSchedule, TokenMixer};
 use zkvc::nn::models::{BertConfig, ModelConfig, VitConfig};
+
+/// A statement with synthetic weights from `seed` and a fixed CRPC
+/// challenge.
+fn statement(
+    model: &ModelConfig,
+    schedule: &MixerSchedule,
+    strategy: Strategy,
+    seed: u64,
+) -> ModelStatement {
+    let z = Fr::from_u64(0x9E37_79B9_7F4A_7C15);
+    ModelStatement::new(model.clone(), schedule.clone(), strategy, seed, z)
+}
+
+fn num_constraints(statement: &ModelStatement) -> usize {
+    compile_shape(statement).num_constraints()
+}
+
+/// Checks the statement's own witness satisfies its shape, proves it
+/// one-shot with Spartan and verifies against the shape.
+fn prove_and_verify_spartan(statement: &ModelStatement, rng: &mut StdRng) {
+    let shape = compile_shape(statement);
+    assert!(shape.is_satisfied(&generate_witness_for(statement, &shape)));
+    let system = Backend::Spartan.system();
+    let artifacts = system.prove_oneshot(statement, rng);
+    assert!(system.verify_with_shape(&shape, &artifacts));
+}
 
 fn tiny_vit() -> ModelConfig {
     VitConfig::custom(2, 2, 8, 4, 3).to_model()
@@ -26,15 +54,13 @@ fn micro_vit_end_to_end_spartan() {
     // examples and harnesses; under the debug profile used by `cargo test`
     // the transparent backend keeps this integration test fast.
     let mut rng = StdRng::seed_from_u64(41);
-    let circuit = ModelCircuit::build(
+    let circuit = statement(
         &micro_vit(),
         &MixerSchedule::soft_free_p(1),
         Strategy::CrpcPsq,
         1,
     );
-    assert!(circuit.cs.is_satisfied());
-    let artifacts = Backend::Spartan.prove_cs(&circuit.cs, &mut rng);
-    assert!(Backend::Spartan.verify_cs(&circuit.cs, &artifacts));
+    prove_and_verify_spartan(&circuit, &mut rng);
 }
 
 #[test]
@@ -43,8 +69,7 @@ fn mixer_cost_ordering_matches_table_iii() {
     // count, with the zkVC hybrid between scaling and SoftApprox — the
     // ordering behind the proving times of Table III.
     let model = VitConfig::custom(3, 2, 8, 6, 3).to_model();
-    let count =
-        |s: &MixerSchedule| ModelCircuit::build(&model, s, Strategy::CrpcPsq, 2).num_constraints();
+    let count = |s: &MixerSchedule| num_constraints(&statement(&model, s, Strategy::CrpcPsq, 2));
     let soft = count(&MixerSchedule::soft_approx(3));
     let scaling = count(&MixerSchedule::soft_free_s(3));
     let pooling = count(&MixerSchedule::soft_free_p(3));
@@ -67,8 +92,8 @@ fn mixer_cost_ordering_matches_table_iii() {
 fn crpc_psq_reduces_model_circuit_size() {
     let model = tiny_vit();
     let schedule = MixerSchedule::soft_free_s(2);
-    let vanilla = ModelCircuit::build(&model, &schedule, Strategy::Vanilla, 3).num_constraints();
-    let zkvc = ModelCircuit::build(&model, &schedule, Strategy::CrpcPsq, 3).num_constraints();
+    let vanilla = num_constraints(&statement(&model, &schedule, Strategy::Vanilla, 3));
+    let zkvc = num_constraints(&statement(&model, &schedule, Strategy::CrpcPsq, 3));
     assert!(
         zkvc < vanilla,
         "zkVC {zkvc} must be smaller than vanilla {vanilla}"
@@ -92,9 +117,10 @@ fn bert_slice_with_linear_mixer_builds_and_proves() {
         layers: vec![TokenMixer::LinearMixing],
         name: "SoftFree-L",
     };
-    let circuit = ModelCircuit::build(&model, &schedule, Strategy::CrpcPsq, 4);
-    assert!(circuit.cs.is_satisfied());
-    assert!(circuit.num_constraints() > 0);
+    let circuit = statement(&model, &schedule, Strategy::CrpcPsq, 4);
+    let shape = compile_shape(&circuit);
+    assert!(shape.is_satisfied(&generate_witness_for(&circuit, &shape)));
+    assert!(shape.num_constraints() > 0);
 
     let micro = ModelConfig {
         name: "bert-micro".to_string(),
@@ -107,20 +133,20 @@ fn bert_slice_with_linear_mixer_builds_and_proves() {
         }],
         num_classes: 2,
     };
-    let circuit = ModelCircuit::build(&micro, &schedule, Strategy::CrpcPsq, 4);
-    assert!(circuit.cs.is_satisfied());
-    let artifacts = Backend::Spartan.prove_cs(&circuit.cs, &mut rng);
-    assert!(Backend::Spartan.verify_cs(&circuit.cs, &artifacts));
+    prove_and_verify_spartan(
+        &statement(&micro, &schedule, Strategy::CrpcPsq, 4),
+        &mut rng,
+    );
 }
 
 #[test]
 fn per_layer_stats_sum_to_total() {
-    let circuit = ModelCircuit::build(
+    let circuit = statement(
         &tiny_vit(),
         &MixerSchedule::soft_approx(2),
         Strategy::CrpcPsq,
         5,
     );
-    let sum: usize = circuit.layers.iter().map(|l| l.constraints).sum();
-    assert_eq!(sum, circuit.num_constraints());
+    let sum: usize = circuit.layer_stats().iter().map(|l| l.constraints).sum();
+    assert_eq!(sum, num_constraints(&circuit));
 }

@@ -2,8 +2,8 @@
 //! through the umbrella crate, the way a downstream user would.
 
 use zkvc::core::matmul::Strategy;
-use zkvc::core::Backend;
-use zkvc::runtime::{circuit_shape_digest, prove_batch, JobSpec, KeyCache, ProofEnvelope};
+use zkvc::core::{Backend, Circuit};
+use zkvc::runtime::{prove_batch, JobSpec, KeyCache, ProofEnvelope};
 
 #[test]
 fn batch_service_end_to_end_through_umbrella() {
@@ -38,29 +38,31 @@ fn shape_digest_drives_key_reuse_across_callers() {
     // the cache hands back the same key object for both.
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use zkvc::core::api::generate_witness_for;
     use zkvc::core::matmul::MatMulBuilder;
 
     let build = |seed: u64| {
         let mut rng = StdRng::seed_from_u64(seed);
         MatMulBuilder::new(2, 3, 2)
             .strategy(Strategy::Vanilla)
-            .build_random(&mut rng)
-            .cs
+            .build_circuit_random(&mut rng)
     };
-    let cs1 = build(1);
-    let cs2 = build(2);
-    assert_eq!(circuit_shape_digest(&cs1), circuit_shape_digest(&cs2));
+    let c1 = build(1);
+    let c2 = build(2);
+    assert_eq!(c1.shape_digest(), c2.shape_digest());
 
     let cache = KeyCache::new();
-    let (k1, hit1) = cache.get_or_setup(Backend::Groth16, &cs1);
-    let (k2, hit2) = cache.get_or_setup(Backend::Groth16, &cs2);
+    let (k1, hit1) = cache.get_or_setup_circuit(Backend::Groth16, &c1);
+    let (k2, hit2) = cache.get_or_setup_circuit(Backend::Groth16, &c2);
     assert!(!hit1 && hit2);
     assert_eq!(k1.digest, k2.digest);
 
     // And the shared key proves/verifies both assignments.
     let mut rng = StdRng::seed_from_u64(3);
-    for cs in [&cs1, &cs2] {
-        let artifacts = Backend::Groth16.prove_with_key(&k1.prover, cs, &mut rng);
-        assert!(Backend::Groth16.verify_with_key(&k2.verifier, &artifacts));
+    let system = Backend::Groth16.system();
+    for circuit in [&c1, &c2] {
+        let witness = generate_witness_for(circuit, &k1.shape);
+        let artifacts = system.prove_assignment(&k1.prover, &witness, &mut rng);
+        assert!(system.verify(&k2.verifier, &artifacts));
     }
 }
