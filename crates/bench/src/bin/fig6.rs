@@ -3,10 +3,10 @@
 //! time for the baselines, the interactive scheme and zkVC on both
 //! backends.
 //!
-//! Measured series: vanilla groth16 / Spartan baselines (vCNN's matmul cost
-//! is represented by vanilla groth16 — see DESIGN.md S5), the interactive
-//! sum-check baseline standing in for zkCNN, and zkVC-G / zkVC-S.
-//! ZEN / zkML are not re-implemented (S5).
+//! Measured series: vanilla groth16 / Spartan baselines (vCNN proves its
+//! matmuls as a plain Groth16 R1CS, so vanilla groth16 stands in for it),
+//! the interactive sum-check baseline standing in for zkCNN, and zkVC-G /
+//! zkVC-S. ZEN / zkML are not re-implemented.
 
 use zkvc_bench::{
     full_mode, paper, paper_matmul_dims, print_results, quick_matmul_dims, run_interactive,

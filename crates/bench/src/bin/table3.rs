@@ -8,7 +8,8 @@
 //! paper-scale models (very slow on this pure-Rust substrate).
 //!
 //! Accuracy columns are echoed from the paper: they are a property of
-//! training, which is out of scope here (DESIGN.md, substitution S4).
+//! training, which is out of scope here (weights are synthetically
+//! initialised, see `zkvc_nn`).
 
 use std::time::Instant;
 

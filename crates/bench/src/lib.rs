@@ -1,9 +1,9 @@
 //! # zkvc-bench
 //!
 //! Shared measurement plumbing for the harness binaries and criterion
-//! benches that regenerate the paper's tables and figures. See DESIGN.md
-//! ("Per-experiment index") for the mapping from each table/figure to the
-//! binary that reproduces it.
+//! benches that regenerate the paper's tables and figures: each table and
+//! figure is reproduced by the binary named after it (`table1`–`table4`,
+//! `fig3`, `fig6`).
 //!
 //! All binaries accept `--full` to run the paper-scale shapes (slow: the
 //! substrate here is an unoptimised pure-Rust pairing stack, not libsnark

@@ -6,10 +6,10 @@
 //! reduced Tate pairing into `Fq2`, and Pippenger multi-scalar
 //! multiplication.
 //!
-//! This substitutes for libsnark's ALT_BN128 backend used by the paper (see
-//! DESIGN.md, substitution S1): the cost profile of Groth16 — MSMs over the
-//! group plus a constant number of pairings — is preserved, while the whole
-//! tower stays at `Fq2` instead of `Fq12`.
+//! This substitutes for libsnark's ALT_BN128 backend used by the paper: the
+//! cost profile of Groth16 — MSMs over the group plus a constant number of
+//! pairings — is preserved, while the whole tower stays at `Fq2` instead of
+//! `Fq12`.
 //!
 //! ## Example
 //!

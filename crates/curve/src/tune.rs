@@ -63,7 +63,7 @@ pub struct MsmParams {
     /// window-parallel fallback.
     pub affine_mask: u64,
     /// Signed window width override per size class; `0` defers to the
-    /// static cost model ([`signed_window_size`]).
+    /// static cost model (`signed_window_size` in `msm.rs`).
     pub windows: [u8; 33],
 }
 

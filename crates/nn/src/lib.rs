@@ -6,9 +6,9 @@
 //! average pooling, linear mixing), ViT and BERT model configurations, and
 //! the compiler that turns a model's forward pass into one R1CS per layer.
 //!
-//! Model weights are synthetically initialised (substitution S4 in
-//! DESIGN.md): the proving-time columns of Tables III/IV depend only on the
-//! circuit structure — layer shapes, sequence lengths and mixer choices —
+//! Model weights are synthetically initialised, standing in for the
+//! paper's trained models: the proving-time columns of Tables III/IV depend
+//! only on the circuit structure — layer shapes, sequence lengths and mixer choices —
 //! not on trained weight values, so the cost profile is reproduced without
 //! the GPUs/datasets needed to re-train the models. Accuracy columns are
 //! echoed from the paper and marked as such by the harness.

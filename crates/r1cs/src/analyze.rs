@@ -269,7 +269,7 @@ fn summarise_side<F: PrimeField>(terms: &[(usize, F)]) -> SideSummary<F> {
 impl<F: PrimeField> CompiledShape<F> {
     /// Runs the full lint catalog over this shape. `declared_publics` is
     /// the number of public outputs the circuit's *statement* exposes —
-    /// [`Circuit::declared_publics`] in `zkvc-core` — which may exceed the
+    /// `Circuit::declared_publics` in `zkvc-core` — which may exceed the
     /// shape's instance count when a circuit was (mis)compiled with its
     /// outputs left private.
     ///

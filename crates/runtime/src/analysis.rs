@@ -23,7 +23,7 @@ use zkvc_core::matmul::Strategy;
 use zkvc_core::Backend;
 use zkvc_r1cs::{Severity, ShapeReport};
 
-use crate::pool::build_statement;
+use crate::job::build_statement;
 use crate::spec::{JobSpec, ModelPreset};
 use crate::util::json_escape;
 

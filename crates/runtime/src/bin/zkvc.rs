@@ -28,14 +28,12 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use zkvc_r1cs::Severity;
 use zkvc_runtime::analysis::{self, Baseline};
 use zkvc_runtime::{
     build_statement, fault, prove_batch_serial, run_client, run_sweep, run_worker, serve,
-    serve_listener, ClientConfig, DiskKeyCache, Error, JobOptions, JobSpec, KeyCache, ListenAddr,
-    NetConfig, ProofEnvelope, ProvingPool, ServeConfig, WorkerConfig,
+    serve_listener, ClientConfig, DiskKeyCache, EnvelopeProof, Error, JobOptions, JobSpec,
+    KeyCache, ListenAddr, NetConfig, ProofEnvelope, ProvingPool, ServeConfig, WorkerConfig,
 };
 
 const USAGE: &str = "\
@@ -908,36 +906,43 @@ fn cmd_prove(args: &[String]) -> Result<(), Error> {
     let out_path = flag_value(args, "--out")?
         .ok_or_else(|| Error::Usage("prove requires --out FILE".into()))?;
 
-    let statement = build_statement(seed, 0, &spec);
-    // The shape pass is witness-free: setup (and the digest the disk cache
-    // keys on) never materialises statement values.
-    let cache = KeyCache::with_seed(seed);
-    let (keys, _) = cache.get_or_setup_circuit(spec.backend(), statement.as_ref());
-    // Seed the disk cache so a later `zkvc verify` starts warm.
-    if let (Some(disk), zkvc_core::VerifierKey::Groth16(vk)) =
-        (key_cache_from_args(args)?, &keys.verifier)
+    // Job 0 of a one-job batch at this seed: the pool's job body proves
+    // and self-verifies it, exactly the proof `serve` answers a
+    // `{spec, seed}` request with. As in `prove-batch`, a job that ends
+    // without a verified proof (a contained panic included) exits 1.
+    let cache = Arc::new(KeyCache::with_seed(seed));
+    let pool = ProvingPool::with_cache(1, seed, Arc::clone(&cache));
+    pool.submit(spec, JobOptions::new());
+    let report = pool.join();
+    let result = match &report.results[..] {
+        [result] if result.verified => result,
+        _ => return Err(Error::VerificationFailed),
+    };
+    // The pool's envelope is keyless; the file `zkvc prove` writes is
+    // self-contained, so the Groth16 vk goes back in — and into the disk
+    // cache, so a later `zkvc verify` starts warm.
+    let mut envelope =
+        ProofEnvelope::from_bytes(&result.proof_bytes).ok_or(Error::MalformedEnvelope)?;
+    let keys = cache
+        .get(&result.shape_digest, spec.backend(), seed)
+        .expect("the job just proved under this cache entry");
+    if let (EnvelopeProof::Groth16 { vk, .. }, zkvc_core::VerifierKey::Groth16(key)) =
+        (&mut envelope.proof, &keys.verifier)
     {
-        if let Err(e) = disk.store_groth16_vk(&keys.digest, seed, vk) {
-            eprintln!("warning: could not persist vk to key cache: {e}");
+        *vk = Some(key.clone());
+        if let Some(disk) = key_cache_from_args(args)? {
+            if let Err(e) = disk.store_groth16_vk(&keys.digest, seed, key) {
+                eprintln!("warning: could not persist vk to key cache: {e}");
+            }
         }
     }
-    let mut rng = StdRng::seed_from_u64(seed);
-    let t0 = Instant::now();
-    // Witness pass against the cached shape, then the assignment-level
-    // prover — the same split hot path the pool runs.
-    let witness = zkvc_core::api::generate_witness_for(statement.as_ref(), &keys.shape);
-    let artifacts = spec
-        .backend()
-        .system()
-        .prove_assignment(&keys.prover, &witness, &mut rng);
-    let bytes = ProofEnvelope::from_artifacts(&artifacts).to_bytes();
+    let bytes = envelope.to_bytes();
     std::fs::write(out_path, &bytes).map_err(|e| Error::io(out_path, e))?;
     println!(
-        "proved {} ({spec}) in {:.3}s ({} constraints, {} public outputs), wrote {} bytes to {out_path}",
-        statement.name(),
-        t0.elapsed().as_secs_f64(),
-        artifacts.metrics.num_constraints,
-        artifacts.public_inputs.len(),
+        "proved {spec} in {:.3}s ({} constraints, {} public outputs), wrote {} bytes to {out_path}",
+        (result.build_time + result.prove_time).as_secs_f64(),
+        result.num_constraints,
+        envelope.public_inputs.len(),
         bytes.len()
     );
     Ok(())

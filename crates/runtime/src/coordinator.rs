@@ -40,11 +40,13 @@ use zkvc_core::Backend;
 
 use crate::cache::KeyCache;
 use crate::codec::encode_shape;
+use crate::job::{build_statement, Proved};
 use crate::net::AnyStream;
-use crate::pool::{build_statement, JobResult, ProvingPool, QueuedJob};
+use crate::pool::{job_result, JobError, ProvingPool, QueuedJob};
 use crate::serve::Output;
 use crate::wire::{
-    job_line, shape_line, worker_ack_line, worker_shutdown_line, LineReader, WorkerMsg,
+    is_poll_tick, job_line, shape_line, worker_ack_line, worker_shutdown_line, LineReader,
+    WorkerMsg,
 };
 
 /// A worker that misses heartbeats for this long is declared dead and
@@ -245,12 +247,10 @@ impl Coordinator {
     /// doomed / no worker is available).
     fn dispatch(&self, pool: &Arc<ProvingPool>, cache: &Arc<KeyCache>, job: QueuedJob) {
         // A job that is already cancelled or past its deadline is
-        // answered inline — execute_locally short-circuits without
-        // proving, and shipping it would only burn a remote slot.
+        // answered inline — the job body short-circuits without proving,
+        // and shipping it would only burn a remote slot.
         if pool.job_status(&job).is_some() {
-            let session = job.session.clone();
-            let result = pool.execute_locally(&job, 0);
-            pool.deliver(session, result);
+            pool.settle_locally(&job, 0);
             return;
         }
 
@@ -274,9 +274,7 @@ impl Coordinator {
                 // (worker died). Put the job back for the local pool and
                 // go back to waiting.
                 if let Err(lost) = pool.requeue(job) {
-                    let session = lost.session.clone();
-                    let result = pool.execute_locally(&lost, 0);
-                    pool.deliver(session, result);
+                    pool.settle_locally(&lost, 0);
                 }
                 return;
             };
@@ -392,8 +390,8 @@ impl Coordinator {
                         let mut state = worker.state.lock().expect("worker state poisoned");
                         state.last_seen = Instant::now();
                     }
-                    match crate::wire::parse_worker_msg(line) {
-                        Ok(WorkerMsg::Heartbeat) => {}
+                    let (lease, outcome) = match crate::wire::parse_worker_msg(line) {
+                        Ok(WorkerMsg::Heartbeat) => continue,
                         Ok(WorkerMsg::JobDone {
                             lease,
                             verified,
@@ -404,86 +402,59 @@ impl Coordinator {
                             verify_ms,
                             proof_bytes,
                         }) => {
-                            // Claim the lease first: a lease already
-                            // re-queued by a death verdict (or never
-                            // issued) must not deliver twice.
-                            let claimed = worker
-                                .state
-                                .lock()
-                                .expect("worker state poisoned")
-                                .inflight
-                                .remove(&lease);
-                            if let Some(l) = claimed {
-                                let session = l.job.session.clone();
-                                let result = JobResult {
-                                    id: l.job.id,
-                                    spec: l.job.spec,
-                                    seed: l.job.seed,
-                                    proof_bytes,
-                                    verified,
-                                    error: None,
-                                    cache_hit,
-                                    shape_digest: l.shape_digest,
-                                    worker: worker.id as usize,
-                                    tag: l.job.tag.clone(),
-                                    queue_wait: l.job.enqueued.elapsed(),
-                                    build_time: Duration::from_secs_f64(build_ms / 1e3),
-                                    prove_time: Duration::from_secs_f64(prove_ms / 1e3),
-                                    verify_time: Duration::from_secs_f64(verify_ms / 1e3),
-                                    num_constraints: constraints,
-                                    session_id: l.job.session_id(),
-                                };
-                                pool.deliver(session, result);
-                                self.notify();
-                            }
+                            let ms = |ms: f64| Duration::from_secs_f64(ms / 1e3);
+                            let proved = Proved {
+                                proof_bytes,
+                                verified,
+                                cache_hit,
+                                shape_digest: [0; 32], // the lease knows it
+                                num_constraints: constraints,
+                                build_time: ms(build_ms),
+                                prove_time: ms(prove_ms),
+                                verify_time: ms(verify_ms),
+                            };
+                            (lease, Ok(proved))
                         }
+                        // A worker-side failure is terminal, not
+                        // re-queued: the statement is deterministic, so a
+                        // panic would simply repeat wherever it runs
+                        // next. Deadline and cancellation kinds keep
+                        // their typed identity so clients see the same
+                        // error codes as for local execution.
                         Ok(WorkerMsg::JobFailed { lease, kind, error }) => {
-                            let claimed = worker
-                                .state
-                                .lock()
-                                .expect("worker state poisoned")
-                                .inflight
-                                .remove(&lease);
-                            if let Some(l) = claimed {
-                                // A worker-side failure is terminal, not
-                                // re-queued: the statement is
-                                // deterministic, so a panic would simply
-                                // repeat wherever it runs next. Deadline
-                                // and cancellation kinds keep their
-                                // typed identity so clients see the same
-                                // error codes as for local execution.
-                                let session = l.job.session.clone();
-                                let job_error = match kind.as_str() {
-                                    "deadline_exceeded" => crate::pool::JobError::DeadlineExceeded,
-                                    "cancelled" => crate::pool::JobError::Cancelled,
-                                    _ => crate::pool::JobError::Panicked(format!(
-                                        "remote worker {} ({kind}): {error}",
-                                        worker.id
-                                    )),
-                                };
-                                let mut result =
-                                    pool.failed_result(&l.job, worker.id as usize, job_error);
-                                result.shape_digest = l.shape_digest;
-                                pool.deliver(session, result);
-                                self.notify();
-                            }
+                            let job_error = match kind.as_str() {
+                                "deadline_exceeded" => JobError::DeadlineExceeded,
+                                "cancelled" => JobError::Cancelled,
+                                _ => JobError::Panicked(format!(
+                                    "remote worker {} ({kind}): {error}",
+                                    worker.id
+                                )),
+                            };
+                            (lease, Err(job_error))
                         }
-                        Err(_) => {
-                            // One garbled line condemns the connection:
-                            // framing can no longer be trusted.
-                            break;
-                        }
+                        // One garbled line condemns the connection:
+                        // framing can no longer be trusted.
+                        Err(_) => break,
+                    };
+                    // Claim the lease first: a lease already re-queued by
+                    // a death verdict (or never issued) must not deliver
+                    // twice.
+                    let claimed = worker
+                        .state
+                        .lock()
+                        .expect("worker state poisoned")
+                        .inflight
+                        .remove(&lease);
+                    if let Some(l) = claimed {
+                        let waited = l.job.enqueued.elapsed();
+                        let mut result = job_result(&l.job, worker.id as usize, waited, outcome);
+                        result.shape_digest = l.shape_digest;
+                        pool.deliver(&l.job, result);
+                        self.notify();
                     }
                 }
                 Ok(Some(Err(_))) => break, // oversized / non-UTF-8: condemn
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock
-                            | std::io::ErrorKind::TimedOut
-                            | std::io::ErrorKind::Interrupted
-                    ) =>
-                {
+                Err(e) if is_poll_tick(&e) => {
                     // Poll tick: staleness check.
                     let stale = {
                         let state = worker.state.lock().expect("worker state poisoned");
@@ -521,9 +492,7 @@ impl Coordinator {
             .remove(&worker.id);
         for lease in orphans {
             if let Err(job) = pool.requeue(lease.job) {
-                let session = job.session.clone();
-                let result = pool.execute_locally(&job, worker.id as usize);
-                pool.deliver(session, result);
+                pool.settle_locally(&job, worker.id as usize);
             }
         }
         self.notify();

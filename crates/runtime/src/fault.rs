@@ -34,7 +34,8 @@
 //! | `net.read.delay`     | stream read stalls `param` ms first           |
 //! | `net.write.io_error` | stream write fails with `BrokenPipe`          |
 //! | `net.write.delay`    | stream write stalls `param` ms first          |
-//! | `pool.pickup.panic`  | worker panics picking the job up (contained)  |
+//! | `pool.pickup.panic`  | job body panics at pickup (contained; local   |
+//! |                      | pool and remote workers alike)                |
 //! | `pool.prove.delay`   | proving stalls `param` ms first (local pool   |
 //! |                      | and remote workers alike; the distributed     |
 //! |                      | bench uses it to emulate paper-scale proof    |

@@ -67,6 +67,7 @@ mod coordinator;
 mod disk;
 mod error;
 pub mod fault;
+mod job;
 pub mod net;
 mod pool;
 mod sched;
@@ -82,13 +83,14 @@ pub use analysis::{analyze_spec, analyze_specs, Baseline, Preflight, SpecAnalysi
 pub use cache::{CacheStats, CircuitKeys, KeyCache};
 pub use disk::DiskKeyCache;
 pub use error::Error;
+pub use job::build_statement;
 pub use net::{
     run_client, run_sweep, serve_listener, AnyStream, ClientConfig, ClientReport, ListenAddr,
     NetConfig, NetSummary, SessionReport,
 };
 pub use pool::{
-    build_statement, prove_batch, prove_batch_serial, BatchKey, BatchReport, JobError, JobOptions,
-    JobResult, PoolConfig, ProvingPool, ResultSink, SessionCtl,
+    prove_batch, prove_batch_serial, BatchKey, BatchReport, JobError, JobOptions, JobResult,
+    PoolConfig, ProvingPool, ResultSink, SessionCtl,
 };
 pub use sched::Priority;
 pub use serial::{EnvelopeProof, ProofEnvelope};

@@ -27,8 +27,8 @@ use zkvc_hash::sha256;
 use crate::cache::KeyCache;
 use crate::codec::{CLIENT_REPORT_SCHEMA, SERVE_BENCH_SCHEMA, SERVE_PROTO};
 use crate::error::Error;
+use crate::job::build_statement;
 use crate::net::addr::{AnyStream, ListenAddr};
-use crate::pool::build_statement;
 use crate::serial::ProofEnvelope;
 use crate::spec::JobSpec;
 use crate::util::{hex, json_escape, unhex};

@@ -1,10 +1,10 @@
 //! Network-native proving service: the socket transports behind
 //! `zkvc serve --listen` and the `zkvc client` load driver.
 //!
-//! The stdin serve loop ([`crate::serve`]) handles exactly one session
-//! over one pipe. This module promotes the same wire dialect
-//! (`zkvc-serve/v1`, see [`crate::wire`] and `docs/PROTOCOL.md`) to a
-//! real server:
+//! [`crate::serve`] runs exactly one session over one pipe. This module
+//! runs the same session loop, on the same wire dialect
+//! (`zkvc-serve/v1`, see [`crate::wire`] and `docs/PROTOCOL.md`), once
+//! per connection of a real server:
 //!
 //! * [`ListenAddr`] — `unix:/path/to.sock` and `tcp:HOST:PORT` endpoint
 //!   grammar, shared by server and client.

@@ -2,15 +2,15 @@
 //! the connection registry that routes pool results back to the session
 //! that submitted them.
 //!
-//! Every connection gets its own thread running the same intake loop as
-//! the stdin [`crate::serve`] path (shared wire grammar, shared
-//! [`SessionOut`](crate::serve) response plumbing), but all sessions
-//! feed **one** [`ProvingPool`] and one warm [`KeyCache`]: a shape set
-//! up for client A is a cache hit for client B. Isolation is per
-//! session — id spaces, key announcements, summary counters, and a
-//! [`SessionCtl`] that (a) bounds the session's in-flight jobs so one
-//! greedy client parks in its own socket rather than flooding the shared
-//! queue, and (b) cancels the remainder when the client disconnects.
+//! Every connection gets its own thread running the one session loop
+//! (`run_session` in [`crate::serve`] — the very function the stdin
+//! session runs), but all sessions feed **one** [`ProvingPool`] and one
+//! warm [`KeyCache`]: a shape set up for client A is a cache hit for
+//! client B. Isolation is per session — id spaces, key announcements,
+//! summary counters, and a [`SessionCtl`](crate::SessionCtl) that (a)
+//! bounds the session's in-flight jobs so one greedy client parks in its
+//! own socket rather than flooding the shared queue, and (b) cancels the
+//! remainder when the client disconnects.
 //!
 //! Blocking reads with a short timeout double as the poll tick: each
 //! tick checks the shutdown flag, the idle deadline, and whether the
@@ -23,16 +23,16 @@ use std::io::{self, BufReader};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use crate::analysis::Preflight;
 use crate::cache::KeyCache;
 use crate::coordinator::Coordinator;
 use crate::error::Error;
 use crate::net::addr::{AnyListener, AnyStream, ListenAddr};
-use crate::pool::{JobOptions, PoolConfig, ProvingPool, ResultSink, SessionCtl};
-use crate::serve::{ready_line, Output, ServeConfig, ServeSummary, SessionOut};
-use crate::wire::{error_line, parse_request, parse_worker_register, LineReader, LineReject};
+use crate::pool::{ProvingPool, ResultSink};
+use crate::serve::{
+    run_session, Output, ServeConfig, ServeSummary, Session, SessionEnd, SessionParams,
+};
 
 /// How often a blocked session read wakes to poll shutdown/idle/broken
 /// state. This bounds how stale a session's view of the shutdown flag
@@ -138,45 +138,10 @@ pub struct NetSummary {
     pub remote_workers: usize,
 }
 
-/// How a session ended; folded into [`NetSummary`].
-enum SessionEnd {
-    /// Client half-closed its write side: the orderly goodbye.
-    Eof,
-    /// The server-wide shutdown flag was raised.
-    Shutdown,
-    /// The peer vanished (read error or broken response stream).
-    Disconnected,
-    /// The idle timeout fired with nothing in flight.
-    ReapedIdle,
-    /// The connection registered as a remote proving worker and spent its
-    /// life in the coordinator's read loop.
-    Worker,
-}
-
-/// One live session in the registry: its response plumbing and its
-/// cancellation/backpressure scope. The pool's result sink routes by
-/// [`JobResult::session_id`](crate::JobResult::session_id) into this.
-struct SessionEntry {
-    out: SessionOut<AnyStream>,
-    ctl: Arc<SessionCtl>,
-}
-
-type Registry = Mutex<HashMap<u64, Arc<SessionEntry>>>;
-
-/// Settings every session thread needs, extracted once.
-struct SessionParams {
-    max_request_bytes: usize,
-    queue_bound: usize,
-    seed: u64,
-    workers: usize,
-    session_bound: usize,
-    idle_timeout: Option<Duration>,
-    admission_bound: Option<usize>,
-    retry_after_ms: u64,
-    /// Shared across sessions: the memoised `--analyze-on-compile`
-    /// verdict cache, when the pre-flight is enabled.
-    preflight: Option<Preflight>,
-}
+/// The live sessions, by id: the pool's one result sink routes each
+/// result to the session that submitted it by
+/// [`JobResult::session_id`](crate::JobResult::session_id).
+type Registry = Mutex<HashMap<u64, Arc<Session<AnyStream>>>>;
 
 /// Binds `addr` and serves connections until `shutdown` becomes `true`,
 /// then drains: stops accepting, lets every live session flush its
@@ -199,25 +164,14 @@ pub fn serve_listener(
     let listener = AnyListener::bind(addr)?;
     on_bound(&listener.bound_addr());
 
+    let params = Arc::new(SessionParams::new(config, true));
+    let config = &params.net;
     let cache = Arc::new(config.serve.build_cache());
     let registry: Arc<Registry> = Arc::new(Mutex::new(HashMap::new()));
-    let params = Arc::new(SessionParams {
-        max_request_bytes: config.serve.max_request_bytes,
-        queue_bound: config.serve.queue_bound,
-        seed: config.serve.seed,
-        workers: config.serve.workers.max(1),
-        session_bound: config.session_bound,
-        idle_timeout: config.idle_timeout,
-        admission_bound: config.admission_bound,
-        retry_after_ms: config.retry_after_ms,
-        preflight: config.serve.analyze_on_compile.then(Preflight::new),
-    });
 
     // One sink for the whole pool: route each result to its session's
     // writer. A result whose session already deregistered (reaped or
-    // long gone) is dropped — there is nowhere left to send it. A broken
-    // writer (peer vanished mid-stream) cancels the session's remaining
-    // jobs right here, so they drain instead of proving into the void.
+    // long gone) is dropped — there is nowhere left to send it.
     let sink: ResultSink = {
         let registry = Arc::clone(&registry);
         let cache = Arc::clone(&cache);
@@ -225,30 +179,18 @@ pub fn serve_listener(
         let disk = config.serve.disk_cache.clone();
         Arc::new(move |result| {
             let Some(sid) = result.session_id else { return };
-            let entry = registry
+            let session = registry
                 .lock()
                 .expect("session registry poisoned")
                 .get(&sid)
                 .cloned();
-            if let Some(entry) = entry {
-                entry
-                    .out
-                    .emit_result(&cache, disk.as_ref(), include_proofs, result);
-                if entry.out.out.is_broken() {
-                    entry.ctl.cancel();
-                }
+            if let Some(session) = session {
+                session.emit_result(&cache, disk.as_ref(), include_proofs, result);
             }
         })
     };
 
-    let pool = Arc::new(ProvingPool::configured(
-        PoolConfig::new(config.serve.workers)
-            .seed(config.serve.seed)
-            .queue_bound(config.serve.queue_bound)
-            .retain_results(false),
-        Arc::clone(&cache),
-        Some(sink),
-    ));
+    let pool = Arc::new(config.serve.build_pool(&cache, sink));
 
     // The distributed coordinator: its dispatcher thread competes with
     // the local worker threads for queued jobs and places its leases on
@@ -272,7 +214,7 @@ pub fn serve_listener(
                 let totals = Arc::clone(&totals);
                 let coordinator = Arc::clone(&coordinator);
                 handles.push(thread::spawn(move || {
-                    let (summary, end, shed) = run_session(
+                    let (summary, end, shed) = run_connection(
                         stream,
                         sid,
                         &pool,
@@ -290,9 +232,9 @@ pub fn serve_listener(
                     totals.rejected += summary.rejected;
                     totals.shed += shed;
                     match end {
-                        SessionEnd::Disconnected => totals.disconnected += 1,
+                        SessionEnd::Disconnected(_) => totals.disconnected += 1,
                         SessionEnd::ReapedIdle => totals.reaped_idle += 1,
-                        SessionEnd::Worker => totals.remote_workers += 1,
+                        SessionEnd::Worker(_) => totals.remote_workers += 1,
                         SessionEnd::Eof | SessionEnd::Shutdown => {}
                     }
                 }));
@@ -327,12 +269,12 @@ pub fn serve_listener(
     Ok(totals)
 }
 
-/// One connection's lifecycle: handshake, request intake with
-/// per-session backpressure, drain, summary. A connection whose first
-/// line is a `worker_register` is handed to the coordinator instead and
-/// this thread becomes the worker's reader.
+/// One connection's lifecycle: register the session where the sink finds
+/// it, run the session loop over the stream, deregister. A connection
+/// whose `worker_register` line ended the loop is handed to the
+/// coordinator instead and this thread becomes the worker's reader.
 #[allow(clippy::too_many_arguments)]
-fn run_session(
+fn run_connection(
     stream: AnyStream,
     sid: u64,
     pool: &Arc<ProvingPool>,
@@ -342,220 +284,35 @@ fn run_session(
     shutdown: &AtomicBool,
     coordinator: &Coordinator,
 ) -> (ServeSummary, SessionEnd, usize) {
-    let started = Instant::now();
     let _ = stream.set_read_timeout(Some(READ_TICK));
     let Ok(write_half) = stream.try_clone() else {
-        return (ServeSummary::default(), SessionEnd::Disconnected, 0);
+        return (ServeSummary::default(), SessionEnd::Disconnected(None), 0);
     };
-    let entry = Arc::new(SessionEntry {
-        out: SessionOut::new(write_half),
-        ctl: Arc::new(SessionCtl::new(sid, params.session_bound)),
-    });
+    let session = Arc::new(Session::new(write_half, sid, params.net.session_bound));
     registry
         .lock()
         .expect("session registry poisoned")
-        .insert(sid, Arc::clone(&entry));
-
-    entry.out.out.emit(&ready_line(
-        Some(sid),
-        params.workers,
-        params.seed,
-        params.queue_bound,
-    ));
+        .insert(sid, Arc::clone(&session));
 
     let mut reader = BufReader::new(stream);
-    // One stateful reader across ticks: a read timeout mid-line must not
-    // tear the partial request (see `wire::LineReader`).
-    let mut lines = LineReader::new(params.max_request_bytes);
-    let mut rejected = 0usize;
-    let mut shed = 0usize;
-    let mut last_activity = Instant::now();
-    let mut end = loop {
-        if shutdown.load(Ordering::SeqCst) {
-            break SessionEnd::Shutdown;
-        }
-        if entry.out.out.is_broken() {
-            entry.ctl.cancel();
-            break SessionEnd::Disconnected;
-        }
-        match lines.read_line(&mut reader) {
-            Ok(None) => break SessionEnd::Eof,
-            Ok(Some(Err(LineReject::TooLarge(actual)))) => {
-                rejected += 1;
-                last_activity = Instant::now();
-                let error = Error::RequestTooLarge {
-                    actual,
-                    limit: params.max_request_bytes,
-                };
-                entry.out.out.emit(&error_line(None, &error));
-            }
-            Ok(Some(Err(LineReject::NotUtf8))) => {
-                rejected += 1;
-                last_activity = Instant::now();
-                let error = Error::Request("request line is not valid UTF-8".into());
-                entry.out.out.emit(&error_line(None, &error));
-            }
-            Ok(Some(Ok(line))) => {
-                last_activity = Instant::now();
-                let line = line.trim();
-                if line.is_empty() {
-                    continue;
-                }
-                // A worker announcing itself turns this connection into a
-                // coordinator-managed proving worker: deregister the
-                // session (no client results will ever route here) and
-                // let the coordinator own the rest of the stream.
-                match parse_worker_register(line) {
-                    Some(Ok(capacity)) => {
-                        registry
-                            .lock()
-                            .expect("session registry poisoned")
-                            .remove(&sid);
-                        let Ok(worker_write) = reader.get_ref().try_clone() else {
-                            return (ServeSummary::default(), SessionEnd::Disconnected, shed);
-                        };
-                        coordinator.run_worker_connection(
-                            pool,
-                            &mut reader,
-                            Output::new(worker_write),
-                            capacity,
-                            shutdown,
-                        );
-                        return (ServeSummary::default(), SessionEnd::Worker, shed);
-                    }
-                    Some(Err(reason)) => {
-                        rejected += 1;
-                        entry
-                            .out
-                            .out
-                            .emit(&error_line(None, &Error::Request(reason)));
-                        continue;
-                    }
-                    None => {}
-                }
-                match parse_request(line) {
-                    Ok(request) if request.count > params.queue_bound => {
-                        rejected += 1;
-                        let error = Error::Request(format!(
-                            "repetition count {} exceeds the queue bound {} (send more lines instead)",
-                            request.count, params.queue_bound
-                        ));
-                        entry
-                            .out
-                            .out
-                            .emit(&error_line(request.id_json.as_deref(), &error));
-                    }
-                    // Overload shedding: refuse the whole request up front
-                    // when admitting it would push the pool past the global
-                    // bound. The refusal is a terminal answer (code 3 with a
-                    // retry hint), never a queued job — a shed request does
-                    // not exist as far as the drain path is concerned. The
-                    // check is admission-time-only and races benignly with
-                    // other sessions: the bound is a load shed, not a hard
-                    // capacity invariant.
-                    Ok(request)
-                        if params
-                            .admission_bound
-                            .is_some_and(|bound| pool.in_flight() + request.count > bound) =>
-                    {
-                        shed += 1;
-                        let error = Error::Shed {
-                            retry_after_ms: params.retry_after_ms,
-                        };
-                        entry
-                            .out
-                            .out
-                            .emit(&error_line(request.id_json.as_deref(), &error));
-                    }
-                    Ok(request) => {
-                        let seed = request.seed.unwrap_or(params.seed);
-                        if let Some(preflight) = &params.preflight {
-                            if let Err(reason) = preflight.check(&request.spec, seed) {
-                                rejected += 1;
-                                let error = Error::Request(reason);
-                                entry
-                                    .out
-                                    .out
-                                    .emit(&error_line(request.id_json.as_deref(), &error));
-                                continue;
-                            }
-                        }
-                        let priority = request.priority.unwrap_or(request.spec.priority());
-                        let deadline = request.deadline_ms.map(Duration::from_millis);
-                        for _ in 0..request.count {
-                            // A session cancelled mid-request (peer died
-                            // while we were blocked on its own bound)
-                            // stops submitting; the drain below settles
-                            // what was already accepted.
-                            if entry.ctl.is_cancelled() {
-                                break;
-                            }
-                            pool.submit(
-                                request.spec,
-                                JobOptions::new()
-                                    .seed(seed)
-                                    .priority(priority)
-                                    .tag_opt(request.id_json.clone())
-                                    .session(Arc::clone(&entry.ctl))
-                                    .deadline_opt(deadline),
-                            );
-                        }
-                    }
-                    Err((error, id_json)) => {
-                        rejected += 1;
-                        entry.out.out.emit(&error_line(id_json.as_deref(), &error));
-                    }
-                }
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) =>
-            {
-                // Poll tick. Reap only truly idle sessions: a client
-                // quietly waiting for a deep queue of its own jobs is
-                // not idle.
-                if let Some(idle) = params.idle_timeout {
-                    if last_activity.elapsed() >= idle && entry.ctl.in_flight() == 0 {
-                        let error = Error::Request(format!(
-                            "idle for {}s with no in-flight jobs, closing session",
-                            idle.as_secs()
-                        ));
-                        entry.out.out.emit(&error_line(None, &error));
-                        break SessionEnd::ReapedIdle;
-                    }
-                }
-            }
-            Err(_) => {
-                entry.ctl.cancel();
-                break SessionEnd::Disconnected;
-            }
-        }
-    };
-
-    // Settle every accepted job before summarising: results flow through
-    // the pool sink into this session's writer; `drain` returns only
-    // once the last one has been fully emitted. If the peer is gone the
-    // first failed write latches the output broken, the sink cancels the
-    // session, and the remaining jobs drain unproved — so this never
-    // waits on proofs nobody will read.
-    entry.ctl.drain();
-    if matches!(end, SessionEnd::Eof) && entry.out.out.is_broken() {
-        end = SessionEnd::Disconnected;
-    }
-    let summary = entry.out.emit_summary(
-        Some(sid),
-        rejected,
-        cache,
-        started.elapsed().as_secs_f64(),
-        "",
-    );
+    let (summary, end, shed) = run_session(&mut reader, &session, pool, cache, params, shutdown);
+    // Deregistering a worker connection first means no client result
+    // will ever route here while the coordinator owns the stream.
     registry
         .lock()
         .expect("session registry poisoned")
         .remove(&sid);
+    if let SessionEnd::Worker(capacity) = end {
+        let Ok(worker_write) = reader.get_ref().try_clone() else {
+            return (summary, SessionEnd::Disconnected(None), shed);
+        };
+        coordinator.run_worker_connection(
+            pool,
+            &mut reader,
+            Output::new(worker_write),
+            capacity,
+            shutdown,
+        );
+    }
     (summary, end, shed)
 }

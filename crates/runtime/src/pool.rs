@@ -13,16 +13,15 @@
 //! verification, so the pool continuously exercises the cross-process
 //! path.
 //!
-//! Failure containment: each job runs under `catch_unwind`, so a
-//! panicking job (or a panicking proving backend) becomes a recorded
-//! [`JobError::Panicked`] result instead of unwinding through the worker
-//! and aborting the process — one bad job cannot take down a long-running
-//! `zkvc serve`. Cooperative cancellation ([`ProvingPool::cancel`])
-//! drains the backlog as [`JobError::Cancelled`] results promptly,
-//! without proving them.
+//! Failure containment: each job runs under the job body's guard
+//! (`crate::job`), so a panicking job (or a panicking proving backend)
+//! becomes a recorded [`JobError::Panicked`] result instead of unwinding
+//! through the worker and aborting the process — one bad job cannot take
+//! down a long-running `zkvc serve`. Cooperative cancellation
+//! ([`ProvingPool::cancel`]) drains the backlog as
+//! [`JobError::Cancelled`] results promptly, without proving them.
 
 use std::collections::HashSet;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
@@ -30,16 +29,12 @@ use std::time::{Duration, Instant};
 
 use core::fmt;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use zkvc_core::api::{compile_shape, generate_witness_for, Circuit};
-use zkvc_core::matmul::{MatMulBuilder, ZSource};
+use zkvc_core::api::compile_shape;
 use zkvc_core::VerifierKey;
-use zkvc_ff::Fr;
-use zkvc_hash::{sha256, Transcript};
-use zkvc_nn::circuit::ModelStatement;
+use zkvc_hash::sha256;
 
 use crate::cache::{CacheStats, KeyCache};
+use crate::job::{self, build_statement, envelope_verifies, Proved, StopWhen};
 use crate::sched::{Priority, Scheduler};
 use crate::serial::ProofEnvelope;
 use crate::spec::JobSpec;
@@ -653,15 +648,17 @@ pub(crate) struct QueuedJob {
 }
 
 impl QueuedJob {
-    /// `true` when either the whole pool or this job's session has been
-    /// cancelled.
-    fn is_cancelled(&self, sched: &Scheduler<QueuedJob>) -> bool {
-        sched.is_cancelled() || self.session.as_ref().is_some_and(|s| s.is_cancelled())
-    }
-
-    /// The id of the session the job is scoped to, if any.
-    pub(crate) fn session_id(&self) -> Option<u64> {
-        self.session.as_ref().map(|s| s.id())
+    /// What stops this job: its deadline, the pool-wide cancel flag, or
+    /// its session's.
+    fn stop_when(&self, sched: &Arc<Scheduler<QueuedJob>>) -> StopWhen {
+        let sched = Arc::clone(sched);
+        let session = self.session.clone();
+        StopWhen {
+            deadline: self.deadline,
+            cancelled: Arc::new(move || {
+                sched.is_cancelled() || session.as_ref().is_some_and(|s| s.is_cancelled())
+            }),
+        }
     }
 }
 
@@ -679,7 +676,7 @@ struct Deliverer {
 }
 
 impl Deliverer {
-    fn deliver(&self, session: Option<Arc<SessionCtl>>, result: JobResult) {
+    fn deliver(&self, job: &QueuedJob, result: JobResult) {
         if let Some(sink) = &self.sink {
             sink(&result);
         }
@@ -688,7 +685,7 @@ impl Deliverer {
         }
         // Release only after the sink ran: a session drain returning
         // means every response line for that session has been written.
-        if let Some(session) = session {
+        if let Some(session) = &job.session {
             session.release();
         }
         self.in_flight.fetch_sub(1, Ordering::SeqCst);
@@ -761,9 +758,7 @@ impl ProvingPool {
                     .name(format!("zkvc-worker-{w}"))
                     .spawn(move || {
                         while let Some(job) = sched.next(w) {
-                            let session = job.session.clone();
-                            let result = execute_job(&job, w, &cache, &sched);
-                            deliverer.deliver(session, result);
+                            deliverer.deliver(&job, execute_job(&job, w, &cache, &sched));
                         }
                     })
                     .expect("spawn pool worker"),
@@ -856,7 +851,7 @@ impl ProvingPool {
     /// outstanding. Does *not* touch the in-flight count (the job never
     /// stopped being in flight). Returns the job back as `Err` when the
     /// queue has already closed; the caller must then execute it inline
-    /// (via [`Self::execute_locally`]) so the job is still answered.
+    /// (via [`Self::settle_locally`]) so the job is still answered.
     // The Err variant hands the whole job back by value on purpose: the
     // caller must still answer it, so losing it to a boxing round-trip
     // buys nothing.
@@ -866,38 +861,24 @@ impl ProvingPool {
         self.sched.submit(job, priority)
     }
 
-    /// Runs a job on the caller's thread under the pool's standard
-    /// cancellation + panic guards (the coordinator's inline fallback,
-    /// and its cheap way to answer a job that is already cancelled or
-    /// past its deadline).
-    pub(crate) fn execute_locally(&self, job: &QueuedJob, worker: usize) -> JobResult {
-        execute_job(job, worker, &self.cache, &self.sched)
+    /// Runs a job on the caller's thread through the job body and
+    /// delivers its result (the coordinator's inline fallback, and its
+    /// cheap way to answer a job that is already cancelled or past its
+    /// deadline).
+    pub(crate) fn settle_locally(&self, job: &QueuedJob, worker: usize) {
+        self.deliver(job, execute_job(job, worker, &self.cache, &self.sched));
     }
 
     /// The reason `job` must stop right now, if any (deadline first, then
     /// pool/session cancellation).
     pub(crate) fn job_status(&self, job: &QueuedJob) -> Option<JobError> {
-        job_status(job, &self.sched)
+        job.stop_when(&self.sched).status()
     }
 
     /// Delivers a result for a leased job through the identical tail the
     /// local workers use: sink, retention, session slot, in-flight count.
-    pub(crate) fn deliver(&self, session: Option<Arc<SessionCtl>>, result: JobResult) {
-        self.deliverer.deliver(session, result);
-    }
-
-    /// Builds the terminal error result for a leased job without running
-    /// it — the coordinator's answer when a remote worker reports a job
-    /// failure (deterministic, so retrying elsewhere would just repeat
-    /// it).
-    #[allow(clippy::unused_self)] // kept on the pool: it owns the JobResult shape
-    pub(crate) fn failed_result(
-        &self,
-        job: &QueuedJob,
-        worker: usize,
-        error: JobError,
-    ) -> JobResult {
-        aborted_result(job, worker, job.enqueued.elapsed(), Duration::ZERO, error)
+    pub(crate) fn deliver(&self, job: &QueuedJob, result: JobResult) {
+        self.deliverer.deliver(job, result);
     }
 
     /// Closes the queue without joining the worker threads: no new
@@ -1012,131 +993,43 @@ impl Drop for ProvingPool {
     }
 }
 
-/// Derives the fixed CRPC folding challenge shared by every job with the
-/// same (seed, statement shape) — required so same-shape jobs share one
-/// circuit template and therefore one cache entry. This is the paper's
-/// "challenge sampled at setup time" Groth16 flow (`ZSource::Fixed`); see
-/// the soundness note on [`zkvc_core::matmul::ZSource`].
-fn fixed_z(seed: u64, spec: &JobSpec) -> zkvc_ff::Fr {
-    let mut t = Transcript::new(b"zkvc-runtime-template-z");
-    t.append_u64(b"seed", seed);
-    t.append_bytes(b"shape", spec.shape_label().as_bytes());
-    t.append_bytes(b"strategy", spec.strategy().token().as_bytes());
-    t.challenge_field(b"z")
-}
-
-/// Builds the deterministic statement for `(seed, id, spec)` as a *lazy*
-/// [`Circuit`] trait object: matmul inputs (or a model statement's
-/// configuration) are derived from the seeded per-job rng, and — for CRPC
-/// strategies — the shape-level fixed folding challenge. **No constraint
-/// synthesis happens here**: the returned circuit drives the two-pass
-/// pipeline on demand (shape pass for setup/digests, witness pass for
-/// proving). This is exactly the statement the pool proves for job `id`,
-/// so external tools (the `zkvc` CLI's `verify` subcommand) can
-/// reconstruct the circuit a proof refers to, including its expected
-/// public outputs.
-pub fn build_statement(seed: u64, id: usize, spec: &JobSpec) -> Box<dyn Circuit> {
-    let input_seed = seed ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    match spec {
-        JobSpec::MatMul {
-            dims,
-            strategy,
-            public_outputs,
-            ..
-        } => {
-            let mut rng = StdRng::seed_from_u64(input_seed);
-            let mut builder = MatMulBuilder::new(dims.0, dims.1, dims.2)
-                .strategy(*strategy)
-                .public_outputs(*public_outputs);
-            if strategy.uses_crpc() {
-                builder = builder.z_source(ZSource::Fixed(fixed_z(seed, spec)));
-            }
-            Box::new(builder.build_circuit_random(&mut rng))
-        }
-        JobSpec::Model {
-            preset, strategy, ..
-        } => {
-            let (model, schedule) = preset.config();
-            // The challenge is shape-level (shared across ids) while the
-            // weights are per-id, so a batch of model jobs shares one
-            // circuit shape and therefore one cache entry.
-            let circuit =
-                ModelStatement::new(model, schedule, *strategy, input_seed, fixed_z(seed, spec));
-            Box::new(circuit)
-        }
-    }
-}
-
-/// The pool's acceptance predicate for a proof that claims to prove a
-/// statement with the given expected public outputs: the envelope must
-/// decode, its public inputs must be exactly those outputs (statement
-/// binding — a replayed same-shape proof for a different `Y` dies here;
-/// trivially satisfied for circuits with no public outputs), and the proof
-/// must pass the supplied cryptographic check.
-pub(crate) fn envelope_verifies(
-    bytes: &[u8],
-    expected_publics: &[Fr],
-    verify: impl FnOnce(&ProofEnvelope) -> bool,
-) -> bool {
-    match ProofEnvelope::from_bytes(bytes) {
-        Some(envelope) => envelope.public_inputs == expected_publics && verify(&envelope),
-        None => false,
-    }
-}
-
-/// A result for a job that never proved anything (cancelled or panicked).
-fn aborted_result(
+/// The one place a pooled [`JobResult`] is spelled out: the job's
+/// identity, who ran it — a local thread, or the remote worker whose
+/// `job_done`/`job_failed` the coordinator is dressing — and either what
+/// the job body proved or why it stopped (nothing proved: empty bytes,
+/// zero digest, zero timings).
+pub(crate) fn job_result(
     job: &QueuedJob,
     worker: usize,
     queue_wait: Duration,
-    build_time: Duration,
-    error: JobError,
+    outcome: Result<Proved, JobError>,
 ) -> JobResult {
+    let (proved, error) = match outcome {
+        Ok(proved) => (proved, None),
+        Err(error) => (Proved::default(), Some(error)),
+    };
     JobResult {
         id: job.id,
         spec: job.spec,
         seed: job.seed,
-        proof_bytes: Vec::new(),
-        verified: false,
-        error: Some(error),
-        cache_hit: false,
-        shape_digest: [0u8; 32],
+        proof_bytes: proved.proof_bytes,
+        verified: proved.verified,
+        error,
+        cache_hit: proved.cache_hit,
+        shape_digest: proved.shape_digest,
         worker,
         tag: job.tag.clone(),
         queue_wait,
-        build_time,
-        prove_time: Duration::ZERO,
-        verify_time: Duration::ZERO,
-        num_constraints: 0,
+        build_time: proved.build_time,
+        prove_time: proved.prove_time,
+        verify_time: proved.verify_time,
+        num_constraints: proved.num_constraints,
         session_id: job.session.as_ref().map(|s| s.id()),
     }
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// The reason this job must stop right now, if any. The deadline is
-/// checked first: a job that is both cancelled and past its deadline
-/// reports the deadline (a draining server that outlives a job's budget
-/// must still answer `deadline_exceeded`, not a generic cancel).
-fn job_status(job: &QueuedJob, sched: &Scheduler<QueuedJob>) -> Option<JobError> {
-    if job.deadline.is_some_and(|d| Instant::now() >= d) {
-        Some(JobError::DeadlineExceeded)
-    } else if job.is_cancelled(sched) {
-        Some(JobError::Cancelled)
-    } else {
-        None
-    }
-}
-
-/// Runs one job under the cancellation + panic guards. Never panics.
+/// Runs one job through the job body on the calling thread. Never
+/// panics.
 fn execute_job(
     job: &QueuedJob,
     worker: usize,
@@ -1144,121 +1037,9 @@ fn execute_job(
     sched: &Arc<Scheduler<QueuedJob>>,
 ) -> JobResult {
     let queue_wait = job.enqueued.elapsed();
-    if let Some(error) = job_status(job, sched) {
-        return aborted_result(job, worker, queue_wait, Duration::ZERO, error);
-    }
-    // The kernel-level cancellation check must own its captures (it is
-    // re-installed inside MSM worker threads), so it clones the job's
-    // scoping handles instead of borrowing the job.
-    let check: zkvc_ff::cancel::CancelCheck = {
-        let sched = Arc::clone(sched);
-        let session = job.session.clone();
-        let deadline = job.deadline;
-        Arc::new(move || {
-            deadline.is_some_and(|d| Instant::now() >= d)
-                || sched.is_cancelled()
-                || session.as_ref().is_some_and(|s| s.is_cancelled())
-        })
-    };
-    match catch_unwind(AssertUnwindSafe(|| {
-        crate::fault::fire_panic("pool.pickup.panic");
-        let _cancel = zkvc_ff::cancel::install(check);
-        run_job(job, worker, queue_wait, cache, &|| job_status(job, sched))
-    })) {
-        Ok(result) => result,
-        Err(payload) => {
-            let error = if payload
-                .downcast_ref::<zkvc_ff::cancel::Cancelled>()
-                .is_some()
-            {
-                // A kernel checkpoint stopped the job cooperatively;
-                // re-derive which condition tripped it.
-                job_status(job, sched).unwrap_or(JobError::Cancelled)
-            } else {
-                JobError::Panicked(panic_message(payload.as_ref()))
-            };
-            aborted_result(job, worker, queue_wait, Duration::ZERO, error)
-        }
-    }
-}
-
-fn run_job(
-    job: &QueuedJob,
-    worker: usize,
-    queue_wait: Duration,
-    cache: &KeyCache,
-    status: &dyn Fn() -> Option<JobError>,
-) -> JobResult {
-    let t0 = Instant::now();
-    let statement = build_statement(job.seed, job.statement_id, &job.spec);
-    let statement_time = t0.elapsed();
-
-    // Cooperative checkpoint: a cancellation that lands mid-build skips
-    // the (much more expensive) setup + prove work.
-    if let Some(error) = status() {
-        return aborted_result(job, worker, queue_wait, statement_time, error);
-    }
-
-    // Shape + keys: on a warm template no synthesis of any kind runs —
-    // the compiled CSR shape and key material come straight from the
-    // cache, keyed by the job spec. The first job of a spec pays one
-    // witness-free shape pass plus the setup.
-    let system = job.spec.backend().system();
-    let (keys, cache_hit) = cache.get_or_setup_template(
-        job.spec.backend(),
-        job.seed,
-        &job.spec.to_string(),
-        statement.as_ref(),
-    );
-
-    // Witness pass: the only per-job synthesis work — a flat assignment,
-    // validated against the cached shape.
-    let t1 = Instant::now();
-    let witness = generate_witness_for(statement.as_ref(), &keys.shape);
-    let build_time = statement_time + t1.elapsed();
-
-    let mut prover_rng = StdRng::seed_from_u64(
-        job.seed ^ (job.statement_id as u64).wrapping_mul(0xD1B5_4A32_D192_ED03),
-    );
-    let t1 = Instant::now();
-    crate::fault::fire_delay("pool.prove.delay");
-    let artifacts = system.prove_assignment(&keys.prover, &witness, &mut prover_rng);
-    let prove_time = t1.elapsed();
-    let num_constraints = artifacts.metrics.num_constraints;
-
-    // Cross the byte boundary before verifying, as a remote consumer
-    // would. Pool envelopes are keyless: the Groth16 vk ships once per
-    // batch in the report's key table, not once per proof. Verification
-    // checks statement binding first: the envelope's public inputs must be
-    // exactly the statement's expected public outputs (the witness pass's
-    // instance values).
-    let proof_bytes = ProofEnvelope::from_artifacts(&artifacts)
-        .without_vk()
-        .to_bytes();
-    let t2 = Instant::now();
-    let verified = envelope_verifies(&proof_bytes, &witness.instance, |envelope| {
-        envelope.verify_with_key(&keys.verifier)
-    });
-    let verify_time = t2.elapsed();
-
-    JobResult {
-        id: job.id,
-        spec: job.spec,
-        seed: job.seed,
-        proof_bytes,
-        verified,
-        error: None,
-        cache_hit,
-        shape_digest: keys.digest,
-        worker,
-        tag: job.tag.clone(),
-        queue_wait,
-        build_time,
-        prove_time,
-        verify_time,
-        num_constraints,
-        session_id: job.session.as_ref().map(|s| s.id()),
-    }
+    let stop = job.stop_when(sched);
+    let outcome = job::run(cache, &job.spec, job.seed, job.statement_id, None, &stop);
+    job_result(job, worker, queue_wait, outcome)
 }
 
 /// Proves `specs` on a `workers`-thread pool with a fresh cache; the
@@ -1282,7 +1063,7 @@ pub fn prove_batch_serial(specs: &[JobSpec], seed: u64) -> BatchReport {
         let t0 = Instant::now();
         let statement = build_statement(seed, id, spec);
         let build_time = t0.elapsed();
-        let mut rng = StdRng::seed_from_u64(seed ^ (id as u64).wrapping_mul(0xD1B5_4A32_D192_ED03));
+        let mut rng = job::prover_rng(seed, id);
         let artifacts = spec
             .backend()
             .system()
@@ -1334,6 +1115,9 @@ pub fn prove_batch_serial(specs: &[JobSpec], seed: u64) -> BatchReport {
 mod tests {
     use super::*;
     use crate::spec::ModelPreset;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use zkvc_core::api::generate_witness_for;
     use zkvc_core::matmul::Strategy;
     use zkvc_core::Backend;
 
@@ -1436,7 +1220,7 @@ mod tests {
     #[test]
     fn pool_rejects_replayed_statement_proofs() {
         // A proof for job id 0 presented as job id 1 (same shape, different
-        // Y) must fail the exact acceptance predicate run_job and
+        // Y) must fail the exact acceptance predicate the job body and
         // prove_batch_serial use, on both of their cryptographic paths.
         let spec = JobSpec::new(3, 3, 3).with_backend(Backend::Spartan);
         let s0 = build_statement(21, 0, &spec);

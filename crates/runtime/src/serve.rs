@@ -7,10 +7,13 @@
 //! how many requests ago it was first seen.
 //!
 //! The wire dialect (flat JSON-lines, `zkvc-serve/v1`) lives in
-//! [`crate::wire`] and is shared with the socket listener sessions in
-//! [`crate::net`]; `docs/PROTOCOL.md` freezes the schema. This module
-//! owns the *session semantics*: request intake with backpressure,
-//! per-`(shape, seed)` key streaming, counters, and the summary line.
+//! [`crate::wire`]; `docs/PROTOCOL.md` freezes the schema. This module
+//! owns the *session semantics* for every transport: `run_session` is
+//! the one intake loop — line rejects, the `:xN` bound, admission,
+//! pre-flight, submission with backpressure, drain, summary — and
+//! [`serve`] runs it over stdin/stdout exactly as each socket connection
+//! of [`crate::net`] runs it over its stream, alongside the per-`(shape,
+//! seed)` key streaming and the counters behind the summary line.
 //!
 //! A `key` line is emitted once per new Groth16 `(shape, seed)` — result
 //! envelopes are keyless, exactly like pool batches — when the shape's
@@ -22,7 +25,7 @@
 
 use std::collections::HashSet;
 use std::io::{self, BufRead, Write};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -32,9 +35,13 @@ use crate::analysis::Preflight;
 use crate::cache::KeyCache;
 use crate::disk::DiskKeyCache;
 use crate::error::Error;
-use crate::pool::{JobOptions, JobResult, PoolConfig, ProvingPool, ResultSink};
+use crate::net::NetConfig;
+use crate::pool::{JobOptions, JobResult, PoolConfig, ProvingPool, ResultSink, SessionCtl};
 use crate::util::hex;
-use crate::wire::{error_line, parse_request, read_bounded_line, result_line, LineReject};
+use crate::wire::{
+    error_line, is_poll_tick, parse_request, parse_worker_register, result_line, LineReader,
+    LineReject,
+};
 
 /// Default byte bound for the resident key cache (see
 /// [`ServeConfig::cache_bytes`]).
@@ -142,6 +149,20 @@ impl ServeConfig {
             None => cache,
         }
     }
+
+    /// Builds the resident pool this config describes: results leave
+    /// through `sink` as they land and are not retained, so a long-lived
+    /// process does not hold every proof it ever made.
+    pub(crate) fn build_pool(&self, cache: &Arc<KeyCache>, sink: ResultSink) -> ProvingPool {
+        ProvingPool::configured(
+            PoolConfig::new(self.workers)
+                .seed(self.seed)
+                .queue_bound(self.queue_bound)
+                .retain_results(false),
+            Arc::clone(cache),
+            Some(sink),
+        )
+    }
 }
 
 /// What a [`serve`] session did, returned after the input stream ends.
@@ -202,26 +223,31 @@ impl<W: Write> Output<W> {
     }
 }
 
-/// Per-session response state shared between the intake loop and the
-/// pool's result sink: the latched line writer, the set of `(shape,
-/// seed)` pairs whose Groth16 key line already streamed, and the
-/// jobs/verified counters feeding the session summary.
+/// One client session: its response plumbing — the latched line writer,
+/// the set of `(shape, seed)` pairs whose Groth16 key line already
+/// streamed, the jobs/verified counters feeding the summary — and its
+/// cancellation/backpressure scope. Shared between the session's intake
+/// loop and the pool's result sink.
 ///
 /// The sent-key set (rather than the result's `cache_hit` flag) decides
 /// key emission: with a byte-bounded cache a shape can be evicted and
 /// re-set-up, which would re-announce the key mid-session otherwise —
 /// and each socket session needs its own announcement state anyway.
-pub(crate) struct SessionOut<W: Write> {
+pub(crate) struct Session<W: Write> {
     pub(crate) out: Output<W>,
+    pub(crate) ctl: Arc<SessionCtl>,
     sent_keys: Mutex<HashSet<([u8; 32], u64)>>,
-    pub(crate) jobs: AtomicUsize,
-    pub(crate) verified: AtomicUsize,
+    jobs: AtomicUsize,
+    verified: AtomicUsize,
 }
 
-impl<W: Write> SessionOut<W> {
-    pub(crate) fn new(writer: W) -> Self {
-        SessionOut {
+impl<W: Write> Session<W> {
+    /// A session writing to `writer`, admitting at most `bound` of its
+    /// own jobs in flight; `id` tags its results for sink routing.
+    pub(crate) fn new(writer: W, id: u64, bound: usize) -> Self {
+        Session {
             out: Output::new(writer),
+            ctl: Arc::new(SessionCtl::new(id, bound)),
             sent_keys: Mutex::new(HashSet::new()),
             jobs: AtomicUsize::new(0),
             verified: AtomicUsize::new(0),
@@ -231,7 +257,10 @@ impl<W: Write> SessionOut<W> {
     /// Streams one job result to this session: the `key` line first if
     /// this is the session's first Groth16 result for its `(shape,
     /// seed)` (persisting the vk to `disk` best-effort), then the
-    /// `result` line; updates the session counters.
+    /// `result` line; updates the session counters. A write that fails
+    /// (the consumer is gone) cancels the session's remaining jobs right
+    /// here, from the pool's sink, so they drain instead of proving into
+    /// the void.
     pub(crate) fn emit_result(
         &self,
         cache: &KeyCache,
@@ -280,18 +309,19 @@ impl<W: Write> SessionOut<W> {
             self.verified.fetch_add(1, Ordering::Relaxed);
         }
         self.out.emit(&result_line(result, include_proofs));
+        if self.out.is_broken() {
+            self.ctl.cancel();
+        }
     }
 
     /// Renders and emits the session `summary` line; `session` tags it
-    /// for multi-session transports, `extra` appends transport-specific
-    /// fields (already comma-prefixed).
-    pub(crate) fn emit_summary(
+    /// for multi-session transports.
+    fn emit_summary(
         &self,
         session: Option<u64>,
         rejected: usize,
         cache: &KeyCache,
         wall_s: f64,
-        extra: &str,
     ) -> ServeSummary {
         let jobs = self.jobs.load(Ordering::Relaxed);
         let verified = self.verified.load(Ordering::Relaxed);
@@ -307,7 +337,7 @@ impl<W: Write> SessionOut<W> {
             None => String::new(),
         };
         self.out.emit(&format!(
-            "{{\"type\":\"summary\",{session}\"jobs\":{},\"verified\":{},\"failed\":{},\"rejected\":{},\"cache_hits\":{},\"cache_misses\":{},\"wall_s\":{:.3}{extra}}}",
+            "{{\"type\":\"summary\",{session}\"jobs\":{},\"verified\":{},\"failed\":{},\"rejected\":{},\"cache_hits\":{},\"cache_misses\":{},\"wall_s\":{:.3}}}",
             summary.jobs,
             summary.verified,
             summary.failed,
@@ -322,7 +352,7 @@ impl<W: Write> SessionOut<W> {
 
 /// Renders the session `ready` line: the protocol handshake every
 /// transport opens with.
-pub(crate) fn ready_line(session: Option<u64>, workers: usize, seed: u64, bound: usize) -> String {
+fn ready_line(session: Option<u64>, workers: usize, seed: u64, bound: usize) -> String {
     let session = match session {
         Some(id) => format!("\"session\":{id},"),
         None => String::new(),
@@ -333,22 +363,246 @@ pub(crate) fn ready_line(session: Option<u64>, workers: usize, seed: u64, bound:
     )
 }
 
-/// Runs the serve loop over `input`/`output` until `input` reaches EOF,
+/// What every session's intake is run with.
+pub(crate) struct SessionParams {
+    /// The serve settings plus the listener policies (which the stdin
+    /// session switches off).
+    pub(crate) net: NetConfig,
+    /// The memoised `--analyze-on-compile` verdict cache (shared across a
+    /// listener's sessions), when the pre-flight is enabled.
+    preflight: Option<Preflight>,
+    /// A listener connection: its `ready`/`summary` lines carry the
+    /// session id, and a `worker_register` line turns it into a remote
+    /// worker. The stdin session does neither.
+    listener: bool,
+}
+
+impl SessionParams {
+    pub(crate) fn new(net: NetConfig, listener: bool) -> Self {
+        SessionParams {
+            preflight: net.serve.analyze_on_compile.then(Preflight::new),
+            net,
+            listener,
+        }
+    }
+}
+
+/// How a session's intake ended.
+pub(crate) enum SessionEnd {
+    /// The input reached EOF (stdin closed, or a socket client
+    /// half-closed its write side): the orderly goodbye.
+    Eof,
+    /// The server-wide shutdown flag was raised.
+    Shutdown,
+    /// The peer vanished: the response stream broke (`None`), or reading
+    /// the input failed with the carried error. The session's remaining
+    /// jobs were cancelled.
+    Disconnected(Option<io::Error>),
+    /// The idle timeout fired with nothing in flight.
+    ReapedIdle,
+    /// A listener connection announced itself as a remote worker with
+    /// this capacity. Nothing was drained or summarised: the caller owns
+    /// the rest of the stream.
+    Worker(usize),
+}
+
+/// One session's whole life on any transport: the `ready` handshake,
+/// request intake (line rejects, the `:xN` bound, admission, pre-flight,
+/// submission under the session's and the queue's backpressure), then the
+/// drain of every accepted job and the `summary` line. `session` must
+/// already be where the pool's sink finds it. Request problems are
+/// answered in-stream and only counted here; returns the session totals,
+/// how intake ended, and the requests shed by the admission bound.
+pub(crate) fn run_session<R: BufRead, W: Write>(
+    reader: &mut R,
+    session: &Session<W>,
+    pool: &ProvingPool,
+    cache: &KeyCache,
+    params: &SessionParams,
+    shutdown: &AtomicBool,
+) -> (ServeSummary, SessionEnd, usize) {
+    let started = Instant::now();
+    let (net, serve) = (&params.net, &params.net.serve);
+    let tag = params.listener.then(|| session.ctl.id());
+    let answer =
+        |id_json: Option<&str>, error: Error| session.out.emit(&error_line(id_json, &error));
+    let mut rejected = 0usize;
+    let mut reject = |id_json: Option<&str>, error: Error| {
+        rejected += 1;
+        answer(id_json, error);
+    };
+    let (workers, bound) = (serve.workers.max(1), serve.queue_bound);
+    session
+        .out
+        .emit(&ready_line(tag, workers, serve.seed, bound));
+
+    // One stateful reader across ticks: a read timeout mid-line must not
+    // tear the partial request (see `wire::LineReader`).
+    let mut lines = LineReader::new(serve.max_request_bytes);
+    let mut shed = 0usize;
+    let mut last_activity = Instant::now();
+    let mut end = loop {
+        if shutdown.load(Ordering::SeqCst) {
+            break SessionEnd::Shutdown;
+        }
+        if session.out.is_broken() {
+            session.ctl.cancel();
+            break SessionEnd::Disconnected(None);
+        }
+        let line = match lines.read_line(reader) {
+            Ok(None) => break SessionEnd::Eof,
+            Ok(Some(Ok(line))) => line,
+            Ok(Some(Err(unreadable))) => {
+                last_activity = Instant::now();
+                let error = match unreadable {
+                    LineReject::TooLarge(actual) => Error::RequestTooLarge {
+                        actual,
+                        limit: serve.max_request_bytes,
+                    },
+                    LineReject::NotUtf8 => Error::Request("request line is not valid UTF-8".into()),
+                };
+                reject(None, error);
+                continue;
+            }
+            Err(e) if is_poll_tick(&e) => {
+                // Reap only truly idle sessions: a client quietly waiting
+                // for a deep queue of its own jobs is not idle.
+                if let Some(idle) = net.idle_timeout {
+                    if last_activity.elapsed() >= idle && session.ctl.in_flight() == 0 {
+                        let error = Error::Request(format!(
+                            "idle for {}s with no in-flight jobs, closing session",
+                            idle.as_secs()
+                        ));
+                        answer(None, error);
+                        break SessionEnd::ReapedIdle;
+                    }
+                }
+                continue;
+            }
+            Err(e) => {
+                session.ctl.cancel();
+                break SessionEnd::Disconnected(Some(e));
+            }
+        };
+        last_activity = Instant::now();
+        let line = line.trim();
+        if line.is_empty() {
+            continue;
+        }
+        if params.listener {
+            match parse_worker_register(line) {
+                Some(Ok(capacity)) => {
+                    return (ServeSummary::default(), SessionEnd::Worker(capacity), shed);
+                }
+                Some(Err(reason)) => {
+                    reject(None, Error::Request(reason));
+                    continue;
+                }
+                None => {}
+            }
+        }
+        let request = match parse_request(line) {
+            Ok(request) => request,
+            Err((error, id_json)) => {
+                reject(id_json.as_deref(), error);
+                continue;
+            }
+        };
+        let id_json = request.id_json.as_deref();
+        // The repetition count is bounded by the queue: one tiny `:xN`
+        // line must not be able to commit the server to an unbounded
+        // amount of proving (the request-size bound would be meaningless
+        // otherwise).
+        if request.count > bound {
+            let error = Error::Request(format!(
+                "repetition count {} exceeds the queue bound {bound} (send more lines instead)",
+                request.count
+            ));
+            reject(id_json, error);
+            continue;
+        }
+        // Overload shedding: refuse the whole request up front when
+        // admitting it would push the pool past the global bound. The
+        // refusal is a terminal answer (code 3 with a retry hint), never a
+        // queued job — a shed request does not exist as far as the drain
+        // path is concerned. The check is admission-time-only and races
+        // benignly with other sessions: the bound is a load shed, not a
+        // hard capacity invariant.
+        if net
+            .admission_bound
+            .is_some_and(|bound| pool.in_flight() + request.count > bound)
+        {
+            shed += 1;
+            let retry_after_ms = net.retry_after_ms;
+            answer(id_json, Error::Shed { retry_after_ms });
+            continue;
+        }
+        let seed = request.seed.unwrap_or(serve.seed);
+        if let Some(preflight) = &params.preflight {
+            if let Err(reason) = preflight.check(&request.spec, seed) {
+                reject(id_json, Error::Request(reason));
+                continue;
+            }
+        }
+        let priority = request.priority.unwrap_or(request.spec.priority());
+        let deadline = request.deadline_ms.map(Duration::from_millis);
+        for _ in 0..request.count {
+            // A session cancelled mid-request (peer died while we were
+            // blocked on its own bound) stops submitting; the drain below
+            // settles what was already accepted.
+            if session.ctl.is_cancelled() {
+                break;
+            }
+            pool.submit(
+                request.spec,
+                JobOptions::new()
+                    .seed(seed)
+                    .priority(priority)
+                    .tag_opt(request.id_json.clone())
+                    .session(Arc::clone(&session.ctl))
+                    .deadline_opt(deadline),
+            );
+        }
+    };
+
+    // Settle every accepted job before summarising: results flow through
+    // the pool sink into this session's writer; `drain` returns only
+    // once the last one has been fully emitted. If the peer is gone the
+    // first failed write latches the output broken, the sink cancels the
+    // session, and the remaining jobs drain unproved — so this never
+    // waits on proofs nobody will read.
+    session.ctl.drain();
+    if matches!(end, SessionEnd::Eof) && session.out.is_broken() {
+        end = SessionEnd::Disconnected(None);
+    }
+    let summary = session.emit_summary(tag, rejected, cache, started.elapsed().as_secs_f64());
+    (summary, end, shed)
+}
+
+/// Runs one session over `input`/`output` until `input` reaches EOF,
 /// then drains the pool, writes the `summary` line, and returns the
-/// totals. Fatal errors are I/O errors on the streams themselves; request
-/// problems are answered in-stream and never returned.
-// The loop owns its config for its whole run; callers hand it over.
-#[allow(clippy::needless_pass_by_value)]
+/// totals. Fatal errors are I/O errors on the streams themselves (a
+/// consumer that hangs up cancels what is still queued); request problems
+/// are answered in-stream and never returned.
 pub fn serve<R: BufRead, W: Write + Send + 'static>(
     mut input: R,
     output: W,
     config: ServeConfig,
 ) -> Result<ServeSummary, Error> {
-    let started = Instant::now();
-    let session = Arc::new(SessionOut::new(output));
+    // The stdin session is a listener session with the listener policies
+    // off: no idle reap, no shedding, and a session bound that can never
+    // bind before the pool's `queue_bound` does.
+    let net = NetConfig {
+        serve: config,
+        idle_timeout: None,
+        session_bound: usize::MAX,
+        admission_bound: None,
+        retry_after_ms: 0,
+    };
+    let params = SessionParams::new(net, false);
+    let config = &params.net.serve;
+    let session = Arc::new(Session::new(output, 0, params.net.session_bound));
     let cache = Arc::new(config.build_cache());
-    let preflight = config.analyze_on_compile.then(Preflight::new);
-
     let sink: ResultSink = {
         let session = Arc::clone(&session);
         let cache = Arc::clone(&cache);
@@ -358,101 +612,14 @@ pub fn serve<R: BufRead, W: Write + Send + 'static>(
             session.emit_result(&cache, disk.as_ref(), include_proofs, result);
         })
     };
+    let pool = config.build_pool(&cache, sink);
 
-    let pool = ProvingPool::configured(
-        PoolConfig::new(config.workers)
-            .seed(config.seed)
-            .queue_bound(config.queue_bound)
-            .retain_results(false),
-        Arc::clone(&cache),
-        Some(sink),
-    );
-
-    session.out.emit(&ready_line(
-        None,
-        config.workers.max(1),
-        config.seed,
-        config.queue_bound,
-    ));
-
-    let mut rejected = 0usize;
-    loop {
-        if session.out.is_broken() {
-            // The consumer hung up; stop reading, drain, and report below.
-            break;
-        }
-        match read_bounded_line(&mut input, config.max_request_bytes) {
-            Ok(None) => break, // EOF: orderly shutdown
-            Ok(Some(Err(LineReject::TooLarge(actual)))) => {
-                rejected += 1;
-                let error = Error::RequestTooLarge {
-                    actual,
-                    limit: config.max_request_bytes,
-                };
-                session.out.emit(&error_line(None, &error));
-            }
-            Ok(Some(Err(LineReject::NotUtf8))) => {
-                rejected += 1;
-                let error = Error::Request("request line is not valid UTF-8".into());
-                session.out.emit(&error_line(None, &error));
-            }
-            Ok(Some(Ok(line))) => {
-                let line = line.trim();
-                if line.is_empty() {
-                    continue;
-                }
-                match parse_request(line) {
-                    // The repetition count is bounded by the queue: one
-                    // tiny `:xN` line must not be able to commit the
-                    // server to an unbounded amount of proving (the
-                    // request-size bound would be meaningless otherwise).
-                    Ok(request) if request.count > config.queue_bound => {
-                        rejected += 1;
-                        let error = Error::Request(format!(
-                            "repetition count {} exceeds the queue bound {} (send more lines instead)",
-                            request.count, config.queue_bound
-                        ));
-                        session
-                            .out
-                            .emit(&error_line(request.id_json.as_deref(), &error));
-                    }
-                    Ok(request) => {
-                        let seed = request.seed.unwrap_or(config.seed);
-                        if let Some(preflight) = &preflight {
-                            if let Err(reason) = preflight.check(&request.spec, seed) {
-                                rejected += 1;
-                                let error = Error::Request(reason);
-                                session
-                                    .out
-                                    .emit(&error_line(request.id_json.as_deref(), &error));
-                                continue;
-                            }
-                        }
-                        let priority = request.priority.unwrap_or(request.spec.priority());
-                        let deadline = request.deadline_ms.map(Duration::from_millis);
-                        for _ in 0..request.count {
-                            pool.submit(
-                                request.spec,
-                                JobOptions::new()
-                                    .seed(seed)
-                                    .priority(priority)
-                                    .tag_opt(request.id_json.clone())
-                                    .deadline_opt(deadline),
-                            );
-                        }
-                    }
-                    Err((error, id_json)) => {
-                        rejected += 1;
-                        session.out.emit(&error_line(id_json.as_deref(), &error));
-                    }
-                }
-            }
-            Err(e) => return Err(Error::io("<serve input>", e)),
-        }
-    }
-
+    let never = AtomicBool::new(false);
+    let (summary, end, _) = run_session(&mut input, &session, &pool, &cache, &params, &never);
     pool.join();
-    let summary = session.emit_summary(None, rejected, &cache, started.elapsed().as_secs_f64(), "");
+    if let SessionEnd::Disconnected(Some(e)) = end {
+        return Err(Error::io("<serve input>", e));
+    }
     if let Some(e) = session.out.take_error() {
         return Err(Error::io("<serve output>", e));
     }
@@ -464,6 +631,7 @@ mod tests {
     use super::*;
     use crate::wire::parse_json_object;
     use std::io::Cursor;
+    use std::sync::mpsc;
 
     #[derive(Clone, Default)]
     struct SharedBuf(Arc<Mutex<Vec<u8>>>);
@@ -552,6 +720,89 @@ mod tests {
         for line in &lines {
             parse_json_object(line).unwrap_or_else(|e| panic!("{line}: {e}"));
         }
+    }
+
+    /// Input that signals when intake has read it to the end, and a
+    /// consumer that hangs up on its first `result` line — but only after
+    /// that signal, so every request is queued before the pipe breaks.
+    struct SignalEof(Cursor<Vec<u8>>, Option<mpsc::Sender<()>>);
+    struct HangsUpOnFirstResult(mpsc::Receiver<()>);
+
+    impl io::Read for SignalEof {
+        fn read(&mut self, _buf: &mut [u8]) -> io::Result<usize> {
+            unreachable!("BufRead only")
+        }
+    }
+
+    impl BufRead for SignalEof {
+        fn fill_buf(&mut self) -> io::Result<&[u8]> {
+            let chunk = self.0.fill_buf()?;
+            if chunk.is_empty() {
+                self.1.take().map(|tx| tx.send(()));
+            }
+            Ok(chunk)
+        }
+        fn consume(&mut self, amt: usize) {
+            self.0.consume(amt);
+        }
+    }
+
+    impl Write for HangsUpOnFirstResult {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if String::from_utf8_lossy(buf).contains("\"type\":\"result\"") {
+                self.0.recv().expect("intake reaches EOF");
+                return Err(io::Error::new(io::ErrorKind::BrokenPipe, "consumer gone"));
+            }
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn eight_jobs_into_a_closing_pipe() -> (SignalEof, HangsUpOnFirstResult) {
+        let input: String = (0..8)
+            .map(|i| format!("{{\"spec\": \"2x2x2:zkvc:s\", \"id\": {i}}}\n"))
+            .collect();
+        let (tx, rx) = mpsc::channel();
+        (
+            SignalEof(Cursor::new(input.into_bytes()), Some(tx)),
+            HangsUpOnFirstResult(rx),
+        )
+    }
+
+    #[test]
+    fn a_closed_stdout_cancels_the_stdin_backlog() {
+        // `zkvc serve | head -1`: one worker, eight queued jobs, and a
+        // consumer that is gone by the first result. The caller sees the
+        // output error...
+        let (input, output) = eight_jobs_into_a_closing_pipe();
+        match serve(input, output, ServeConfig::new(1)) {
+            Err(Error::Io { path, .. }) => assert_eq!(path.to_str(), Some("<serve output>")),
+            other => panic!("expected the output I/O error, got {other:?}"),
+        }
+
+        // ...and the backlog was cancelled from the result sink, not
+        // proved into the void: the same session with a pool that keeps
+        // its results shows at most the in-flight job(s) proved.
+        let (mut input, output) = eight_jobs_into_a_closing_pipe();
+        let params = SessionParams::new(NetConfig::new(ServeConfig::new(1)), false);
+        let session = Arc::new(Session::new(output, 0, usize::MAX));
+        let cache = Arc::new(params.net.serve.build_cache());
+        let sink: ResultSink = {
+            let (session, cache) = (Arc::clone(&session), Arc::clone(&cache));
+            Arc::new(move |r: &JobResult| session.emit_result(&cache, None, true, r))
+        };
+        let pool = ProvingPool::configured(PoolConfig::new(1), Arc::clone(&cache), Some(sink));
+        let never = AtomicBool::new(false);
+        let (summary, end, _) = run_session(&mut input, &session, &pool, &cache, &params, &never);
+        let report = pool.join();
+        assert!(matches!(end, SessionEnd::Disconnected(None)));
+        assert_eq!(report.results.len(), 8, "every accepted job is answered");
+        let proved = report.results.iter().filter(|r| r.verified).count();
+        assert!((1..=2).contains(&proved), "{proved} jobs proved");
+        assert_eq!(report.cancelled_jobs(), 8 - proved);
+        assert_eq!((summary.jobs, summary.verified), (8, proved));
     }
 
     #[test]

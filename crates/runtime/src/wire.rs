@@ -109,13 +109,15 @@ impl LineReader {
     }
 }
 
-/// One-shot [`LineReader::read_line`] for streams without timeouts (the
-/// stdin serve loop): reads one request line of at most `max` bytes.
-pub fn read_bounded_line<R: BufRead>(
-    input: &mut R,
-    max: usize,
-) -> io::Result<Option<Result<String, LineReject>>> {
-    LineReader::new(max).read_line(input)
+/// `true` when a read error is the poll tick of a stream with a read
+/// deadline (or a signal interrupting the read), not a failure: the
+/// [`LineReader`] kept its partial-line state, so the caller checks its
+/// flags and reads again.
+pub(crate) fn is_poll_tick(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
+    )
 }
 
 /// One parsed request line.
@@ -875,27 +877,29 @@ mod tests {
     fn bounded_reader_discards_whole_oversized_lines() {
         let long = format!("{}\nshort\n", "a".repeat(200));
         let mut input = Cursor::new(long.into_bytes());
-        match read_bounded_line(&mut input, 64).unwrap() {
+        let mut reader = LineReader::new(64);
+        match reader.read_line(&mut input).unwrap() {
             Some(Err(LineReject::TooLarge(total))) => assert_eq!(total, 200),
             other => panic!("expected oversize, got {other:?}"),
         }
         // The stream is still line-aligned: the next read sees "short".
         assert_eq!(
-            read_bounded_line(&mut input, 64).unwrap(),
+            reader.read_line(&mut input).unwrap(),
             Some(Ok("short".to_string()))
         );
-        assert_eq!(read_bounded_line(&mut input, 64).unwrap(), None);
+        assert_eq!(reader.read_line(&mut input).unwrap(), None);
     }
 
     #[test]
     fn bounded_reader_rejects_invalid_utf8() {
         let mut input = Cursor::new(b"\xff\xfe bad bytes\nok\n".to_vec());
+        let mut reader = LineReader::new(64);
         assert_eq!(
-            read_bounded_line(&mut input, 64).unwrap(),
+            reader.read_line(&mut input).unwrap(),
             Some(Err(LineReject::NotUtf8))
         );
         assert_eq!(
-            read_bounded_line(&mut input, 64).unwrap(),
+            reader.read_line(&mut input).unwrap(),
             Some(Ok("ok".to_string()))
         );
     }

@@ -11,37 +11,32 @@
 //! produced itself, and client reports stay byte-diffable however jobs
 //! are placed.
 //!
-//! Proving replicates [`crate::pool`]'s job execution exactly: the same
-//! statement construction, the same per-job prover-rng derivation, the
-//! same keyless envelope bytes, the same acceptance predicate. A panic
-//! or deadline inside a job is contained and reported as a typed
-//! `job_failed` line; it never takes the connection down.
+//! Proving runs the same job body the pool's local workers run
+//! (`crate::job`), looking its keys up by the leased shape digest. A
+//! panic or deadline inside a job is contained there and reported as a
+//! typed `job_failed` line; it never takes the connection down.
 
 use std::io::BufReader;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use zkvc_core::api::generate_witness_for;
 use zkvc_core::Backend;
 use zkvc_ff::Fr;
 use zkvc_r1cs::CompiledShape;
 
 use crate::cache::KeyCache;
 use crate::codec::{decode_shape_expecting, SERVE_PROTO};
+use crate::job::{self, StopWhen};
 use crate::net::{AnyStream, ListenAddr};
-use crate::pool::{build_statement, envelope_verifies};
-use crate::serial::ProofEnvelope;
+use crate::pool::JobError;
 use crate::serve::Output;
 use crate::spec::JobSpec;
 use crate::wire::{
-    heartbeat_line, job_done_line, job_failed_line, parse_coord_msg, worker_register_line,
-    CoordMsg, LineReader,
+    heartbeat_line, is_poll_tick, job_done_line, job_failed_line, parse_coord_msg,
+    worker_register_line, CoordMsg, LineReader,
 };
 use crate::Error;
 
@@ -249,13 +244,7 @@ pub fn run_worker(config: &WorkerConfig) -> Result<WorkerSummary, Error> {
             Ok(Some(Err(reject))) => {
                 return Err(Error::Request(format!("unreadable line: {reject:?}")));
             }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock
-                        | std::io::ErrorKind::TimedOut
-                        | std::io::ErrorKind::Interrupted
-                ) => {}
+            Err(e) if is_poll_tick(&e) => {}
             Err(e) => {
                 drop(job_tx);
                 for handle in executors {
@@ -293,13 +282,7 @@ fn read_line_blocking(
             Ok(Some(Err(reject))) => {
                 return Err(Error::Request(format!("unreadable line: {reject:?}")));
             }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock
-                        | std::io::ErrorKind::TimedOut
-                        | std::io::ErrorKind::Interrupted
-                ) => {}
+            Err(e) if is_poll_tick(&e) => {}
             Err(e) => return Err(Error::io("read from coordinator", e)),
         }
     }
@@ -342,112 +325,35 @@ fn run_executor(ctx: &ExecCtx, jobs: &Mutex<Receiver<WorkOrder>>) {
     }
 }
 
-/// Proves one leased job, replicating the pool's execution byte for
-/// byte, and renders the `job_done` line. Errors carry the `(kind,
-/// detail)` pair for `job_failed`.
+/// Proves one leased job through the job body and renders the
+/// `job_done` line. Errors carry the `(kind, detail)` pair for
+/// `job_failed`.
 fn prove_order(cache: &KeyCache, order: &WorkOrder) -> Result<String, (&'static str, String)> {
-    if order
-        .deadline
-        .is_some_and(|deadline| Instant::now() >= deadline)
-    {
-        return Err(("deadline_exceeded", "deadline passed before start".into()));
-    }
     let (spec, _count) = JobSpec::parse(&order.spec)
         .map_err(|e| ("bad_spec", format!("unparseable job spec: {e}")))?;
-
-    // Cooperative deadline: kernel checkpoints abort mid-prove, exactly
-    // as the pool's local workers do.
-    let check: zkvc_ff::cancel::CancelCheck = {
-        let deadline = order.deadline;
-        Arc::new(move || deadline.is_some_and(|d| Instant::now() >= d))
+    // Only the lease's deadline stops a remote job: cancellation reaches
+    // a worker as a dropped connection, not as a flag.
+    let stop = StopWhen {
+        deadline: order.deadline,
+        cancelled: Arc::new(|| false),
     };
-
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let _cancel = zkvc_ff::cancel::install(check);
-        prove_inner(cache, order, spec)
-    }));
-    match outcome {
-        Ok(result) => result,
-        Err(payload) => {
-            if payload
-                .downcast_ref::<zkvc_ff::cancel::Cancelled>()
-                .is_some()
-            {
-                Err(("deadline_exceeded", "deadline hit mid-proof".into()))
-            } else {
-                let msg = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "opaque panic payload".into());
-                Err(("panicked", msg))
-            }
-        }
-    }
-}
-
-fn prove_inner(
-    cache: &KeyCache,
-    order: &WorkOrder,
-    spec: JobSpec,
-) -> Result<String, (&'static str, String)> {
-    let t0 = Instant::now();
-    let statement = build_statement(order.seed, order.statement_id, &spec);
-    let backend = spec.backend();
-
-    // The keys should already be resident from the shape the coordinator
-    // shipped; the template fallback keeps a worker correct even if a
-    // job somehow beats its shape line (it re-runs the shape pass the
-    // shipped bytes would have skipped).
-    let (keys, cache_hit) = match cache.get(&order.shape_digest, backend, order.seed) {
-        Some(keys) => (keys, true),
-        None => {
-            cache.get_or_setup_template(backend, order.seed, &spec.to_string(), statement.as_ref())
-        }
-    };
-    if keys.digest != order.shape_digest {
-        return Err((
-            "digest_mismatch",
-            format!(
-                "job digest {} != locally compiled {}",
-                crate::util::hex(&order.shape_digest),
-                crate::util::hex(&keys.digest)
-            ),
-        ));
-    }
-
-    let witness = generate_witness_for(statement.as_ref(), &keys.shape);
-    let build_time = t0.elapsed();
-
-    // Identical prover-rng derivation to the pool's run_job: same seed,
-    // same statement id, same constant — bit-identical proof bytes.
-    let mut prover_rng = StdRng::seed_from_u64(
-        order.seed ^ (order.statement_id as u64).wrapping_mul(0xD1B5_4A32_D192_ED03),
-    );
-    let system = backend.system();
-    let t2 = Instant::now();
-    crate::fault::fire_delay("pool.prove.delay");
-    let artifacts = system.prove_assignment(&keys.prover, &witness, &mut prover_rng);
-    let prove_time = t2.elapsed();
-    let num_constraints = artifacts.metrics.num_constraints;
-
-    let proof_bytes = ProofEnvelope::from_artifacts(&artifacts)
-        .without_vk()
-        .to_bytes();
-    let t3 = Instant::now();
-    let verified = envelope_verifies(&proof_bytes, &witness.instance, |envelope| {
-        envelope.verify_with_key(&keys.verifier)
-    });
-    let verify_time = t3.elapsed();
-
+    let (seed, id, leased) = (order.seed, order.statement_id, &order.shape_digest);
+    let proved = job::run(cache, &spec, seed, id, Some(leased), &stop).map_err(|e| {
+        let detail = match &e {
+            JobError::Panicked(message) => message.clone(),
+            other => other.to_string(),
+        };
+        (e.kind(), detail)
+    })?;
+    let ms = |d: Duration| d.as_secs_f64() * 1e3;
     Ok(job_done_line(
         order.lease,
-        verified,
-        cache_hit,
-        num_constraints,
-        build_time.as_secs_f64() * 1e3,
-        prove_time.as_secs_f64() * 1e3,
-        verify_time.as_secs_f64() * 1e3,
-        &proof_bytes,
+        proved.verified,
+        proved.cache_hit,
+        proved.num_constraints,
+        ms(proved.build_time),
+        ms(proved.prove_time),
+        ms(proved.verify_time),
+        &proved.proof_bytes,
     ))
 }

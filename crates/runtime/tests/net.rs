@@ -7,12 +7,12 @@
 use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
 use zkvc_runtime::{
-    serve_listener, AnyStream, Error, ListenAddr, NetConfig, NetSummary, ServeConfig,
+    serve, serve_listener, AnyStream, Error, ListenAddr, NetConfig, NetSummary, ServeConfig,
 };
 
 struct Server {
@@ -83,6 +83,20 @@ fn read_until_summary(reader: &mut impl BufRead) -> Vec<String> {
 
 fn count(lines: &[String], needle: &str) -> usize {
     lines.iter().filter(|l| l.contains(needle)).count()
+}
+
+/// An in-memory stdout for `serve()`.
+#[derive(Clone, Default)]
+struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+impl Write for SharedBuf {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
 }
 
 #[test]
@@ -288,19 +302,97 @@ fn shutdown_drains_every_accepted_job_and_summarises_open_sessions() {
         writeln!(writer, "{{\"spec\":\"4x4x4:vanilla:g\",\"id\":\"d-{i}\"}}").unwrap();
     }
     // Note: no shutdown_write — the connection stays open; only the
-    // server-side shutdown ends this session.
-    thread::sleep(Duration::from_millis(300)); // let intake parse all six
-    let reader = thread::spawn(move || read_until_summary(&mut BufReader::new(stream)));
+    // server-side shutdown ends this session. Intake answers lines in
+    // order, so once the rejected barrier line has its error, all six
+    // requests before it have been admitted.
+    writeln!(writer, "{{\"spec\":\"not-a-spec\",\"id\":\"barrier\"}}").unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut lines = Vec::new();
+    while count(&lines, "\"id\":\"barrier\"") == 0 {
+        let mut line = String::new();
+        assert_ne!(reader.read_line(&mut line).expect("read response"), 0);
+        lines.push(line.trim().to_string());
+    }
 
+    let reader = thread::spawn(move || read_until_summary(&mut reader));
     let totals = server.finish();
-    let lines = reader.join().expect("reader thread");
+    lines.extend(reader.join().expect("reader thread"));
     assert_eq!(count(&lines, "\"type\":\"result\""), 6, "{lines:?}");
     assert_eq!(count(&lines, "\"verified\":true"), 6, "{lines:?}");
     assert_eq!(count(&lines, "\"type\":\"summary\""), 1, "{lines:?}");
     assert!(lines.last().unwrap().contains("\"jobs\":6"), "{lines:?}");
     assert_eq!(totals.jobs, 6);
     assert_eq!(totals.verified, 6);
+    assert_eq!(totals.rejected, 1, "the barrier line never became a job");
     drop(writer);
+}
+
+/// A response line with everything a transport or a clock may
+/// legitimately change removed: the `session` tag, the worker index, and
+/// every `*_ms` / `wall_s` timing.
+fn transport_neutral(line: &str) -> String {
+    let body = line.trim().trim_start_matches('{').trim_end_matches('}');
+    let kept: Vec<&str> = body
+        .split(',')
+        .filter(|field| {
+            let key = field.split(':').next().unwrap_or("").trim_matches('"');
+            !(key == "session" || key == "worker" || key == "wall_s" || key.ends_with("_ms"))
+        })
+        .collect();
+    kept.join(",")
+}
+
+/// Results land when their proof does, so only the handshake and the
+/// summary have a fixed place; the lines in between compare as a set.
+fn canonical_transcript(lines: impl Iterator<Item = String>) -> Vec<String> {
+    let mut lines: Vec<String> = lines.map(|l| transport_neutral(&l)).collect();
+    let last = lines.len() - 1;
+    lines[1..last].sort();
+    lines
+}
+
+#[test]
+fn stdin_and_socket_sessions_give_the_same_transcript() {
+    // One session loop: a good request, malformed JSON, an unknown field,
+    // an oversized line and a `:x` count over the queue bound draw the
+    // same response lines from `serve()` over a pipe and from a
+    // unix-socket session.
+    let config = || {
+        ServeConfig::new(1)
+            .seed(7)
+            .queue_bound(8)
+            .max_request_bytes(256)
+    };
+    let input = format!(
+        concat!(
+            "{{\"spec\":\"2x2x2:zkvc:g\",\"id\":\"good\"}}\n",
+            "not json\n",
+            "{{\"spec\":\"2x2x2:zkvc:g\",\"id\":\"extra\",\"frobnicate\":true}}\n",
+            "{{\"spec\":\"2x2x2:zkvc:g\",\"id\":\"{}\"}}\n",
+            "{{\"spec\":\"2x2x2:zkvc:g:x9\",\"id\":\"flood\"}}\n",
+        ),
+        "x".repeat(400)
+    );
+
+    let piped = SharedBuf::default();
+    let summary = serve(input.as_bytes(), piped.clone(), config()).expect("stdin session");
+    assert_eq!((summary.verified, summary.rejected), (1, 4));
+    let piped = String::from_utf8(piped.0.lock().unwrap().clone()).unwrap();
+    let piped = canonical_transcript(piped.lines().map(str::to_string));
+
+    let server = Server::start_unix("parity", NetConfig::new(config()));
+    let stream = AnyStream::connect(&server.addr).expect("connect");
+    let mut writer = stream.try_clone().expect("clone");
+    writer.write_all(input.as_bytes()).unwrap();
+    writer.shutdown_write().unwrap();
+    let socket = read_until_summary(&mut BufReader::new(stream));
+    server.finish();
+    assert!(socket[0].contains("\"session\":1,"), "{socket:?}");
+    let socket = canonical_transcript(socket.into_iter());
+
+    // ready, key, result, four errors, summary.
+    assert_eq!(piped.len(), 8, "{piped:?}");
+    assert_eq!(piped, socket);
 }
 
 #[test]

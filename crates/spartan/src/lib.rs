@@ -11,10 +11,10 @@
 //! 4. a Bulletproofs-style inner-product argument opening that evaluation
 //!    against the witness commitment.
 //!
-//! Deviation from the original Spartan (documented in DESIGN.md, S2): the
-//! verifier evaluates the multilinear extensions of the public R1CS matrices
-//! directly (`O(nnz)` field work) instead of via SPARK sparse-polynomial
-//! commitments, so verification is linear in the matrix density rather than
+//! Deviation from the original Spartan: the verifier evaluates the
+//! multilinear extensions of the public R1CS matrices directly (`O(nnz)`
+//! field work) instead of via SPARK sparse-polynomial commitments, so
+//! verification is linear in the matrix density rather than
 //! poly-logarithmic. Prover cost — the quantity the paper's experiments
 //! measure — has the same profile as Spartan.
 //!
