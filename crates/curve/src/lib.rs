@@ -38,5 +38,5 @@ pub mod tune;
 
 pub use g1::{G1Affine, G1Projective};
 pub use group::{AffinePoint, CurveGroup};
-pub use msm::{msm, msm_serial, msm_window_parallel};
+pub use msm::{fold_bases, msm, msm_serial, msm_window_parallel};
 pub use pairing::{pairing, pairing_miller_loop, Gt};

@@ -364,6 +364,19 @@ impl<A: AffinePoint> BatchAffineBuckets<A> {
         pending.clear();
     }
 
+    /// Adds `points[i]` into bucket `i` for every `i`, as one batched round
+    /// (the lock-step use of the table by [`fold_bases`]).
+    fn add_each(&mut self, points: impl Iterator<Item = A>) {
+        self.jobs.clear();
+        self.denoms.clear();
+        for (i, p) in points.enumerate() {
+            if !p.is_identity() {
+                self.schedule(i as u32, p);
+            }
+        }
+        self.apply_batch();
+    }
+
     /// Phase A of a round: either resolve the addition immediately (empty
     /// bucket, or cancellation to the identity) or queue it with its slope
     /// denominator for the batched inversion.
@@ -448,6 +461,62 @@ impl<A: AffinePoint> BatchAffineBuckets<A> {
         }
         acc
     }
+}
+
+/// Folds `coeffs.len()` equal blocks of `bases` into one block with the
+/// same scalars for every output: `out[i] = sum_p coeffs[p] * bases[p*m + i]`
+/// where `m = bases.len() / coeffs.len()`.
+///
+/// This is the generator fold of a Bulletproofs-style inner-product
+/// argument after several rounds at once. The coefficients are recoded to
+/// non-adjacent form once; all `m` outputs then walk that one
+/// double-and-add schedule in lock-step, in affine coordinates, so every
+/// doubling or addition step shares a single batched inversion across the
+/// outputs. One cancellation checkpoint per scalar bit.
+///
+/// # Panics
+/// Panics if `coeffs` is empty or `bases.len()` is not a multiple of it.
+pub fn fold_bases<A: AffinePoint>(bases: &[A], coeffs: &[A::Scalar]) -> Vec<A> {
+    assert!(
+        !coeffs.is_empty() && bases.len().is_multiple_of(coeffs.len()),
+        "bases must split into one equal block per coefficient"
+    );
+    let m = bases.len() / coeffs.len();
+    let nafs: Vec<Vec<i8>> = coeffs.iter().map(|c| naf(&c.to_canonical())).collect();
+    let top = nafs.iter().map(Vec::len).max().unwrap_or(0);
+    let mut acc = BatchAffineBuckets::<A>::new(m);
+    for bit in (0..top).rev() {
+        cancel::checkpoint();
+        let doubled = acc.buckets.clone();
+        acc.add_each(doubled.into_iter());
+        for (block, naf) in bases.chunks(m).zip(nafs.iter()) {
+            match naf.get(bit) {
+                Some(1) => acc.add_each(block.iter().copied()),
+                Some(-1) => acc.add_each(block.iter().map(AffinePoint::neg_point)),
+                _ => {}
+            }
+        }
+    }
+    acc.buckets
+}
+
+/// Non-adjacent form of a canonical scalar, least significant digit first
+/// and without trailing zeros: digit `i` is `bit(3k, i+1) - bit(k, i+1)`.
+fn naf(k: &[u64; 4]) -> Vec<i8> {
+    let mut triple = [0u64; 5];
+    let mut carry = 0u128;
+    for (t, limb) in triple.iter_mut().zip(k.iter()) {
+        let v = u128::from(*limb) * 3 + carry;
+        *t = v as u64; // low 64 bits; the rest is the carry
+        carry = v >> 64;
+    }
+    triple[4] = carry as u64;
+    let bit = |limbs: &[u64], i: usize| limbs.get(i / 64).map_or(0, |l| (l >> (i % 64)) & 1) as i8;
+    let mut digits: Vec<i8> = (1..=257).map(|i| bit(&triple, i) - bit(k, i)).collect();
+    while digits.last() == Some(&0) {
+        digits.pop();
+    }
+    digits
 }
 
 /// Window width for the unsigned serial/window-parallel drivers (the seed
@@ -690,6 +759,54 @@ mod tests {
                     .iter()
                     .all(|&d| (d as i64) > -half && (d as i64) <= half));
             }
+        }
+    }
+
+    #[test]
+    fn naf_reconstructs_scalar_without_adjacent_digits() {
+        let mut rng = StdRng::seed_from_u64(6);
+        for case in 0..20 {
+            let s = match case {
+                0 => Fr::zero(),
+                1 => Fr::one(),
+                2 => -Fr::one(),
+                3 => Fr::from_u64(3),
+                _ => Fr::random(&mut rng),
+            };
+            let digits = naf(&s.to_canonical());
+            let value = digits.iter().rev().fold(Fr::zero(), |acc, d| {
+                acc.double() + Fr::from_i64(i64::from(*d))
+            });
+            assert_eq!(value, s, "case={case}");
+            assert!(digits.windows(2).all(|w| w[0] == 0 || w[1] == 0));
+            assert_ne!(digits.last(), Some(&0));
+        }
+    }
+
+    #[test]
+    fn fold_bases_matches_naive_block_sums() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut bases = random_bases(24, &mut rng);
+        bases[5] = G1Affine::identity();
+        // With unit coefficients and two blocks, output 1 adds a point to
+        // itself (the doubling branch) and output 2 to its negation.
+        bases[13] = bases[1];
+        bases[14] = bases[2].neg_point();
+        let expect = |coeffs: &[Fr]| -> Vec<G1Affine> {
+            let m = bases.len() / coeffs.len();
+            let block_sum = |i: usize| {
+                let column: Vec<G1Affine> = bases.iter().skip(i).step_by(m).copied().collect();
+                naive_msm(&column, coeffs).to_affine()
+            };
+            (0..m).map(block_sum).collect()
+        };
+        let units = [Fr::one(), Fr::one()];
+        assert_eq!(fold_bases(&bases, &units), expect(&units));
+        for k in [1usize, 2, 3, 8, 24] {
+            let mut coeffs: Vec<Fr> = (0..k).map(|_| Fr::random(&mut rng)).collect();
+            coeffs[k / 2] = Fr::zero();
+            coeffs[0] = Fr::one();
+            assert_eq!(fold_bases(&bases, &coeffs), expect(&coeffs), "k={k}");
         }
     }
 

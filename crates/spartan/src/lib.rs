@@ -1,22 +1,40 @@
 //! # zkvc-spartan
 //!
-//! A Spartan-style transparent zk-SNARK for R1CS (Setty, CRYPTO 2020),
+//! A Spartan-style transparent SNARK for R1CS (Setty, CRYPTO 2020),
 //! used as the `zkVC-S` backend of the paper. No trusted setup: the proof
 //! consists of
 //!
-//! 1. a Pedersen vector commitment to the witness,
+//! 1. a vector commitment `<w, G>` to the witness
+//!    ([`IpaGenerators::commit`], generators hashed from a label),
 //! 2. a degree-3 sum-check reducing `Az ∘ Bz - Cz = 0` to a random point,
 //! 3. a degree-2 sum-check reducing the three matrix-vector claims to one
 //!    evaluation of the assignment MLE, and
-//! 4. a Bulletproofs-style inner-product argument opening that evaluation
-//!    against the witness commitment.
+//! 4. a Bulletproofs-style inner-product argument ([`InnerProductProof`])
+//!    opening that evaluation against the witness commitment: `log n`
+//!    rounds, two group elements each.
 //!
-//! Deviation from the original Spartan: the verifier evaluates the
+//! Opening cost. A round needs `L = <a_L, g_R>`, `R = <a_R, g_L>` over
+//! generators folded as `g' = x^-1 * (g_L + x^2 * g_R)`. The prover keeps
+//! the factors `x^-1` and `x^2` in the MSM scalars and re-materialises the
+//! bases only every third round (one shared-scalar 8-block
+//! [`zkvc_curve::fold_bases`]), so opening a length-`n` vector costs three
+//! rounds of two `n/2`-point MSMs, one `n/8`-output fold, and an
+//! eighth of that per later stride; the verifier builds its `s` vector in
+//! `O(n)` and checks the opening with one `n`-point MSM over the
+//! generators and one `2 log n + 1`-point MSM over the proof's points and
+//! `Q`. Generator tables are derived once per process and label.
+//!
+//! Deviations from the original Spartan. (a) The verifier evaluates the
 //! multilinear extensions of the public R1CS matrices directly (`O(nnz)`
 //! field work) instead of via SPARK sparse-polynomial commitments, so
 //! verification is linear in the matrix density rather than
 //! poly-logarithmic. Prover cost — the quantity the paper's experiments
-//! measure — has the same profile as Spartan.
+//! measure — has the same profile as Spartan. (b) The commitment and its
+//! opening are **non-hiding**: there is no blinding generator,
+//! `prove_assignment` ignores its `rng`, and the sum-check messages are
+//! sent in the clear, so a proof is succinct and sound but not
+//! zero-knowledge. (c) The witness is committed as one length-`n` vector
+//! and opened with a linear-size IPA, not as a `√n x √n` matrix.
 //!
 //! ## Example
 //!
@@ -53,11 +71,9 @@
 #![warn(missing_docs)]
 
 mod ipa;
-mod pedersen;
 mod serial;
 mod snark;
 pub mod sumcheck;
 
 pub use ipa::{InnerProductProof, IpaGenerators};
-pub use pedersen::PedersenGenerators;
 pub use snark::{SpartanProof, SpartanProver, SpartanVerifier};

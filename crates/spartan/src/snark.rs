@@ -172,6 +172,8 @@ impl SpartanProver {
     /// Produces a proof from a flat instance/witness assignment against the
     /// preprocessed structure — the prove-many hot path: no constraint
     /// system, no matrix extraction, just the sum-checks and the opening.
+    /// Nothing is blinded, so `_rng` is never read and the proof is a
+    /// function of the assignment alone (see the crate docs).
     ///
     /// # Panics
     /// Panics if the assignment lengths differ from the preprocessed
