@@ -7,12 +7,14 @@
 use core::fmt;
 use core::iter::Sum;
 use core::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
+use std::sync::OnceLock;
 
 use rand::Rng;
 use zkvc_ff::fields::params;
 use zkvc_ff::{Field, Fq, Fr, PrimeField};
 
 use crate::group::{AffinePoint, CurveGroup};
+use crate::msm::FixedBaseTable;
 
 /// A point on `E(Fq)` in affine coordinates (or the point at infinity).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -54,6 +56,14 @@ impl G1Affine {
             y: Fq::from_canonical_reduced(params::G1_GENERATOR_Y),
             infinity: false,
         }
+    }
+
+    /// The process-wide [`FixedBaseTable`] of [`Self::generator`], built on
+    /// first use (a few milliseconds, ~280 KB) and shared by every Groth16
+    /// setup afterwards.
+    pub fn generator_table() -> &'static FixedBaseTable<G1Affine> {
+        static TABLE: OnceLock<FixedBaseTable<G1Affine>> = OnceLock::new();
+        TABLE.get_or_init(|| FixedBaseTable::new(&G1Affine::generator()))
     }
 
     /// Returns `true` iff this is the identity.

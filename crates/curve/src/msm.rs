@@ -80,9 +80,7 @@ pub fn msm_window_parallel<A: AffinePoint>(bases: &[A], scalars: &[A::Scalar]) -
         .iter()
         .map(zkvc_ff::PrimeField::to_canonical)
         .collect();
-    let n_threads = std::thread::available_parallelism()
-        .map_or(4, std::num::NonZero::get)
-        .min(windows.len());
+    let n_threads = zkvc_ff::par::num_threads().min(windows.len());
 
     let mut window_sums = vec![A::Projective::identity(); windows.len()];
     let chunk = windows.len().div_ceil(n_threads);
@@ -138,9 +136,52 @@ pub fn msm<A: AffinePoint>(bases: &[A], scalars: &[A::Scalar]) -> A::Projective 
 /// per available thread, shrunk so no chunk drops below ~`MIN_CHUNK`
 /// points (spawn + bucket-merge overhead dominates tiny chunks).
 pub(crate) fn default_num_chunks(n: usize) -> usize {
-    let threads = std::thread::available_parallelism().map_or(4, std::num::NonZero::get);
     const MIN_CHUNK: usize = 1 << 8;
-    threads.min(n.div_ceil(MIN_CHUNK)).max(1)
+    zkvc_ff::par::num_threads()
+        .min(n.div_ceil(MIN_CHUNK))
+        .max(1)
+}
+
+/// Runs `f` over `num_chunks` contiguous index ranges covering `0..n` and
+/// returns the results in range order: inline for a single chunk, one
+/// fresh thread per range otherwise.
+///
+/// Workers are fresh threads, so the caller's cancellation check (if any)
+/// is re-installed in each; handles are joined explicitly and panic
+/// payloads re-raised intact so a `cancel::Cancelled` marker thrown
+/// mid-kernel reaches the pool's catch site undisturbed.
+fn map_chunks<R: Send>(
+    n: usize,
+    num_chunks: usize,
+    f: impl Fn(core::ops::Range<usize>) -> R + Sync,
+) -> Vec<R> {
+    if num_chunks <= 1 || n == 0 {
+        return vec![f(0..n)];
+    }
+    let chunk_len = n.div_ceil(num_chunks);
+    let cancel_check = cancel::current();
+    let mut parts = Vec::with_capacity(num_chunks);
+    thread::scope(|s| {
+        let handles: Vec<_> = (0..n)
+            .step_by(chunk_len)
+            .map(|start| {
+                let cancel_check = cancel_check.clone();
+                let f = &f;
+                s.spawn(move |_| {
+                    let _guard = cancel_check.map(cancel::install);
+                    f(start..(start + chunk_len).min(n))
+                })
+            })
+            .collect();
+        for h in handles {
+            match h.join() {
+                Ok(part) => parts.push(part),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+    })
+    .expect("chunk scope failed");
+    parts
 }
 
 /// The chunk-parallel driver with an explicit chunk count and the window
@@ -165,47 +206,18 @@ pub(crate) fn msm_affine_with_window<A: AffinePoint>(
     num_chunks: usize,
     c: usize,
 ) -> A::Projective {
-    let n = bases.len();
     let num_windows = (A::Scalar::MODULUS_BITS as usize + 1).div_ceil(c);
-
-    if num_chunks <= 1 {
-        return combine_windows(&chunk_window_sums(bases, scalars, c, num_windows), c);
-    }
-
-    let chunk_len = n.div_ceil(num_chunks);
-    // Workers are fresh threads, so the caller's cancellation check (if
-    // any) is re-installed in each; handles are joined explicitly and
-    // panic payloads re-raised intact so a `cancel::Cancelled` marker
-    // thrown mid-window reaches the pool's catch site undisturbed.
-    let cancel_check = cancel::current();
-    let mut partials: Vec<Vec<A::Projective>> = Vec::with_capacity(num_chunks);
-    thread::scope(|s| {
-        let handles: Vec<_> = bases
-            .chunks(chunk_len)
-            .zip(scalars.chunks(chunk_len))
-            .map(|(b, sc)| {
-                let cancel_check = cancel_check.clone();
-                s.spawn(move |_| {
-                    let _guard = cancel_check.map(cancel::install);
-                    chunk_window_sums(b, sc, c, num_windows)
-                })
-            })
-            .collect();
-        for h in handles {
-            match h.join() {
-                Ok(part) => partials.push(part),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
+    let window_sums = map_chunks(bases.len(), num_chunks, |r| {
+        chunk_window_sums(&bases[r.clone()], &scalars[r], c, num_windows)
     })
-    .expect("msm scope failed");
-
-    let mut window_sums = vec![A::Projective::identity(); num_windows];
-    for part in &partials {
-        for (sum, p) in window_sums.iter_mut().zip(part.iter()) {
+    .into_iter()
+    .reduce(|mut sums, part| {
+        for (sum, p) in sums.iter_mut().zip(part.iter()) {
             *sum = sum.add(p);
         }
-    }
+        sums
+    })
+    .expect("at least one chunk");
     combine_windows(&window_sums, c)
 }
 
@@ -303,10 +315,15 @@ const MIN_BATCH: usize = 16;
 
 impl<A: AffinePoint> BatchAffineBuckets<A> {
     fn new(num_buckets: usize) -> Self {
+        Self::with_buckets(vec![A::identity(); num_buckets])
+    }
+
+    /// A table whose buckets start at the given points.
+    fn with_buckets(buckets: Vec<A>) -> Self {
         BatchAffineBuckets {
-            buckets: vec![A::identity(); num_buckets],
+            stamp: vec![0; buckets.len()],
+            buckets,
             overflow: None,
-            stamp: vec![0; num_buckets],
             round: 0,
             jobs: Vec::new(),
             denoms: Vec::new(),
@@ -365,7 +382,8 @@ impl<A: AffinePoint> BatchAffineBuckets<A> {
     }
 
     /// Adds `points[i]` into bucket `i` for every `i`, as one batched round
-    /// (the lock-step use of the table by [`fold_bases`]).
+    /// (the lock-step use of the table by [`fold_bases`] and
+    /// [`fixed_base_mul`]).
     fn add_each(&mut self, points: impl Iterator<Item = A>) {
         self.jobs.clear();
         self.denoms.clear();
@@ -498,6 +516,123 @@ pub fn fold_bases<A: AffinePoint>(bases: &[A], coeffs: &[A::Scalar]) -> Vec<A> {
         }
     }
     acc.buckets
+}
+
+/// Window width of a [`FixedBaseTable`]: signed radix-2^8 digits. A
+/// constant, not a tuned parameter — the table is built once per process
+/// and every key element of every shape walks the same schedule.
+const FIXED_WINDOW: usize = 8;
+
+/// Outputs of [`fixed_base_mul`] advance in blocks of this many, so the
+/// accumulators and digit columns of one block stay cache-resident and a
+/// long slice needs no more scratch than a short one.
+const FIXED_BLOCK: usize = 1 << 10;
+
+/// Precomputed multiples of one base point: for every signed radix-2^8
+/// window `w` of a scalar and every digit magnitude `d` in `1..=128`, the
+/// affine point `d * 2^(8w) * base`. For the 246-bit `Fr` that is
+/// 31 windows x 128 points (~280 KB), after which `s * base` is at most 31
+/// table lookups and additions — no doublings — for any `s`.
+#[derive(Clone, Debug)]
+pub struct FixedBaseTable<A: AffinePoint> {
+    /// `multiples[(d - 1) * WINDOWS + w] = d * 2^(8w) * base`.
+    multiples: Vec<A>,
+}
+
+impl<A: AffinePoint> FixedBaseTable<A> {
+    /// Signed windows per scalar; the extra bit leaves room for the final
+    /// digit carry, as in [`signed_digits`].
+    const WINDOWS: usize = (A::Scalar::MODULUS_BITS as usize + 1).div_ceil(FIXED_WINDOW);
+
+    /// Builds the table for `base`: the `d = 1` row by repeated doubling,
+    /// then rows `k+1..=2k` as rows `1..=k` plus row `k`, every row of a
+    /// step in one lock-step batch-affine round (seven inversions in all).
+    pub fn new(base: &A) -> Self {
+        let len = Self::WINDOWS << (FIXED_WINDOW - 1);
+        let mut multiples = Vec::with_capacity(len);
+        let mut shifted = base.to_projective();
+        for _ in 0..Self::WINDOWS {
+            multiples.push(shifted.to_affine());
+            for _ in 0..FIXED_WINDOW {
+                shifted = shifted.double();
+            }
+        }
+        while multiples.len() < len {
+            let top = multiples[multiples.len() - Self::WINDOWS..].to_vec();
+            let mut acc = BatchAffineBuckets::with_buckets(multiples.clone());
+            acc.add_each(top.iter().copied().cycle().take(multiples.len()));
+            multiples.append(&mut acc.buckets);
+        }
+        FixedBaseTable { multiples }
+    }
+
+    /// `digit * 2^(8 * window) * base` for a signed digit in `[-128, 128]`.
+    #[inline]
+    fn multiple(&self, window: usize, digit: i32) -> A {
+        let at = |d: i32| self.multiples[(d as usize - 1) * Self::WINDOWS + window];
+        match digit.cmp(&0) {
+            core::cmp::Ordering::Greater => at(digit),
+            core::cmp::Ordering::Less => at(-digit).neg_point(),
+            core::cmp::Ordering::Equal => A::identity(),
+        }
+    }
+
+    /// One chunk of [`fixed_base_mul`], serial: block by block, recode the
+    /// scalars to signed digits (column-major, so each window reads a
+    /// contiguous slice), then add every output's window-`w` table entry in
+    /// one batched round per window. One cancellation checkpoint per round.
+    fn mul_chunk(&self, scalars: &[A::Scalar]) -> Vec<A> {
+        let block_len = FIXED_BLOCK.min(scalars.len());
+        let mut out = Vec::with_capacity(scalars.len());
+        let mut acc = BatchAffineBuckets::<A>::new(block_len);
+        let mut digits = vec![0i32; Self::WINDOWS * block_len];
+        let mut row = vec![0i32; Self::WINDOWS];
+        for block in scalars.chunks(FIXED_BLOCK) {
+            let n = block.len();
+            for (i, s) in block.iter().enumerate() {
+                signed_digits(&s.to_canonical(), FIXED_WINDOW, &mut row);
+                for (w, &d) in row.iter().enumerate() {
+                    digits[w * n + i] = d;
+                }
+            }
+            for (w, column) in digits.chunks(n).take(Self::WINDOWS).enumerate() {
+                cancel::checkpoint();
+                acc.add_each(column.iter().map(|&d| self.multiple(w, d)));
+            }
+            out.extend_from_slice(&acc.buckets[..n]);
+            acc.buckets[..n].fill(A::identity());
+        }
+        out
+    }
+}
+
+/// Computes `scalars[i] * base` for every `i`, for the base `table` was
+/// built from; the results are born affine, in input order.
+///
+/// This is the Groth16 setup kernel: every CRS element is a multiple of
+/// the same generator, so instead of one double-and-add per element (~250
+/// doublings and ~120 additions) each output is the sum of at most 31
+/// table entries, one per signed radix-2^8 digit. All outputs of a block
+/// advance window by window in lock step, so each addition is a
+/// batch-affine one (~6 field multiplications) and no final normalisation
+/// pass exists. The slice is split across threads, at least one full block
+/// each: short slices come from pool workers that already fill the cores,
+/// where a spawn buys no time and costs resident memory (`cold_shapes`
+/// `peak_rss_mb` 8.5 vs 9.3 MiB). The result does not depend on the chunk
+/// count.
+pub fn fixed_base_mul<A: AffinePoint>(table: &FixedBaseTable<A>, scalars: &[A::Scalar]) -> Vec<A> {
+    let num_chunks = zkvc_ff::par::num_threads().min(scalars.len() / FIXED_BLOCK);
+    fixed_base_mul_with_chunks(table, scalars, num_chunks)
+}
+
+/// [`fixed_base_mul`] with an explicit chunk count (exposed to the tests so
+/// the multi-chunk path is exercised deterministically).
+fn fixed_base_mul_with_chunks<A: AffinePoint>(
+    table: &FixedBaseTable<A>,
+    scalars: &[A::Scalar],
+    num_chunks: usize,
+) -> Vec<A> {
+    map_chunks(scalars.len(), num_chunks, |r| table.mul_chunk(&scalars[r])).concat()
 }
 
 /// Non-adjacent form of a canonical scalar, least significant digit first
@@ -810,6 +945,137 @@ mod tests {
         }
     }
 
+    /// The oracle: one MSB-first double-and-add per scalar.
+    fn naive_fixed_base(base: &G1Affine, scalars: &[Fr]) -> Vec<G1Affine> {
+        let products: Vec<G1Projective> = scalars
+            .iter()
+            .map(|s| base.to_projective().mul_scalar(s))
+            .collect();
+        G1Projective::batch_to_affine(&products)
+    }
+
+    /// `n` full-width scalars in arithmetic progression with their
+    /// generator multiples, the latter from two naive multiplications and
+    /// one projective addition per element — an oracle cheap enough for
+    /// slices of a thousand in a debug build.
+    fn progression(n: usize, rng: &mut StdRng) -> (Vec<Fr>, Vec<G1Affine>) {
+        let (start, step) = (Fr::random(rng), Fr::random(rng));
+        let g = G1Projective::generator();
+        let (mut s, mut p, step_p) = (start, g.mul_scalar(&start), g.mul_scalar(&step));
+        let mut scalars = Vec::with_capacity(n);
+        let mut points = Vec::with_capacity(n);
+        for _ in 0..n {
+            scalars.push(s);
+            points.push(p);
+            s += step;
+            p = p.add(&step_p);
+        }
+        (scalars, G1Projective::batch_to_affine(&points))
+    }
+
+    fn pow2(bits: usize) -> Fr {
+        (0..bits).fold(Fr::one(), |p, _| p.double())
+    }
+
+    #[test]
+    fn fixed_base_mul_matches_naive_on_every_digit_edge() {
+        let table = G1Affine::generator_table();
+        let windows = FixedBaseTable::<G1Affine>::WINDOWS;
+        assert_eq!(windows, 31);
+        let mut scalars = vec![
+            Fr::zero(),
+            Fr::one(),
+            Fr::from_u64(2),
+            -Fr::one(),
+            -Fr::from_u64(2),
+        ];
+        // Around every window boundary: all-ones below it (a carry chain
+        // through every lower window, into the top one for k = 30), the
+        // boundary itself, and +half / just past +half of the window below.
+        for k in 1..windows {
+            scalars.push(pow2(8 * k) - Fr::one());
+            scalars.push(pow2(8 * k));
+            scalars.push(pow2(8 * k - 1));
+            scalars.push(pow2(8 * k - 1) + Fr::one());
+        }
+        let got = fixed_base_mul(table, &scalars);
+        assert_eq!(got, naive_fixed_base(&G1Affine::generator(), &scalars));
+        assert!(got[0].is_identity());
+        assert_eq!(got[1], G1Affine::generator());
+    }
+
+    #[test]
+    fn fixed_base_mul_degenerate_slices() {
+        // All-equal scalars keep every accumulator of a round on the same
+        // point; all-zero scalars give rounds with nothing to invert.
+        let table = G1Affine::generator_table();
+        let mut rng = StdRng::seed_from_u64(8);
+        let s = Fr::random(&mut rng);
+        let sg = naive_fixed_base(&G1Affine::generator(), &[s])[0];
+        assert_eq!(fixed_base_mul(table, &[s; 40]), vec![sg; 40]);
+        assert_eq!(
+            fixed_base_mul(table, &[Fr::zero(); 40]),
+            vec![G1Affine::identity(); 40]
+        );
+    }
+
+    #[test]
+    fn fixed_base_mul_lengths_around_chunk_and_block_boundaries() {
+        // Below, at and above one lock-step block, and the same around two
+        // blocks, where a second thread first gets a block of its own; plus
+        // empty and one.
+        let table = G1Affine::generator_table();
+        let mut rng = StdRng::seed_from_u64(9);
+        let (scalars, points) = progression(2 * FIXED_BLOCK + 1, &mut rng);
+        for n in [
+            0,
+            1,
+            FIXED_BLOCK - 1,
+            FIXED_BLOCK,
+            FIXED_BLOCK + 1,
+            2 * FIXED_BLOCK - 1,
+            2 * FIXED_BLOCK,
+            2 * FIXED_BLOCK + 1,
+        ] {
+            assert_eq!(fixed_base_mul(table, &scalars[..n]), points[..n], "n={n}");
+        }
+    }
+
+    #[test]
+    fn fixed_base_mul_is_independent_of_the_chunk_count() {
+        let table = G1Affine::generator_table();
+        let mut rng = StdRng::seed_from_u64(10);
+        let (scalars, points) = progression(700, &mut rng);
+        for chunks in [1usize, 2, 3] {
+            let got = fixed_base_mul_with_chunks(table, &scalars, chunks);
+            assert_eq!(got, points, "{chunks} chunks");
+        }
+        assert!(fixed_base_mul_with_chunks(table, &[], 3).is_empty());
+    }
+
+    #[test]
+    fn fixed_base_table_of_any_base_matches_naive() {
+        // Not only the generator: a random point (digits of both signs
+        // across windows) and the identity, whose table is all identities.
+        let mut rng = StdRng::seed_from_u64(11);
+        let base = G1Projective::random(&mut rng).to_affine();
+        let table = FixedBaseTable::new(&base);
+        for (w, d) in [(0usize, 1i32), (0, 128), (7, -77), (30, 64), (30, -1)] {
+            let s = Fr::from_i64(i64::from(d)) * pow2(8 * w);
+            assert_eq!(table.multiple(w, d), naive_fixed_base(&base, &[s])[0]);
+        }
+        let scalars: Vec<Fr> = (0..9).map(|_| Fr::random(&mut rng)).collect();
+        assert_eq!(
+            fixed_base_mul(&table, &scalars),
+            naive_fixed_base(&base, &scalars)
+        );
+        let at_infinity = FixedBaseTable::new(&G1Affine::identity());
+        assert_eq!(
+            fixed_base_mul(&at_infinity, &scalars),
+            vec![G1Affine::identity(); 9]
+        );
+    }
+
     #[test]
     fn extract_window_crosses_limbs() {
         let canon = [u64::MAX, 0b1011, 0, 0];
@@ -839,6 +1105,23 @@ mod tests {
             prop_assert_eq!(msm_serial(&bases, &scalars), expect);
             prop_assert_eq!(msm_window_parallel(&bases, &scalars), expect);
             prop_assert_eq!(msm_with_chunks(&bases, &scalars, 2), expect);
+        }
+
+        #[test]
+        fn prop_fixed_base_mul_equals_naive(seed in 0u64..u64::MAX, n in 0usize..40) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // Full-width scalars, with a few small and negated-small ones.
+            let scalars: Vec<Fr> = (0..n)
+                .map(|i| match i % 5 {
+                    3 => Fr::from_u64(seed >> (i % 64)),
+                    4 => -Fr::from_u64(seed >> (i % 64)),
+                    _ => Fr::random(&mut rng),
+                })
+                .collect();
+            let expect = naive_fixed_base(&G1Affine::generator(), &scalars);
+            let table = G1Affine::generator_table();
+            prop_assert_eq!(&fixed_base_mul(table, &scalars), &expect);
+            prop_assert_eq!(&fixed_base_mul_with_chunks(table, &scalars, 2), &expect);
         }
     }
 }

@@ -228,7 +228,7 @@ impl TuneProfile {
     pub fn static_profile() -> TuneProfile {
         TuneProfile {
             version: PROFILE_VERSION,
-            cores: available_cores(),
+            cores: zkvc_ff::par::num_threads(),
             msm: MsmParams::STATIC,
             fft: FftParams::STATIC,
             probes: Vec::new(),
@@ -477,11 +477,6 @@ impl ProbeConfig {
     }
 }
 
-/// Worker threads the dispatch layer would use on this host.
-fn available_cores() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
-}
-
 /// Median of a few wall-clock runs of `f`, in microseconds.
 fn median_us<R>(reps: usize, mut f: impl FnMut() -> R) -> u64 {
     let mut samples: Vec<u64> = (0..reps.max(1))
@@ -505,7 +500,7 @@ fn median_us<R>(reps: usize, mut f: impl FnMut() -> R) -> u64 {
 /// scales with `n`).
 #[must_use]
 pub fn calibrate(config: &ProbeConfig) -> TuneProfile {
-    let cores = available_cores();
+    let cores = zkvc_ff::par::num_threads();
     let mut msm = MsmParams::STATIC;
     let mut fft = FftParams::STATIC;
     let mut probes = Vec::new();

@@ -26,7 +26,7 @@
 pub mod arith;
 pub mod cancel;
 pub mod fp;
-pub(crate) mod par;
+pub mod par;
 pub mod traits;
 pub mod tune;
 

@@ -1,8 +1,11 @@
 //! Tiny scoped-thread helpers shared by the parallel polynomial kernels
 //! (FFT butterflies, multilinear folds, power distribution).
 
-/// Number of worker threads worth spawning on this machine.
-pub(crate) fn num_threads() -> usize {
+/// Number of worker threads worth spawning on this machine: the one
+/// answer every parallel kernel in the workspace (FFT, folds, MSM chunks,
+/// fixed-base batches, sum-check rounds) sizes itself by. A host that
+/// cannot report its parallelism gets one thread, not a guess.
+pub fn num_threads() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
 }
 

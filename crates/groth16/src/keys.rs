@@ -1,12 +1,23 @@
 //! Key material: the circuit-specific CRS (proving key + verifying key) and
 //! the proof object.
+//!
+//! [`setup_shape`] is the only way keys are made. It samples the toxic
+//! waste, builds the QAP domain once (it is kept in the [`ProvingKey`] for
+//! the prover), evaluates every QAP polynomial at `tau`, and turns the
+//! resulting scalar batches — `a_query`, `b_query`, `h_query`, `l_query`,
+//! `gamma_abc_g1` and the four singleton points — into group elements with
+//! [`zkvc_curve::fixed_base_mul`] over the process-wide generator table:
+//! about 31 batch-affine additions per element instead of a 246-bit
+//! double-and-add, with the points born affine. The keys are byte for byte
+//! those of the naive `g * s` (pinned in `tests/key_bytes_pinned.rs`; the
+//! naive form survives only as this module's test oracle).
 
 use std::sync::Arc;
 
 use rand::Rng;
-use zkvc_curve::{pairing, G1Affine, G1Projective, Gt};
+use zkvc_curve::{fixed_base_mul, pairing, G1Affine, Gt};
 use zkvc_ff::{Field, Fr};
-use zkvc_qap::evaluate_qap_at_point;
+use zkvc_qap::evaluate_qap_at_point_in;
 use zkvc_r1cs::CompiledShape;
 
 /// A Groth16 proof: three group elements, independent of circuit size.
@@ -173,7 +184,8 @@ impl ProvingKey {
 /// Runs the circuit-specific trusted setup against a compiled shape,
 /// producing a proving key and a verification key. This is the witness-free
 /// entry point: nothing here ever sees an assignment, only the CSR
-/// constraint matrices.
+/// constraint matrices. Group-side cost is one [`fixed_base_mul`] pass per
+/// query over the shared generator table (see the module docs).
 pub fn setup_shape<R: Rng + ?Sized>(
     shape: Arc<CompiledShape<Fr>>,
     rng: &mut R,
@@ -199,15 +211,11 @@ pub fn setup_shape<R: Rng + ?Sized>(
     let gamma_inv = gamma.inverse().expect("gamma != 0");
     let delta_inv = delta.inverse().expect("delta != 0");
 
-    let qap = evaluate_qap_at_point(matrices, &tau);
+    let h_domain = zkvc_qap::qap_domain::<Fr>(matrices.num_constraints())
+        .expect("constraint count exceeds the field's FFT capacity");
+    let qap = evaluate_qap_at_point_in(&h_domain, matrices, &tau);
     let num_vars = matrices.num_variables();
     let num_instance = matrices.num_instance;
-
-    let g = G1Projective::generator();
-
-    // scalar batches -> projective points -> batch normalize
-    let a_query_s: Vec<Fr> = qap.a.clone();
-    let b_query_s: Vec<Fr> = qap.b.clone();
 
     let mut gamma_abc_s = Vec::with_capacity(num_instance + 1);
     let mut l_query_s = Vec::with_capacity(num_vars - num_instance - 1);
@@ -230,22 +238,20 @@ pub fn setup_shape<R: Rng + ?Sized>(
         tau_pow *= tau;
     }
 
-    let to_affine = |scalars: &[Fr]| -> Vec<G1Affine> {
-        let projective: Vec<G1Projective> = scalars.iter().map(|s| g * *s).collect();
-        G1Projective::batch_to_affine(&projective)
+    // Every key element is a multiple of the one generator: scalar batches
+    // go through its fixed-base table and come back affine.
+    let in_g1 = |scalars: &[Fr]| fixed_base_mul(G1Affine::generator_table(), scalars);
+
+    let a_query = in_g1(&qap.a);
+    let b_query = in_g1(&qap.b);
+    let h_query = in_g1(&h_query_s);
+    let l_query = in_g1(&l_query_s);
+    let gamma_abc_g1 = in_g1(&gamma_abc_s);
+
+    let [alpha_g1, beta_g1, gamma_g2, delta_g1] = in_g1(&[alpha, beta, gamma, delta])[..] else {
+        unreachable!("one point per scalar");
     };
-
-    let a_query = to_affine(&a_query_s);
-    let b_query = to_affine(&b_query_s);
-    let h_query = to_affine(&h_query_s);
-    let l_query = to_affine(&l_query_s);
-    let gamma_abc_g1 = to_affine(&gamma_abc_s);
-
-    let alpha_g1 = (g * alpha).to_affine();
-    let beta_g1 = (g * beta).to_affine();
     let beta_g2 = beta_g1;
-    let gamma_g2 = (g * gamma).to_affine();
-    let delta_g1 = (g * delta).to_affine();
     let delta_g2 = delta_g1;
 
     let vk = VerifyingKey {
@@ -257,8 +263,6 @@ pub fn setup_shape<R: Rng + ?Sized>(
         alpha_beta_gt: pairing(&alpha_g1, &beta_g2),
     };
 
-    let h_domain = zkvc_qap::qap_domain::<Fr>(matrices.num_constraints())
-        .expect("constraint count exceeds the field's FFT capacity");
     let pk = ProvingKey {
         vk: vk.clone(),
         shape,
@@ -307,8 +311,33 @@ mod tests {
     }
 
     #[test]
+    fn setup_points_are_the_naive_generator_multiples() {
+        // The oracle the fixed-base kernel replaced: replay the toxic waste
+        // from the same seed and multiply the generator out by
+        // double-and-add.
+        let cs = square_circuit();
+        let (pk, vk) = setup(&cs, &mut StdRng::seed_from_u64(6));
+        let mut rng = StdRng::seed_from_u64(6);
+        let [tau, alpha, beta, gamma, delta] = [(); 5].map(|()| Fr::random(&mut rng));
+        let g = zkvc_curve::G1Projective::generator();
+        assert_eq!(vk.alpha_g1, (g * alpha).to_affine());
+        assert_eq!(vk.beta_g2, (g * beta).to_affine());
+        assert_eq!(vk.gamma_g2, (g * gamma).to_affine());
+        assert_eq!(vk.delta_g2, (g * delta).to_affine());
+        assert_eq!(pk.beta_g1, vk.beta_g2);
+        assert_eq!(pk.delta_g1, vk.delta_g2);
+        // h_query[i] = tau^i * Z(tau) / delta over the size-2 domain.
+        let zt_over_delta = (tau.square() - Fr::one()) * delta.inverse().unwrap();
+        assert_eq!(pk.h_query, [(g * zt_over_delta).to_affine()]);
+        // x is witness variable 2 with A_2 = B_2 = L_0(tau) = (1 + tau) / 2.
+        let l0 = (Fr::one() + tau) * Fr::from_u64(2).inverse().unwrap();
+        assert_eq!(pk.a_query[2], (g * l0).to_affine());
+        assert_eq!(pk.b_g1_query, pk.b_g2_query);
+    }
+
+    #[test]
     fn proof_serialization_roundtrip() {
-        let g = G1Projective::generator().to_affine();
+        let g = G1Affine::generator();
         let p = Proof { a: g, b: g, c: g };
         let bytes = p.to_bytes();
         assert_eq!(bytes.len(), p.size_in_bytes());

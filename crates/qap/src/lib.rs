@@ -14,7 +14,8 @@
 //!
 //! Two entry points:
 //! * [`evaluate_qap_at_point`] — evaluates every variable polynomial at a
-//!   secret point `tau` (used by the trusted setup);
+//!   secret point `tau` (used by the trusted setup, through
+//!   [`evaluate_qap_at_point_in`] and the domain it keeps for the prover);
 //! * [`compute_h_coefficients`] — computes the quotient polynomial `H` from
 //!   a full assignment (used by the prover), via coset FFTs in
 //!   `O(d log d)` time; [`compute_h_coefficients_in`] is the same against a
@@ -50,6 +51,18 @@ pub fn qap_domain<F: PrimeField>(num_constraints: usize) -> Option<EvaluationDom
     EvaluationDomain::new(num_constraints.max(2))
 }
 
+/// Panics unless `domain` has the size [`qap_domain`] would pick for
+/// `matrices`. The expected size is computed arithmetically — building a
+/// throwaway domain to compare against would re-pay the twiddle tables the
+/// `_in` entry points exist to avoid.
+fn assert_is_qap_domain<F: PrimeField>(domain: &EvaluationDomain<F>, matrices: &R1csMatrices<F>) {
+    assert_eq!(
+        domain.size(),
+        matrices.num_constraints().max(2).next_power_of_two(),
+        "domain does not match the R1CS constraint count"
+    );
+}
+
 /// Evaluates every QAP variable polynomial at the point `tau`.
 ///
 /// Runs in `O(d + nnz)` field operations, where `nnz` is the number of
@@ -63,6 +76,22 @@ pub fn evaluate_qap_at_point<F: PrimeField>(
 ) -> QapEvaluations<F> {
     let domain = qap_domain::<F>(matrices.num_constraints())
         .expect("constraint count exceeds the field's FFT capacity");
+    evaluate_qap_at_point_in(&domain, matrices, tau)
+}
+
+/// [`evaluate_qap_at_point`] against a caller-supplied domain, so the
+/// Groth16 setup builds the QAP domain — and its twiddle tables — once and
+/// keeps it in the `ProvingKey` instead of building it here and again for
+/// the prover.
+///
+/// # Panics
+/// Panics if `domain` is not the QAP domain for `matrices` (wrong size).
+pub fn evaluate_qap_at_point_in<F: PrimeField>(
+    domain: &EvaluationDomain<F>,
+    matrices: &R1csMatrices<F>,
+    tau: &F,
+) -> QapEvaluations<F> {
+    assert_is_qap_domain(domain, matrices);
     let lagrange = domain.lagrange_coefficients_at(tau);
     let num_vars = matrices.num_variables();
 
@@ -125,14 +154,7 @@ pub fn compute_h_coefficients_in<F: PrimeField>(
         matrices.num_variables(),
         "assignment length must match the R1CS variable count"
     );
-    // The expected size is computed arithmetically — building a throwaway
-    // domain here would re-pay the twiddle tables this function exists to
-    // avoid.
-    assert_eq!(
-        domain.size(),
-        matrices.num_constraints().max(2).next_power_of_two(),
-        "domain does not match the R1CS constraint count"
-    );
+    assert_is_qap_domain(domain, matrices);
     let d = domain.size();
 
     // Evaluations of A(X), B(X), C(X) over the domain: entry j is <M_j, z>.

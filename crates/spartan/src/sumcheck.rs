@@ -67,10 +67,6 @@ use zkvc_ff::PrimeField;
 /// overhead.
 const PAR_ROUND_MIN: usize = 1 << 12;
 
-fn round_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
-}
-
 /// Splits `0..half` across `threads` workers, runs `fold` on each range and
 /// sums the per-range partial vectors in range order. Field addition is
 /// exact (associative and commutative), so the result — and therefore the
@@ -184,7 +180,7 @@ pub fn prove_quadratic(
     q: &MultilinearPolynomial<Fr>,
     transcript: &mut Transcript,
 ) -> (SumcheckProof, Vec<Fr>, (Fr, Fr)) {
-    prove_quadratic_with_threads(claim, p, q, transcript, round_threads())
+    prove_quadratic_with_threads(claim, p, q, transcript, zkvc_ff::par::num_threads())
 }
 
 /// [`prove_quadratic`] with an explicit worker count (`1` forces the serial
@@ -231,7 +227,7 @@ pub fn prove_cubic(
     c: &MultilinearPolynomial<Fr>,
     transcript: &mut Transcript,
 ) -> (SumcheckProof, Vec<Fr>, (Fr, Fr, Fr, Fr)) {
-    prove_cubic_with_threads(claim, e, a, b, c, transcript, round_threads())
+    prove_cubic_with_threads(claim, e, a, b, c, transcript, zkvc_ff::par::num_threads())
 }
 
 /// [`prove_cubic`] with an explicit worker count (`1` forces the serial
