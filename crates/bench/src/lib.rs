@@ -6,7 +6,7 @@
 //! `fig3`, `fig6`).
 //!
 //! All binaries accept `--full` to run the paper-scale shapes (slow: the
-//! substrate here is an unoptimised pure-Rust pairing stack, not libsnark
+//! substrate here is a portable pure-Rust pairing stack, not libsnark
 //! with hand-tuned assembly on a 16-core Threadripper); the default "quick"
 //! mode runs reduced shapes with the same structure so that the relative
 //! behaviour — who wins and by roughly what factor — is visible in seconds.

@@ -18,6 +18,12 @@
 //! double-and-add (`G1Projective * Fr`) stays the reference the kernels
 //! are tested against.
 //!
+//! The pairing ([`pairing`], and [`pairing_product`] for several pairs
+//! under one final exponentiation) runs an inversion-free Miller loop: with
+//! embedding degree 2 every vertical line and every projective scale factor
+//! lies in `Fq` and is erased by the final exponentiation (argument in
+//! `pairing.rs`).
+//!
 //! This substitutes for libsnark's ALT_BN128 backend used by the paper: the
 //! cost profile of Groth16 — MSMs over the group plus a constant number of
 //! pairings — is preserved, while the whole tower stays at `Fq2` instead of
@@ -51,4 +57,4 @@ pub mod tune;
 pub use g1::{G1Affine, G1Projective};
 pub use group::{AffinePoint, CurveGroup};
 pub use msm::{fixed_base_mul, fold_bases, msm, msm_serial, msm_window_parallel, FixedBaseTable};
-pub use pairing::{pairing, pairing_miller_loop, Gt};
+pub use pairing::{pairing, pairing_product, Gt};

@@ -156,7 +156,9 @@ pub struct ProvingKey {
     pub delta_g1: G1Affine,
     /// `[A_i(tau)]_1` for every variable.
     pub a_query: Vec<G1Affine>,
-    /// `[B_i(tau)]_1` for every variable.
+    /// `[B_i(tau)]_1` for every variable: equal to `b_g2_query` (`G2 = G1`)
+    /// and no longer read by the prover; kept until the benchmark that
+    /// names the field can be edited.
     pub b_g1_query: Vec<G1Affine>,
     /// `[B_i(tau)]_2` for every variable.
     pub b_g2_query: Vec<G1Affine>,
@@ -283,7 +285,7 @@ pub fn setup_shape<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{prove, setup};
+    use crate::testutil::{prove, setup, verify_three_pairings};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use zkvc_ff::PrimeField;
@@ -383,16 +385,24 @@ mod tests {
         let proof_bytes = proof.to_bytes();
         let proof2 = Proof::from_bytes(&proof_bytes).unwrap();
         assert!(crate::verify(&vk2, cs.instance_assignment(), &proof2));
+        assert!(verify_three_pairings(
+            &vk2,
+            cs.instance_assignment(),
+            &proof2
+        ));
 
         for byte_idx in 0..proof_bytes.len() {
             let mut tampered = proof_bytes.clone();
             tampered[byte_idx] ^= 1;
             match Proof::from_bytes(&tampered) {
                 None => {} // rejected by curve-membership validation
-                Some(p) => assert!(
-                    !crate::verify(&vk2, cs.instance_assignment(), &p),
-                    "flipped byte {byte_idx} still verified"
-                ),
+                Some(p) => {
+                    assert!(
+                        !crate::verify(&vk2, cs.instance_assignment(), &p),
+                        "flipped byte {byte_idx} still verified"
+                    );
+                    assert!(!verify_three_pairings(&vk2, cs.instance_assignment(), &p));
+                }
             }
         }
     }

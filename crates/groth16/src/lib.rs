@@ -4,8 +4,9 @@
 //! (J. Groth, "On the Size of Pairing-Based Non-Interactive Arguments",
 //! EUROCRYPT 2016) over the zkVC pairing curve. This is the `zkVC-G`
 //! backend of the paper: constant-size proofs (3 group elements), constant
-//! verification time (3 pairings + one small MSM), and a prover dominated by
-//! three multi-scalar multiplications plus the QAP quotient FFTs.
+//! verification time (one three-pair pairing product + one small MSM), and
+//! a prover dominated by four multi-scalar multiplications plus the QAP
+//! quotient FFTs.
 //!
 //! The trusted setup is circuit-specific; `zkvc-core` re-runs it per matrix
 //! shape, exactly as libsnark does for the paper's experiments.

@@ -46,20 +46,19 @@ pub fn prove_assignment<R: Rng + ?Sized>(pk: &ProvingKey, z: &[Fr], rng: &mut R)
     let a_acc = msm(&pk.a_query, z);
     let a = a_acc + pk.vk.alpha_g1.to_projective() + pk.delta_g1.to_projective() * r;
 
-    // B = beta + sum_i z_i B_i(tau) + s * delta
-    let b_acc_g2 = msm(&pk.b_g2_query, z);
-    let b_g2 = b_acc_g2 + pk.vk.beta_g2.to_projective() + pk.vk.delta_g2.to_projective() * s;
-    let b_acc_g1 = msm(&pk.b_g1_query, z);
-    let b_g1 = b_acc_g1 + pk.beta_g1.to_projective() + pk.delta_g1.to_projective() * s;
+    // B = beta + sum_i z_i B_i(tau) + s * delta. `G2 = G1` on this curve,
+    // so the G1 copy of B that C needs is the same group element: one MSM.
+    let b_acc = msm(&pk.b_g2_query, z);
+    let b = b_acc + pk.vk.beta_g2.to_projective() + pk.vk.delta_g2.to_projective() * s;
 
-    // C = sum_w z_w L_w + sum_i h_i [tau^i Z/delta] + s*A + r*B1 - r*s*delta
+    // C = sum_w z_w L_w + sum_i h_i [tau^i Z/delta] + s*A + r*B - r*s*delta
     let l_acc = msm(&pk.l_query, witness);
     let h_acc = msm(&pk.h_query[..h.len()], &h);
-    let c = l_acc + h_acc + a * s + b_g1 * r - pk.delta_g1.to_projective() * (r * s);
+    let c = l_acc + h_acc + a * s + b * r - pk.delta_g1.to_projective() * (r * s);
 
     Proof {
         a: a.to_affine(),
-        b: b_g2.to_affine(),
+        b: b.to_affine(),
         c: c.to_affine(),
     }
 }

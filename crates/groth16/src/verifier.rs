@@ -1,8 +1,8 @@
-//! The Groth16 verifier: one small MSM over the public inputs plus three
-//! pairings (the fourth, `e(alpha, beta)`, is cached in the verification
-//! key).
+//! The Groth16 verifier: one small MSM over the public inputs plus one
+//! three-pair pairing product compared against `e(alpha, beta)`, which is
+//! cached in the verification key.
 
-use zkvc_curve::{msm, pairing, G1Projective};
+use zkvc_curve::{msm, pairing_product, G1Projective};
 use zkvc_ff::Fr;
 
 use crate::keys::{Proof, VerifyingKey};
@@ -28,7 +28,11 @@ pub fn prepare_inputs(vk: &VerifyingKey, public_inputs: &[Fr]) -> G1Projective {
 /// Verifies a proof against the public inputs.
 ///
 /// Checks the Groth16 equation
-/// `e(A, B) = e(alpha, beta) * e(sum_i x_i gamma_abc_i, gamma) * e(C, delta)`.
+/// `e(A, B) = e(alpha, beta) * e(sum_i x_i gamma_abc_i, gamma) * e(C, delta)`
+/// as `e(A, B) * e(-acc, gamma) * e(-C, delta) = e(alpha, beta)`: one shared
+/// Miller loop and one final exponentiation. Proof points need only be on
+/// the curve; a degenerate product (see `zkvc_curve`'s pairing docs) equals
+/// no cached `e(alpha, beta)` and is rejected.
 pub fn verify(vk: &VerifyingKey, public_inputs: &[Fr], proof: &Proof) -> bool {
     if public_inputs.len() + 1 != vk.gamma_abc_g1.len() {
         return false;
@@ -38,15 +42,18 @@ pub fn verify(vk: &VerifyingKey, public_inputs: &[Fr], proof: &Proof) -> bool {
     }
     let acc = prepare_inputs(vk, public_inputs).to_affine();
 
-    let lhs = pairing(&proof.a, &proof.b);
-    let rhs = vk.alpha_beta_gt + pairing(&acc, &vk.gamma_g2) + pairing(&proof.c, &vk.delta_g2);
-    lhs == rhs
+    pairing_product(&[
+        (proof.a, proof.b),
+        (acc.neg_point(), vk.gamma_g2),
+        (proof.c.neg_point(), vk.delta_g2),
+    ]) == vk.alpha_beta_gt
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{prove, setup};
+    use crate::testutil::{prove, setup, verify_three_pairings};
+    use crate::Proof;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use zkvc_ff::{Field, PrimeField};
@@ -88,5 +95,73 @@ mod tests {
         assert!(verify(&vk, &[Fr::from_u64(21), Fr::from_u64(10)], &proof));
         // swapped public inputs must fail
         assert!(!verify(&vk, &[Fr::from_u64(10), Fr::from_u64(21)], &proof));
+    }
+
+    #[test]
+    fn product_verdict_matches_three_pairings() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut cs = ConstraintSystem::<Fr>::new();
+        let out = cs.alloc_instance(Fr::from_u64(9));
+        let x = cs.alloc_witness(Fr::from_u64(3));
+        cs.enforce(x.into(), x.into(), out.into());
+        let (pk, vk) = setup(&cs, &mut rng);
+        let Proof { a, b, c } = prove(&pk, &cs, &mut rng);
+        // (0,0), the on-curve point the affine Miller loop could not pair
+        let two_torsion = zkvc_curve::G1Affine {
+            x: zkvc_ff::Fq::zero(),
+            y: zkvc_ff::Fq::zero(),
+            infinity: false,
+        };
+        let cases = [
+            (true, Fr::from_u64(9), Proof { a, b, c }),
+            (false, Fr::from_u64(10), Proof { a, b, c }),
+            (false, Fr::from_u64(9), Proof { a: c, b, c: a }),
+            // the pairing is symmetric, so A and B may trade places
+            (true, Fr::from_u64(9), Proof { a: b, b: a, c }),
+            (
+                false,
+                Fr::from_u64(9),
+                Proof {
+                    a: a.neg_point(),
+                    b,
+                    c,
+                },
+            ),
+            (
+                false,
+                Fr::from_u64(9),
+                Proof {
+                    a,
+                    b,
+                    c: c.neg_point(),
+                },
+            ),
+            (
+                false,
+                Fr::from_u64(9),
+                Proof {
+                    a,
+                    b: two_torsion,
+                    c,
+                },
+            ),
+            (
+                false,
+                Fr::from_u64(9),
+                Proof {
+                    a: two_torsion,
+                    b: two_torsion,
+                    c: two_torsion,
+                },
+            ),
+        ];
+        for (i, (expected, input, proof)) in cases.iter().enumerate() {
+            assert_eq!(verify(&vk, &[*input], proof), *expected, "case {i}");
+            assert_eq!(
+                verify_three_pairings(&vk, &[*input], proof),
+                *expected,
+                "case {i}"
+            );
+        }
     }
 }

@@ -11,7 +11,9 @@ use rand::SeedableRng;
 use zkvc_core::api::{compile_shape, generate_witness_for};
 use zkvc_core::matmul::{MatMulBuilder, Strategy};
 use zkvc_core::{Backend, VerifierKey};
-use zkvc_runtime::ProofEnvelope;
+use zkvc_curve::G1Affine;
+use zkvc_ff::{Field, Fq};
+use zkvc_runtime::{EnvelopeProof, ProofEnvelope};
 
 /// A small proved statement with its envelope bytes and verifier key.
 fn proved_envelope(
@@ -145,4 +147,44 @@ fn truncated_and_padded_groth16_key_table_entries_rejected() {
     let bytes = vk.to_bytes();
     assert!(zkvc_groth16::VerifyingKey::from_bytes(&bytes).is_some());
     assert!(zkvc_groth16::VerifyingKey::from_bytes(&bytes[..bytes.len() - 1]).is_none());
+}
+
+#[test]
+fn small_order_proof_points_fail_verification_without_panicking() {
+    // Proof points are checked for curve membership, not for the order-r
+    // subgroup, so attacker bytes can carry the 2-torsion point (0,0) and
+    // an order-4 point P4 = (+-1, sqrt(+-2)) with 2*P4 = (0,0). The tangent
+    // at P4 passes through phi((0,0)): a pairing that divides by vertical
+    // lines dies there, on bytes that decode.
+    let two_torsion = G1Affine {
+        x: Fq::zero(),
+        y: Fq::zero(),
+        infinity: false,
+    };
+    let p4 = [Fq::one(), -Fq::one()]
+        .into_iter()
+        .find_map(|x| {
+            let y = (x + x).sqrt()?; // x^3 + x = 2x for x = +-1
+            Some(G1Affine {
+                x,
+                y,
+                infinity: false,
+            })
+        })
+        .expect("one of 2, -2 is a square when p = 3 mod 4");
+    assert_eq!(p4.to_projective().double().to_affine(), two_torsion);
+
+    let (bytes, vk) = proved_envelope(Backend::Groth16, 1, 2, 1, 44);
+    for (a, b) in [(p4, two_torsion), (two_torsion, two_torsion)] {
+        let mut forged = ProofEnvelope::from_bytes(&bytes).expect("baseline decodes");
+        let EnvelopeProof::Groth16 { proof, .. } = &mut forged.proof else {
+            unreachable!()
+        };
+        proof.a = a;
+        proof.b = b;
+        let envelope =
+            ProofEnvelope::from_bytes(&forged.to_bytes()).expect("on-curve proof points decode");
+        let verdict = std::panic::catch_unwind(|| envelope.verify_with_key(&vk));
+        assert!(matches!(verdict, Ok(false)), "verdict {verdict:?}");
+    }
 }
