@@ -173,11 +173,6 @@ fn render_json(mode: &str, spec: &JobSpec, jobs: usize, reps: usize, points: &[P
     let _ = writeln!(out, "  \"reps\": {reps},");
     let _ = writeln!(out, "  \"threads\": {},", cores());
     let _ = writeln!(out, "  \"cores\": {},", cores());
-    let _ = writeln!(
-        out,
-        "  \"tune_profile\": \"{}\",",
-        zkvc_runtime::tune::active_digest()
-    );
     let _ = writeln!(out, "  \"local_threads\": {LOCAL_THREADS},");
     let _ = writeln!(out, "  \"worker_capacity\": {WORKER_CAPACITY},");
     let _ = writeln!(out, "  \"simulated_prove_ms\": {PROVE_DELAY_MS},");
@@ -220,13 +215,9 @@ fn main() {
         bin.display()
     );
 
-    // Kernel dispatch under the same profile a production process would
-    // load; the digest lands in the JSON as `tune_profile` provenance.
-    let _ = zkvc_runtime::tune::startup(None);
     println!(
-        "distributed bench: mode={mode}, {jobs} jobs of {spec}, {PROVE_DELAY_MS} ms injected prove latency, cores={}, tune profile {}",
-        cores(),
-        zkvc_runtime::tune::active_digest()
+        "distributed bench: mode={mode}, {jobs} jobs of {spec}, {PROVE_DELAY_MS} ms injected prove latency, cores={}",
+        cores()
     );
     let mut points = Vec::new();
     for w in WORKER_COUNTS {

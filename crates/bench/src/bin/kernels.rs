@@ -16,10 +16,8 @@
 //! * `--full`: adds the paper-scale Figure 3 shape.
 //!
 //! Acceptance bars asserted by the harness itself: the reworked MSM beats
-//! the seed window-parallel implementation at 2^14 points (ISSUE 2),
-//! the FFT dispatch stays within 1.2x of the cached serial kernel at every
-//! size, and the calibrated tune profile (the `tuned` JSON section) is
-//! never slower than the static dispatch at any measured size (ISSUE 10).
+//! the seed window-parallel implementation at 2^14 points, and the FFT
+//! dispatch stays within 1.2x of the cached serial kernel at every size.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -30,9 +28,7 @@ use zkvc_bench::{paper_matmul_dims, quick_matmul_dims, run_matmul, RunResult};
 use zkvc_core::api::{compile_shape, generate_witness_for};
 use zkvc_core::matmul::{MatMulBuilder, Strategy};
 use zkvc_core::Backend;
-use zkvc_curve::tune::{self as curve_tune, msm_decision, MsmParams, ProbeConfig};
 use zkvc_curve::{msm, msm_window_parallel, G1Affine, G1Projective};
-use zkvc_ff::tune::FftParams;
 use zkvc_ff::{EvaluationDomain, Field, Fr};
 
 struct MsmRow {
@@ -57,17 +53,6 @@ struct ProveRow {
     prove_ms: f64,
     verify_ms: f64,
     constraints: usize,
-}
-
-/// One tuned-vs-static dispatch comparison (see `bench_tuned`).
-struct TunedRow {
-    kernel: &'static str,
-    log_size: u32,
-    static_decision: String,
-    tuned_decision: String,
-    static_ms: f64,
-    tuned_ms: f64,
-    speedup: f64,
 }
 
 struct SynthRow {
@@ -120,8 +105,7 @@ fn time_best<R>(min_reps: usize, mut f: impl FnMut() -> R) -> f64 {
     best * 1e3
 }
 
-/// The MSM workload both the static rows and the tuned comparison use:
-/// bases derived by running additions from a few random points (cheap to
+/// The MSM workload: bases derived by running additions from a few random points (cheap to
 /// generate at 2^16 scale, still arbitrary group elements) plus uniform
 /// scalars, all from a fixed seed.
 fn msm_fixture(max_log: u32) -> (Vec<G1Affine>, Vec<Fr>) {
@@ -137,14 +121,6 @@ fn msm_fixture(max_log: u32) -> (Vec<G1Affine>, Vec<Fr>) {
         .collect();
     let scalars: Vec<Fr> = (0..max_n).map(|_| Fr::random(&mut rng)).collect();
     (bases, scalars)
-}
-
-fn msm_reps(n: usize) -> usize {
-    if n <= 1 << 12 {
-        5
-    } else {
-        2
-    }
 }
 
 fn bench_msm(log_sizes: &[u32]) -> Vec<MsmRow> {
@@ -241,132 +217,6 @@ fn bench_fft(log_sizes: &[u32]) -> Vec<FftRow> {
     rows
 }
 
-/// Calibrates a tune profile on this host, then validates it empirically
-/// against the static dispatch at every measured size. Where tuned and
-/// static dispatch agree the schedule is identical, so the static
-/// measurement is reused (speedup exactly 1.0). Where they differ the
-/// tuned schedule is re-timed under the activated profile — and a tuned
-/// decision that loses the re-measurement (probe noise) is reverted to
-/// the static decision, so the emitted profile never ships a regression.
-fn bench_tuned(
-    msm_rows: &[MsmRow],
-    fft_rows: &[FftRow],
-    threads: usize,
-) -> (curve_tune::TuneProfile, Vec<TunedRow>) {
-    let config = ProbeConfig {
-        // The probe itself caps MSM classes at 2^14: above that the probe
-        // would dominate the harness, and the driver verdict is inherited
-        // upward anyway.
-        msm_logs: msm_rows
-            .iter()
-            .map(|r| r.log_size)
-            .filter(|&l| l <= 14)
-            .collect(),
-        fft_logs: fft_rows.iter().map(|r| r.log_size).collect(),
-        reps: 3,
-        seed: 0x7A7E,
-    };
-    let mut profile = curve_tune::calibrate(&config);
-    let mut rows = Vec::new();
-
-    // MSM: the static timing is the `new_ms` column bench_msm already
-    // measured under the boot-time (static) parameters.
-    let (bases, scalars) = msm_fixture(msm_rows.iter().map(|r| r.log_size).max().unwrap_or(10));
-    for r in msm_rows {
-        let n = 1usize << r.log_size;
-        let static_dec = msm_decision(&MsmParams::STATIC, n);
-        let mut tuned_dec = msm_decision(&profile.msm, n);
-        let tuned_ms = if tuned_dec == static_dec {
-            r.new_ms
-        } else {
-            let prev = curve_tune::activate(&profile);
-            let measured = time_best(msm_reps(n), || msm(&bases[..n], &scalars[..n]));
-            curve_tune::restore(prev);
-            if measured <= r.new_ms {
-                measured
-            } else {
-                let lg = curve_tune::log2_class(n);
-                profile.msm.set_affine(lg, MsmParams::STATIC.use_affine(lg));
-                profile.msm.set_window(lg, 0);
-                tuned_dec = static_dec;
-                r.new_ms
-            }
-        };
-        let row = TunedRow {
-            kernel: "msm",
-            log_size: r.log_size,
-            static_decision: static_dec.to_string(),
-            tuned_decision: tuned_dec.to_string(),
-            static_ms: r.new_ms,
-            tuned_ms,
-            speedup: r.new_ms / tuned_ms,
-        };
-        println!(
-            "tuned msm 2^{:<2}  static {:<16} {:>9.2} ms  tuned {:<16} {:>9.2} ms  {:>6.3}x",
-            row.log_size,
-            row.static_decision,
-            row.static_ms,
-            row.tuned_decision,
-            row.tuned_ms,
-            row.speedup
-        );
-        rows.push(row);
-    }
-
-    // FFT: the static timing is the `dispatch_ms` column from bench_fft
-    // (same fixture seed, so differing decisions re-time the same data).
-    let mut rng = StdRng::seed_from_u64(0xFF7);
-    let max_n = 1usize << fft_rows.iter().map(|r| r.log_size).max().unwrap_or(10);
-    let values: Vec<Fr> = (0..max_n).map(|_| Fr::random(&mut rng)).collect();
-    let kernel_name = |parallel: bool| if parallel { "parallel" } else { "serial" };
-    for r in fft_rows {
-        let n = 1usize << r.log_size;
-        let static_par = FftParams::STATIC.parallel(r.log_size, threads);
-        let mut tuned_par = profile.fft.parallel(r.log_size, threads);
-        let tuned_ms = if tuned_par == static_par {
-            r.dispatch_ms
-        } else {
-            let prev = curve_tune::activate(&profile);
-            let domain = EvaluationDomain::<Fr>::new(n).unwrap();
-            let reps = if n <= 1 << 14 { 5 } else { 2 };
-            let measured = time_best(reps, || {
-                let mut v = values[..n].to_vec();
-                domain.fft_in_place(&mut v);
-                v
-            });
-            curve_tune::restore(prev);
-            if measured <= r.dispatch_ms {
-                measured
-            } else {
-                profile.fft.set_parallel(r.log_size, static_par);
-                tuned_par = static_par;
-                r.dispatch_ms
-            }
-        };
-        let row = TunedRow {
-            kernel: "fft",
-            log_size: r.log_size,
-            static_decision: kernel_name(static_par).to_string(),
-            tuned_decision: kernel_name(tuned_par).to_string(),
-            static_ms: r.dispatch_ms,
-            tuned_ms,
-            speedup: r.dispatch_ms / tuned_ms,
-        };
-        println!(
-            "tuned fft 2^{:<2}  static {:<16} {:>9.2} ms  tuned {:<16} {:>9.2} ms  {:>6.3}x",
-            row.log_size,
-            row.static_decision,
-            row.static_ms,
-            row.tuned_decision,
-            row.tuned_ms,
-            row.speedup
-        );
-        rows.push(row);
-    }
-
-    (profile, rows)
-}
-
 fn bench_prove(shapes: &[(&str, (usize, usize, usize))]) -> Vec<ProveRow> {
     let mut rows = Vec::new();
     for (i, (label, dims)) in shapes.iter().enumerate() {
@@ -406,7 +256,6 @@ fn bench_prove(shapes: &[(&str, (usize, usize, usize))]) -> Vec<ProveRow> {
     rows
 }
 
-#[allow(clippy::too_many_arguments)]
 fn render_json(
     mode: &str,
     threads: usize,
@@ -414,8 +263,6 @@ fn render_json(
     fft: &[FftRow],
     synth: &[SynthRow],
     prove: &[ProveRow],
-    tuned_digest: &str,
-    tuned: &[TunedRow],
 ) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{{");
@@ -423,13 +270,6 @@ fn render_json(
     let _ = writeln!(out, "  \"mode\": \"{mode}\",");
     let _ = writeln!(out, "  \"threads\": {threads},");
     let _ = writeln!(out, "  \"cores\": {threads},");
-    // The static rows are measured under the boot-time static dispatch;
-    // the calibrated profile only governs the `tuned` section below.
-    let _ = writeln!(
-        out,
-        "  \"tune_profile\": \"{}\",",
-        zkvc_runtime::tune::active_digest()
-    );
     let _ = writeln!(out, "  \"msm\": [");
     for (i, r) in msm.iter().enumerate() {
         let _ = writeln!(
@@ -489,26 +329,7 @@ fn render_json(
             if i + 1 < prove.len() { "," } else { "" }
         );
     }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"tuned\": {{");
-    let _ = writeln!(out, "    \"profile_digest\": \"{tuned_digest}\",");
-    let _ = writeln!(out, "    \"rows\": [");
-    for (i, r) in tuned.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "      {{\"kernel\": \"{}\", \"size\": {}, \"static_decision\": \"{}\", \"tuned_decision\": \"{}\", \"static_ms\": {:.3}, \"tuned_ms\": {:.3}, \"speedup\": {:.3}, \"workers\": {threads}, \"cores\": {threads}}}{}",
-            r.kernel,
-            1u64 << r.log_size,
-            r.static_decision,
-            r.tuned_decision,
-            r.static_ms,
-            r.tuned_ms,
-            r.speedup,
-            if i + 1 < tuned.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(out, "    ]");
-    let _ = writeln!(out, "  }}");
+    let _ = writeln!(out, "  ]");
     let _ = writeln!(out, "}}");
     out
 }
@@ -534,8 +355,6 @@ fn main() {
 
     let msm_rows = bench_msm(&msm_sizes);
     let fft_rows = bench_fft(&fft_sizes);
-    let (tuned_profile, tuned_rows) = bench_tuned(&msm_rows, &fft_rows, threads);
-    let tuned_digest = zkvc_runtime::tune::profile_digest(&tuned_profile);
 
     // Synthesis split: one dense (vanilla) and one constraint-reduced
     // (CRPC+PSQ) shape, sized so the synthesis cost is measurable without
@@ -564,8 +383,8 @@ fn main() {
     }
     let prove_rows = bench_prove(&shapes);
 
-    // ISSUE 2 acceptance bar: the reworked MSM beats the seed
-    // window-parallel driver at 2^14 points on this machine.
+    // Acceptance bar: the reworked MSM beats the seed window-parallel
+    // driver at 2^14 points on this machine.
     if let Some(row) = msm_rows.iter().find(|r| r.log_size == 14) {
         assert!(
             row.speedup > 1.0,
@@ -580,11 +399,9 @@ fn main() {
         );
     }
 
-    // ISSUE 10 acceptance bars: the FFT dispatch never regresses against
-    // the cached serial kernel (the committed 2^18 row once showed the
-    // parallel kernel losing 0.68x on this machine — the decision table
-    // must not reintroduce that), and the calibrated profile is at least
-    // as fast as the static dispatch at every measured size.
+    // Acceptance bar: the FFT dispatch never regresses against the cached
+    // serial kernel (the committed 2^18 row once showed the parallel
+    // kernel losing 0.68x on this machine).
     for row in &fft_rows {
         // 1.2x relative plus 0.2 ms absolute slack: sub-millisecond sizes
         // are dominated by timer noise, not dispatch decisions; the 2^18
@@ -592,27 +409,13 @@ fn main() {
         assert!(
             row.dispatch_ms <= row.cached_serial_ms.mul_add(1.2, 0.2),
             "fft dispatch regressed at 2^{}: dispatch {:.2} ms vs cached serial {:.2} ms \
-             (the tuned decision table must never pick a losing kernel)",
+             (the static cutover must never pick a losing kernel)",
             row.log_size,
             row.dispatch_ms,
             row.cached_serial_ms,
         );
     }
     println!("acceptance: fft dispatch within 1.2x of cached serial at every size");
-    for row in &tuned_rows {
-        assert!(
-            row.speedup >= 1.0,
-            "tuned {} dispatch slower than static at 2^{}: {:.2} ms vs {:.2} ms",
-            row.kernel,
-            row.log_size,
-            row.tuned_ms,
-            row.static_ms,
-        );
-    }
-    println!(
-        "acceptance: tuned dispatch >= 1.0x static at every measured size (profile {tuned_digest})"
-    );
-
     let json = render_json(
         mode,
         threads,
@@ -620,8 +423,6 @@ fn main() {
         &fft_rows,
         &synth_rows,
         &prove_rows,
-        &tuned_digest,
-        &tuned_rows,
     );
     std::fs::write(&out_path, &json).expect("write bench json");
     println!("wrote {out_path}");

@@ -195,13 +195,7 @@ fn main() {
     let workers = 4;
     let seed = 0xB00570;
     let reps = if smoke { 1 } else { 3 };
-    // Kernel dispatch under the same profile a production process would
-    // load; the digest lands in the JSON as `tune_profile` provenance.
-    let _ = zkvc_runtime::tune::startup(None);
-    println!(
-        "pool bench: mode={mode}, hardware threads={threads}, pool workers={workers}, tune profile {}",
-        zkvc_runtime::tune::active_digest()
-    );
+    println!("pool bench: mode={mode}, hardware threads={threads}, pool workers={workers}");
 
     // Uniform batch: same-shape vanilla/Groth16 jobs — vanilla is the
     // setup-heaviest strategy per constraint, i.e. the workload where
@@ -278,11 +272,6 @@ fn main() {
     let _ = writeln!(json, "  \"mode\": \"{mode}\",");
     let _ = writeln!(json, "  \"threads\": {threads},");
     let _ = writeln!(json, "  \"cores\": {},", cores());
-    let _ = writeln!(
-        json,
-        "  \"tune_profile\": \"{}\",",
-        zkvc_runtime::tune::active_digest()
-    );
     let _ = writeln!(json, "  \"reps\": {reps},");
     let _ = writeln!(json, "{},", uniform_section.render_json());
     let _ = writeln!(json, "{},", skewed_section.render_json());

@@ -1,8 +1,7 @@
 //! # zkvc-bench
 //!
-//! Shared measurement plumbing for the harness binaries and criterion
-//! benches that regenerate the paper's tables and figures: each table and
-//! figure is reproduced by the binary named after it (`table1`–`table4`,
+//! Shared measurement plumbing for the harness binaries that regenerate
+//! the paper's tables and figures: each table and figure is reproduced by the binary named after it (`table1`–`table4`,
 //! `fig3`, `fig6`).
 //!
 //! All binaries accept `--full` to run the paper-scale shapes (slow: the

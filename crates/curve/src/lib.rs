@@ -52,7 +52,6 @@ mod g1;
 mod group;
 mod msm;
 mod pairing;
-pub mod tune;
 
 pub use g1::{G1Affine, G1Projective};
 pub use group::{AffinePoint, CurveGroup};

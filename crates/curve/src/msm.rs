@@ -10,8 +10,9 @@
 //! 2. **Chunk-parallel scheduling** — the *points* are split across worker
 //!    threads; each chunk computes partial bucket sums for every window, so
 //!    total work scales with cores instead of every thread walking all `N`
-//!    points (the seed implementation, kept as [`msm_window_parallel`],
-//!    parallelised only across the ~30 windows).
+//!    points (the seed implementation, [`msm_window_parallel`], parallelises
+//!    only across the ~30 windows; it stays the driver below
+//!    `AFFINE_MSM_MIN` = 4 096 points).
 //! 3. **Batch-affine bucket accumulation** — bucket additions are performed
 //!    in affine coordinates with the per-addition field inversion amortised
 //!    across a whole round of independent bucket updates via
@@ -53,11 +54,11 @@ pub fn msm_serial<A: AffinePoint>(bases: &[A], scalars: &[A::Scalar]) -> A::Proj
     combine_windows(&window_sums, c)
 }
 
-/// The seed parallel driver: Pippenger with the *windows* split across
-/// worker threads. Every thread still walks all `N` points, so total work
-/// is `N x windows` regardless of core count. Kept as the baseline that
-/// the chunk-parallel [`msm`] is benchmarked against (see
-/// `crates/bench/src/bin/kernels.rs`).
+/// The seed parallel driver: Pippenger with unsigned digits, projective
+/// buckets and the *windows* split across worker threads. Every thread
+/// still walks all `N` points, so total work is `N x windows` regardless
+/// of core count. [`msm`] runs it below 4 096 points, and the kernels
+/// bench times the chunk-parallel driver against it above.
 ///
 /// # Panics
 /// Panics if `bases.len() != scalars.len()`.
@@ -99,43 +100,32 @@ pub fn msm_window_parallel<A: AffinePoint>(bases: &[A], scalars: &[A::Scalar]) -
     combine_windows(&window_sums, c)
 }
 
+/// The cutover of [`msm`]: from this many points up it takes the
+/// batch-affine chunk-parallel driver, below it [`msm_window_parallel`].
+/// With fewer points the batched inversions amortise over too few bucket
+/// additions per round to beat plain projective buckets.
+const AFFINE_MSM_MIN: usize = 1 << 12;
+
 /// Computes `sum_i scalars[i] * bases[i]`: signed-digit windows,
 /// batch-affine buckets, and the points chunked across worker threads so
-/// the work scales with available cores.
-///
-/// Dispatch — which driver runs and with what window width — is taken
-/// from the process-global [`crate::tune`] parameters. The static
-/// defaults reproduce the historical behavior (projective fallback below
-/// 4096 points, cost-model window above); a calibrated
-/// [`crate::tune::TuneProfile`] replaces the guesses with decisions
-/// measured on this host. The result is identical either way.
+/// the work scales with available cores. Inputs below 4 096 points go to
+/// [`msm_window_parallel`] instead; the result is identical either way.
 ///
 /// # Panics
 /// Panics if `bases.len() != scalars.len()`.
 pub fn msm<A: AffinePoint>(bases: &[A], scalars: &[A::Scalar]) -> A::Projective {
     assert_eq!(bases.len(), scalars.len(), "bases/scalars length mismatch");
     let n = bases.len();
-    if n == 0 {
-        return A::Projective::identity();
-    }
-    let params = crate::tune::msm_params();
-    let lg = crate::tune::log2_class(n);
-    if !params.use_affine(lg) {
-        // For small inputs the batched-inversion amortisation is too weak
-        // (few buckets per batch) to beat the plain projective driver.
+    if n < AFFINE_MSM_MIN {
         return msm_window_parallel(bases, scalars);
     }
-    let num_chunks = default_num_chunks(n);
-    let c = params
-        .window_override(lg)
-        .unwrap_or_else(|| signed_window_size(n, num_chunks));
-    msm_affine_with_window(bases, scalars, num_chunks, c)
+    msm_with_chunks(bases, scalars, default_num_chunks(n))
 }
 
 /// The chunk count [`msm`] splits `n` points into on this host: one chunk
 /// per available thread, shrunk so no chunk drops below ~`MIN_CHUNK`
 /// points (spawn + bucket-merge overhead dominates tiny chunks).
-pub(crate) fn default_num_chunks(n: usize) -> usize {
+fn default_num_chunks(n: usize) -> usize {
     const MIN_CHUNK: usize = 1 << 8;
     zkvc_ff::par::num_threads()
         .min(n.div_ceil(MIN_CHUNK))
@@ -184,28 +174,16 @@ fn map_chunks<R: Send>(
     parts
 }
 
-/// The chunk-parallel driver with an explicit chunk count and the window
-/// width from the static cost model (exposed to the tests so the
-/// multi-chunk path is exercised deterministically).
-#[cfg(test)]
+/// The batch-affine chunk-parallel driver with an explicit chunk count and
+/// the window width from the cost model in [`signed_window_size`] (the
+/// tests call it directly so the multi-chunk path is exercised
+/// deterministically).
 fn msm_with_chunks<A: AffinePoint>(
     bases: &[A],
     scalars: &[A::Scalar],
     num_chunks: usize,
 ) -> A::Projective {
     let c = signed_window_size(bases.len(), num_chunks);
-    msm_affine_with_window(bases, scalars, num_chunks, c)
-}
-
-/// The batch-affine chunk-parallel driver with every schedule parameter
-/// explicit — the calibration probe races candidate windows through this
-/// entry point.
-pub(crate) fn msm_affine_with_window<A: AffinePoint>(
-    bases: &[A],
-    scalars: &[A::Scalar],
-    num_chunks: usize,
-    c: usize,
-) -> A::Projective {
     let num_windows = (A::Scalar::MODULUS_BITS as usize + 1).div_ceil(c);
     let window_sums = map_chunks(bases.len(), num_chunks, |r| {
         chunk_window_sums(&bases[r.clone()], &scalars[r], c, num_windows)
@@ -519,8 +497,8 @@ pub fn fold_bases<A: AffinePoint>(bases: &[A], coeffs: &[A::Scalar]) -> Vec<A> {
 }
 
 /// Window width of a [`FixedBaseTable`]: signed radix-2^8 digits. A
-/// constant, not a tuned parameter — the table is built once per process
-/// and every key element of every shape walks the same schedule.
+/// constant: the table is built once per process and every key element
+/// of every shape walks the same schedule.
 const FIXED_WINDOW: usize = 8;
 
 /// Outputs of [`fixed_base_mul`] advance in blocks of this many, so the
@@ -675,7 +653,7 @@ fn unsigned_window_size(n: usize) -> usize {
 /// projective running sum over the `2^(c-1)` buckets at ~32 muls per
 /// bucket. Splitting points across more chunks pushes the optimum towards
 /// narrower windows; weak inversion amortisation pushes it wider.
-pub(crate) fn signed_window_size(n: usize, num_chunks: usize) -> usize {
+fn signed_window_size(n: usize, num_chunks: usize) -> usize {
     (3..=15usize)
         .min_by_key(|&c| {
             let windows = 256usize.div_ceil(c);
@@ -865,6 +843,20 @@ mod tests {
                 expect,
                 "{chunks}"
             );
+        }
+    }
+
+    #[test]
+    fn msm_matches_serial_on_both_sides_of_the_cutover() {
+        // The last size `msm` sends to the projective driver and the first
+        // it sends to the batch-affine one, through the public entry point.
+        let mut rng = StdRng::seed_from_u64(12);
+        let n = AFFINE_MSM_MIN;
+        let bases = random_bases(n, &mut rng);
+        let scalars: Vec<Fr> = (0..n).map(|_| Fr::random(&mut rng)).collect();
+        for n in [n - 1, n] {
+            let (b, s) = (&bases[..n], &scalars[..n]);
+            assert_eq!(msm(b, s), msm_serial(b, s), "n={n}");
         }
     }
 

@@ -43,7 +43,7 @@
 //! no honest pairing, so verification fails instead of panicking.
 
 use core::fmt;
-use core::ops::{Add, AddAssign, Mul, Neg};
+use core::ops::{Add, AddAssign, Mul};
 
 use zkvc_ff::fields::params;
 use zkvc_ff::{Field, Fq, Fq2, Fr, PrimeField};
@@ -91,12 +91,6 @@ impl Add for Gt {
 impl AddAssign for Gt {
     fn add_assign(&mut self, rhs: Gt) {
         self.0 *= rhs.0;
-    }
-}
-impl Neg for Gt {
-    type Output = Gt;
-    fn neg(self) -> Gt {
-        Gt(self.0.inverse().expect("GT elements are non-zero"))
     }
 }
 impl Mul<Fr> for Gt {

@@ -28,7 +28,6 @@ pub mod cancel;
 pub mod fp;
 pub mod par;
 pub mod traits;
-pub mod tune;
 
 pub mod fields;
 pub mod poly;

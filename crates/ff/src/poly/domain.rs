@@ -18,8 +18,17 @@
 use crate::par::{for_chunks_mut, num_threads};
 use crate::traits::PrimeField;
 
-/// Below this size a parallel FFT is all spawn overhead.
+/// Below this size a parallel FFT is all spawn overhead: the dispatch
+/// cutover of [`EvaluationDomain::fft_in_place`] and
+/// [`EvaluationDomain::ifft_in_place`].
 const PAR_FFT_MIN: usize = 1 << 12;
+
+/// Whether an FFT over `size` points splits its butterflies across
+/// `threads` workers rather than running serially.
+fn fft_is_parallel(size: usize, threads: usize) -> bool {
+    threads > 1 && size >= PAR_FFT_MIN
+}
+
 /// Minimum elements per thread for the data-parallel loops (power
 /// distribution, iFFT normalisation).
 const PAR_CHUNK_MIN: usize = 1 << 12;
@@ -111,33 +120,34 @@ impl<F: PrimeField> EvaluationDomain<F> {
     }
 
     /// In-place forward FFT: coefficients -> evaluations over the domain.
-    /// Splits the butterfly work across worker threads for large domains.
-    ///
-    /// The serial-vs-parallel choice comes from the installed
-    /// [`crate::tune::FftParams`] decision table (static default: the
-    /// historical `2^12` cutover); results are bit-identical either way.
+    /// Domains of `2^12` points and up split the butterfly work across
+    /// worker threads when more than one is available; results are
+    /// bit-identical to [`Self::fft_in_place_serial`] either way.
     ///
     /// # Panics
     /// Panics if `values.len() != self.size()`.
     pub fn fft_in_place(&self, values: &mut [F]) {
         assert_eq!(values.len(), self.size, "FFT input must match domain size");
-        // Mask first, thread count second: sizes the decision table keeps
-        // serial never pay the `available_parallelism` syscall.
-        if crate::tune::fft_params().allows_parallel(self.log_size) {
-            let threads = num_threads();
-            if threads > 1 {
-                parallel_radix2_fft(values, &self.twiddles, threads);
-                return;
-            }
+        // Size first, thread count second: small FFTs never pay the
+        // `available_parallelism` syscall.
+        let threads = if self.size >= PAR_FFT_MIN {
+            num_threads()
+        } else {
+            1
+        };
+        if fft_is_parallel(self.size, threads) {
+            parallel_radix2_fft(values, &self.twiddles, threads);
+        } else {
+            radix2_fft(values, &self.twiddles);
         }
-        radix2_fft(values, &self.twiddles);
     }
 
-    /// In-place inverse FFT: evaluations -> coefficients.
+    /// In-place inverse FFT: evaluations -> coefficients, with the same
+    /// serial/parallel cutover as [`Self::fft_in_place`].
     pub fn ifft_in_place(&self, values: &mut [F]) {
         assert_eq!(values.len(), self.size, "iFFT input must match domain size");
         let threads = num_threads();
-        if crate::tune::fft_params().parallel(self.log_size, threads) {
+        if fft_is_parallel(self.size, threads) {
             parallel_radix2_fft(values, &self.inv_twiddles, threads);
         } else {
             radix2_fft(values, &self.inv_twiddles);
@@ -155,15 +165,6 @@ impl<F: PrimeField> EvaluationDomain<F> {
     pub fn fft_in_place_serial(&self, values: &mut [F]) {
         assert_eq!(values.len(), self.size, "FFT input must match domain size");
         radix2_fft(values, &self.twiddles);
-    }
-
-    /// Forward FFT forced onto the parallel kernel with an explicit
-    /// thread count, regardless of the installed dispatch table. Used by
-    /// the calibration probe and the benchmarks to time the parallel
-    /// path directly; bit-identical to [`Self::fft_in_place_serial`].
-    pub fn fft_in_place_parallel(&self, values: &mut [F], threads: usize) {
-        assert_eq!(values.len(), self.size, "FFT input must match domain size");
-        parallel_radix2_fft(values, &self.twiddles, threads.max(2));
     }
 
     /// Single-threaded inverse FFT (reference implementation).
@@ -424,9 +425,24 @@ mod tests {
     }
 
     #[test]
+    fn parallel_cutover_reproduces_historical_threshold() {
+        for log2 in 0..12 {
+            assert!(!fft_is_parallel(1 << log2, 8), "2^{log2} must stay serial");
+        }
+        for log2 in 12..=28 {
+            assert!(fft_is_parallel(1 << log2, 8), "2^{log2} must go parallel");
+            assert!(
+                !fft_is_parallel(1 << log2, 1),
+                "one thread is always serial"
+            );
+        }
+    }
+
+    #[test]
     fn parallel_fft_matches_serial_bit_for_bit() {
         let mut rng = StdRng::seed_from_u64(77);
-        for log_n in [6usize, 9, 13] {
+        // 11 and 12 sit on either side of the PAR_FFT_MIN dispatch cutover.
+        for log_n in [6usize, 9, 11, 12, 13] {
             let n = 1usize << log_n;
             let domain = EvaluationDomain::<Fr>::new(n).unwrap();
             let original: Vec<Fr> = (0..n).map(|_| Fr::random(&mut rng)).collect();
@@ -438,14 +454,17 @@ mod tests {
                 parallel_radix2_fft(&mut par, &domain.twiddles, threads);
                 assert_eq!(par, serial, "fft log_n={log_n} threads={threads}");
             }
-            // The dispatching entry point agrees regardless of which path
-            // it takes on this machine.
+            // The dispatching entry points agree regardless of which path
+            // they take on this machine.
             let mut v = original.clone();
             domain.fft_in_place(&mut v);
             assert_eq!(v, serial);
 
             let mut iserial = original.clone();
             domain.ifft_in_place_serial(&mut iserial);
+            let mut v = original.clone();
+            domain.ifft_in_place(&mut v);
+            assert_eq!(v, iserial, "ifft dispatch log_n={log_n}");
             let mut ipar = original.clone();
             parallel_radix2_fft(&mut ipar, &domain.inv_twiddles, 4);
             for x in &mut ipar {

@@ -122,29 +122,6 @@ mod tests {
     }
 
     #[test]
-    fn proofs_are_bit_identical_under_any_tune_profile() {
-        // The tune subsystem only reschedules the MSM/FFT kernels the
-        // prover calls into; under fixed prover randomness the proof
-        // bytes must not change however extreme the installed profile.
-        let cs = cubic(3);
-        let mut setup_rng = StdRng::seed_from_u64(42);
-        let (pk, _) = setup(&cs, &mut setup_rng);
-        let mut rng = StdRng::seed_from_u64(47);
-        let baseline = prove(&pk, &cs, &mut rng);
-
-        let mut extreme = zkvc_curve::tune::TuneProfile::static_profile();
-        extreme.msm.affine_mask = !0u64;
-        extreme.msm.windows = [3u8; 33];
-        extreme.fft.par_mask = !0u64;
-        let previous = zkvc_curve::tune::activate(&extreme);
-        let mut rng = StdRng::seed_from_u64(47);
-        let tuned = prove(&pk, &cs, &mut rng);
-        zkvc_curve::tune::restore(previous);
-
-        assert_eq!(tuned, baseline);
-    }
-
-    #[test]
     fn proofs_are_randomised_but_all_verify() {
         let mut rng = StdRng::seed_from_u64(45);
         let cs = cubic(5);

@@ -15,6 +15,15 @@
 //! work, reflecting that both parties must be live in the interactive
 //! setting.
 //!
+//! Nothing on the proving service path calls this crate. It has two roles:
+//!
+//! * **The Fig. 6 baseline** — the `fig6` harness times it against zkVC-G
+//!   and zkVC-S on the same matmul shapes.
+//! * **A verdict oracle** — it decides `Y = X * W` without any circuit, so
+//!   soundness tests can check that Groth16, Spartan and this protocol
+//!   agree on accept/reject for the same claim (ROADMAP item 1(a);
+//!   `tests/end_to_end_matmul.rs` already compares honest verdicts).
+//!
 //! ## Example
 //!
 //! ```rust

@@ -48,12 +48,11 @@ USAGE:
     zkvc client --connect ADDR [--spec SPEC] [--seed N] [--sessions K] [--count M]
                 [--jobs FILE] [--no-verify] [--report FILE] [--bench FILE] [--sweep LIST]
                 [--deadline-ms MS] [--retries R] [--backoff-ms MS] [--retry-seed N]
-    zkvc worker --connect ADDR [--capacity K] [--tune-profile PATH|none]
+    zkvc worker --connect ADDR [--capacity K]
     zkvc prove  --spec SPEC [--seed N] [--key-cache DIR|none] --out FILE
     zkvc verify --in FILE --spec SPEC [--seed N] [--key-cache DIR|none]
     zkvc analyze [--spec SPEC ...] [--seed N] [--json] [--deny LEVEL]
                  [--baseline FILE]
-    zkvc tune   [--tune-profile PATH|none] [--quick] [--force]
     zkvc help
 
 SPEC grammar:
@@ -175,27 +174,6 @@ OPTIONS (prove / verify):
                        ($XDG_CACHE_HOME or ~/.cache)/zkvc/keys; disabled if
                        neither exists. Pass `none` to disable.
 
-OPTIONS (tune):
-    runs the kernel calibration probe — MSM driver/window and FFT
-    serial-vs-parallel per size class, measured on this host — and
-    persists the winning dispatch decisions as a versioned JSON profile
-    (printed to stdout). `zkvc prove/prove-batch/serve/worker` load the
-    profile at startup; tuned parameters change kernel schedules only,
-    never results, so proofs are bit-identical under any profile (see
-    docs/TUNING.md).
-    --tune-profile P   profile file to reuse/write (default: $ZKVC_TUNE,
-                       else ($XDG_CACHE_HOME or ~/.cache)/zkvc/tune.json,
-                       beside the key cache; `none` skips persistence)
-    --quick            sub-second probe (smaller sweep; CI smoke)
-    --force            recalibrate even when a reusable profile exists
-
-OPTIONS (tuning, accepted by prove-batch / serve / worker / prove / client):
-    --tune-profile P   pin this calibrated profile for the run (`none`
-                       forces the static defaults). Default: $ZKVC_TUNE,
-                       else the cached profile if one was persisted by
-                       `zkvc tune`, else static defaults. A worker with no
-                       profile calibrates itself (quick probe) at startup.
-
 EXAMPLES:
     zkvc prove-batch --spec 8x8x16:crpc+psq:groth16:x8 --workers 4 --compare-serial
     zkvc prove-batch --spec 4x4x4:zkvc:g:x4 --spec mixer-block:spartan:x4
@@ -225,7 +203,6 @@ fn main() -> ExitCode {
         "prove" => cmd_prove(&args[1..]),
         "verify" => cmd_verify(&args[1..]),
         "analyze" => cmd_analyze(&args[1..]),
-        "tune" => cmd_tune(&args[1..]),
         "help" | "--help" | "-h" => {
             print!("{USAGE}");
             return ExitCode::SUCCESS;
@@ -310,31 +287,12 @@ fn workers_from_args(args: &[String]) -> Result<usize, Error> {
     }
 }
 
-/// Resolves, activates and logs the kernel tune profile for a proving
-/// command (`--tune-profile` / `$ZKVC_TUNE` / cached default — see
-/// `zkvc_runtime::tune`). Static fallback stays silent: a process with no
-/// profile behaves exactly as before this subsystem existed.
-fn activate_tuning(args: &[String]) -> Result<zkvc_runtime::tune::ActiveTune, Error> {
-    let active = zkvc_runtime::tune::startup(flag_value(args, "--tune-profile")?)?;
-    if !matches!(active.source, zkvc_runtime::tune::TuneSource::Static) {
-        eprintln!("zkvc tune: {}", active.describe());
-    }
-    Ok(active)
-}
-
 fn cmd_prove_batch(args: &[String]) -> Result<(), Error> {
     reject_unknown_args(
         args,
-        &[
-            "--spec",
-            "--seed",
-            "--workers",
-            "--report",
-            "--tune-profile",
-        ],
+        &["--spec", "--seed", "--workers", "--report"],
         &["--compare-serial"],
     )?;
-    activate_tuning(args)?;
     let (specs, seed) = parse_common(args)?;
     if specs.is_empty() {
         return Err(Error::Usage("prove-batch needs at least one --spec".into()));
@@ -397,7 +355,17 @@ fn cmd_serve(args: &[String]) -> Result<(), Error> {
         ],
         &["--no-proofs", "--analyze-on-compile"],
     )?;
-    activate_tuning(args)?;
+    // The benchmark driver (`benchmark/src/serve.rs`) still starts
+    // `zkvc serve --tune-profile none`, so exactly that argument stays a
+    // no-op until the ROADMAP item-6 benchmark change drops it.
+    if let Some(value) = flag_value(args, "--tune-profile")? {
+        if value != "none" {
+            return Err(Error::Usage(format!(
+                "--tune-profile {value:?}: the kernel auto-tuner was removed; \
+                 MSM/FFT dispatch is static (only `none` is still accepted)"
+            )));
+        }
+    }
     let workers = workers_from_args(args)?;
     let seed = match flag_value(args, "--seed")? {
         Some(s) => s
@@ -529,26 +497,10 @@ fn cmd_serve(args: &[String]) -> Result<(), Error> {
 }
 
 fn cmd_worker(args: &[String]) -> Result<(), Error> {
-    reject_unknown_args(args, &["--connect", "--capacity", "--tune-profile"], &[])?;
-    use zkvc_runtime::tune::{self, TuneSource};
-    let tune_flag = flag_value(args, "--tune-profile")?;
-    let mut active = activate_tuning(args)?;
-    // A worker is long-lived and placement-agnostic: if this host has no
-    // usable profile yet (cold start, or a stale/corrupt cached one),
-    // spend a sub-second quick probe now so every job it is leased proves
-    // at locally calibrated settings — heterogeneous hosts in one
-    // distributed run each tune themselves.
-    if matches!(active.source, TuneSource::Static) {
-        if let TuneSource::Cached(path) = tune::resolve_source(tune_flag) {
-            eprintln!("zkvc worker: no usable tune profile; running quick calibration");
-            active = tune::calibrate_activate_persist(&tune::ProbeConfig::quick(), Some(&path));
-            eprintln!("zkvc tune: {}", active.describe());
-        }
-    }
+    reject_unknown_args(args, &["--connect", "--capacity"], &[])?;
     let addr = flag_value(args, "--connect")?
         .ok_or_else(|| Error::Usage("worker requires --connect ADDR".into()))?;
     let mut config = WorkerConfig::new(addr);
-    config.tune_digest = Some(active.digest());
     if let Some(s) = flag_value(args, "--capacity")? {
         config.capacity = s
             .parse::<usize>()
@@ -582,14 +534,9 @@ fn cmd_client(args: &[String]) -> Result<(), Error> {
             "--retries",
             "--backoff-ms",
             "--retry-seed",
-            "--tune-profile",
         ],
         &["--no-verify"],
     )?;
-    // The client proves nothing itself, but its `--bench` sweep records
-    // `tune_profile` provenance — load the host profile so that digest
-    // reflects what a prover on this machine would run under.
-    activate_tuning(args)?;
     let addr = ListenAddr::parse(
         flag_value(args, "--connect")?
             .ok_or_else(|| Error::Usage("client requires --connect ADDR".into()))?,
@@ -828,75 +775,8 @@ fn cmd_analyze(args: &[String]) -> Result<(), Error> {
     }
 }
 
-fn cmd_tune(args: &[String]) -> Result<(), Error> {
-    reject_unknown_args(args, &["--tune-profile"], &["--quick", "--force"])?;
-    use zkvc_runtime::tune::{self, TuneSource};
-    let flag = flag_value(args, "--tune-profile")?;
-    let quick = args.iter().any(|a| a == "--quick");
-    let force = args.iter().any(|a| a == "--force");
-    let path = match tune::resolve_source(flag) {
-        TuneSource::Pinned(p) | TuneSource::Cached(p) => Some(p),
-        _ => None,
-    };
-
-    // Reuse an existing calibrated profile when it loads cleanly and its
-    // host fingerprint (core count) still matches — repeat invocations
-    // are then free, which is what lets services run `zkvc tune`
-    // unconditionally at deploy time.
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    if !force {
-        if let Some(p) = &path {
-            match tune::load_profile(p) {
-                Ok(profile) if profile.cores == cores => {
-                    print!("{}", profile.to_json());
-                    eprintln!(
-                        "zkvc tune: reusing calibrated profile {} from {} (probe skipped; \
-                         --force recalibrates)",
-                        tune::profile_digest(&profile),
-                        p.display()
-                    );
-                    return Ok(());
-                }
-                Ok(profile) => eprintln!(
-                    "zkvc tune: cached profile was calibrated for {} core(s) but this host \
-                     has {cores}; recalibrating",
-                    profile.cores
-                ),
-                // Missing, stale-version or corrupt: calibrate fresh
-                // (startup paths already warn about the bad cases).
-                Err(_) => {}
-            }
-        }
-    }
-
-    let probe = if quick {
-        tune::ProbeConfig::quick()
-    } else {
-        tune::ProbeConfig::standard()
-    };
-    eprintln!(
-        "zkvc tune: calibrating MSM/FFT dispatch ({} probe, {cores} core(s))...",
-        if quick { "quick" } else { "standard" }
-    );
-    let t0 = Instant::now();
-    let active = tune::calibrate_activate_persist(&probe, path.as_deref());
-    print!("{}", active.profile.to_json());
-    eprintln!(
-        "zkvc tune: {} ({} probe point(s), {:.2}s)",
-        active.describe(),
-        active.profile.probes.len(),
-        t0.elapsed().as_secs_f64()
-    );
-    Ok(())
-}
-
 fn cmd_prove(args: &[String]) -> Result<(), Error> {
-    reject_unknown_args(
-        args,
-        &["--spec", "--seed", "--out", "--key-cache", "--tune-profile"],
-        &[],
-    )?;
-    activate_tuning(args)?;
+    reject_unknown_args(args, &["--spec", "--seed", "--out", "--key-cache"], &[])?;
     let (specs, seed) = parse_common(args)?;
     let [spec] = specs[..] else {
         return Err(Error::Usage(

@@ -74,7 +74,6 @@ mod sched;
 mod serial;
 mod serve;
 mod spec;
-pub mod tune;
 mod util;
 pub mod wire;
 mod worker;

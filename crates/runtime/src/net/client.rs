@@ -393,14 +393,13 @@ pub fn run_sweep(config: &ClientConfig, sweep: &[usize]) -> Result<String, Error
         ));
     }
     Ok(format!(
-        "{{\"schema\":\"{SERVE_BENCH_SCHEMA}\",\"spec\":\"{}\",\"seed\":{},\"count_per_session\":{},\"threads\":{},\"cores\":{},\"tune_profile\":\"{}\",\"points\":[{}]}}",
+        "{{\"schema\":\"{SERVE_BENCH_SCHEMA}\",\"spec\":\"{}\",\"seed\":{},\"count_per_session\":{},\"threads\":{},\"cores\":{},\"points\":[{}]}}",
         json_escape(&config.spec.to_string()),
         config
             .seed.map_or_else(|| "null".into(), |s| s.to_string()),
         config.count,
         available_cores(),
         available_cores(),
-        crate::tune::active_digest(),
         points.join(",")
     ))
 }

@@ -60,13 +60,6 @@ pub struct WorkerConfig {
     /// Optional cooperative stop flag (signal handler); the worker exits
     /// cleanly at the next tick when raised.
     pub shutdown: Option<Arc<AtomicBool>>,
-    /// Digest of this host's active tune profile (see [`crate::tune`]),
-    /// reported in the registration-ack log line so heterogeneous
-    /// distributed runs can be traced to each worker's local dispatch
-    /// calibration. Tuning changes schedule only — proofs stay
-    /// bit-identical — so the digest travels in logging, never on the
-    /// frozen zkvc-worker/v1 wire.
-    pub tune_digest: Option<String>,
 }
 
 impl WorkerConfig {
@@ -76,7 +69,6 @@ impl WorkerConfig {
             addr: addr.into(),
             capacity: 1,
             shutdown: None,
-            tune_digest: None,
         }
     }
 }
@@ -197,9 +189,7 @@ pub fn run_worker(config: &WorkerConfig) -> Result<WorkerSummary, Error> {
                     Ok(CoordMsg::Ack { worker }) => {
                         summary.worker_id = worker;
                         eprintln!(
-                            "zkvc worker: registered as worker {worker} (capacity {capacity}, \
-                             tune profile {})",
-                            config.tune_digest.as_deref().unwrap_or("static")
+                            "zkvc worker: registered as worker {worker} (capacity {capacity})"
                         );
                     }
                     Ok(CoordMsg::Shape {
