@@ -470,6 +470,13 @@ impl<A: AffinePoint> BatchAffineBuckets<A> {
 /// doubling or addition step shares a single batched inversion across the
 /// outputs. One cancellation checkpoint per scalar bit.
 ///
+/// The outputs are independent, so they are split into contiguous ranges
+/// across threads, each range walking the schedule over its own buckets:
+/// one range per available thread, but at least 256 outputs each, since
+/// the batched inversions amortise over a range's outputs. A short fold
+/// (or a single-core host) stays on the caller's thread. The result does
+/// not depend on the split.
+///
 /// # Panics
 /// Panics if `coeffs` is empty or `bases.len()` is not a multiple of it.
 pub fn fold_bases<A: AffinePoint>(bases: &[A], coeffs: &[A::Scalar]) -> Vec<A> {
@@ -478,22 +485,42 @@ pub fn fold_bases<A: AffinePoint>(bases: &[A], coeffs: &[A::Scalar]) -> Vec<A> {
         "bases must split into one equal block per coefficient"
     );
     let m = bases.len() / coeffs.len();
+    let num_chunks = zkvc_ff::par::num_threads().min(m / FOLD_CHUNK_MIN);
+    fold_bases_with_chunks(bases, coeffs, num_chunks)
+}
+
+/// Fewest outputs a thread of [`fold_bases`] takes on.
+const FOLD_CHUNK_MIN: usize = 1 << 8;
+
+/// [`fold_bases`] with an explicit chunk count (exposed to the tests so
+/// the multi-chunk path is exercised deterministically).
+fn fold_bases_with_chunks<A: AffinePoint>(
+    bases: &[A],
+    coeffs: &[A::Scalar],
+    num_chunks: usize,
+) -> Vec<A> {
+    let m = bases.len() / coeffs.len();
     let nafs: Vec<Vec<i8>> = coeffs.iter().map(|c| naf(&c.to_canonical())).collect();
     let top = nafs.iter().map(Vec::len).max().unwrap_or(0);
-    let mut acc = BatchAffineBuckets::<A>::new(m);
-    for bit in (0..top).rev() {
-        cancel::checkpoint();
-        let doubled = acc.buckets.clone();
-        acc.add_each(doubled.into_iter());
-        for (block, naf) in bases.chunks(m).zip(nafs.iter()) {
-            match naf.get(bit) {
-                Some(1) => acc.add_each(block.iter().copied()),
-                Some(-1) => acc.add_each(block.iter().map(AffinePoint::neg_point)),
-                _ => {}
+    map_chunks(m, num_chunks, |outputs| {
+        let mut acc = BatchAffineBuckets::<A>::new(outputs.len());
+        let mut doubled = Vec::with_capacity(outputs.len());
+        for bit in (0..top).rev() {
+            cancel::checkpoint();
+            doubled.clone_from(&acc.buckets);
+            acc.add_each(doubled.iter().copied());
+            for (p, naf) in nafs.iter().enumerate() {
+                let block = &bases[p * m..][outputs.clone()];
+                match naf.get(bit) {
+                    Some(1) => acc.add_each(block.iter().copied()),
+                    Some(-1) => acc.add_each(block.iter().map(AffinePoint::neg_point)),
+                    _ => {}
+                }
             }
         }
-    }
-    acc.buckets
+        acc.buckets
+    })
+    .concat()
 }
 
 /// Window width of a [`FixedBaseTable`]: signed radix-2^8 digits. A
@@ -910,31 +937,89 @@ mod tests {
         }
     }
 
+    /// The fold oracle: one naive MSM per output over its column of blocks.
+    fn naive_fold(bases: &[G1Affine], coeffs: &[Fr]) -> Vec<G1Affine> {
+        let m = bases.len() / coeffs.len();
+        let block_sum = |i: usize| {
+            let column: Vec<G1Affine> = bases.iter().skip(i).step_by(m).copied().collect();
+            naive_msm(&column, coeffs).to_affine()
+        };
+        (0..m).map(block_sum).collect()
+    }
+
+    /// `blocks * m` bases where base 5 is the identity and, with unit
+    /// coefficients, output 1 adds a point to itself (the doubling branch)
+    /// and output 2 adds a point to its negation.
+    fn fold_edge_bases(blocks: usize, m: usize, rng: &mut StdRng) -> Vec<G1Affine> {
+        let mut bases = random_bases(blocks * m, rng);
+        bases[5] = G1Affine::identity();
+        bases[m + 1] = bases[1];
+        bases[m + 2] = bases[2].neg_point();
+        bases
+    }
+
     #[test]
     fn fold_bases_matches_naive_block_sums() {
         let mut rng = StdRng::seed_from_u64(7);
-        let mut bases = random_bases(24, &mut rng);
-        bases[5] = G1Affine::identity();
-        // With unit coefficients and two blocks, output 1 adds a point to
-        // itself (the doubling branch) and output 2 to its negation.
-        bases[13] = bases[1];
-        bases[14] = bases[2].neg_point();
-        let expect = |coeffs: &[Fr]| -> Vec<G1Affine> {
-            let m = bases.len() / coeffs.len();
-            let block_sum = |i: usize| {
-                let column: Vec<G1Affine> = bases.iter().skip(i).step_by(m).copied().collect();
-                naive_msm(&column, coeffs).to_affine()
-            };
-            (0..m).map(block_sum).collect()
-        };
+        let bases = fold_edge_bases(2, 12, &mut rng);
         let units = [Fr::one(), Fr::one()];
-        assert_eq!(fold_bases(&bases, &units), expect(&units));
+        assert_eq!(fold_bases(&bases, &units), naive_fold(&bases, &units));
         for k in [1usize, 2, 3, 8, 24] {
             let mut coeffs: Vec<Fr> = (0..k).map(|_| Fr::random(&mut rng)).collect();
             coeffs[k / 2] = Fr::zero();
             coeffs[0] = Fr::one();
-            assert_eq!(fold_bases(&bases, &coeffs), expect(&coeffs), "k={k}");
+            assert_eq!(
+                fold_bases(&bases, &coeffs),
+                naive_fold(&bases, &coeffs),
+                "k={k}"
+            );
         }
+    }
+
+    #[test]
+    fn fold_bases_is_independent_of_the_chunk_count() {
+        // 13 outputs: no chunk count here divides them, so every split
+        // ends in a short range.
+        let mut rng = StdRng::seed_from_u64(13);
+        let bases = fold_edge_bases(4, 13, &mut rng);
+        let mixed = [Fr::one(), Fr::random(&mut rng), Fr::zero(), -Fr::one()];
+        for coeffs in [[Fr::one(); 4], mixed] {
+            let expect = naive_fold(&bases, &coeffs);
+            for chunks in [1usize, 2, 3, 8] {
+                let got = fold_bases_with_chunks(&bases, &coeffs, chunks);
+                assert_eq!(got, expect, "{chunks} chunks");
+            }
+        }
+        for chunks in [1usize, 2, 3, 8] {
+            assert!(fold_bases_with_chunks::<G1Affine>(&[], &mixed, chunks).is_empty());
+        }
+    }
+
+    #[test]
+    fn cancellation_inside_a_split_fold_keeps_its_marker() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+        // 8 blocks x 512 outputs over two threads; the shared predicate
+        // trips on its 6th call, a few bits into the fold, in whichever
+        // worker gets there first.
+        let mut rng = StdRng::seed_from_u64(14);
+        let bases = random_bases(8 * 512, &mut rng);
+        let coeffs: Vec<Fr> = (0..8).map(|_| Fr::random(&mut rng)).collect();
+        let calls = Arc::new(AtomicUsize::new(0));
+        let seen = Arc::clone(&calls);
+        let _guard = cancel::install(Arc::new(move || {
+            seen.fetch_add(1, Ordering::Relaxed) + 1 >= 6
+        }));
+        let before = cancel::unwound_checkpoints();
+        let payload = std::panic::catch_unwind(|| fold_bases_with_chunks(&bases, &coeffs, 2))
+            .expect_err("the 6th checkpoint cancels");
+        assert!(
+            payload.downcast_ref::<cancel::Cancelled>().is_some(),
+            "payload replaced: {:?}",
+            payload.downcast_ref::<&str>()
+        );
+        assert!(calls.load(Ordering::Relaxed) >= 6);
+        assert!(cancel::unwound_checkpoints() > before);
     }
 
     /// The oracle: one MSB-first double-and-add per scalar.

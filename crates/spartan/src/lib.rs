@@ -19,8 +19,10 @@
 //! bases only every third round (one shared-scalar 8-block
 //! [`zkvc_curve::fold_bases`]), so opening a length-`n` vector costs three
 //! rounds of two `n/2`-point MSMs, one `n/8`-output fold, and an
-//! eighth of that per later stride; the verifier builds its `s` vector in
-//! `O(n)` and checks the opening with one `n`-point MSM over the
+//! eighth of that per later stride. The fold's outputs are split across
+//! threads once there are at least 256 per thread (`n = 4 096` splits in
+//! two), with the same bytes on any host. The verifier builds its `s`
+//! vector in `O(n)` and checks the opening with one `n`-point MSM over the
 //! generators and one `2 log n + 1`-point MSM over the proof's points and
 //! `Q`. Generator tables are derived once per process and label.
 //!
