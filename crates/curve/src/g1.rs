@@ -10,6 +10,7 @@ use core::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
 use std::sync::OnceLock;
 
 use rand::Rng;
+use zkvc_ff::codec::{ByteReader, DecodeError};
 use zkvc_ff::fields::params;
 use zkvc_ff::{Field, Fq, Fr, PrimeField};
 
@@ -115,23 +116,22 @@ impl G1Affine {
         out
     }
 
-    /// Deserialises a point written by [`Self::to_bytes`], validating the
-    /// curve equation.
-    pub fn from_bytes(bytes: &[u8; 65]) -> Option<Self> {
-        let mut xb = [0u8; 32];
-        let mut yb = [0u8; 32];
-        xb.copy_from_slice(&bytes[..32]);
-        yb.copy_from_slice(&bytes[32..64]);
+    /// Reads a point written by [`Self::to_bytes`]: canonical coordinates
+    /// on the curve. Flag 1 is the identity and any other flag reads as a
+    /// finite point; subgroup membership is not checked.
+    pub fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
         let p = G1Affine {
-            x: Fq::from_bytes_le(&xb)?,
-            y: Fq::from_bytes_le(&yb)?,
-            infinity: bytes[64] == 1,
+            x: r.field("point x")?,
+            y: r.field("point y")?,
+            infinity: r.u8("point flag")? == 1,
         };
-        if p.is_on_curve() {
-            Some(p)
-        } else {
-            None
+        if !p.is_on_curve() {
+            return Err(DecodeError::Malformed {
+                context: "point",
+                detail: "not on the curve".into(),
+            });
         }
+        Ok(p)
     }
 }
 
@@ -642,6 +642,10 @@ mod tests {
         assert_eq!(a + b, b + a);
     }
 
+    fn decode(bytes: &[u8]) -> Result<G1Affine, DecodeError> {
+        zkvc_ff::codec::decode_exact(bytes, G1Affine::decode)
+    }
+
     #[test]
     fn affine_roundtrip_and_serialization() {
         let mut r = rng();
@@ -651,15 +655,17 @@ mod tests {
             assert!(aff.is_on_curve());
             assert_eq!(aff.to_projective(), p);
             let bytes = aff.to_bytes();
-            assert_eq!(G1Affine::from_bytes(&bytes).unwrap(), aff);
+            assert_eq!(decode(&bytes).unwrap(), aff);
         }
         // Corrupted bytes must be rejected (point off curve).
         let mut bytes = G1Affine::generator().to_bytes();
         bytes[0] ^= 1;
-        assert!(G1Affine::from_bytes(&bytes).is_none());
+        assert!(decode(&bytes).is_err());
         // Identity round-trips.
         let id = G1Affine::identity().to_bytes();
-        assert!(G1Affine::from_bytes(&id).unwrap().is_identity());
+        assert!(decode(&id).unwrap().is_identity());
+        // Short input is truncated, not a panic.
+        assert!(decode(&id[..64]).is_err());
     }
 
     #[test]

@@ -25,6 +25,7 @@
 
 pub mod arith;
 pub mod cancel;
+pub mod codec;
 pub mod fp;
 pub mod par;
 pub mod traits;

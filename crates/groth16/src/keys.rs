@@ -16,6 +16,7 @@ use std::sync::Arc;
 
 use rand::Rng;
 use zkvc_curve::{fixed_base_mul, pairing, G1Affine, Gt};
+use zkvc_ff::codec::{decode_exact, ByteReader, DecodeError};
 use zkvc_ff::{Field, Fr};
 use zkvc_qap::evaluate_qap_at_point_in;
 use zkvc_r1cs::CompiledShape;
@@ -46,19 +47,13 @@ impl Proof {
         out
     }
 
-    /// Deserialises a proof, validating that all points are on the curve.
-    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        if bytes.len() != 3 * 65 {
-            return None;
-        }
-        let mut buf = [0u8; 65];
-        buf.copy_from_slice(&bytes[..65]);
-        let a = G1Affine::from_bytes(&buf)?;
-        buf.copy_from_slice(&bytes[65..130]);
-        let b = G1Affine::from_bytes(&buf)?;
-        buf.copy_from_slice(&bytes[130..195]);
-        let c = G1Affine::from_bytes(&buf)?;
-        Some(Proof { a, b, c })
+    /// Reads a proof, validating that all points are on the curve.
+    pub fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
+        Ok(Proof {
+            a: G1Affine::decode(r)?,
+            b: G1Affine::decode(r)?,
+            c: G1Affine::decode(r)?,
+        })
     }
 }
 
@@ -87,10 +82,10 @@ impl VerifyingKey {
         (4 + self.gamma_abc_g1.len()) * 65 + 64
     }
 
-    /// Canonical byte serialisation: the four fixed points, then a `u32`
-    /// count followed by the `gamma_abc` points. The cached pairing
-    /// `e(alpha, beta)` is *not* stored; [`Self::from_bytes`] recomputes it,
-    /// so a deserialised key cannot carry an inconsistent cache.
+    /// Canonical byte serialisation (layout in [`zkvc_ff::codec`]). The
+    /// cached pairing `e(alpha, beta)` is *not* stored; [`Self::decode`]
+    /// recomputes it, so a deserialised key cannot carry an inconsistent
+    /// cache.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity((4 + self.gamma_abc_g1.len()) * 65 + 4);
         out.extend_from_slice(&self.alpha_g1.to_bytes());
@@ -104,28 +99,16 @@ impl VerifyingKey {
         out
     }
 
-    /// Deserialises a key written by [`Self::to_bytes`], validating that
-    /// every point is on the curve and recomputing the cached pairing.
-    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        let point = |off: usize| -> Option<G1Affine> {
-            let mut buf = [0u8; 65];
-            buf.copy_from_slice(bytes.get(off..off + 65)?);
-            G1Affine::from_bytes(&buf)
-        };
-        let alpha_g1 = point(0)?;
-        let beta_g2 = point(65)?;
-        let gamma_g2 = point(130)?;
-        let delta_g2 = point(195)?;
-        let count_bytes: [u8; 4] = bytes.get(260..264)?.try_into().ok()?;
-        let count = u32::from_le_bytes(count_bytes) as usize;
-        if bytes.len() != 264 + count * 65 {
-            return None;
-        }
-        let mut gamma_abc_g1 = Vec::with_capacity(count);
-        for i in 0..count {
-            gamma_abc_g1.push(point(264 + i * 65)?);
-        }
-        Some(VerifyingKey {
+    /// Reads a key written by [`Self::to_bytes`], validating that every
+    /// point is on the curve and recomputing the cached pairing.
+    pub fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
+        let alpha_g1 = G1Affine::decode(r)?;
+        let beta_g2 = G1Affine::decode(r)?;
+        let gamma_g2 = G1Affine::decode(r)?;
+        let delta_g2 = G1Affine::decode(r)?;
+        let count = r.count_u32(65, "gamma_abc count")?;
+        let gamma_abc_g1 = r.items(count, G1Affine::decode)?;
+        Ok(VerifyingKey {
             alpha_g1,
             beta_g2,
             gamma_g2,
@@ -133,6 +116,11 @@ impl VerifyingKey {
             gamma_abc_g1,
             alpha_beta_gt: pairing(&alpha_g1, &beta_g2),
         })
+    }
+
+    /// [`Self::decode`] over exactly `bytes`; `None` on any malformed input.
+    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
+        decode_exact(bytes, Self::decode).ok()
     }
 }
 
@@ -299,6 +287,10 @@ mod tests {
         cs
     }
 
+    fn decode_proof(bytes: &[u8]) -> Option<Proof> {
+        decode_exact(bytes, Proof::decode).ok()
+    }
+
     #[test]
     fn setup_shapes() {
         let cs = square_circuit();
@@ -343,11 +335,11 @@ mod tests {
         let p = Proof { a: g, b: g, c: g };
         let bytes = p.to_bytes();
         assert_eq!(bytes.len(), p.size_in_bytes());
-        assert_eq!(Proof::from_bytes(&bytes).unwrap(), p);
-        assert!(Proof::from_bytes(&bytes[..100]).is_none());
+        assert_eq!(decode_proof(&bytes).unwrap(), p);
+        assert!(decode_proof(&bytes[..100]).is_none());
         let mut corrupted = bytes;
         corrupted[1] ^= 0xff;
-        assert!(Proof::from_bytes(&corrupted).is_none());
+        assert!(decode_proof(&corrupted).is_none());
     }
 
     #[test]
@@ -383,7 +375,7 @@ mod tests {
 
         let vk2 = VerifyingKey::from_bytes(&vk.to_bytes()).unwrap();
         let proof_bytes = proof.to_bytes();
-        let proof2 = Proof::from_bytes(&proof_bytes).unwrap();
+        let proof2 = decode_proof(&proof_bytes).unwrap();
         assert!(crate::verify(&vk2, cs.instance_assignment(), &proof2));
         assert!(verify_three_pairings(
             &vk2,
@@ -394,7 +386,7 @@ mod tests {
         for byte_idx in 0..proof_bytes.len() {
             let mut tampered = proof_bytes.clone();
             tampered[byte_idx] ^= 1;
-            match Proof::from_bytes(&tampered) {
+            match decode_proof(&tampered) {
                 None => {} // rejected by curve-membership validation
                 Some(p) => {
                     assert!(

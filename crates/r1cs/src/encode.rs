@@ -1,186 +1,31 @@
-//! Canonical byte encoding for [`CompiledShape`] and [`WitnessAssignment`].
+//! Canonical byte encoding for [`CompiledShape`]: the bytes distributed
+//! proving ships. A coordinator compiles a shape once, encodes it here, and
+//! sends the bytes to each worker exactly once (compile-once becomes
+//! ship-once). The layout is in [`zkvc_ff::codec`].
 //!
-//! This is the wire format distributed proving ships: a coordinator
-//! compiles a shape once, encodes it here, and sends the bytes to each
-//! worker exactly once (compile-once becomes ship-once). The format is
-//! **versioned** (a leading version byte; future-versioned bytes are
-//! rejected with a typed [`DecodeError::FutureVersion`], never a parse
-//! panic), **digest-checked** (the shape digest travels verbatim — it is
-//! computed over the raw pre-CSR emission order and cannot be recomputed
-//! from the CSR matrices, so decoders validate it against the digest the
+//! The format is **versioned** (a leading version byte; a newer version is
+//! a typed [`DecodeError::FutureVersion`], never a parse panic),
+//! **digest-checked** (the shape digest travels verbatim — it is computed
+//! over the raw pre-CSR emission order and cannot be recomputed from the
+//! CSR matrices, so decoders validate it against the digest the
 //! coordinator announced out of band), and **round-trip stable**
 //! (`decode(encode(x)) == x`, byte for byte, for every valid input).
-//!
-//! Layout (all integers little-endian `u64` unless noted):
-//!
-//! ```text
-//! shape   := version:u8 num_instance num_witness digest[32]
-//!            matrix(A) matrix(B) matrix(C)
-//!            list(expected_boolean) list(provided_boolean)
-//! matrix  := num_rows num_cols list(row_ptr) list(col_idx) fields(vals)
-//! list    := len entry*          (entries are u64)
-//! fields  := len field*          (fields are 32-byte canonical LE)
-//! witness := version:u8 fields(instance) fields(witness)
-//! ```
 //!
 //! Decoding validates every structural invariant the rest of the codebase
 //! assumes (CSR monotonicity, per-row sorted columns, canonical field
 //! bytes, hint columns in bounds) so a decoded shape is safe to hand to
 //! setup and proving without re-checking.
 
-use core::fmt;
-
+use zkvc_ff::codec::{decode_exact, hex, ByteReader, DecodeError};
 use zkvc_ff::PrimeField;
 
 use crate::matrices::{R1csMatrices, SparseMatrix};
-use crate::sink::{CompiledShape, WitnessAssignment};
+use crate::sink::CompiledShape;
 
 /// Version byte emitted at the head of every encoded [`CompiledShape`].
 pub const SHAPE_ENCODING_VERSION: u8 = 1;
 
-/// Version byte emitted at the head of every encoded [`WitnessAssignment`].
-pub const WITNESS_ENCODING_VERSION: u8 = 1;
-
-/// Why a byte string failed to decode. Every variant names the field that
-/// broke, so a coordinator log line is actionable without a hex dump.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum DecodeError {
-    /// The version byte is newer than this build understands. The bytes
-    /// may be perfectly valid — the decoder is just too old.
-    FutureVersion {
-        /// What was being decoded ("shape", "witness", ...).
-        context: &'static str,
-        /// The version byte found at the head of the input.
-        found: u8,
-        /// The newest version this build can decode.
-        supported: u8,
-    },
-    /// The input ended before the named field was complete.
-    Truncated {
-        /// The field being read when the input ran out.
-        context: &'static str,
-    },
-    /// A structural invariant failed (CSR monotonicity, out-of-range
-    /// column, non-canonical field bytes, ...).
-    Malformed {
-        /// The field that violated its invariant.
-        context: &'static str,
-        /// Human-readable detail of the violation.
-        detail: String,
-    },
-    /// The digest carried in the bytes does not match the digest the
-    /// caller expected (hex-encoded in the payloads).
-    DigestMismatch {
-        /// The digest the caller expected, hex-encoded.
-        expected: String,
-        /// The digest carried in the encoded bytes, hex-encoded.
-        found: String,
-    },
-    /// Decoding succeeded but bytes were left over — the input is not a
-    /// single canonical encoding.
-    TrailingBytes {
-        /// How many bytes remained unconsumed.
-        extra: usize,
-    },
-}
-
-impl fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DecodeError::FutureVersion {
-                context,
-                found,
-                supported,
-            } => write!(
-                f,
-                "{context} encoding version {found} is newer than supported version {supported}"
-            ),
-            DecodeError::Truncated { context } => {
-                write!(f, "input truncated while reading {context}")
-            }
-            DecodeError::Malformed { context, detail } => {
-                write!(f, "malformed {context}: {detail}")
-            }
-            DecodeError::DigestMismatch { expected, found } => {
-                write!(
-                    f,
-                    "shape digest mismatch: expected {expected}, found {found}"
-                )
-            }
-            DecodeError::TrailingBytes { extra } => {
-                write!(f, "{extra} trailing byte(s) after a complete encoding")
-            }
-        }
-    }
-}
-
-impl std::error::Error for DecodeError {}
-
-/// Incremental little-endian reader over an encoded byte string. Public
-/// so `zkvc-runtime`'s codec layer can reuse the same primitives for its
-/// own framed formats.
-#[derive(Debug)]
-pub struct ByteReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ByteReader<'a> {
-    /// Starts reading at the head of `buf`.
-    pub fn new(buf: &'a [u8]) -> Self {
-        ByteReader { buf, pos: 0 }
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Takes `n` raw bytes, or reports which field was truncated.
-    pub fn take(&mut self, n: usize, context: &'static str) -> Result<&'a [u8], DecodeError> {
-        if self.remaining() < n {
-            return Err(DecodeError::Truncated { context });
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    /// Reads one byte.
-    pub fn u8(&mut self, context: &'static str) -> Result<u8, DecodeError> {
-        Ok(self.take(1, context)?[0])
-    }
-
-    /// Reads a little-endian `u64`.
-    pub fn u64(&mut self, context: &'static str) -> Result<u64, DecodeError> {
-        let bytes = self.take(8, context)?;
-        Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
-    }
-
-    /// Reads a little-endian `u64` and narrows it to `usize`, rejecting
-    /// values this platform cannot index.
-    pub fn len(&mut self, context: &'static str) -> Result<usize, DecodeError> {
-        let raw = self.u64(context)?;
-        usize::try_from(raw).map_err(|_| DecodeError::Malformed {
-            context,
-            detail: format!("length {raw} overflows usize"),
-        })
-    }
-
-    /// Asserts every byte was consumed (a canonical encoding has no
-    /// trailing garbage).
-    pub fn finish(self) -> Result<(), DecodeError> {
-        if self.remaining() != 0 {
-            return Err(DecodeError::TrailingBytes {
-                extra: self.remaining(),
-            });
-        }
-        Ok(())
-    }
-}
-
-/// Appends a little-endian `u64` to `out`.
-pub fn put_u64(out: &mut Vec<u8>, value: u64) {
+fn put_u64(out: &mut Vec<u8>, value: u64) {
     out.extend_from_slice(&value.to_le_bytes());
 }
 
@@ -192,55 +37,12 @@ fn put_index_list(out: &mut Vec<u8>, values: &[usize]) {
     }
 }
 
-/// Reads a length-prefixed `u64` list back into `usize`s, bounding the
-/// claimed length against the bytes actually present so a hostile length
-/// prefix cannot force a huge allocation.
-fn take_index_list(
+fn read_index_list(
     r: &mut ByteReader<'_>,
     context: &'static str,
 ) -> Result<Vec<usize>, DecodeError> {
-    let len = r.len(context)?;
-    if len.checked_mul(8).is_none_or(|bytes| bytes > r.remaining()) {
-        return Err(DecodeError::Truncated { context });
-    }
-    let mut out = Vec::with_capacity(len);
-    for _ in 0..len {
-        out.push(r.len(context)?);
-    }
-    Ok(out)
-}
-
-/// Appends a length-prefixed list of canonical 32-byte field elements.
-fn put_field_list<F: PrimeField>(out: &mut Vec<u8>, values: &[F]) {
-    put_u64(out, values.len() as u64);
-    for v in values {
-        out.extend_from_slice(&v.to_bytes_le());
-    }
-}
-
-/// Reads a length-prefixed field list, rejecting non-canonical bytes
-/// (values at or above the modulus decode to `None`).
-fn take_field_list<F: PrimeField>(
-    r: &mut ByteReader<'_>,
-    context: &'static str,
-) -> Result<Vec<F>, DecodeError> {
-    let len = r.len(context)?;
-    if len
-        .checked_mul(32)
-        .is_none_or(|bytes| bytes > r.remaining())
-    {
-        return Err(DecodeError::Truncated { context });
-    }
-    let mut out = Vec::with_capacity(len);
-    for _ in 0..len {
-        let bytes: [u8; 32] = r.take(32, context)?.try_into().expect("32 bytes");
-        let value = F::from_bytes_le(&bytes).ok_or_else(|| DecodeError::Malformed {
-            context,
-            detail: "non-canonical field element (value >= modulus)".into(),
-        })?;
-        out.push(value);
-    }
-    Ok(out)
+    let len = r.count_u64(8, context)?;
+    r.items(len, |r| r.usize(context))
 }
 
 fn put_matrix<F: PrimeField>(out: &mut Vec<u8>, m: &SparseMatrix<F>) {
@@ -248,29 +50,32 @@ fn put_matrix<F: PrimeField>(out: &mut Vec<u8>, m: &SparseMatrix<F>) {
     put_u64(out, m.num_cols as u64);
     put_index_list(out, &m.row_ptr);
     put_index_list(out, &m.col_idx);
-    put_field_list(out, &m.vals);
+    put_u64(out, m.vals.len() as u64);
+    for v in &m.vals {
+        out.extend_from_slice(&v.to_bytes_le());
+    }
 }
 
 /// Reads one CSR matrix and validates every invariant `SparseMatrix`
 /// maintains by construction: `row_ptr` spans `[0, nnz]` monotonically
 /// with one entry per row plus a terminator, and each row's columns are
 /// strictly increasing and in bounds.
-fn take_matrix<F: PrimeField>(
+fn read_matrix<F: PrimeField>(
     r: &mut ByteReader<'_>,
     context: &'static str,
 ) -> Result<SparseMatrix<F>, DecodeError> {
     let malformed = |detail: String| DecodeError::Malformed { context, detail };
-    let num_rows = r.len(context)?;
-    let num_cols = r.len(context)?;
-    let row_ptr = take_index_list(r, context)?;
-    let col_idx = take_index_list(r, context)?;
-    let vals: Vec<F> = take_field_list(r, context)?;
+    let num_rows = r.usize(context)?;
+    let num_cols = r.usize(context)?;
+    let row_ptr = read_index_list(r, context)?;
+    let col_idx = read_index_list(r, context)?;
+    let vals_len = r.count_u64(32, context)?;
+    let vals: Vec<F> = r.items(vals_len, |r| r.field(context))?;
 
-    if row_ptr.len() != num_rows + 1 {
+    if row_ptr.len().checked_sub(1) != Some(num_rows) {
         return Err(malformed(format!(
-            "row_ptr has {} entries, expected num_rows + 1 = {}",
-            row_ptr.len(),
-            num_rows + 1
+            "row_ptr has {} entries, expected one per row ({num_rows}) plus one",
+            row_ptr.len()
         )));
     }
     if row_ptr[0] != 0 {
@@ -347,67 +152,85 @@ pub fn encode_shape<F: PrimeField>(shape: &CompiledShape<F>) -> Vec<u8> {
     out
 }
 
-/// Decodes a canonical shape encoding, validating every structural
-/// invariant. The digest is carried verbatim (it hashes the raw pre-CSR
-/// emission order, which the CSR form cannot reproduce) — callers who
-/// know which digest they asked for should prefer
-/// [`decode_shape_expecting`].
+impl<F: PrimeField> CompiledShape<F> {
+    /// Reads one shape encoding (see [`decode_shape`]).
+    pub(crate) fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
+        let version = r.u8("shape version")?;
+        if version > SHAPE_ENCODING_VERSION {
+            return Err(DecodeError::FutureVersion {
+                context: "shape",
+                found: version,
+                supported: SHAPE_ENCODING_VERSION,
+            });
+        }
+        if version != SHAPE_ENCODING_VERSION {
+            return Err(DecodeError::Malformed {
+                context: "shape version",
+                detail: format!(
+                    "unknown version {version} (this build reads version {SHAPE_ENCODING_VERSION})"
+                ),
+            });
+        }
+        let num_instance = r.usize("num_instance")?;
+        let num_witness = r.usize("num_witness")?;
+        let digest = r.array("shape digest")?;
+        let a = read_matrix::<F>(r, "matrix A")?;
+        let b = read_matrix::<F>(r, "matrix B")?;
+        let c = read_matrix::<F>(r, "matrix C")?;
+        let expected_boolean = read_index_list(r, "expected_boolean")?;
+        let provided_boolean = read_index_list(r, "provided_boolean")?;
+
+        let num_cols = num_instance
+            .checked_add(num_witness)
+            .and_then(|n| n.checked_add(1))
+            .ok_or_else(|| DecodeError::Malformed {
+                context: "shape dimensions",
+                detail: format!("1 + {num_instance} + {num_witness} overflows usize"),
+            })?;
+        for (name, m) in [("A", &a), ("B", &b), ("C", &c)] {
+            if m.num_cols != num_cols {
+                return Err(DecodeError::Malformed {
+                    context: "shape matrices",
+                    detail: format!(
+                        "matrix {name} has {} columns, expected 1 + {num_instance} + {num_witness} = {num_cols}",
+                        m.num_cols
+                    ),
+                });
+            }
+            if m.num_rows != a.num_rows {
+                return Err(DecodeError::Malformed {
+                    context: "shape matrices",
+                    detail: format!(
+                        "matrix {name} has {} rows but matrix A has {}",
+                        m.num_rows, a.num_rows
+                    ),
+                });
+            }
+        }
+        check_hint_columns(&expected_boolean, num_cols, "expected_boolean")?;
+        check_hint_columns(&provided_boolean, num_cols, "provided_boolean")?;
+
+        Ok(CompiledShape {
+            matrices: R1csMatrices {
+                a,
+                b,
+                c,
+                num_instance,
+                num_witness,
+            },
+            digest,
+            expected_boolean,
+            provided_boolean,
+        })
+    }
+}
+
+/// Decodes a whole shape encoding, validating every structural invariant.
+/// The digest is carried verbatim (it hashes the raw pre-CSR emission
+/// order, which the CSR form cannot reproduce) — callers who know which
+/// digest they asked for should prefer [`decode_shape_expecting`].
 pub fn decode_shape<F: PrimeField>(bytes: &[u8]) -> Result<CompiledShape<F>, DecodeError> {
-    let mut r = ByteReader::new(bytes);
-    let version = r.u8("shape version")?;
-    if version != SHAPE_ENCODING_VERSION {
-        return Err(DecodeError::FutureVersion {
-            context: "shape",
-            found: version,
-            supported: SHAPE_ENCODING_VERSION,
-        });
-    }
-    let num_instance = r.len("num_instance")?;
-    let num_witness = r.len("num_witness")?;
-    let digest: [u8; 32] = r.take(32, "shape digest")?.try_into().expect("32 bytes");
-    let a = take_matrix::<F>(&mut r, "matrix A")?;
-    let b = take_matrix::<F>(&mut r, "matrix B")?;
-    let c = take_matrix::<F>(&mut r, "matrix C")?;
-    let expected_boolean = take_index_list(&mut r, "expected_boolean")?;
-    let provided_boolean = take_index_list(&mut r, "provided_boolean")?;
-    r.finish()?;
-
-    let num_cols = 1 + num_instance + num_witness;
-    for (name, m) in [("A", &a), ("B", &b), ("C", &c)] {
-        if m.num_cols != num_cols {
-            return Err(DecodeError::Malformed {
-                context: "shape matrices",
-                detail: format!(
-                    "matrix {name} has {} columns, expected 1 + {num_instance} + {num_witness} = {num_cols}",
-                    m.num_cols
-                ),
-            });
-        }
-        if m.num_rows != a.num_rows {
-            return Err(DecodeError::Malformed {
-                context: "shape matrices",
-                detail: format!(
-                    "matrix {name} has {} rows but matrix A has {}",
-                    m.num_rows, a.num_rows
-                ),
-            });
-        }
-    }
-    check_hint_columns(&expected_boolean, num_cols, "expected_boolean")?;
-    check_hint_columns(&provided_boolean, num_cols, "provided_boolean")?;
-
-    Ok(CompiledShape {
-        matrices: R1csMatrices {
-            a,
-            b,
-            c,
-            num_instance,
-            num_witness,
-        },
-        digest,
-        expected_boolean,
-        provided_boolean,
-    })
+    decode_exact(bytes, CompiledShape::decode)
 }
 
 /// Decodes a shape and additionally checks the carried digest equals
@@ -425,39 +248,6 @@ pub fn decode_shape_expecting<F: PrimeField>(
         });
     }
     Ok(shape)
-}
-
-/// Encodes a witness assignment into its canonical, versioned byte form.
-pub fn encode_witness<F: PrimeField>(assignment: &WitnessAssignment<F>) -> Vec<u8> {
-    let mut out =
-        Vec::with_capacity(1 + 16 + 32 * (assignment.instance.len() + assignment.witness.len()));
-    out.push(WITNESS_ENCODING_VERSION);
-    put_field_list(&mut out, &assignment.instance);
-    put_field_list(&mut out, &assignment.witness);
-    out
-}
-
-/// Decodes a canonical witness encoding. Length agreement with a shape is
-/// the caller's job (`WitnessFiller::finish_for` re-checks it against the
-/// shape's counts before proving).
-pub fn decode_witness<F: PrimeField>(bytes: &[u8]) -> Result<WitnessAssignment<F>, DecodeError> {
-    let mut r = ByteReader::new(bytes);
-    let version = r.u8("witness version")?;
-    if version != WITNESS_ENCODING_VERSION {
-        return Err(DecodeError::FutureVersion {
-            context: "witness",
-            found: version,
-            supported: WITNESS_ENCODING_VERSION,
-        });
-    }
-    let instance = take_field_list(&mut r, "witness instance values")?;
-    let witness = take_field_list(&mut r, "witness values")?;
-    r.finish()?;
-    Ok(WitnessAssignment { instance, witness })
-}
-
-fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
 #[cfg(test)]
@@ -510,22 +300,6 @@ mod tests {
     }
 
     #[test]
-    fn witness_round_trips() {
-        let w = WitnessAssignment::<Fr> {
-            instance: vec![Fr::from_u64(9)],
-            witness: vec![Fr::from_u64(3), Fr::from_u64(1)],
-        };
-        let bytes = encode_witness(&w);
-        assert_eq!(decode_witness::<Fr>(&bytes).unwrap(), w);
-        let empty = WitnessAssignment::<Fr> {
-            instance: vec![],
-            witness: vec![],
-        };
-        let bytes = encode_witness(&empty);
-        assert_eq!(decode_witness::<Fr>(&bytes).unwrap(), empty);
-    }
-
-    #[test]
     fn future_versions_are_typed_errors_not_panics() {
         let mut bytes = encode_shape(&sample_shape());
         bytes[0] = SHAPE_ENCODING_VERSION + 1;
@@ -536,32 +310,12 @@ mod tests {
             }
             other => panic!("expected FutureVersion, got {other:?}"),
         }
-        let witness_bytes = vec![WITNESS_ENCODING_VERSION + 7];
-        assert!(matches!(
-            decode_witness::<Fr>(&witness_bytes),
-            Err(DecodeError::FutureVersion { .. })
-        ));
-    }
-
-    #[test]
-    fn truncated_and_trailing_inputs_are_rejected() {
-        let bytes = encode_shape(&sample_shape());
-        for cut in [0, 1, 9, bytes.len() / 2, bytes.len() - 1] {
-            let err = decode_shape::<Fr>(&bytes[..cut]).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    DecodeError::Truncated { .. } | DecodeError::Malformed { .. }
-                ),
-                "cut at {cut}: {err:?}"
-            );
+        // An older unknown version is malformed, not "newer".
+        bytes[0] = 0;
+        match decode_shape::<Fr>(&bytes) {
+            Err(DecodeError::Malformed { context, .. }) => assert_eq!(context, "shape version"),
+            other => panic!("expected Malformed, got {other:?}"),
         }
-        let mut extra = bytes;
-        extra.push(0);
-        assert!(matches!(
-            decode_shape::<Fr>(&extra),
-            Err(DecodeError::TrailingBytes { extra: 1 })
-        ));
     }
 
     #[test]
@@ -577,20 +331,18 @@ mod tests {
             decode_shape::<Fr>(&huge),
             Err(DecodeError::Truncated { .. })
         ));
-        // Non-canonical field bytes (>= modulus) are rejected.
-        let wbytes = {
-            let w = WitnessAssignment::<Fr> {
-                instance: vec![Fr::from_u64(1)],
-                witness: vec![],
-            };
-            let mut b = encode_witness(&w);
-            let tail = b.len() - 1;
-            b[tail - 31..].copy_from_slice(&[0xFF; 32]);
-            b
-        };
+        // Non-canonical field bytes (>= modulus) are rejected: the last
+        // 32 bytes of matrix C's `vals` precede the two hint lists.
+        let mut bytes = encode_shape(&shape);
+        let hints = 8 * (2 + shape.expected_boolean.len() + shape.provided_boolean.len());
+        let end = bytes.len() - hints;
+        bytes[end - 32..end].copy_from_slice(&[0xFF; 32]);
         assert!(matches!(
-            decode_witness::<Fr>(&wbytes),
-            Err(DecodeError::Malformed { .. })
+            decode_shape::<Fr>(&bytes),
+            Err(DecodeError::Malformed {
+                context: "matrix C",
+                ..
+            })
         ));
     }
 }

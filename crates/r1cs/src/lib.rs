@@ -44,10 +44,7 @@ pub mod gadgets;
 
 pub use analyze::{Finding, Rule, Severity, ShapeReport};
 pub use cs::{ConstraintSystem, SynthesisError};
-pub use encode::{
-    decode_shape, decode_shape_expecting, decode_witness, encode_shape, encode_witness, ByteReader,
-    DecodeError, SHAPE_ENCODING_VERSION, WITNESS_ENCODING_VERSION,
-};
+pub use encode::{decode_shape, decode_shape_expecting, encode_shape, SHAPE_ENCODING_VERSION};
 pub use lc::{LinearCombination, Variable};
 pub use matrices::{R1csMatrices, SparseMatrix};
 pub use sink::{

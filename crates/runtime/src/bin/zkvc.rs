@@ -801,8 +801,7 @@ fn cmd_prove(args: &[String]) -> Result<(), Error> {
     // The pool's envelope is keyless; the file `zkvc prove` writes is
     // self-contained, so the Groth16 vk goes back in — and into the disk
     // cache, so a later `zkvc verify` starts warm.
-    let mut envelope =
-        ProofEnvelope::from_bytes(&result.proof_bytes).ok_or(Error::MalformedEnvelope)?;
+    let mut envelope = ProofEnvelope::decode(&result.proof_bytes)?;
     let keys = cache
         .get(&result.shape_digest, spec.backend(), seed)
         .expect("the job just proved under this cache entry");
@@ -839,7 +838,7 @@ fn cmd_verify(args: &[String]) -> Result<(), Error> {
     let in_path = flag_value(args, "--in")?
         .ok_or_else(|| Error::Usage("verify requires --in FILE".into()))?;
     let bytes = std::fs::read(in_path).map_err(|e| Error::io(in_path, e))?;
-    let envelope = ProofEnvelope::from_bytes(&bytes).ok_or(Error::MalformedEnvelope)?;
+    let envelope = ProofEnvelope::decode(&bytes)?;
     if envelope.backend != spec.backend() {
         return Err(Error::BackendMismatch {
             proof: envelope.backend,

@@ -1,16 +1,17 @@
 //! The runtime's shared byte/format codec layer: one home for every
-//! versioned serialization the crate speaks, instead of magic strings
+//! versioned identifier the crate speaks, instead of magic strings
 //! scattered per module.
 //!
 //! Three families live here:
 //!
 //! - **Binary formats** — the proof envelope magic (`ZKVCPRF` + a version
-//!   digit) and the canonical [`CompiledShape`](zkvc_r1cs::CompiledShape) /
-//!   [`WitnessAssignment`](zkvc_r1cs::WitnessAssignment) encodings
-//!   (re-exported from `zkvc-r1cs`, where the structures live). All of
-//!   them lead with an explicit version; bytes from a *newer* version
-//!   decode to a typed [`Error::FutureVersion`], never a parse panic, so
-//!   a mixed-version fleet fails loudly and diagnosably.
+//!   digit) and the canonical [`CompiledShape`](zkvc_r1cs::CompiledShape)
+//!   encoding (re-exported from `zkvc-r1cs`, where the structure lives).
+//!   Their layouts, and the decoder they all share, are in
+//!   [`zkvc_ff::codec`]. The envelope and the shape carry a version; the
+//!   proofs and keys inside an envelope ride on the envelope's. Bytes from
+//!   a *newer* version decode to a typed [`Error::FutureVersion`], never a
+//!   parse panic, so a mixed-version fleet fails loudly and diagnosably.
 //! - **Line-protocol identifiers** — the `proto` strings of the serve and
 //!   worker dialects, checked on both ends of a connection.
 //! - **Report schemas** — the `schema` strings stamped into every JSON
@@ -23,10 +24,8 @@
 
 use crate::error::Error;
 
-pub use zkvc_r1cs::{
-    decode_shape, decode_shape_expecting, decode_witness, encode_shape, encode_witness, ByteReader,
-    DecodeError, SHAPE_ENCODING_VERSION, WITNESS_ENCODING_VERSION,
-};
+pub use zkvc_ff::codec::DecodeError;
+pub use zkvc_r1cs::{decode_shape, decode_shape_expecting, encode_shape, SHAPE_ENCODING_VERSION};
 
 /// The proof-envelope magic: a fixed prefix plus one ASCII version digit.
 pub(crate) const ENVELOPE_MAGIC_PREFIX: &[u8; 7] = b"ZKVCPRF";
@@ -54,30 +53,8 @@ pub const SERVE_BENCH_SCHEMA: &str = "zkvc-serve-bench/v1";
 /// Schema string of the distributed bench (`BENCH_distributed.json`).
 pub const DISTRIBUTED_BENCH_SCHEMA: &str = "zkvc-bench-distributed/v1";
 
-/// Probes the version of proof-envelope bytes without decoding them:
-/// `Ok(version)` for any `ZKVCPRF<digit>` head, [`Error::FutureVersion`]
-/// when the digit is newer than [`ENVELOPE_FORMAT_VERSION`], and
-/// [`Error::MalformedEnvelope`] when the magic is absent entirely.
-pub fn envelope_format_version(bytes: &[u8]) -> Result<u8, Error> {
-    let rest = bytes
-        .strip_prefix(ENVELOPE_MAGIC_PREFIX.as_slice())
-        .ok_or(Error::MalformedEnvelope)?;
-    let version = match rest.first() {
-        Some(d @ b'0'..=b'9') => d - b'0',
-        _ => return Err(Error::MalformedEnvelope),
-    };
-    if version > ENVELOPE_FORMAT_VERSION {
-        return Err(Error::FutureVersion {
-            what: "proof envelope",
-            found: version,
-            supported: ENVELOPE_FORMAT_VERSION,
-        });
-    }
-    Ok(version)
-}
-
 impl From<DecodeError> for Error {
-    /// Maps shape/witness decode failures onto the runtime error surface:
+    /// Maps decode failures onto the runtime error surface:
     /// future versions keep their typed identity, everything else names
     /// the broken field.
     fn from(e: DecodeError) -> Self {
@@ -99,6 +76,7 @@ impl From<DecodeError> for Error {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ProofEnvelope;
 
     #[test]
     fn envelope_magic_is_prefix_plus_version_digit() {
@@ -109,9 +87,8 @@ mod tests {
 
     #[test]
     fn envelope_version_probe_is_typed() {
-        assert_eq!(envelope_format_version(b"ZKVCPRF1rest").unwrap(), 1);
         // A future version is a FutureVersion error, not "malformed".
-        match envelope_format_version(b"ZKVCPRF2rest") {
+        match ProofEnvelope::decode(b"ZKVCPRF2rest") {
             Err(Error::FutureVersion {
                 what,
                 found,
@@ -123,19 +100,13 @@ mod tests {
             }
             other => panic!("expected FutureVersion, got {other:?}"),
         }
-        // Garbage is malformed, not future-versioned.
-        assert!(matches!(
-            envelope_format_version(b"NOTMAGIC"),
-            Err(Error::MalformedEnvelope)
-        ));
-        assert!(matches!(
-            envelope_format_version(b"ZKVCPRFx"),
-            Err(Error::MalformedEnvelope)
-        ));
-        assert!(matches!(
-            envelope_format_version(b"ZKVCPRF"),
-            Err(Error::MalformedEnvelope)
-        ));
+        // Garbage, an older version and a bare prefix are malformed.
+        for bytes in [&b"NOTMAGIC"[..], b"ZKVCPRFx", b"ZKVCPRF", b"ZKVCPRF0rest"] {
+            assert!(matches!(
+                ProofEnvelope::decode(bytes),
+                Err(Error::MalformedEnvelope)
+            ));
+        }
     }
 
     #[test]

@@ -17,6 +17,7 @@
 use std::io;
 use std::path::{Path, PathBuf};
 
+use zkvc_ff::codec::hex;
 use zkvc_groth16::VerifyingKey;
 
 /// A directory of persisted verification keys.
@@ -84,10 +85,6 @@ impl DiskKeyCache {
         std::fs::rename(&tmp, &path)?;
         Ok(path)
     }
-}
-
-fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
 #[cfg(test)]

@@ -34,7 +34,7 @@ pub enum Error {
     /// Proof envelope bytes could not be decoded.
     MalformedEnvelope,
     /// Bytes carried a format version newer than this build understands
-    /// (proof envelope, shape, or witness encoding). The payload may be
+    /// (proof envelope or shape encoding). The payload may be
     /// fine — the decoder is too old — so the message says *upgrade*,
     /// not *corrupt*.
     FutureVersion {
@@ -45,7 +45,7 @@ pub enum Error {
         /// The newest version this build decodes.
         supported: u8,
     },
-    /// A shape/witness payload failed structural validation while
+    /// A shape payload failed structural validation while
     /// decoding (truncated, malformed CSR, digest mismatch, ...).
     Codec(String),
     /// The envelope was produced by a different backend than the spec

@@ -25,6 +25,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use zkvc_core::api::{generate_witness_for, Circuit};
 use zkvc_core::matmul::{MatMulBuilder, ZSource};
+use zkvc_ff::codec::hex;
 use zkvc_ff::Fr;
 use zkvc_hash::Transcript;
 use zkvc_nn::circuit::ModelStatement;
@@ -153,10 +154,8 @@ pub(crate) fn envelope_verifies(
     expected_publics: &[Fr],
     verify: impl FnOnce(&ProofEnvelope) -> bool,
 ) -> bool {
-    match ProofEnvelope::from_bytes(bytes) {
-        Some(envelope) => envelope.public_inputs == expected_publics && verify(&envelope),
-        None => false,
-    }
+    ProofEnvelope::decode(bytes)
+        .is_ok_and(|envelope| envelope.public_inputs == expected_publics && verify(&envelope))
 }
 
 fn panic_message(payload: &(dyn Any + Send)) -> String {
@@ -240,8 +239,8 @@ fn prove(
         assert!(
             keys.digest == *digest,
             "leased shape digest {} != locally compiled {}",
-            crate::util::hex(digest),
-            crate::util::hex(&keys.digest)
+            hex(digest),
+            hex(&keys.digest)
         );
     }
 

@@ -21,6 +21,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use zkvc_core::{Backend, Circuit, VerifierKey};
+use zkvc_ff::codec::hex;
 use zkvc_ff::Fr;
 use zkvc_hash::sha256;
 
@@ -31,7 +32,7 @@ use crate::job::build_statement;
 use crate::net::addr::{AnyStream, ListenAddr};
 use crate::serial::ProofEnvelope;
 use crate::spec::JobSpec;
-use crate::util::{hex, json_escape, unhex};
+use crate::util::{json_escape, unhex};
 use crate::wire::{field, parse_json_object, Json};
 
 /// Statement data memoised per `(spec, seed)` during the local
@@ -816,7 +817,7 @@ fn verify_result(
 ) -> Option<bool> {
     let (spec, _count) = JobSpec::parse(&p.spec_str).ok()?;
     let bytes = unhex(p.proof_hex.as_deref()?)?;
-    let envelope = ProofEnvelope::from_bytes(&bytes)?;
+    let envelope = ProofEnvelope::decode(&bytes).ok()?;
     if envelope.backend != spec.backend() {
         return Some(false);
     }

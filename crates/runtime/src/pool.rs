@@ -31,6 +31,7 @@ use core::fmt;
 
 use zkvc_core::api::compile_shape;
 use zkvc_core::VerifierKey;
+use zkvc_ff::codec::hex;
 use zkvc_hash::sha256;
 
 use crate::cache::{CacheStats, KeyCache};
@@ -38,7 +39,7 @@ use crate::job::{self, build_statement, envelope_verifies, Proved, StopWhen};
 use crate::sched::{Priority, Scheduler};
 use crate::serial::ProofEnvelope;
 use crate::spec::JobSpec;
-use crate::util::{hex, json_escape};
+use crate::util::json_escape;
 
 /// Why a job finished without a proof.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -1209,8 +1210,8 @@ mod tests {
         assert_eq!(report.cache.hits, 1, "same-preset job reuses it");
         // Different weights per id: the two mixer-block proofs bind
         // different logits.
-        let e0 = ProofEnvelope::from_bytes(&report.results[0].proof_bytes).unwrap();
-        let e1 = ProofEnvelope::from_bytes(&report.results[1].proof_bytes).unwrap();
+        let e0 = ProofEnvelope::decode(&report.results[0].proof_bytes).unwrap();
+        let e1 = ProofEnvelope::decode(&report.results[1].proof_bytes).unwrap();
         assert!(!e0.public_inputs.is_empty());
         assert_ne!(e0.public_inputs, e1.public_inputs);
         let table = report.render_table("models");
@@ -1242,7 +1243,7 @@ mod tests {
         assert!(envelope_verifies(&bytes, &p0, |e| e.verify_with_shape(&keys.shape)));
         // ...replayed: rejected for job 1's statement, even though the
         // cryptographic check alone would accept it (same shape and keys).
-        assert!(ProofEnvelope::from_bytes(&bytes)
+        assert!(ProofEnvelope::decode(&bytes)
             .unwrap()
             .verify_with_key(&keys.verifier));
         assert!(!envelope_verifies(&bytes, &p1, |e| e.verify_with_key(&keys.verifier)));

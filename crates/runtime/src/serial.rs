@@ -14,11 +14,12 @@ use std::time::Duration;
 
 use zkvc_core::backend::ProofData;
 use zkvc_core::{Backend, ProofArtifacts, ProveMetrics, VerifierKey};
+use zkvc_ff::codec::{decode_exact, ByteReader, DecodeError};
 use zkvc_ff::{Fr, PrimeField};
 use zkvc_groth16 as groth16;
 use zkvc_spartan::SpartanProof;
 
-use crate::codec::ENVELOPE_MAGIC as MAGIC;
+use crate::codec::{ENVELOPE_FORMAT_VERSION, ENVELOPE_MAGIC as MAGIC, ENVELOPE_MAGIC_PREFIX};
 use crate::error::Error;
 
 /// Backend tags on the wire.
@@ -128,44 +129,45 @@ impl ProofEnvelope {
         out
     }
 
-    /// Parses an envelope with a typed error surface: future-versioned
-    /// bytes (a `ZKVCPRF` magic with a newer version digit) are reported
-    /// as [`Error::FutureVersion`] — the payload may be fine, the decoder
-    /// is too old — while everything else malformed is
-    /// [`Error::MalformedEnvelope`]. Prefer this over [`Self::from_bytes`]
-    /// anywhere the failure reason reaches a user.
+    /// Parses an envelope, validating every field element and group
+    /// element, with a typed error surface: future-versioned bytes (a
+    /// `ZKVCPRF` magic with a newer version digit) are reported as
+    /// [`Error::FutureVersion`] — the payload may be fine, the decoder is
+    /// too old — while everything else malformed is
+    /// [`Error::MalformedEnvelope`].
     pub fn decode(bytes: &[u8]) -> Result<Self, Error> {
-        crate::codec::envelope_format_version(bytes)?;
-        Self::from_bytes(bytes).ok_or(Error::MalformedEnvelope)
+        decode_exact(bytes, Self::read).map_err(|e| match e {
+            DecodeError::FutureVersion { .. } => e.into(),
+            _ => Error::MalformedEnvelope,
+        })
     }
 
-    /// Parses an envelope, validating every field element and group
-    /// element. Returns `None` on any malformed input.
-    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        let rest = bytes.strip_prefix(MAGIC.as_slice())?;
-        let count_bytes: [u8; 4] = rest.get(..4)?.try_into().ok()?;
-        let count = u32::from_le_bytes(count_bytes) as usize;
-        // Bound the count by what the buffer can actually hold before
-        // allocating, so a malicious length header cannot force a huge
-        // up-front allocation.
-        if count > rest.len().saturating_sub(4) / 32 {
-            return None;
+    fn read(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
+        let magic: [u8; 8] = r.array("envelope magic")?;
+        let version = magic[7].wrapping_sub(b'0');
+        if magic[..7] == ENVELOPE_MAGIC_PREFIX[..]
+            && magic[7].is_ascii_digit()
+            && version > ENVELOPE_FORMAT_VERSION
+        {
+            return Err(DecodeError::FutureVersion {
+                context: "proof envelope",
+                found: version,
+                supported: ENVELOPE_FORMAT_VERSION,
+            });
         }
-        let mut pos = 4;
-        let mut public_inputs = Vec::with_capacity(count);
-        for _ in 0..count {
-            let b: [u8; 32] = rest.get(pos..pos + 32)?.try_into().ok()?;
-            public_inputs.push(Fr::from_bytes_le(&b)?);
-            pos += 32;
+        if magic != *MAGIC {
+            return Err(DecodeError::Malformed {
+                context: "envelope magic",
+                detail: "not a ZKVCPRF1 envelope".into(),
+            });
         }
-        let tag = *rest.get(pos)?;
-        let payload = rest.get(pos + 1..)?;
-        let (backend, proof) = match tag {
+        let count = r.count_u32(32, "public input count")?;
+        let public_inputs = r.items(count, |r| r.field("public input"))?;
+        let (backend, proof) = match r.u8("backend tag")? {
             TAG_GROTH16 => {
-                let len_bytes: [u8; 4] = payload.get(..4)?.try_into().ok()?;
-                let vk_len = u32::from_le_bytes(len_bytes) as usize;
-                let vk = groth16::VerifyingKey::from_bytes(payload.get(4..4 + vk_len)?)?;
-                let proof = groth16::Proof::from_bytes(payload.get(4 + vk_len..)?)?;
+                let vk_len = r.u32("vk length")? as usize;
+                let vk = decode_exact(r.take(vk_len, "vk")?, groth16::VerifyingKey::decode)?;
+                let proof = groth16::Proof::decode(r)?;
                 (
                     Backend::Groth16,
                     EnvelopeProof::Groth16 {
@@ -174,22 +176,27 @@ impl ProofEnvelope {
                     },
                 )
             }
-            TAG_GROTH16_KEYLESS => {
-                let proof = groth16::Proof::from_bytes(payload)?;
-                (Backend::Groth16, EnvelopeProof::Groth16 { vk: None, proof })
+            TAG_GROTH16_KEYLESS => (
+                Backend::Groth16,
+                EnvelopeProof::Groth16 {
+                    vk: None,
+                    proof: groth16::Proof::decode(r)?,
+                },
+            ),
+            TAG_SPARTAN => (
+                Backend::Spartan,
+                EnvelopeProof::Spartan {
+                    proof: Box::new(SpartanProof::decode(r)?),
+                },
+            ),
+            tag => {
+                return Err(DecodeError::Malformed {
+                    context: "backend tag",
+                    detail: format!("unknown tag {tag}"),
+                })
             }
-            TAG_SPARTAN => {
-                let proof = SpartanProof::from_bytes(payload)?;
-                (
-                    Backend::Spartan,
-                    EnvelopeProof::Spartan {
-                        proof: Box::new(proof),
-                    },
-                )
-            }
-            _ => return None,
         };
-        Some(ProofEnvelope {
+        Ok(ProofEnvelope {
             backend,
             public_inputs,
             proof,
@@ -289,7 +296,7 @@ mod tests {
         for backend in Backend::ALL {
             let artifacts = backend.system().prove_oneshot(&job, &mut rng);
             let bytes = ProofEnvelope::from_artifacts(&artifacts).to_bytes();
-            let envelope = ProofEnvelope::from_bytes(&bytes).expect("round trip");
+            let envelope = ProofEnvelope::decode(&bytes).expect("round trip");
             assert_eq!(envelope.backend, backend);
             assert_eq!(envelope.public_inputs, artifacts.public_inputs);
             assert!(envelope.verify_with_shape(&shape), "{backend:?}");
@@ -318,7 +325,7 @@ mod tests {
             "expected ~330B of vk dead weight, saved {saved}"
         );
 
-        let decoded = ProofEnvelope::from_bytes(&keyless_bytes).expect("keyless decodes");
+        let decoded = ProofEnvelope::decode(&keyless_bytes).expect("keyless decodes");
         assert!(decoded.embedded_vk().is_none());
         // Keyed verification is unaffected by the missing vk...
         assert!(decoded.verify_with_key(&keys.verifier));
@@ -329,9 +336,7 @@ mod tests {
         assert!(full.into_artifacts().is_some());
         // Stable re-encoding of the keyless form.
         assert_eq!(
-            ProofEnvelope::from_bytes(&keyless_bytes)
-                .unwrap()
-                .to_bytes(),
+            ProofEnvelope::decode(&keyless_bytes).unwrap().to_bytes(),
             keyless_bytes
         );
     }
@@ -342,7 +347,7 @@ mod tests {
         let mut bytes = b"ZKVCPRF1".to_vec();
         bytes.extend_from_slice(&0x00FF_FFFFu32.to_le_bytes());
         bytes.push(0);
-        assert!(ProofEnvelope::from_bytes(&bytes).is_none());
+        assert!(ProofEnvelope::decode(&bytes).is_err());
     }
 
     #[test]
@@ -356,7 +361,7 @@ mod tests {
         let (keys_a, _) = KeyCache::new().get_or_setup_circuit(Backend::Groth16, &job_a);
         let forged = Backend::Groth16.system().prove_oneshot(&job_b, &mut rng);
         let envelope =
-            ProofEnvelope::from_bytes(&ProofEnvelope::from_artifacts(&forged).to_bytes()).unwrap();
+            ProofEnvelope::decode(&ProofEnvelope::from_artifacts(&forged).to_bytes()).unwrap();
         // Internally consistent (its own embedded vk accepts it)...
         assert!(envelope.verify_with_shape(&compile_shape(&job_b)));
         // ...but rejected by the key the statement actually demands.
@@ -394,16 +399,16 @@ mod tests {
         let job = matmul(2, Strategy::Vanilla, &mut rng);
         let artifacts = Backend::Spartan.system().prove_oneshot(&job, &mut rng);
         let bytes = ProofEnvelope::from_artifacts(&artifacts).to_bytes();
-        assert!(ProofEnvelope::from_bytes(&bytes[..bytes.len() - 1]).is_none());
-        assert!(ProofEnvelope::from_bytes(b"NOTMAGIC").is_none());
+        assert!(ProofEnvelope::decode(&bytes[..bytes.len() - 1]).is_err());
+        assert!(ProofEnvelope::decode(b"NOTMAGIC").is_err());
         let mut wrong_tag = bytes;
         // magic(8) + count(4) + publics(0 here? job has no instance vars)
         let tag_pos = 8 + 4 + 32 * artifacts.public_inputs.len();
         wrong_tag[tag_pos] = 9;
-        assert!(ProofEnvelope::from_bytes(&wrong_tag).is_none());
+        assert!(ProofEnvelope::decode(&wrong_tag).is_err());
         // A truncated keyless Groth16 envelope is rejected too.
         let g16 = Backend::Groth16.system().prove_oneshot(&job, &mut rng);
         let keyless = ProofEnvelope::from_artifacts(&g16).without_vk().to_bytes();
-        assert!(ProofEnvelope::from_bytes(&keyless[..keyless.len() - 1]).is_none());
+        assert!(ProofEnvelope::decode(&keyless[..keyless.len() - 1]).is_err());
     }
 }

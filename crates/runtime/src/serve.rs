@@ -30,6 +30,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use zkvc_core::{Backend, VerifierKey};
+use zkvc_ff::codec::hex;
 
 use crate::analysis::Preflight;
 use crate::cache::KeyCache;
@@ -37,7 +38,6 @@ use crate::disk::DiskKeyCache;
 use crate::error::Error;
 use crate::net::NetConfig;
 use crate::pool::{JobOptions, JobResult, PoolConfig, ProvingPool, ResultSink, SessionCtl};
-use crate::util::hex;
 use crate::wire::{
     error_line, is_poll_tick, parse_request, parse_worker_register, result_line, LineReader,
     LineReject,

@@ -1,18 +1,7 @@
 //! Tiny encoding helpers shared by the report renderers and the serve
 //! wire format (no external dependencies, so they live here rather than
-//! pulling in a hex/serde crate).
-
-/// Lowercase hex encoding. On the serve hot path (every result line
-/// carries a whole proof envelope), so no per-byte allocations.
-pub(crate) fn hex(bytes: &[u8]) -> String {
-    const DIGITS: &[u8; 16] = b"0123456789abcdef";
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push(DIGITS[(b >> 4) as usize] as char);
-        out.push(DIGITS[(b & 0xf) as usize] as char);
-    }
-    out
-}
+//! pulling in a hex/serde crate). Hex encoding is
+//! [`zkvc_ff::codec::hex`].
 
 /// Decodes lowercase/uppercase hex; `None` on odd length or bad digits.
 /// Runtime (not test-only): the `zkvc client` load driver decodes
@@ -48,6 +37,7 @@ pub(crate) fn json_escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use zkvc_ff::codec::hex;
 
     #[test]
     fn hex_roundtrips() {

@@ -14,13 +14,14 @@
 use std::io::{self, BufRead};
 
 use zkvc_core::Backend;
+use zkvc_ff::codec::hex;
 
 use crate::codec::WORKER_PROTO;
 use crate::error::Error;
 use crate::pool::{JobError, JobResult};
 use crate::sched::Priority;
 use crate::spec::JobSpec;
-use crate::util::{hex, json_escape, unhex};
+use crate::util::{json_escape, unhex};
 
 /// Why a request line was rejected before parsing.
 #[derive(Debug, PartialEq, Eq)]

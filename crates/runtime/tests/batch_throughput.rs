@@ -78,7 +78,7 @@ fn serialized_proofs_verify_after_bytes_roundtrip_on_both_backends() {
             // bytes themselves plus (for Groth16) the batch key table, as a
             // remote consumer of a batch would.
             let bytes = result.proof_bytes.clone();
-            let decoded = std::thread::spawn(move || ProofEnvelope::from_bytes(&bytes))
+            let decoded = std::thread::spawn(move || ProofEnvelope::decode(&bytes))
                 .join()
                 .expect("decoder thread");
             let envelope = decoded.expect("envelope decodes");
@@ -100,7 +100,7 @@ fn serialized_proofs_verify_after_bytes_roundtrip_on_both_backends() {
                 let mut tampered = result.proof_bytes.clone();
                 let mid = tampered.len() / 2;
                 tampered[mid] ^= 0x01;
-                if let Some(bad) = ProofEnvelope::from_bytes(&tampered) {
+                if let Ok(bad) = ProofEnvelope::decode(&tampered) {
                     assert!(!bad.verify_with_key(&key), "tampered envelope verified");
                 }
             }

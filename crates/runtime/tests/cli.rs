@@ -182,6 +182,39 @@ fn malformed_envelope_exits_2() {
 }
 
 #[test]
+fn future_version_envelope_exits_2_with_upgrade_message() {
+    let proof = tmp_file("future.bin");
+    let proof_str = proof.to_str().unwrap();
+    let out = zkvc(&[
+        "prove",
+        "--spec",
+        "2x2x2:s",
+        "--key-cache",
+        "none",
+        "--out",
+        proof_str,
+    ]);
+    assert!(out.status.success());
+    // A valid envelope restamped with the next format version.
+    let mut bytes = std::fs::read(&proof).unwrap();
+    assert_eq!(&bytes[..8], b"ZKVCPRF1");
+    bytes[7] = b'2';
+    std::fs::write(&proof, &bytes).unwrap();
+    let out = zkvc(&[
+        "verify",
+        "--spec",
+        "2x2x2:s",
+        "--key-cache",
+        "none",
+        "--in",
+        proof_str,
+    ]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("newer than the supported"), "{stderr}");
+}
+
+#[test]
 fn backend_mismatch_exits_2() {
     let proof = tmp_file("spartan.bin");
     let proof_str = proof.to_str().unwrap();

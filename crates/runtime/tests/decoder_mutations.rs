@@ -446,3 +446,25 @@ fn shape_truncations_and_trailing_bytes_are_typed() {
         Err(DecodeError::TrailingBytes { extra: 1 })
     ));
 }
+
+#[test]
+fn shape_versions_older_than_supported_are_malformed_not_newer() {
+    let mut bytes = corpus()[0].bytes.clone();
+    bytes[0] = 0;
+    assert!(matches!(
+        decode_shape::<Fr>(&bytes),
+        Err(DecodeError::Malformed {
+            context: "shape version",
+            ..
+        })
+    ));
+    bytes[0] = 2;
+    assert!(matches!(
+        decode_shape::<Fr>(&bytes),
+        Err(DecodeError::FutureVersion {
+            found: 2,
+            supported: 1,
+            ..
+        })
+    ));
+}

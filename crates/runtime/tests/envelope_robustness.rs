@@ -1,7 +1,9 @@
 //! Proof-envelope robustness: round-trip properties over randomly shaped
-//! statements, plus rejection of truncated, bit-flipped and garbage bytes.
-//! The decoder must never panic, never accept a malformed envelope, and
-//! never let a mutated envelope verify.
+//! statements, plus rejection of bit-flipped and garbage bytes. The decoder
+//! must never panic, never accept a malformed envelope, and never let a
+//! mutated envelope verify. Truncations, trailing bytes and oversized
+//! length prefixes of every binary format are covered by
+//! `decoder_mutations.rs`.
 
 use std::sync::Arc;
 
@@ -48,7 +50,7 @@ proptest! {
     ) {
         for backend in Backend::ALL {
             let (bytes, vk) = proved_envelope(backend, a, n, b, seed);
-            let envelope = ProofEnvelope::from_bytes(&bytes).expect("decodes");
+            let envelope = ProofEnvelope::decode(&bytes).expect("decodes");
             prop_assert_eq!(envelope.backend, backend);
             prop_assert_eq!(envelope.public_inputs.len(), a * b);
             prop_assert!(envelope.verify_with_key(&vk));
@@ -61,36 +63,14 @@ proptest! {
     /// that do start with the magic still die in the structured parser.
     #[test]
     fn prop_garbage_rejected(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-        prop_assert!(ProofEnvelope::from_bytes(&bytes).is_none());
+        prop_assert!(ProofEnvelope::decode(&bytes).is_err());
         let mut with_magic = b"ZKVCPRF1".to_vec();
         with_magic.extend_from_slice(&bytes);
-        if let Some(envelope) = ProofEnvelope::from_bytes(&with_magic) {
+        if let Ok(envelope) = ProofEnvelope::decode(&with_magic) {
             // Decoding garbage is only acceptable if re-encoding is
             // canonical — and even then it is just bytes, not a proof.
             prop_assert_eq!(envelope.to_bytes(), with_magic);
         }
-    }
-}
-
-#[test]
-fn every_truncation_is_rejected() {
-    for backend in Backend::ALL {
-        let (bytes, _vk) = proved_envelope(backend, 2, 2, 2, 41);
-        for len in 0..bytes.len() {
-            assert!(
-                ProofEnvelope::from_bytes(&bytes[..len]).is_none(),
-                "{backend:?}: truncation to {len}/{} bytes decoded",
-                bytes.len()
-            );
-        }
-        // Trailing padding must be rejected too: the parsers consume the
-        // buffer exactly.
-        let mut padded = bytes.clone();
-        padded.push(0);
-        assert!(
-            ProofEnvelope::from_bytes(&padded).is_none(),
-            "{backend:?}: padded envelope decoded"
-        );
     }
 }
 
@@ -105,13 +85,13 @@ fn every_bit_flip_is_rejected_or_fails_verification() {
     // the public-input region must always be fatal. Nothing panics.
     for backend in Backend::ALL {
         let (bytes, vk) = proved_envelope(backend, 1, 2, 1, 42);
-        let original = ProofEnvelope::from_bytes(&bytes).expect("baseline decodes");
+        let original = ProofEnvelope::decode(&bytes).expect("baseline decodes");
         // magic(8) + count(4) + one 32-byte public input + tag(1)
         let payload_start = 8 + 4 + 32 + 1;
         for pos in 0..bytes.len() {
             let mut mutated = bytes.clone();
             mutated[pos] ^= 1 << (pos % 8);
-            let Some(envelope) = ProofEnvelope::from_bytes(&mutated) else {
+            let Ok(envelope) = ProofEnvelope::decode(&mutated) else {
                 continue;
             };
             if pos < payload_start {
@@ -176,14 +156,14 @@ fn small_order_proof_points_fail_verification_without_panicking() {
 
     let (bytes, vk) = proved_envelope(Backend::Groth16, 1, 2, 1, 44);
     for (a, b) in [(p4, two_torsion), (two_torsion, two_torsion)] {
-        let mut forged = ProofEnvelope::from_bytes(&bytes).expect("baseline decodes");
+        let mut forged = ProofEnvelope::decode(&bytes).expect("baseline decodes");
         let EnvelopeProof::Groth16 { proof, .. } = &mut forged.proof else {
             unreachable!()
         };
         proof.a = a;
         proof.b = b;
         let envelope =
-            ProofEnvelope::from_bytes(&forged.to_bytes()).expect("on-curve proof points decode");
+            ProofEnvelope::decode(&forged.to_bytes()).expect("on-curve proof points decode");
         let verdict = std::panic::catch_unwind(|| envelope.verify_with_key(&vk));
         assert!(matches!(verdict, Ok(false)), "verdict {verdict:?}");
     }

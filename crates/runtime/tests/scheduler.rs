@@ -155,8 +155,8 @@ fn skewed_batch_verdicts_identical_across_worker_counts_and_serial() {
     // proof payload inside must agree via the public inputs).
     for (p, s) in ws.results.iter().zip(serial.results.iter()) {
         assert_eq!((p.id, p.verified), (s.id, s.verified));
-        let pe = zkvc_runtime::ProofEnvelope::from_bytes(&p.proof_bytes).unwrap();
-        let se = zkvc_runtime::ProofEnvelope::from_bytes(&s.proof_bytes).unwrap();
+        let pe = zkvc_runtime::ProofEnvelope::decode(&p.proof_bytes).unwrap();
+        let se = zkvc_runtime::ProofEnvelope::decode(&s.proof_bytes).unwrap();
         assert_eq!(pe.public_inputs, se.public_inputs, "job {}", p.id);
     }
     // And the machine-readable reports agree on everything they print

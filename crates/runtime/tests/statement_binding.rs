@@ -107,12 +107,11 @@ fn tampered_y_fails_through_the_envelope() {
         let (vk, artifacts) = setup_and_prove(system, &job, &mut rng);
 
         let bytes = ProofEnvelope::from_artifacts(&artifacts).to_bytes();
-        let mut envelope = ProofEnvelope::from_bytes(&bytes).expect("decodes");
+        let mut envelope = ProofEnvelope::decode(&bytes).expect("decodes");
         assert!(envelope.verify_with_key(&vk), "{backend:?}");
 
         envelope.public_inputs[2] += Fr::one();
-        let tampered =
-            ProofEnvelope::from_bytes(&envelope.to_bytes()).expect("tampered still decodes");
+        let tampered = ProofEnvelope::decode(&envelope.to_bytes()).expect("tampered still decodes");
         assert!(
             !tampered.verify_with_key(&vk),
             "{backend:?} accepted a tampered envelope Y"
@@ -139,9 +138,8 @@ fn replayed_proof_for_same_shape_but_different_y_is_rejected() {
         let (keys, _) = cache.get_or_setup_circuit(backend, s0.as_ref());
         let mut rng = StdRng::seed_from_u64(5);
         let artifacts = prove_with(&keys, s0.as_ref(), &mut rng);
-        let envelope =
-            ProofEnvelope::from_bytes(&ProofEnvelope::from_artifacts(&artifacts).to_bytes())
-                .expect("decodes");
+        let envelope = ProofEnvelope::decode(&ProofEnvelope::from_artifacts(&artifacts).to_bytes())
+            .expect("decodes");
 
         // Shape-level check alone would accept the replay...
         assert!(envelope.verify_with_key(&keys.verifier), "{backend:?}");

@@ -1,79 +1,19 @@
 //! Canonical byte serialisation for Spartan proofs, so `zkVC-S` proofs can
 //! cross process boundaries (the `zkvc` CLI, the batch-proving service, or
-//! any wire protocol).
-//!
-//! Layout (all integers little-endian):
-//!
-//! ```text
-//! SpartanProof := comm_w:point
-//!               | sumcheck(sc1) | claims:3*fr | sumcheck(sc2) | eval_w:fr
-//!               | ipa_rounds:u32 | L:point*rounds | R:point*rounds | a_final:fr
-//! sumcheck     := rounds:u32 | (len:u32 | fr*len)*rounds
-//! point        := 65 bytes (uncompressed affine, validated on decode)
-//! fr           := 32 bytes (canonical little-endian, validated on decode)
-//! ```
+//! any wire protocol). The layout is in [`zkvc_ff::codec`].
 //!
 //! Decoding validates every group element against the curve equation and
-//! every scalar against the field modulus, and rejects trailing bytes, so a
-//! tampered encoding either fails to decode or decodes to a proof that the
-//! verifier rejects via Fiat-Shamir.
+//! every scalar against the field modulus, so a tampered encoding either
+//! fails to decode or decodes to a proof that the verifier rejects via
+//! Fiat-Shamir.
 
 use zkvc_curve::G1Affine;
+use zkvc_ff::codec::{ByteReader, DecodeError};
 use zkvc_ff::{Fr, PrimeField};
 
 use crate::ipa::InnerProductProof;
 use crate::snark::SpartanProof;
 use crate::sumcheck::SumcheckProof;
-
-/// Incremental reader with validation; all methods return `None` on
-/// malformed input.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Reader { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let out = self.bytes.get(self.pos..self.pos + n)?;
-        self.pos += n;
-        Some(out)
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        let b: [u8; 4] = self.take(4)?.try_into().ok()?;
-        Some(u32::from_le_bytes(b))
-    }
-
-    fn fr(&mut self) -> Option<Fr> {
-        let b: [u8; 32] = self.take(32)?.try_into().ok()?;
-        Fr::from_bytes_le(&b)
-    }
-
-    fn point(&mut self) -> Option<G1Affine> {
-        let b: [u8; 65] = self.take(65)?.try_into().ok()?;
-        G1Affine::from_bytes(&b)
-    }
-
-    fn finished(&self) -> bool {
-        self.pos == self.bytes.len()
-    }
-
-    /// Reads a `u32` count and rejects it unless the remaining buffer can
-    /// hold `count * min_item_size` bytes — so a malicious length prefix
-    /// can never force a large up-front allocation.
-    fn bounded_count(&mut self, min_item_size: usize) -> Option<usize> {
-        let count = self.u32()? as usize;
-        let remaining = self.bytes.len().saturating_sub(self.pos);
-        if count > remaining / min_item_size {
-            return None;
-        }
-        Some(count)
-    }
-}
 
 fn write_fr(out: &mut Vec<u8>, v: &Fr) {
     out.extend_from_slice(&v.to_bytes_le());
@@ -99,27 +39,15 @@ impl SumcheckProof {
         out
     }
 
-    fn read(r: &mut Reader<'_>) -> Option<Self> {
-        // Each round needs at least its 4-byte length prefix; each round
-        // element is a 32-byte scalar.
-        let rounds = r.bounded_count(4)?;
-        let mut round_polys = Vec::with_capacity(rounds);
-        for _ in 0..rounds {
-            let len = r.bounded_count(32)?;
-            let mut round = Vec::with_capacity(len);
-            for _ in 0..len {
-                round.push(r.fr()?);
-            }
-            round_polys.push(round);
-        }
-        Some(SumcheckProof { round_polys })
-    }
-
-    /// Deserialises a sum-check proof, validating every scalar.
-    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        let mut r = Reader::new(bytes);
-        let proof = Self::read(&mut r)?;
-        r.finished().then_some(proof)
+    /// Reads the round polynomials, validating every scalar.
+    pub(crate) fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
+        // Each round needs at least its 4-byte length prefix.
+        let rounds = r.count_u32(4, "sum-check rounds")?;
+        let round_polys = r.items(rounds, |r| {
+            let len = r.count_u32(32, "sum-check round")?;
+            r.items(len, |r| r.field("sum-check coefficient"))
+        })?;
+        Ok(SumcheckProof { round_polys })
     }
 }
 
@@ -138,31 +66,16 @@ impl InnerProductProof {
         out
     }
 
-    fn read(r: &mut Reader<'_>) -> Option<Self> {
-        // Each round carries an L and an R point (2 * 65 bytes).
-        let rounds = r.bounded_count(2 * 65)?;
-        let mut l_vec = Vec::with_capacity(rounds);
-        for _ in 0..rounds {
-            l_vec.push(r.point()?);
-        }
-        let mut r_vec = Vec::with_capacity(rounds);
-        for _ in 0..rounds {
-            r_vec.push(r.point()?);
-        }
-        let a_final = r.fr()?;
-        Some(InnerProductProof {
-            l_vec,
-            r_vec,
-            a_final,
+    /// Reads the folding cross-terms and final scalar, validating every
+    /// point and scalar.
+    pub(crate) fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
+        // Each round carries an L and an R point.
+        let rounds = r.count_u32(2 * 65, "IPA rounds")?;
+        Ok(InnerProductProof {
+            l_vec: r.items(rounds, G1Affine::decode)?,
+            r_vec: r.items(rounds, G1Affine::decode)?,
+            a_final: r.field("IPA final scalar")?,
         })
-    }
-
-    /// Deserialises an inner-product proof, validating every point and
-    /// scalar.
-    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        let mut r = Reader::new(bytes);
-        let proof = Self::read(&mut r)?;
-        r.finished().then_some(proof)
     }
 }
 
@@ -181,26 +94,20 @@ impl SpartanProof {
         out
     }
 
-    /// Deserialises a proof written by [`Self::to_bytes`], validating every
-    /// group element and field element and rejecting trailing bytes.
-    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        let mut r = Reader::new(bytes);
-        let comm_w = r.point()?.to_projective();
-        let sc1 = SumcheckProof::read(&mut r)?;
-        let claims = (r.fr()?, r.fr()?, r.fr()?);
-        let sc2 = SumcheckProof::read(&mut r)?;
-        let eval_w = r.fr()?;
-        let ipa = InnerProductProof::read(&mut r)?;
-        if !r.finished() {
-            return None;
-        }
-        Some(SpartanProof {
-            comm_w,
-            sc1,
-            claims,
-            sc2,
-            eval_w,
-            ipa,
+    /// Reads a proof written by [`Self::to_bytes`], validating every group
+    /// element and field element.
+    pub fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
+        Ok(SpartanProof {
+            comm_w: G1Affine::decode(r)?.to_projective(),
+            sc1: SumcheckProof::decode(r)?,
+            claims: (
+                r.field("Spartan claim")?,
+                r.field("Spartan claim")?,
+                r.field("Spartan claim")?,
+            ),
+            sc2: SumcheckProof::decode(r)?,
+            eval_w: r.field("Spartan eval_w")?,
+            ipa: InnerProductProof::decode(r)?,
         })
     }
 }
@@ -211,8 +118,13 @@ mod tests {
     use crate::{SpartanProver, SpartanVerifier};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use zkvc_ff::codec::decode_exact;
     use zkvc_ff::Field;
     use zkvc_r1cs::{CompiledShape, ConstraintSystem, LinearCombination};
+
+    fn decode(bytes: &[u8]) -> Option<SpartanProof> {
+        decode_exact(bytes, SpartanProof::decode).ok()
+    }
 
     fn proof_fixture() -> (ConstraintSystem<Fr>, SpartanProof) {
         let x_val = 5u64;
@@ -242,7 +154,7 @@ mod tests {
     fn roundtrip_preserves_proof_and_verifies() {
         let (cs, proof) = proof_fixture();
         let bytes = proof.to_bytes();
-        let back = SpartanProof::from_bytes(&bytes).expect("round trip");
+        let back = decode(&bytes).expect("round trip");
         assert_eq!(back.comm_w, proof.comm_w);
         assert_eq!(back.sc1, proof.sc1);
         assert_eq!(back.claims, proof.claims);
@@ -259,11 +171,11 @@ mod tests {
     fn truncated_and_padded_encodings_rejected() {
         let (_cs, proof) = proof_fixture();
         let bytes = proof.to_bytes();
-        assert!(SpartanProof::from_bytes(&bytes[..bytes.len() - 1]).is_none());
-        assert!(SpartanProof::from_bytes(&[]).is_none());
+        assert!(decode(&bytes[..bytes.len() - 1]).is_none());
+        assert!(decode(&[]).is_none());
         let mut padded = bytes;
         padded.push(0);
-        assert!(SpartanProof::from_bytes(&padded).is_none());
+        assert!(decode(&padded).is_none());
     }
 
     #[test]
@@ -280,7 +192,7 @@ mod tests {
         for pos in positions {
             let mut tampered = bytes.clone();
             tampered[pos] ^= 1;
-            match SpartanProof::from_bytes(&tampered) {
+            match decode(&tampered) {
                 None => {} // rejected by point/scalar validation
                 Some(p) => assert!(
                     !verifier.verify(cs.instance_assignment(), &p),
@@ -291,30 +203,15 @@ mod tests {
     }
 
     #[test]
-    fn huge_length_prefixes_rejected_without_allocation() {
-        // rounds = 2^20 in an 8-byte sumcheck encoding.
-        let mut bytes = (1u32 << 20).to_le_bytes().to_vec();
-        bytes.extend_from_slice(&[0u8; 4]);
-        assert!(SumcheckProof::from_bytes(&bytes).is_none());
-        // Same header as an IPA proof (each claimed round needs 130 bytes).
-        assert!(InnerProductProof::from_bytes(&bytes).is_none());
-        // And embedded mid-proof: a valid point followed by a huge count.
-        let (_cs, proof) = proof_fixture();
-        let mut embedded = proof.comm_w.to_affine().to_bytes().to_vec();
-        embedded.extend_from_slice(&(1u32 << 20).to_le_bytes());
-        assert!(SpartanProof::from_bytes(&embedded).is_none());
-    }
-
-    #[test]
     fn sumcheck_and_ipa_roundtrip_standalone() {
         let (_cs, proof) = proof_fixture();
-        let sc = SumcheckProof::from_bytes(&proof.sc1.to_bytes()).unwrap();
+        let sc = decode_exact(&proof.sc1.to_bytes(), SumcheckProof::decode).unwrap();
         assert_eq!(sc, proof.sc1);
-        let ipa = InnerProductProof::from_bytes(&proof.ipa.to_bytes()).unwrap();
+        let ipa = decode_exact(&proof.ipa.to_bytes(), InnerProductProof::decode).unwrap();
         assert_eq!(ipa, proof.ipa);
         // Mismatched L/R length prefix is caught.
         let mut bytes = proof.ipa.to_bytes();
         bytes[0] = bytes[0].wrapping_add(1);
-        assert!(InnerProductProof::from_bytes(&bytes).is_none());
+        assert!(decode_exact(&bytes, InnerProductProof::decode).is_err());
     }
 }

@@ -20,7 +20,7 @@ fn spartan_49x16x32_proof_is_byte_identical_to_the_recorded_one() {
         panic!("one job, one result");
     };
     assert!(result.verified);
-    let envelope = ProofEnvelope::from_bytes(&result.proof_bytes).expect("decodes");
+    let envelope = ProofEnvelope::decode(&result.proof_bytes).expect("decodes");
     let hex: String = sha256(&envelope.to_bytes())
         .iter()
         .map(|b| format!("{b:02x}"))

@@ -27,7 +27,7 @@ fn batch_service_end_to_end_through_umbrella() {
 
     // Each proof decodes from bytes and reports the right backend.
     for (result, spec) in report.results.iter().zip(&specs) {
-        let envelope = ProofEnvelope::from_bytes(&result.proof_bytes).expect("decodes");
+        let envelope = ProofEnvelope::decode(&result.proof_bytes).expect("decodes");
         assert_eq!(envelope.backend, spec.backend());
     }
 }
