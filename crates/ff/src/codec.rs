@@ -311,11 +311,11 @@ pub fn hex(bytes: &[u8]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Fr;
 
     #[test]
     fn counts_are_bounded_by_the_bytes_left() {
-        // Three bytes left after the prefix: one 2-byte item fits, two do not.
+        // Three bytes after the prefix hold one item of at least two
+        // bytes, not two.
         let fits = [1, 0, 0, 0, 9, 9, 9];
         let mut r = ByteReader::new(&fits);
         let n = r.count_u32(2, "items").unwrap();
@@ -328,33 +328,5 @@ mod tests {
         let mut huge = u64::MAX.to_le_bytes().to_vec();
         huge.extend([0; 64]);
         assert!(ByteReader::new(&huge).count_u64(1, "items").is_err());
-    }
-
-    #[test]
-    fn fields_must_be_canonical() {
-        let one = Fr::from_u64(1).to_bytes_le();
-        assert_eq!(ByteReader::new(&one).field::<Fr>("x"), Ok(Fr::from_u64(1)));
-        assert!(matches!(
-            ByteReader::new(&[0xFF; 32]).field::<Fr>("x"),
-            Err(DecodeError::Malformed { context: "x", .. })
-        ));
-    }
-
-    #[test]
-    fn decode_exact_rejects_trailing_bytes() {
-        assert_eq!(decode_exact(&[7], |r| r.u8("b")), Ok(7));
-        assert_eq!(
-            decode_exact(&[7, 0], |r| r.u8("b")),
-            Err(DecodeError::TrailingBytes { extra: 1 })
-        );
-        assert_eq!(
-            decode_exact(&[], |r| r.u8("b")),
-            Err(DecodeError::Truncated { context: "b" })
-        );
-    }
-
-    #[test]
-    fn hex_is_lowercase() {
-        assert_eq!(hex(&[0, 1, 0xab, 0xff, 0x10]), "0001abff10");
     }
 }

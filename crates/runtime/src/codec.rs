@@ -54,9 +54,9 @@ pub const SERVE_BENCH_SCHEMA: &str = "zkvc-serve-bench/v1";
 pub const DISTRIBUTED_BENCH_SCHEMA: &str = "zkvc-bench-distributed/v1";
 
 impl From<DecodeError> for Error {
-    /// Maps decode failures onto the runtime error surface:
-    /// future versions keep their typed identity, everything else names
-    /// the broken field.
+    /// Maps decode failures onto the runtime error surface: future
+    /// versions keep their typed identity, everything else names the
+    /// broken field.
     fn from(e: DecodeError) -> Self {
         match e {
             DecodeError::FutureVersion {
