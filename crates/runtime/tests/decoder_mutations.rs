@@ -262,10 +262,10 @@ fn apply(bytes: &[u8], mutation: Mutation) -> Vec<u8> {
     out
 }
 
-/// Item 8(a)'s known break: the point decoder checks the curve equation but
-/// not that the encoding is canonical, so two kinds of accepted point
-/// bytes re-encode differently. Every other accepted mutation must
-/// re-encode to itself.
+/// ROADMAP item 8(a)'s known break: the point decoder checks the curve
+/// equation but not that the encoding is canonical, so two kinds of
+/// accepted point bytes re-encode differently. Every other accepted
+/// mutation must re-encode to itself.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum KnownBreak {
     /// A finite point whose flag byte is neither 0 nor 1: it decodes as
@@ -405,9 +405,10 @@ fn accept_set_matches_the_recorded_digest() {
 
 #[test]
 fn known_break_8a_noncanonical_points_are_accepted() {
-    // Until 8(a) makes the point decoder canonical, non-canonical point
-    // bytes decode. When it lands, these cases are rejected instead: flip
-    // this test to assert that, and re-record the digest above.
+    // Until ROADMAP item 8(a) makes the point decoder canonical,
+    // non-canonical point bytes decode. When it lands, these cases are
+    // rejected instead: flip this test to assert that, and re-record the
+    // digest above.
     let breaks = &outcome().known_breaks;
     assert!(
         breaks.iter().any(|b| b.2 == KnownBreak::NonBinaryFlag),
