@@ -3,40 +3,61 @@
 //! by at least 2x, and serialized proofs must survive a bytes round trip on
 //! both backends.
 
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 use zkvc_core::matmul::Strategy;
 use zkvc_core::Backend;
 use zkvc_runtime::{prove_batch, prove_batch_serial, JobSpec, ProofEnvelope};
 
+/// Held by every test in this file. The harness runs tests on parallel
+/// threads, so without it the other test's proving shares the cores with
+/// the timed section below and the measured ratio says nothing about the
+/// pool.
+static CORES: Mutex<()> = Mutex::new(());
+
 /// Proving 8 same-shape Groth16 jobs through the pool + cache must be at
 /// least 2x faster end-to-end than 8 independent `Backend::prove` calls.
 ///
-/// The margin is wide by construction: the serial path re-runs the CRS
-/// setup per job, so even on a single hardware thread the measured ratio is
-/// ~3-4x (and higher with real parallelism). A shared CI box would have to
-/// be pathologically noisy to drop below 2x.
+/// The serial path re-runs the CRS setup per job, which in a debug build
+/// costs about as much as the proof itself, so on one hardware thread the
+/// ratio is ~2x and the pool's workers take it to ~2.5-3x on two. That
+/// margin is thin against a shared host, so the timing is made fair: an
+/// untimed warm-up pays first-touch costs for both paths, and the two
+/// paths are timed twice in ABBA order, which cancels a linear drift in
+/// host speed and leaves no single burst to decide the verdict.
 #[test]
 fn pooled_batch_at_least_2x_faster_than_one_shot_proving() {
+    let _cores = CORES.lock().unwrap_or_else(PoisonError::into_inner);
     let specs = vec![
         JobSpec::new(5, 5, 5)
             .with_strategy(Strategy::Vanilla)
             .with_backend(Backend::Groth16);
         8
     ];
+    let pooled = || {
+        let report = prove_batch(&specs, 4, 0xBA7C4);
+        assert!(report.all_verified(), "pooled proofs must verify");
+        assert_eq!(report.cache.misses, 1, "one setup for the whole batch");
+        assert_eq!(report.cache.hits, 7);
+    };
+    let serial = || {
+        let report = prove_batch_serial(&specs, 0xBA7C4);
+        assert!(report.all_verified(), "serial proofs must verify");
+    };
+    let timed = |run: &dyn Fn()| {
+        let t0 = Instant::now();
+        run();
+        t0.elapsed()
+    };
 
-    let t0 = Instant::now();
-    let pooled = prove_batch(&specs, 4, 0xBA7C4);
-    let pooled_wall = t0.elapsed();
+    prove_batch(&specs[..2], 2, 0);
+    prove_batch_serial(&specs[..1], 0);
 
-    let t1 = Instant::now();
-    let serial = prove_batch_serial(&specs, 0xBA7C4);
-    let serial_wall = t1.elapsed();
-
-    assert!(pooled.all_verified(), "pooled proofs must verify");
-    assert!(serial.all_verified(), "serial proofs must verify");
-    assert_eq!(pooled.cache.misses, 1, "one setup for the whole batch");
-    assert_eq!(pooled.cache.hits, 7);
+    let mut pooled_wall = timed(&pooled);
+    let mut serial_wall = timed(&serial);
+    serial_wall += timed(&serial);
+    pooled_wall += timed(&pooled);
 
     let speedup = serial_wall.as_secs_f64() / pooled_wall.as_secs_f64();
     println!(
@@ -56,6 +77,7 @@ fn pooled_batch_at_least_2x_faster_than_one_shot_proving() {
 /// process would see them.
 #[test]
 fn serialized_proofs_verify_after_bytes_roundtrip_on_both_backends() {
+    let _cores = CORES.lock().unwrap_or_else(PoisonError::into_inner);
     for backend in Backend::ALL {
         let specs = vec![JobSpec::new(3, 4, 3).with_backend(backend); 2];
         let report = prove_batch(&specs, 2, 17);

@@ -1,9 +1,8 @@
 //! Proof-envelope robustness: round-trip properties over randomly shaped
-//! statements, plus rejection of bit-flipped and garbage bytes. The decoder
-//! must never panic, never accept a malformed envelope, and never let a
-//! mutated envelope verify. Truncations, trailing bytes and oversized
-//! length prefixes of every binary format are covered by
-//! `decoder_mutations.rs`.
+//! statements, plus rejection of truncated, bit-flipped and garbage bytes.
+//! The decoder must never panic, never accept a malformed envelope, and
+//! never let a mutated envelope verify. `decoder_mutations.rs` runs the
+//! same mutations over every binary format and pins their accept set.
 
 use std::sync::Arc;
 
@@ -71,6 +70,28 @@ proptest! {
             // canonical — and even then it is just bytes, not a proof.
             prop_assert_eq!(envelope.to_bytes(), with_magic);
         }
+    }
+}
+
+#[test]
+fn every_truncation_is_rejected() {
+    for backend in Backend::ALL {
+        let (bytes, _vk) = proved_envelope(backend, 2, 2, 2, 41);
+        for len in 0..bytes.len() {
+            assert!(
+                ProofEnvelope::decode(&bytes[..len]).is_err(),
+                "{backend:?}: truncation to {len}/{} bytes decoded",
+                bytes.len()
+            );
+        }
+        // Trailing padding must be rejected too: the parsers consume the
+        // buffer exactly.
+        let mut padded = bytes.clone();
+        padded.push(0);
+        assert!(
+            ProofEnvelope::decode(&padded).is_err(),
+            "{backend:?}: padded envelope decoded"
+        );
     }
 }
 

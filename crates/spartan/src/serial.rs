@@ -203,6 +203,21 @@ mod tests {
     }
 
     #[test]
+    fn huge_length_prefixes_rejected_without_allocation() {
+        // rounds = 2^20 in an 8-byte sumcheck encoding.
+        let mut bytes = (1u32 << 20).to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[0u8; 4]);
+        assert!(decode_exact(&bytes, SumcheckProof::decode).is_err());
+        // Same header as an IPA proof (each claimed round needs 130 bytes).
+        assert!(decode_exact(&bytes, InnerProductProof::decode).is_err());
+        // And embedded mid-proof: a valid point followed by a huge count.
+        let (_cs, proof) = proof_fixture();
+        let mut embedded = proof.comm_w.to_affine().to_bytes().to_vec();
+        embedded.extend_from_slice(&(1u32 << 20).to_le_bytes());
+        assert!(decode(&embedded).is_none());
+    }
+
+    #[test]
     fn sumcheck_and_ipa_roundtrip_standalone() {
         let (_cs, proof) = proof_fixture();
         let sc = decode_exact(&proof.sc1.to_bytes(), SumcheckProof::decode).unwrap();
