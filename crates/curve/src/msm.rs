@@ -28,8 +28,9 @@ use zkvc_ff::{batch_inverse, cancel, Field, PrimeField};
 use crate::group::{AffinePoint, CurveGroup};
 
 /// Computes `sum_i scalars[i] * bases[i]` with Pippenger's algorithm,
-/// single-threaded, using unsigned digits and projective buckets. Kept as
-/// the simple reference implementation (and the small-input path).
+/// single-threaded, using unsigned digits and projective buckets, with no
+/// window above the largest scalar's highest set bit. Kept as the simple
+/// reference implementation (and the small-input path).
 ///
 /// # Panics
 /// Panics if `bases.len() != scalars.len()`.
@@ -39,12 +40,8 @@ pub fn msm_serial<A: AffinePoint>(bases: &[A], scalars: &[A::Scalar]) -> A::Proj
         return A::Projective::identity();
     }
     let c = unsigned_window_size(bases.len());
-    let num_bits = A::Scalar::MODULUS_BITS as usize;
+    let (canon, num_bits) = canonical_scalars(scalars);
     let windows: Vec<usize> = (0..num_bits).step_by(c).collect();
-    let canon: Vec<[u64; 4]> = scalars
-        .iter()
-        .map(zkvc_ff::PrimeField::to_canonical)
-        .collect();
 
     let window_sums: Vec<A::Projective> = windows
         .iter()
@@ -57,8 +54,10 @@ pub fn msm_serial<A: AffinePoint>(bases: &[A], scalars: &[A::Scalar]) -> A::Proj
 /// The seed parallel driver: Pippenger with unsigned digits, projective
 /// buckets and the *windows* split across worker threads. Every thread
 /// still walks all `N` points, so total work is `N x windows` regardless
-/// of core count. [`msm`] runs it below 4 096 points, and the kernels
-/// bench times the chunk-parallel driver against it above.
+/// of core count; the windows stop at the largest scalar's highest set
+/// bit, so `b`-bit scalars cost `b / c` windows, not `MODULUS_BITS / c`. [`msm`]
+/// runs it below 4 096 points, and the kernels bench times the
+/// chunk-parallel driver against it above.
 ///
 /// # Panics
 /// Panics if `bases.len() != scalars.len()`.
@@ -75,12 +74,11 @@ pub fn msm_window_parallel<A: AffinePoint>(bases: &[A], scalars: &[A::Scalar]) -
     // not raise the cancellation marker themselves).
     cancel::checkpoint();
     let c = unsigned_window_size(bases.len());
-    let num_bits = A::Scalar::MODULUS_BITS as usize;
+    let (canon, num_bits) = canonical_scalars(scalars);
     let windows: Vec<usize> = (0..num_bits).step_by(c).collect();
-    let canon: Vec<[u64; 4]> = scalars
-        .iter()
-        .map(zkvc_ff::PrimeField::to_canonical)
-        .collect();
+    if windows.is_empty() {
+        return A::Projective::identity();
+    }
     let n_threads = zkvc_ff::par::num_threads().min(windows.len());
 
     let mut window_sums = vec![A::Projective::identity(); windows.len()];
@@ -726,6 +724,15 @@ fn signed_digits(canon: &[u64; 4], c: usize, out: &mut [i32]) {
     debug_assert_eq!(carry, 0, "signed-digit carry escaped the top window");
 }
 
+/// The scalars in canonical form, and the bit length of the largest. The
+/// unsigned drivers stop their windows there: every digit above it is
+/// zero, so narrow scalars pay only for the bits they have.
+fn canonical_scalars<S: PrimeField>(scalars: &[S]) -> (Vec<[u64; 4]>, usize) {
+    let canon: Vec<[u64; 4]> = scalars.iter().map(PrimeField::to_canonical).collect();
+    let num_bits = canon.iter().map(zkvc_ff::arith::num_bits_4).max();
+    (canon, num_bits.unwrap_or(0) as usize)
+}
+
 fn unsigned_window_sum<A: AffinePoint>(
     bases: &[A],
     canon: &[[u64; 4]],
@@ -766,7 +773,7 @@ mod tests {
     use crate::g1::{G1Affine, G1Projective};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use zkvc_ff::{Field, Fr};
 
     fn naive_msm(bases: &[G1Affine], scalars: &[Fr]) -> G1Projective {
@@ -837,6 +844,44 @@ mod tests {
         assert_eq!(msm(&bases, &scalars), expect);
         assert_eq!(msm_serial(&bases, &scalars), expect);
         assert_eq!(msm_with_chunks(&bases, &scalars, 4), expect);
+
+        // The unsigned drivers stop at the largest scalar's highest set
+        // bit: every bit length around a window edge (c = 5 at 63 and 64
+        // points), the narrow widths of a quantised witness, and full
+        // width. 63 points run `msm_serial`, 64 `msm_window_parallel`.
+        let c = unsigned_window_size(64);
+        assert_eq!(c, unsigned_window_size(63));
+        let full = Fr::MODULUS_BITS as usize;
+        for bits in [0, 1, c - 1, c, c + 1, 19, 32, full] {
+            for n in [63usize, 64] {
+                let mut scalars: Vec<Fr> = (0..n)
+                    .map(|_| match bits {
+                        0 => Fr::zero(),
+                        b if b < 64 => Fr::from_u64(rng.gen::<u64>() >> (64 - b)),
+                        _ => Fr::random(&mut rng),
+                    })
+                    .collect();
+                scalars[n / 2] = match bits {
+                    0 => Fr::zero(),
+                    b if b < 64 => Fr::from_u64(1 << (b - 1)),
+                    _ => -Fr::one(),
+                };
+                let top = scalars.iter().map(PrimeField::num_bits).max();
+                assert_eq!(top, Some(bits as u32), "bits={bits}");
+                let expect = naive_msm(&bases[..n], &scalars);
+                assert_eq!(
+                    msm_serial(&bases[..n], &scalars),
+                    expect,
+                    "bits={bits} n={n}"
+                );
+                assert_eq!(
+                    msm_window_parallel(&bases[..n], &scalars),
+                    expect,
+                    "bits={bits} n={n}"
+                );
+                assert_eq!(msm(&bases[..n], &scalars), expect, "bits={bits} n={n}");
+            }
+        }
     }
 
     #[test]

@@ -8,9 +8,9 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use zkvc_core::api::{compile_shape, generate_witness_for, Circuit, ProofSystem};
-use zkvc_core::matmul::{MatMulBuilder, MatMulCircuit, Strategy};
+use zkvc_core::matmul::{MatMulBuilder, MatMulCircuit, Strategy, ZSource};
 use zkvc_core::{Backend, ProofArtifacts, VerifierKey};
-use zkvc_ff::{Field, Fr};
+use zkvc_ff::{Field, Fr, PrimeField};
 use zkvc_runtime::{build_statement, CircuitKeys, JobSpec, KeyCache, ProofEnvelope};
 
 fn public_job(strategy: Strategy) -> MatMulCircuit {
@@ -93,6 +93,70 @@ fn fold_preserving_forgery_fails_for_crpc_public_outputs() {
                 "{backend:?}/{strategy:?} accepted a fold-preserving forged Y"
             );
         }
+    }
+}
+
+#[test]
+fn known_break_1a_fold_preserving_forgery_verifies() {
+    // KNOWN BREAK, ROADMAP item 1(a); docs/SOUNDNESS.md has the ledger.
+    // This test asserts today's behaviour. The repairs 1(b) (Spartan: Z
+    // drawn after X, Y and com(W)) and 1(c) (Groth16: Z sampled by the
+    // verifier at setup) flip the final assertion to a rejection.
+    //
+    // The served CRPC statement takes Z from `ZSource::Fixed`, and the
+    // prover knows it before Y exists. The per-cell binding rows tie the
+    // public Y to the fold's Y witnesses, but a malicious prover moves
+    // *both*: `y_0 += Z, y_1 -= 1` keeps `sum Z^m y_m`, so the one PSQ
+    // product still holds. With n = 1 the honest Y has rank 1, while the
+    // forged Y' has rank 2, so no X (3x1) and W (1x3) give Y' = XW.
+    let z = Fr::random(&mut StdRng::seed_from_u64(74));
+    let x = vec![vec![2i64], vec![3], vec![5]];
+    let w = vec![vec![7i64, 11, 13]];
+    let job = MatMulBuilder::new(3, 1, 3)
+        .strategy(Strategy::CrpcPsq)
+        .public_outputs(true)
+        .z_source(ZSource::Fixed(z))
+        .build_circuit_integers(&x, &w);
+    let shape = Arc::new(compile_shape(&job));
+    let mut forged = generate_witness_for(&job, &shape);
+
+    // The kit: the honest assignment edited by hand, not through the
+    // witness pass. Instance = Y row-major; witness = X (3), W (3), then
+    // the fold's Y witnesses (9). PSQ accumulators hold prefix sums of the
+    // X*W products and never depend on Y; with n = 1 there are none.
+    let y_wit = 3 + 3;
+    assert_eq!(
+        (forged.instance.len(), forged.witness.len()),
+        (9, y_wit + 9)
+    );
+    assert_eq!(forged.instance[..], forged.witness[y_wit..]);
+    for (cells, y0) in [(&mut forged.instance, 0), (&mut forged.witness, y_wit)] {
+        cells[y0] += z;
+        cells[y0 + 1] -= Fr::one();
+    }
+    assert!(
+        shape.is_satisfied(&forged),
+        "the forgery satisfies the R1CS"
+    );
+    let y = |i: usize, j: usize| forged.instance[3 * i + j];
+    assert_ne!(
+        y(0, 0) * y(1, 1) - y(0, 1) * y(1, 0),
+        Fr::zero(),
+        "a non-zero 2x2 minor: rank(Y') = 2 > n = 1"
+    );
+    // y_0 + Z is full width: on Spartan the opening's wide residual.
+    assert!(forged.witness[y_wit].num_bits() > 32);
+
+    let mut rng = StdRng::seed_from_u64(75);
+    for backend in Backend::ALL {
+        let system = backend.system();
+        let (pk, vk) = system.setup_shape(&shape, &mut rng);
+        let artifacts = system.prove_assignment(&pk, &forged, &mut rng);
+        assert_eq!(artifacts.public_inputs, forged.instance);
+        assert!(
+            system.verify(&vk, &artifacts),
+            "{backend:?} rejects the forgery: 1(a)'s known break is fixed, flip this test"
+        );
     }
 }
 

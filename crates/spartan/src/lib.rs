@@ -19,7 +19,15 @@
 //! bases only every third round (one shared-scalar 8-block
 //! [`zkvc_curve::fold_bases`]), so opening a length-`n` vector costs three
 //! rounds of two `n/2`-point MSMs, one `n/8`-output fold, and an
-//! eighth of that per later stride. The fold's outputs are split across
+//! eighth of that per later stride. In the first three rounds the MSM
+//! scalars would be the witness mixed with challenges, full width. The
+//! prover instead splits the witness once into narrow entries (below
+//! `2^32`) and a wide residual. Round `r`'s narrow share is then `2·4^r`
+//! MSMs of `n/2^(r+1)` points over the raw entries, and
+//! [`zkvc_curve::msm`] stops at their highest set bit. A quantised
+//! witness of `b`-bit values pays `b/8` windows per point instead of 31.
+//! The residual, the partial sums and `Q` go into one short MSM, which
+//! gives the same `L` and `R`. The fold's outputs are split across
 //! threads once there are at least 256 per thread (`n = 4 096` splits in
 //! two), with the same bytes on any host. The verifier builds its `s`
 //! vector in `O(n)` and checks the opening with one `n`-point MSM over the

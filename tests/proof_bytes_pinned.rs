@@ -1,11 +1,15 @@
 //! A Spartan proof is pinned byte for byte.
 //!
 //! The digest below is the file `zkvc prove --spec 49x16x32:zkvc:s --seed 7
-//! --key-cache none` writes, recorded while the IPA generator fold
-//! (`zkvc_curve::fold_bases`) still ran on one thread. Its opening is 4 096
-//! long, so the fold's 512 outputs split across threads on a multi-core
-//! host. How the prover schedules its kernels may change; a proof byte may
-//! not.
+//! --key-cache none` writes. It was recorded while the IPA generator fold
+//! (`zkvc_curve::fold_bases`) still ran on one thread, and while every
+//! cross term of the opening was one full-width MSM. Its opening is 4 096
+//! long, so two things now change how that proof is computed:
+//! - the fold's 512 outputs split across threads on a multi-core host;
+//! - the first three rounds' cross terms are sums of narrow MSMs, because
+//!   2 864 of the 2 879 witness entries are below 2^32.
+//!
+//! How the prover schedules its kernels may change; a proof byte may not.
 
 use zkvc::hash::sha256;
 use zkvc::runtime::{prove_batch, JobSpec, ProofEnvelope};
