@@ -181,6 +181,14 @@ pub trait ProofSystem: Send + Sync {
         rng: &mut dyn RngCore,
     ) -> (ProverKey, VerifierKey);
 
+    /// The verifier half of [`ProofSystem::setup_shape`] from the same rng
+    /// state: the key a verifier re-derives for itself. The default runs
+    /// the whole setup and keeps the verifier key; Groth16 overrides it to
+    /// skip the proving key's group work.
+    fn setup_verifier(&self, shape: &Arc<CompiledShape<Fr>>, rng: &mut dyn RngCore) -> VerifierKey {
+        self.setup_shape(shape, rng).1
+    }
+
     /// Proves a statement given only its flat assignment, against a key
     /// prepared by [`ProofSystem::setup_shape`] for the statement's shape.
     /// This is the prove-many hot path: no synthesis, no matrix
@@ -274,6 +282,10 @@ impl ProofSystem for Groth16System {
     ) -> (ProverKey, VerifierKey) {
         let (pk, vk) = groth16::setup_shape(Arc::clone(shape), rng);
         (ProverKey::Groth16(pk), VerifierKey::Groth16(vk))
+    }
+
+    fn setup_verifier(&self, shape: &Arc<CompiledShape<Fr>>, rng: &mut dyn RngCore) -> VerifierKey {
+        VerifierKey::Groth16(groth16::verifying_key_for_shape(shape, rng))
     }
 
     fn prove_assignment(

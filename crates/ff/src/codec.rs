@@ -73,8 +73,7 @@
 //! its magic, `zkvc_runtime::codec::ENVELOPE_FORMAT_VERSION`). A newer
 //! version decodes to [`DecodeError::FutureVersion`]. The Spartan proof,
 //! the Groth16 proof and the vk carry none: inside an envelope they ride on
-//! its version, and a bare vk (a serve `key` line, the disk key cache) is
-//! unversioned.
+//! its version, and a bare vk (a serve `key` line) is unversioned.
 
 use core::fmt;
 

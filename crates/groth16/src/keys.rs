@@ -1,16 +1,21 @@
 //! Key material: the circuit-specific CRS (proving key + verifying key) and
 //! the proof object.
 //!
-//! [`setup_shape`] is the only way keys are made. It samples the toxic
-//! waste, builds the QAP domain once (it is kept in the [`ProvingKey`] for
-//! the prover), evaluates every QAP polynomial at `tau`, and turns the
-//! resulting scalar batches — `a_query`, `b_query`, `h_query`, `l_query`,
-//! `gamma_abc_g1` and the four singleton points — into group elements with
+//! [`setup_shape`] makes both keys. It samples the toxic waste, builds the
+//! QAP domain once (it is kept in the [`ProvingKey`] for the prover),
+//! evaluates every QAP polynomial at `tau`, and turns the resulting scalar
+//! batches — `a_query`, `b_query`, `h_query`, `l_query`, `gamma_abc_g1` and
+//! the four singleton points — into group elements with
 //! [`zkvc_curve::fixed_base_mul`] over the process-wide generator table:
 //! about 31 batch-affine additions per element instead of a 246-bit
 //! double-and-add, with the points born affine. The keys are byte for byte
 //! those of the naive `g * s` (pinned in `tests/key_bytes_pinned.rs`; the
 //! naive form survives only as this module's test oracle).
+//!
+//! [`verifying_key_for_shape`] makes the verifying key alone from the same
+//! rng state: the same toxic-waste draw and QAP evaluation, but only the
+//! `gamma_abc_g1` batch and the singletons go through the group. Its key is
+//! byte-equal to [`setup_shape`]'s (pinned in `tests/vk_only_oracle.rs`).
 
 use std::sync::Arc;
 
@@ -18,7 +23,7 @@ use rand::Rng;
 use zkvc_curve::{fixed_base_mul, pairing, G1Affine, Gt};
 use zkvc_ff::codec::{decode_exact, ByteReader, DecodeError};
 use zkvc_ff::{Field, Fr};
-use zkvc_qap::evaluate_qap_at_point_in;
+use zkvc_qap::{evaluate_qap_at_point_in, QapEvaluations};
 use zkvc_r1cs::CompiledShape;
 
 /// A Groth16 proof: three group elements, independent of circuit size.
@@ -171,6 +176,75 @@ impl ProvingKey {
     }
 }
 
+/// The toxic waste, drawn from the setup rng in one fixed order: `tau`,
+/// `alpha`, `beta`, then `gamma` and `delta` (each redrawn while zero).
+/// [`setup_shape`] and [`verifying_key_for_shape`] both draw through here,
+/// so the two cannot disagree on which scalar is which.
+struct ToxicWaste {
+    tau: Fr,
+    alpha: Fr,
+    beta: Fr,
+    gamma: Fr,
+    delta: Fr,
+}
+
+impl ToxicWaste {
+    fn draw<R: Rng + ?Sized>(rng: &mut R) -> Self {
+        let nonzero = |rng: &mut R| loop {
+            let s = Fr::random(rng);
+            if !s.is_zero() {
+                break s;
+            }
+        };
+        let tau = Fr::random(rng);
+        let alpha = Fr::random(rng);
+        let beta = Fr::random(rng);
+        let gamma = nonzero(rng);
+        let delta = nonzero(rng);
+        ToxicWaste {
+            tau,
+            alpha,
+            beta,
+            gamma,
+            delta,
+        }
+    }
+
+    /// `beta A_i(tau) + alpha B_i(tau) + C_i(tau)` for variable `i`.
+    fn combined(&self, qap: &QapEvaluations<Fr>, i: usize) -> Fr {
+        self.beta * qap.a[i] + self.alpha * qap.b[i] + qap.c[i]
+    }
+
+    /// The verifying key: the `num_instance + 1` `gamma_abc` points, the
+    /// four singletons and the one pairing.
+    fn verifying_key(&self, qap: &QapEvaluations<Fr>, num_instance: usize) -> VerifyingKey {
+        let gamma_inv = self.gamma.inverse().expect("gamma != 0");
+        let gamma_abc_s: Vec<Fr> = (0..=num_instance)
+            .map(|i| self.combined(qap, i) * gamma_inv)
+            .collect();
+        let gamma_abc_g1 = in_g1(&gamma_abc_s);
+        let [alpha_g1, beta_g2, gamma_g2, delta_g2] =
+            in_g1(&[self.alpha, self.beta, self.gamma, self.delta])[..]
+        else {
+            unreachable!("one point per scalar");
+        };
+        VerifyingKey {
+            alpha_g1,
+            beta_g2,
+            gamma_g2,
+            delta_g2,
+            gamma_abc_g1,
+            alpha_beta_gt: pairing(&alpha_g1, &beta_g2),
+        }
+    }
+}
+
+/// Every key element is a multiple of the one generator: scalar batches go
+/// through its fixed-base table and come back affine.
+fn in_g1(scalars: &[Fr]) -> Vec<G1Affine> {
+    fixed_base_mul(G1Affine::generator_table(), scalars)
+}
+
 /// Runs the circuit-specific trusted setup against a compiled shape,
 /// producing a proving key and a verification key. This is the witness-free
 /// entry point: nothing here ever sees an assignment, only the CSR
@@ -181,42 +255,18 @@ pub fn setup_shape<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> (ProvingKey, VerifyingKey) {
     let matrices = &shape.matrices;
-
-    // Toxic waste.
-    let tau = Fr::random(rng);
-    let alpha = Fr::random(rng);
-    let beta = Fr::random(rng);
-    let gamma = loop {
-        let g = Fr::random(rng);
-        if !g.is_zero() {
-            break g;
-        }
-    };
-    let delta = loop {
-        let d = Fr::random(rng);
-        if !d.is_zero() {
-            break d;
-        }
-    };
-    let gamma_inv = gamma.inverse().expect("gamma != 0");
-    let delta_inv = delta.inverse().expect("delta != 0");
+    let toxic = ToxicWaste::draw(rng);
+    let delta_inv = toxic.delta.inverse().expect("delta != 0");
 
     let h_domain = zkvc_qap::qap_domain::<Fr>(matrices.num_constraints())
         .expect("constraint count exceeds the field's FFT capacity");
-    let qap = evaluate_qap_at_point_in(&h_domain, matrices, &tau);
-    let num_vars = matrices.num_variables();
+    let qap = evaluate_qap_at_point_in(&h_domain, matrices, &toxic.tau);
     let num_instance = matrices.num_instance;
+    let vk = toxic.verifying_key(&qap, num_instance);
 
-    let mut gamma_abc_s = Vec::with_capacity(num_instance + 1);
-    let mut l_query_s = Vec::with_capacity(num_vars - num_instance - 1);
-    for i in 0..num_vars {
-        let combined = beta * qap.a[i] + alpha * qap.b[i] + qap.c[i];
-        if i <= num_instance {
-            gamma_abc_s.push(combined * gamma_inv);
-        } else {
-            l_query_s.push(combined * delta_inv);
-        }
-    }
+    let l_query_s: Vec<Fr> = (num_instance + 1..matrices.num_variables())
+        .map(|i| toxic.combined(&qap, i) * delta_inv)
+        .collect();
 
     // h_query scalars: tau^i * Z(tau) / delta for i in 0..d-1
     let d = qap.domain_size;
@@ -225,40 +275,20 @@ pub fn setup_shape<R: Rng + ?Sized>(
     let mut tau_pow = Fr::one();
     for _ in 0..d - 1 {
         h_query_s.push(tau_pow * zt_over_delta);
-        tau_pow *= tau;
+        tau_pow *= toxic.tau;
     }
-
-    // Every key element is a multiple of the one generator: scalar batches
-    // go through its fixed-base table and come back affine.
-    let in_g1 = |scalars: &[Fr]| fixed_base_mul(G1Affine::generator_table(), scalars);
 
     let a_query = in_g1(&qap.a);
     let b_query = in_g1(&qap.b);
     let h_query = in_g1(&h_query_s);
     let l_query = in_g1(&l_query_s);
-    let gamma_abc_g1 = in_g1(&gamma_abc_s);
-
-    let [alpha_g1, beta_g1, gamma_g2, delta_g1] = in_g1(&[alpha, beta, gamma, delta])[..] else {
-        unreachable!("one point per scalar");
-    };
-    let beta_g2 = beta_g1;
-    let delta_g2 = delta_g1;
-
-    let vk = VerifyingKey {
-        alpha_g1,
-        beta_g2,
-        gamma_g2,
-        delta_g2,
-        gamma_abc_g1,
-        alpha_beta_gt: pairing(&alpha_g1, &beta_g2),
-    };
 
     let pk = ProvingKey {
         vk: vk.clone(),
         shape,
         h_domain,
-        beta_g1,
-        delta_g1,
+        beta_g1: vk.beta_g2,
+        delta_g1: vk.delta_g2,
         a_query,
         b_g1_query: b_query.clone(),
         b_g2_query: b_query,
@@ -268,6 +298,20 @@ pub fn setup_shape<R: Rng + ?Sized>(
     };
 
     (pk, vk)
+}
+
+/// The verifying key [`setup_shape`] would return for the same shape and
+/// rng state, without the proving key: the same toxic waste and QAP
+/// evaluation, but group work only for the `num_instance + 1` `gamma_abc`
+/// points and the four singletons. A verifier that knows the setup seed
+/// re-derives its key with this instead of trusting a stored one.
+pub fn verifying_key_for_shape<R: Rng + ?Sized>(
+    shape: &CompiledShape<Fr>,
+    rng: &mut R,
+) -> VerifyingKey {
+    let toxic = ToxicWaste::draw(rng);
+    let qap = zkvc_qap::evaluate_qap_at_point(&shape.matrices, &toxic.tau);
+    toxic.verifying_key(&qap, shape.matrices.num_instance)
 }
 
 #[cfg(test)]

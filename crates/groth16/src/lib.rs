@@ -52,6 +52,6 @@ mod prover;
 mod testutil;
 mod verifier;
 
-pub use keys::{setup_shape, Proof, ProvingKey, VerifyingKey};
+pub use keys::{setup_shape, verifying_key_for_shape, Proof, ProvingKey, VerifyingKey};
 pub use prover::prove_assignment;
 pub use verifier::{prepare_inputs, verify};

@@ -33,8 +33,8 @@ use crate::matrices::{R1csMatrices, SparseMatrix};
 
 /// Domain-separation prefix for shape digests (kept verbatim from the
 /// digest's previous homes in `zkvc-runtime` and `zkvc-core`, so digests —
-/// and everything keyed by them, like on-disk key caches and
-/// deterministically derived CRS material — survive the two-pass refactor).
+/// and everything keyed by them, like deterministically derived CRS
+/// material — survive the two-pass refactor).
 const DIGEST_DOMAIN: &[u8] = b"zkvc-runtime-circuit-shape-v1";
 
 /// The driver interface of circuit synthesis: allocation, constraint

@@ -28,11 +28,12 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use zkvc_core::api::compile_shape;
 use zkvc_r1cs::Severity;
 use zkvc_runtime::analysis::{self, Baseline};
 use zkvc_runtime::{
-    build_statement, fault, prove_batch_serial, run_client, run_sweep, run_worker, serve,
-    serve_listener, ClientConfig, DiskKeyCache, EnvelopeProof, Error, JobOptions, JobSpec,
+    build_statement, derive_verifier_key, fault, prove_batch_serial, run_client, run_sweep,
+    run_worker, serve, serve_listener, ClientConfig, EnvelopeProof, Error, JobOptions, JobSpec,
     KeyCache, ListenAddr, NetConfig, ProofEnvelope, ProvingPool, ServeConfig, WorkerConfig,
 };
 
@@ -42,15 +43,15 @@ zkvc - concurrent batch proving for the zkVC stack
 USAGE:
     zkvc prove-batch --spec SPEC [--spec SPEC ...] [OPTIONS]
     zkvc serve  [--listen ADDR] [--workers K] [--seed N] [--queue-bound B]
-                [--max-request BYTES] [--no-proofs] [--key-cache DIR|none]
-                [--cache-bytes N|none] [--idle-timeout SECS|none] [--session-bound B]
+                [--max-request BYTES] [--no-proofs] [--cache-bytes N|none]
+                [--idle-timeout SECS|none] [--session-bound B]
                 [--admission-bound N|none] [--retry-after-ms MS]
     zkvc client --connect ADDR [--spec SPEC] [--seed N] [--sessions K] [--count M]
                 [--jobs FILE] [--no-verify] [--report FILE] [--bench FILE] [--sweep LIST]
                 [--deadline-ms MS] [--retries R] [--backoff-ms MS] [--retry-seed N]
     zkvc worker --connect ADDR [--capacity K]
-    zkvc prove  --spec SPEC [--seed N] [--key-cache DIR|none] --out FILE
-    zkvc verify --in FILE --spec SPEC [--seed N] [--key-cache DIR|none]
+    zkvc prove  --spec SPEC [--seed N] --out FILE
+    zkvc verify --in FILE --spec SPEC [--seed N]
     zkvc analyze [--spec SPEC ...] [--seed N] [--json] [--deny LEVEL]
                  [--baseline FILE]
     zkvc help
@@ -85,7 +86,6 @@ OPTIONS (serve):
     --queue-bound B    block request intake while B jobs are queued (default 256)
     --max-request N    reject request lines longer than N bytes (default 65536)
     --no-proofs        omit proof_hex from responses (verdict/throughput mode)
-    --key-cache DIR    persist groth16 vks as shapes are first proved
     --cache-bytes N    bound the resident key cache to N shape bytes, evicting
                        cold shapes LRU (default 256 MiB; `none` disables)
     --listen ADDR      serve a socket instead of stdin: unix:/path/to.sock or
@@ -168,11 +168,10 @@ OPTIONS (analyze):
                        comments allowed; fingerprints are shown in reports
 
 OPTIONS (prove / verify):
-    --key-cache DIR    persist/load groth16 verification keys under DIR so a
-                       repeat `zkvc verify` skips CRS re-derivation entirely.
-                       Default: $ZKVC_KEY_CACHE, else the user cache dir
-                       ($XDG_CACHE_HOME or ~/.cache)/zkvc/keys; disabled if
-                       neither exists. Pass `none` to disable.
+    --seed N           determinism seed (default 0); verify must use the seed
+                       the proof was made with. verify rebuilds the statement
+                       and derives the verifier key from (SPEC, seed) on every
+                       run: it trusts no key stored on disk or in the file.
 
 EXAMPLES:
     zkvc prove-batch --spec 8x8x16:crpc+psq:groth16:x8 --workers 4 --compare-serial
@@ -356,14 +355,25 @@ fn cmd_serve(args: &[String]) -> Result<(), Error> {
         &["--no-proofs", "--analyze-on-compile"],
     )?;
     // The benchmark driver (`benchmark/src/serve.rs`) still starts
-    // `zkvc serve --tune-profile none`, so exactly that argument stays a
-    // no-op until the ROADMAP item-6 benchmark change drops it.
-    if let Some(value) = flag_value(args, "--tune-profile")? {
-        if value != "none" {
-            return Err(Error::Usage(format!(
-                "--tune-profile {value:?}: the kernel auto-tuner was removed; \
-                 MSM/FFT dispatch is static (only `none` is still accepted)"
-            )));
+    // `zkvc serve --key-cache none --tune-profile none`, so exactly those
+    // arguments stay no-ops until the ROADMAP item-6 benchmark change
+    // drops them.
+    for (flag, removed) in [
+        (
+            "--key-cache",
+            "the disk key cache was removed; verifier keys are derived from (spec, seed)",
+        ),
+        (
+            "--tune-profile",
+            "the kernel auto-tuner was removed; MSM/FFT dispatch is static",
+        ),
+    ] {
+        if let Some(value) = flag_value(args, flag)? {
+            if value != "none" {
+                return Err(Error::Usage(format!(
+                    "{flag} {value:?}: {removed} (only `none` is still accepted)"
+                )));
+            }
         }
     }
     let workers = workers_from_args(args)?;
@@ -376,8 +386,7 @@ fn cmd_serve(args: &[String]) -> Result<(), Error> {
     let mut config = ServeConfig::new(workers)
         .seed(seed)
         .include_proofs(!args.iter().any(|a| a == "--no-proofs"))
-        .analyze_on_compile(args.iter().any(|a| a == "--analyze-on-compile"))
-        .disk_cache(key_cache_from_args(args)?);
+        .analyze_on_compile(args.iter().any(|a| a == "--analyze-on-compile"));
     if let Some(s) = flag_value(args, "--queue-bound")? {
         let bound = s
             .parse::<usize>()
@@ -707,31 +716,6 @@ mod sig {
     }
 }
 
-/// Resolves the `--key-cache` flag: explicit directory, `none` to disable,
-/// or the default — `$ZKVC_KEY_CACHE`, else a *user-owned* cache directory
-/// (`$XDG_CACHE_HOME/zkvc/keys` or `$HOME/.cache/zkvc/keys`). Verification
-/// trusts whatever key the cache returns for a digest, so the default must
-/// never point at a world-writable location like the shared OS temp dir
-/// (another user could plant a well-formed vk + matching forged proof at
-/// the predictable path). With no home directory the cache is disabled.
-fn key_cache_from_args(args: &[String]) -> Result<Option<DiskKeyCache>, Error> {
-    match flag_value(args, "--key-cache")? {
-        Some("none") => Ok(None),
-        Some(dir) => Ok(Some(DiskKeyCache::new(dir))),
-        None => {
-            if let Some(dir) = std::env::var_os("ZKVC_KEY_CACHE") {
-                return Ok(Some(DiskKeyCache::new(dir)));
-            }
-            let base = std::env::var_os("XDG_CACHE_HOME")
-                .map(std::path::PathBuf::from)
-                .or_else(|| {
-                    std::env::var_os("HOME").map(|h| std::path::PathBuf::from(h).join(".cache"))
-                });
-            Ok(base.map(|b| DiskKeyCache::new(b.join("zkvc").join("keys"))))
-        }
-    }
-}
-
 fn cmd_analyze(args: &[String]) -> Result<(), Error> {
     reject_unknown_args(
         args,
@@ -776,7 +760,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), Error> {
 }
 
 fn cmd_prove(args: &[String]) -> Result<(), Error> {
-    reject_unknown_args(args, &["--spec", "--seed", "--out", "--key-cache"], &[])?;
+    reject_unknown_args(args, &["--spec", "--seed", "--out"], &[])?;
     let (specs, seed) = parse_common(args)?;
     let [spec] = specs[..] else {
         return Err(Error::Usage(
@@ -799,8 +783,7 @@ fn cmd_prove(args: &[String]) -> Result<(), Error> {
         _ => return Err(Error::VerificationFailed),
     };
     // The pool's envelope is keyless; the file `zkvc prove` writes is
-    // self-contained, so the Groth16 vk goes back in — and into the disk
-    // cache, so a later `zkvc verify` starts warm.
+    // self-contained, so the Groth16 vk goes back in.
     let mut envelope = ProofEnvelope::decode(&result.proof_bytes)?;
     let keys = cache
         .get(&result.shape_digest, spec.backend(), seed)
@@ -809,11 +792,6 @@ fn cmd_prove(args: &[String]) -> Result<(), Error> {
         (&mut envelope.proof, &keys.verifier)
     {
         *vk = Some(key.clone());
-        if let Some(disk) = key_cache_from_args(args)? {
-            if let Err(e) = disk.store_groth16_vk(&keys.digest, seed, key) {
-                eprintln!("warning: could not persist vk to key cache: {e}");
-            }
-        }
     }
     let bytes = envelope.to_bytes();
     std::fs::write(out_path, &bytes).map_err(|e| Error::io(out_path, e))?;
@@ -828,7 +806,7 @@ fn cmd_prove(args: &[String]) -> Result<(), Error> {
 }
 
 fn cmd_verify(args: &[String]) -> Result<(), Error> {
-    reject_unknown_args(args, &["--spec", "--seed", "--in", "--key-cache"], &[])?;
+    reject_unknown_args(args, &["--spec", "--seed", "--in"], &[])?;
     let (specs, seed) = parse_common(args)?;
     let [spec] = specs[..] else {
         return Err(Error::Usage(
@@ -870,55 +848,20 @@ fn cmd_verify(args: &[String]) -> Result<(), Error> {
     }
 
     // Second, cryptographic verification against the *expected* verifier
-    // key for the spec'd circuit shape (the CRS/preprocessing is
-    // deterministic in (seed, shape)) — never against the envelope's own
+    // key for the spec'd circuit shape — never against the envelope's own
     // embedded vk — so an envelope built from some other circuit's setup
-    // fails even though it is internally consistent. For Groth16 the key
-    // is loaded from the on-disk cache when available, making repeat
-    // verification O(pairing); on a miss the CRS is derived once and the
-    // vk persisted.
-    let digest = statement.shape_digest();
-    let disk = key_cache_from_args(args)?;
-
+    // fails even though it is internally consistent. The shape is compiled
+    // once, and the key is derived from its digest and the seed exactly as
+    // the prover's setup was seeded; for Groth16 only the verifying key's
+    // points are computed.
     let t_key = Instant::now();
-    let mut key_source = "derived (no key cache)";
-    let verifier = if spec.backend() == zkvc_core::Backend::Groth16 {
-        match disk.as_ref().and_then(|d| d.load_groth16_vk(&digest, seed)) {
-            Some(vk) => {
-                key_source = "disk cache hit";
-                zkvc_core::VerifierKey::Groth16(vk)
-            }
-            None => {
-                let cache = KeyCache::with_seed(seed);
-                let (keys, _) = cache.get_or_setup_circuit(spec.backend(), statement.as_ref());
-                if let (Some(d), zkvc_core::VerifierKey::Groth16(vk)) = (&disk, &keys.verifier) {
-                    if let Err(e) = d.store_groth16_vk(&digest, seed, vk) {
-                        eprintln!("warning: could not persist vk to key cache: {e}");
-                    } else {
-                        key_source = "disk cache miss (CRS derived, vk persisted)";
-                    }
-                }
-                keys.verifier.clone()
-            }
-        }
-    } else {
-        // Spartan preprocessing is transparent and derived from the
-        // circuit structure; nothing worth persisting.
-        let cache = KeyCache::with_seed(seed);
-        cache
-            .get_or_setup_circuit(spec.backend(), statement.as_ref())
-            .0
-            .verifier
-            .clone()
-    };
+    let shape = Arc::new(compile_shape(statement.as_ref()));
+    let verifier = derive_verifier_key(spec.backend(), &shape, seed);
     let key_time = t_key.elapsed();
 
     let t0 = Instant::now();
     let ok = envelope.verify_with_key(&verifier);
-    println!(
-        "key material: {key_source} in {:.3}s",
-        key_time.as_secs_f64()
-    );
+    println!("key material: derived in {:.3}s", key_time.as_secs_f64());
     println!(
         "verification: {} in {:.3}s",
         if ok { "OK" } else { "FAILED" },

@@ -434,6 +434,20 @@ impl KeyCache {
     }
 }
 
+/// The verifier key [`KeyCache`] would set up for `shape` under
+/// `(backend, seed)`, derived alone through
+/// [`ProofSystem::setup_verifier`](zkvc_core::ProofSystem::setup_verifier)
+/// from the same rng seed: what `zkvc verify` checks a proof file against,
+/// so its key always comes from the statement and seed, never from a file.
+pub fn derive_verifier_key(
+    backend: Backend,
+    shape: &Arc<CompiledShape<Fr>>,
+    seed: u64,
+) -> VerifierKey {
+    let mut rng = StdRng::seed_from_u64(setup_seed(&shape.digest, backend, seed));
+    backend.system().setup_verifier(shape, &mut rng)
+}
+
 /// Mixes the shape digest, backend tag and setup seed into the rng seed
 /// the backend's setup runs from.
 fn setup_seed(digest: &[u8; 32], backend: Backend, seed: u64) -> u64 {
@@ -495,6 +509,29 @@ mod tests {
             let system = backend.system();
             let artifacts = system.prove_assignment(&keys_again.prover, &witness, &mut rng);
             assert!(system.verify(&keys.verifier, &artifacts), "{backend:?}");
+        }
+    }
+
+    #[test]
+    fn derived_verifier_key_is_the_cached_one() {
+        let mut rng = StdRng::seed_from_u64(98);
+        for backend in Backend::ALL {
+            let cache = KeyCache::with_seed(5);
+            let circuit = matmul(13, 3);
+            let (keys, _) = cache.get_or_setup_circuit(backend, &circuit);
+            let witness = generate_witness_for(&circuit, &keys.shape);
+            let system = backend.system();
+            let artifacts = system.prove_assignment(&keys.prover, &witness, &mut rng);
+            let derived = derive_verifier_key(backend, &keys.shape, 5);
+            assert!(system.verify(&derived, &artifacts), "{backend:?}");
+            if let (VerifierKey::Groth16(cached), VerifierKey::Groth16(derived)) =
+                (&keys.verifier, &derived)
+            {
+                assert_eq!(cached.to_bytes(), derived.to_bytes());
+                // Another seed is another CRS.
+                let other = derive_verifier_key(backend, &keys.shape, 6);
+                assert!(!system.verify(&other, &artifacts));
+            }
         }
     }
 

@@ -2,11 +2,11 @@
 //!
 //! A *fault point* is a named place in the code that can misbehave on
 //! demand: the socket stream can return an IO error, stall, or deliver a
-//! short read; a worker can panic the instant it picks a job up; the disk
-//! key cache can surface a poisoned entry. Production code calls the
-//! check functions here at those places; with no schedule armed the check
-//! is two atomic loads and injects nothing — faults are a test-only
-//! input, never a deployment knob.
+//! short read; a worker can panic the instant it picks a job up or stall
+//! before proving. Production code calls the check functions here at
+//! those places; with no schedule armed the check is two atomic loads and
+//! injects nothing — faults are a test-only input, never a deployment
+//! knob.
 //!
 //! ## Arming a schedule
 //!
@@ -40,7 +40,6 @@
 //! |                      | and remote workers alike; the distributed     |
 //! |                      | bench uses it to emulate paper-scale proof    |
 //! |                      | latency on small CI shapes)                   |
-//! | `disk.vk.poison`     | disk key-cache read sees a corrupted entry    |
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};

@@ -15,9 +15,9 @@
 //!   [`VerifierKey`](zkvc_core::VerifierKey) across every job that proves
 //!   that shape (Groth16 CRS and Spartan preprocessing both amortise this
 //!   way).
-//! * [`DiskKeyCache`] — persists Groth16 verification keys on disk keyed
-//!   by shape digest + setup seed, so repeat `zkvc verify` invocations skip
-//!   CRS re-derivation entirely (constant-pairing verification).
+//! * [`derive_verifier_key`] — the verifier key alone, from the same seed
+//!   the cache's setup uses: `zkvc verify` re-derives its key from
+//!   `(spec, seed)` on every run and reads no key from disk.
 //! * [`ProvingPool`] — worker threads fed by a sharded **work-stealing
 //!   scheduler** (per-worker deques, steal-on-idle, job priorities,
 //!   bounded-queue backpressure, cooperative cancellation, per-job panic
@@ -64,7 +64,6 @@ pub mod analysis;
 mod cache;
 pub mod codec;
 mod coordinator;
-mod disk;
 mod error;
 pub mod fault;
 mod job;
@@ -79,8 +78,7 @@ pub mod wire;
 mod worker;
 
 pub use analysis::{analyze_spec, analyze_specs, Baseline, Preflight, SpecAnalysis};
-pub use cache::{CacheStats, CircuitKeys, KeyCache};
-pub use disk::DiskKeyCache;
+pub use cache::{derive_verifier_key, CacheStats, CircuitKeys, KeyCache};
 pub use error::Error;
 pub use job::build_statement;
 pub use net::{

@@ -176,7 +176,6 @@ pub fn serve_listener(
         let registry = Arc::clone(&registry);
         let cache = Arc::clone(&cache);
         let include_proofs = config.serve.include_proofs;
-        let disk = config.serve.disk_cache.clone();
         Arc::new(move |result| {
             let Some(sid) = result.session_id else { return };
             let session = registry
@@ -185,7 +184,7 @@ pub fn serve_listener(
                 .get(&sid)
                 .cloned();
             if let Some(session) = session {
-                session.emit_result(&cache, disk.as_ref(), include_proofs, result);
+                session.emit_result(&cache, include_proofs, result);
             }
         })
     };

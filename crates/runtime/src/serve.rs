@@ -34,7 +34,6 @@ use zkvc_ff::codec::hex;
 
 use crate::analysis::Preflight;
 use crate::cache::KeyCache;
-use crate::disk::DiskKeyCache;
 use crate::error::Error;
 use crate::net::NetConfig;
 use crate::pool::{JobOptions, JobResult, PoolConfig, ProvingPool, ResultSink, SessionCtl};
@@ -65,10 +64,6 @@ pub struct ServeConfig {
     /// Whether `result` lines carry the proof envelope as `proof_hex`
     /// (disable for throughput probes that only want verdicts).
     pub include_proofs: bool,
-    /// When set, Groth16 verification keys are persisted here as shapes
-    /// are first proved, so offline `zkvc verify --key-cache` calls skip
-    /// CRS re-derivation.
-    pub disk_cache: Option<DiskKeyCache>,
     /// Byte bound on the resident [`KeyCache`]: when the compiled shapes
     /// held alive exceed this, the least-recently-used cold shapes are
     /// evicted (and re-set-up on next use). `None` disables the bound.
@@ -84,7 +79,7 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// Defaults: `workers` threads, seed 0, 256-job queue bound, 64 KiB
-    /// request lines, proofs included, no disk persistence, a 256 MiB
+    /// request lines, proofs included, a 256 MiB
     /// shape-byte bound on the resident key cache.
     pub fn new(workers: usize) -> Self {
         ServeConfig {
@@ -93,7 +88,6 @@ impl ServeConfig {
             queue_bound: 256,
             max_request_bytes: 64 * 1024,
             include_proofs: true,
-            disk_cache: None,
             cache_bytes: Some(DEFAULT_CACHE_BYTES),
             analyze_on_compile: false,
         }
@@ -120,12 +114,6 @@ impl ServeConfig {
     /// Sets whether result lines include the proof bytes.
     pub fn include_proofs(mut self, include: bool) -> Self {
         self.include_proofs = include;
-        self
-    }
-
-    /// Enables on-disk persistence of Groth16 verification keys.
-    pub fn disk_cache(mut self, disk: Option<DiskKeyCache>) -> Self {
-        self.disk_cache = disk;
         self
     }
 
@@ -256,18 +244,11 @@ impl<W: Write> Session<W> {
 
     /// Streams one job result to this session: the `key` line first if
     /// this is the session's first Groth16 result for its `(shape,
-    /// seed)` (persisting the vk to `disk` best-effort), then the
-    /// `result` line; updates the session counters. A write that fails
-    /// (the consumer is gone) cancels the session's remaining jobs right
-    /// here, from the pool's sink, so they drain instead of proving into
-    /// the void.
-    pub(crate) fn emit_result(
-        &self,
-        cache: &KeyCache,
-        disk: Option<&DiskKeyCache>,
-        include_proofs: bool,
-        result: &JobResult,
-    ) {
+    /// seed)`, then the `result` line; updates the session counters. A
+    /// write that fails (the consumer is gone) cancels the session's
+    /// remaining jobs right here, from the pool's sink, so they drain
+    /// instead of proving into the void.
+    pub(crate) fn emit_result(&self, cache: &KeyCache, include_proofs: bool, result: &JobResult) {
         if result.error.is_none() && result.spec.backend() == Backend::Groth16 {
             let key = (result.shape_digest, result.seed);
             let already = self
@@ -293,12 +274,6 @@ impl<W: Write> Session<W> {
                                 result.seed,
                                 hex(&vk.to_bytes())
                             ));
-                            if let Some(disk) = disk {
-                                // Persistence is best-effort: a read-only
-                                // disk must not fail the job.
-                                let _ =
-                                    disk.store_groth16_vk(&result.shape_digest, result.seed, vk);
-                            }
                         }
                     }
                 }
@@ -607,9 +582,8 @@ pub fn serve<R: BufRead, W: Write + Send + 'static>(
         let session = Arc::clone(&session);
         let cache = Arc::clone(&cache);
         let include_proofs = config.include_proofs;
-        let disk = config.disk_cache.clone();
         Arc::new(move |result: &JobResult| {
-            session.emit_result(&cache, disk.as_ref(), include_proofs, result);
+            session.emit_result(&cache, include_proofs, result);
         })
     };
     let pool = config.build_pool(&cache, sink);
@@ -791,7 +765,7 @@ mod tests {
         let cache = Arc::new(params.net.serve.build_cache());
         let sink: ResultSink = {
             let (session, cache) = (Arc::clone(&session), Arc::clone(&cache));
-            Arc::new(move |r: &JobResult| session.emit_result(&cache, None, true, r))
+            Arc::new(move |r: &JobResult| session.emit_result(&cache, true, r))
         };
         let pool = ProvingPool::configured(PoolConfig::new(1), Arc::clone(&cache), Some(sink));
         let never = AtomicBool::new(false);

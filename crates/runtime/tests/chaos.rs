@@ -329,8 +329,6 @@ impl ChaosServer {
                 "2",
                 "--seed",
                 "3",
-                "--key-cache",
-                "none",
             ])
             .args(extra_args)
             .env("ZKVC_FAULTS", faults)

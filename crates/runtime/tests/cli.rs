@@ -31,8 +31,6 @@ fn matmul_prove_verify_roundtrip_and_binding_rejection() {
         "2x3x2:zkvc:s",
         "--seed",
         "7",
-        "--key-cache",
-        "none",
         "--out",
         proof_str,
     ]);
@@ -50,8 +48,6 @@ fn matmul_prove_verify_roundtrip_and_binding_rejection() {
         "2x3x2:zkvc:s",
         "--seed",
         "7",
-        "--key-cache",
-        "none",
         "--in",
         proof_str,
     ]);
@@ -72,8 +68,6 @@ fn matmul_prove_verify_roundtrip_and_binding_rejection() {
         "2x3x2:zkvc:s",
         "--seed",
         "8",
-        "--key-cache",
-        "none",
         "--in",
         proof_str,
     ]);
@@ -93,8 +87,6 @@ fn model_job_proves_and_verifies_through_the_cli() {
         "mixer-block:spartan",
         "--seed",
         "3",
-        "--key-cache",
-        "none",
         "--out",
         proof_str,
     ]);
@@ -112,8 +104,6 @@ fn model_job_proves_and_verifies_through_the_cli() {
         "mixer-block:spartan",
         "--seed",
         "3",
-        "--key-cache",
-        "none",
         "--in",
         proof_str,
     ]);
@@ -132,8 +122,6 @@ fn model_job_proves_and_verifies_through_the_cli() {
         "bert-block:spartan",
         "--seed",
         "3",
-        "--key-cache",
-        "none",
         "--in",
         proof_str,
     ]);
@@ -156,12 +144,53 @@ fn usage_errors_exit_2() {
         "verify",
         "--spec",
         "2x2x2:s",
+        "--in",
+        "/nonexistent/proof.bin",
+    ]);
+    assert_eq!(out.status.code(), Some(2));
+    // The disk key cache is gone: `--key-cache` is an unknown flag.
+    let out = zkvc(&[
+        "verify",
+        "--spec",
+        "2x2x2:s",
         "--key-cache",
         "none",
         "--in",
         "/nonexistent/proof.bin",
     ]);
     assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown argument \"--key-cache\""));
+}
+
+#[test]
+fn groth16_verify_derives_its_key_from_the_spec_and_seed() {
+    // A `:private` proof binds no outputs, so only the key ties it to the
+    // seed: the key derived under another seed must reject it.
+    let proof = tmp_file("private-g.bin");
+    let proof_str = proof.to_str().unwrap();
+    let spec = "2x2x2:vanilla:g:private";
+    let out = zkvc(&["prove", "--spec", spec, "--seed", "5", "--out", proof_str]);
+    assert!(
+        out.status.success(),
+        "prove failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    let out = zkvc(&["verify", "--spec", spec, "--seed", "5", "--in", proof_str]);
+    assert!(
+        out.status.success(),
+        "verify failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("statement binding: none"), "{stdout}");
+    assert!(stdout.contains("key material: derived"), "{stdout}");
+    assert!(stdout.contains("verification: OK"), "{stdout}");
+
+    let out = zkvc(&["verify", "--spec", spec, "--seed", "6", "--in", proof_str]);
+    assert_eq!(out.status.code(), Some(1), "another seed's key must reject");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("verification: FAILED"), "{stdout}");
 }
 
 #[test]
@@ -172,8 +201,6 @@ fn malformed_envelope_exits_2() {
         "verify",
         "--spec",
         "2x2x2:s",
-        "--key-cache",
-        "none",
         "--in",
         path.to_str().unwrap(),
     ]);
@@ -185,30 +212,14 @@ fn malformed_envelope_exits_2() {
 fn future_version_envelope_exits_2_with_upgrade_message() {
     let proof = tmp_file("future.bin");
     let proof_str = proof.to_str().unwrap();
-    let out = zkvc(&[
-        "prove",
-        "--spec",
-        "2x2x2:s",
-        "--key-cache",
-        "none",
-        "--out",
-        proof_str,
-    ]);
+    let out = zkvc(&["prove", "--spec", "2x2x2:s", "--out", proof_str]);
     assert!(out.status.success());
     // A valid envelope restamped with the next format version.
     let mut bytes = std::fs::read(&proof).unwrap();
     assert_eq!(&bytes[..8], b"ZKVCPRF1");
     bytes[7] = b'2';
     std::fs::write(&proof, &bytes).unwrap();
-    let out = zkvc(&[
-        "verify",
-        "--spec",
-        "2x2x2:s",
-        "--key-cache",
-        "none",
-        "--in",
-        proof_str,
-    ]);
+    let out = zkvc(&["verify", "--spec", "2x2x2:s", "--in", proof_str]);
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("newer than the supported"), "{stderr}");
@@ -218,25 +229,9 @@ fn future_version_envelope_exits_2_with_upgrade_message() {
 fn backend_mismatch_exits_2() {
     let proof = tmp_file("spartan.bin");
     let proof_str = proof.to_str().unwrap();
-    let out = zkvc(&[
-        "prove",
-        "--spec",
-        "2x2x2:s",
-        "--key-cache",
-        "none",
-        "--out",
-        proof_str,
-    ]);
+    let out = zkvc(&["prove", "--spec", "2x2x2:s", "--out", proof_str]);
     assert!(out.status.success());
-    let out = zkvc(&[
-        "verify",
-        "--spec",
-        "2x2x2:g",
-        "--key-cache",
-        "none",
-        "--in",
-        proof_str,
-    ]);
+    let out = zkvc(&["verify", "--spec", "2x2x2:g", "--in", proof_str]);
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("spartan"));
 }

@@ -66,16 +66,7 @@ fn serve_round_trips_requests_and_survives_bad_input() {
         oversized = oversized
     );
     let out = zkvc_serve(
-        &[
-            "--workers",
-            "2",
-            "--seed",
-            "7",
-            "--max-request",
-            "256",
-            "--key-cache",
-            "none",
-        ],
+        &["--workers", "2", "--seed", "7", "--max-request", "256"],
         &input,
     );
     assert!(
@@ -139,10 +130,7 @@ fn serve_proofs_verify_offline_and_keys_stream_once() {
         "{\"spec\": \"2x2x2:vanilla:g\", \"id\": \"p1\", \"seed\": 9}\n",
         "{\"spec\": \"2x2x2:vanilla:g\", \"id\": \"p2\", \"seed\": 9}\n",
     );
-    let out = zkvc_serve(
-        &["--workers", "2", "--seed", "9", "--key-cache", "none"],
-        input,
-    );
+    let out = zkvc_serve(&["--workers", "2", "--seed", "9"], input);
     assert!(
         out.status.success(),
         "{}",
@@ -176,8 +164,6 @@ fn serve_proofs_verify_offline_and_keys_stream_once() {
             "2x2x2:vanilla:g",
             "--seed",
             "9",
-            "--key-cache",
-            "none",
             "--in",
             proof_path.to_str().unwrap(),
         ])
@@ -201,8 +187,6 @@ fn serve_proofs_verify_offline_and_keys_stream_once() {
             "2x2x2:vanilla:g",
             "--seed",
             "10",
-            "--key-cache",
-            "none",
             "--in",
             proof_path.to_str().unwrap(),
         ])
@@ -220,10 +204,16 @@ fn serve_usage_errors_exit_2() {
     assert_eq!(out.status.code(), Some(2));
     let out = zkvc_serve(&["--frobnicate"], "");
     assert_eq!(out.status.code(), Some(2));
+    // Only the `none` no-op of the removed disk key cache is accepted.
+    let out = zkvc_serve(&["--key-cache", "/tmp/x"], "");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("the disk key cache was removed"));
 }
 
 #[test]
 fn serve_empty_session_summarises_cleanly() {
+    // `--key-cache none` stays a no-op: the benchmark's serve driver
+    // still passes it.
     let out = zkvc_serve(&["--workers", "1", "--key-cache", "none"], "\n\n");
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);

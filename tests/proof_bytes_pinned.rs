@@ -1,7 +1,7 @@
 //! A Spartan proof is pinned byte for byte.
 //!
-//! The digest below is the file `zkvc prove --spec 49x16x32:zkvc:s --seed 7
-//! --key-cache none` writes. It was recorded while the IPA generator fold
+//! The digest below is the file `zkvc prove --spec 49x16x32:zkvc:s --seed 7`
+//! writes. It was recorded while the IPA generator fold
 //! (`zkvc_curve::fold_bases`) still ran on one thread, and while every
 //! cross term of the opening was one full-width MSM. Its opening is 4 096
 //! long, so two things now change how that proof is computed:
