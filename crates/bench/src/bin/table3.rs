@@ -86,10 +86,10 @@ fn main() {
             let [(pg, gv), (ps, _sv)] = Backend::ALL.map(|backend| {
                 let system = backend.system();
                 let t0 = Instant::now();
-                let artifacts = system.prove_oneshot(&statement, &mut rng);
+                let (artifacts, vk) = system.prove_oneshot(&statement, &mut rng);
                 let prove = t0.elapsed();
                 let t1 = Instant::now();
-                assert!(system.verify_with_shape(&shape, &artifacts), "{backend}");
+                assert!(system.verify(&vk, &artifacts), "{backend}");
                 (prove, t1.elapsed())
             });
 

@@ -64,9 +64,9 @@ fn main() {
         let [pg, ps] = Backend::ALL.map(|backend| {
             let system = backend.system();
             let t0 = Instant::now();
-            let artifacts = system.prove_oneshot(&statement, &mut rng);
+            let (artifacts, vk) = system.prove_oneshot(&statement, &mut rng);
             let prove = t0.elapsed();
-            assert!(system.verify_with_shape(&shape, &artifacts), "{backend}");
+            assert!(system.verify(&vk, &artifacts), "{backend}");
             prove
         });
 

@@ -66,7 +66,7 @@ use zkvc_r1cs::{
     CompiledShape, ConstraintSink, LinearCombination, ShapeBuilder, WitnessAssignment,
     WitnessFiller,
 };
-use zkvc_spartan::{SpartanProver, SpartanVerifier};
+use zkvc_spartan::SpartanProver;
 
 use crate::backend::{Backend, ProofArtifacts, ProofData, ProverKey, VerifierKey};
 
@@ -206,28 +206,28 @@ pub trait ProofSystem: Send + Sync {
     ) -> ProofArtifacts;
 
     /// Verifies artifacts against a key prepared by
-    /// [`ProofSystem::setup_shape`]. Returns `false` (rather than
-    /// panicking) on key/proof mismatch.
+    /// [`ProofSystem::setup_shape`] or [`ProofSystem::setup_verifier`].
+    /// The key is the only verification material: artifacts carry none.
+    /// Returns `false` (rather than panicking) on key/proof mismatch.
     fn verify(&self, key: &VerifierKey, artifacts: &ProofArtifacts) -> bool;
 
-    /// Verifies against a compiled shape without prepared keys: Spartan
-    /// re-derives its preprocessing from the shape, while Groth16 trusts
-    /// the verification key embedded in the artifacts. When the expected
-    /// key material is known, prefer [`ProofSystem::verify`], which binds
-    /// the proof to that key.
-    fn verify_with_shape(&self, shape: &CompiledShape<Fr>, artifacts: &ProofArtifacts) -> bool;
-
     /// One-shot setup + prove, with the setup time recorded in the
-    /// metrics. The shape is compiled once and shared by both steps.
-    fn prove_oneshot(&self, circuit: &dyn Circuit, rng: &mut dyn RngCore) -> ProofArtifacts {
+    /// metrics. The shape is compiled once and shared by both steps; the
+    /// setup's verifier key comes back beside the proof, for
+    /// [`ProofSystem::verify`].
+    fn prove_oneshot(
+        &self,
+        circuit: &dyn Circuit,
+        rng: &mut dyn RngCore,
+    ) -> (ProofArtifacts, VerifierKey) {
         let t0 = Instant::now();
         let shape = Arc::new(compile_shape(circuit));
-        let (pk, _vk) = self.setup_shape(&shape, rng);
+        let (pk, vk) = self.setup_shape(&shape, rng);
         let setup_time = t0.elapsed();
         let witness = generate_witness_for(circuit, &shape);
         let mut artifacts = self.prove_assignment(&pk, &witness, rng);
         artifacts.metrics.setup_time = setup_time;
-        artifacts
+        (artifacts, vk)
     }
 }
 
@@ -250,23 +250,22 @@ pub static SPARTAN: SpartanSystem = SpartanSystem;
 fn artifacts_from(
     data: ProofData,
     proof_size_bytes: usize,
-    backend: Backend,
     public_inputs: Vec<Fr>,
     num_constraints: usize,
     num_variables: usize,
     prove_time: std::time::Duration,
 ) -> ProofArtifacts {
     ProofArtifacts {
-        data,
-        public_inputs,
         metrics: crate::backend::ProveMetrics {
-            backend,
+            backend: data.backend(),
             setup_time: std::time::Duration::ZERO,
             prove_time,
             proof_size_bytes,
             num_constraints,
             num_variables,
         },
+        data,
+        public_inputs,
     }
 }
 
@@ -306,12 +305,8 @@ impl ProofSystem for Groth16System {
         let prove_time = t0.elapsed();
         let size = proof.size_in_bytes();
         artifacts_from(
-            ProofData::Groth16 {
-                vk: pk.vk.clone(),
-                proof,
-            },
+            ProofData::Groth16 { proof },
             size,
-            Backend::Groth16,
             witness.instance.clone(),
             pk.shape.num_constraints(),
             pk.shape.num_variables(),
@@ -321,16 +316,7 @@ impl ProofSystem for Groth16System {
 
     fn verify(&self, key: &VerifierKey, artifacts: &ProofArtifacts) -> bool {
         match (key, &artifacts.data) {
-            (VerifierKey::Groth16(vk), ProofData::Groth16 { proof, .. }) => {
-                groth16::verify(vk, &artifacts.public_inputs, proof)
-            }
-            _ => false,
-        }
-    }
-
-    fn verify_with_shape(&self, _shape: &CompiledShape<Fr>, artifacts: &ProofArtifacts) -> bool {
-        match &artifacts.data {
-            ProofData::Groth16 { vk, proof } => {
+            (VerifierKey::Groth16(vk), ProofData::Groth16 { proof }) => {
                 groth16::verify(vk, &artifacts.public_inputs, proof)
             }
             _ => false,
@@ -376,7 +362,6 @@ impl ProofSystem for SpartanSystem {
                 proof: Box::new(proof),
             },
             size,
-            Backend::Spartan,
             witness.instance.clone(),
             prover.num_constraints(),
             prover.num_variables(),
@@ -388,15 +373,6 @@ impl ProofSystem for SpartanSystem {
         match (key, &artifacts.data) {
             (VerifierKey::Spartan(verifier), ProofData::Spartan { proof }) => {
                 verifier.verify(&artifacts.public_inputs, proof)
-            }
-            _ => false,
-        }
-    }
-
-    fn verify_with_shape(&self, shape: &CompiledShape<Fr>, artifacts: &ProofArtifacts) -> bool {
-        match &artifacts.data {
-            ProofData::Spartan { proof } => {
-                SpartanVerifier::preprocess_shape(shape).verify(&artifacts.public_inputs, proof)
             }
             _ => false,
         }
@@ -496,6 +472,20 @@ mod tests {
         (shape, pk, vk)
     }
 
+    /// [`setup`] plus the verifier key derived alone from the same rng
+    /// state, as a verifier holding only the shape and the setup seed
+    /// would: the second key every verdict below is checked under.
+    fn setup_and_rederive(
+        system: &dyn ProofSystem,
+        circuit: &dyn Circuit,
+        rng: &mut StdRng,
+    ) -> (Arc<CompiledShape<Fr>>, ProverKey, [VerifierKey; 2]) {
+        let mut verifier_rng = rng.clone();
+        let (shape, pk, vk) = setup(system, circuit, rng);
+        let rederived = system.setup_verifier(&shape, &mut verifier_rng);
+        (shape, pk, [vk, rederived])
+    }
+
     #[test]
     fn every_strategy_roundtrips_on_every_backend() {
         let mut rng = StdRng::seed_from_u64(11);
@@ -505,12 +495,15 @@ mod tests {
             assert_eq!(system.name(), backend.name());
             for strategy in Strategy::ALL {
                 let circuit = matmul(strategy);
-                let (shape, pk, vk) = setup(system, &circuit, &mut rng);
-                assert_eq!((pk.backend(), vk.backend()), (backend, backend));
+                let (shape, pk, keys) = setup_and_rederive(system, &circuit, &mut rng);
+                assert_eq!(pk.backend(), backend);
                 let witness = generate_witness_for(&circuit, &shape);
                 let artifacts = system.prove_assignment(&pk, &witness, &mut rng);
-                assert!(system.verify(&vk, &artifacts), "{backend:?}/{strategy:?}");
-                assert!(system.verify_with_shape(&shape, &artifacts));
+                assert_eq!(artifacts.data.backend(), backend);
+                for vk in &keys {
+                    assert_eq!(vk.backend(), backend);
+                    assert!(system.verify(vk, &artifacts), "{backend:?}/{strategy:?}");
+                }
                 assert_eq!(artifacts.public_inputs, witness.instance);
 
                 let stats = CircuitStats::of(&shape);
@@ -536,12 +529,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(21);
         for backend in Backend::ALL {
             let system = backend.system();
-            let (shape, pk, vk) = setup(system, &Square::of(12), &mut rng);
+            let (shape, pk, keys) = setup_and_rederive(system, &Square::of(12), &mut rng);
             for w in [12, 13] {
                 let witness = generate_witness_for(&Square::of(w), &shape);
                 let artifacts = system.prove_assignment(&pk, &witness, &mut rng);
-                assert!(system.verify(&vk, &artifacts), "{backend:?} w={w}");
-                assert!(system.verify_with_shape(&shape, &artifacts));
+                for vk in &keys {
+                    assert!(system.verify(vk, &artifacts), "{backend:?} w={w}");
+                }
                 assert_eq!(artifacts.public_inputs, vec![Fr::from_u64(w * w)]);
             }
         }
@@ -549,17 +543,20 @@ mod tests {
 
     #[test]
     fn tampered_public_input_rejected_keyed_and_keyless() {
+        // Keyed: under the setup's own key. Keyless: under the key a
+        // verifier derives without the prover's keys.
         let mut rng = StdRng::seed_from_u64(14);
         for backend in Backend::ALL {
             let system = backend.system();
             let circuit = Square::of(12);
-            let (shape, pk, vk) = setup(system, &circuit, &mut rng);
+            let (shape, pk, [vk, rederived]) = setup_and_rederive(system, &circuit, &mut rng);
             let witness = generate_witness_for(&circuit, &shape);
             let mut artifacts = system.prove_assignment(&pk, &witness, &mut rng);
+            assert!(system.verify(&rederived, &artifacts), "{backend:?} honest");
             artifacts.public_inputs[0] = Fr::from_u64(143);
             assert!(!system.verify(&vk, &artifacts), "{backend:?} keyed");
             assert!(
-                !system.verify_with_shape(&shape, &artifacts),
+                !system.verify(&rederived, &artifacts),
                 "{backend:?} keyless"
             );
         }
@@ -570,21 +567,21 @@ mod tests {
         // A mismatch is a `false`, not a panic, on every verify path.
         let mut rng = StdRng::seed_from_u64(13);
         let circuit = matmul(Strategy::CrpcPsq);
-        let shape = compile_shape(&circuit);
-        let [g, s] = Backend::ALL.map(|b| b.system().prove_oneshot(&circuit, &mut rng));
+        let [(g, vk_g), (s, vk_s)] =
+            Backend::ALL.map(|b| b.system().prove_oneshot(&circuit, &mut rng));
         assert!(
             g.metrics.setup_time > Duration::ZERO,
             "oneshot records setup"
         );
-        let (_, _, vk_g) = setup(Backend::Groth16.system(), &circuit, &mut rng);
-        let (_, _, vk_s) = setup(Backend::Spartan.system(), &circuit, &mut rng);
         for system in Backend::ALL.map(|b| b.system()) {
             assert!(!system.verify(&vk_g, &s));
             assert!(!system.verify(&vk_s, &g));
         }
+        assert!(Backend::Groth16.system().verify(&vk_g, &g));
         assert!(Backend::Spartan.system().verify(&vk_s, &s));
-        assert!(!Backend::Spartan.system().verify_with_shape(&shape, &g));
-        assert!(!Backend::Groth16.system().verify_with_shape(&shape, &s));
+        // A matching key does not rescue a proof sent to the wrong system.
+        assert!(!Backend::Spartan.system().verify(&vk_g, &g));
+        assert!(!Backend::Groth16.system().verify(&vk_s, &s));
     }
 
     #[test]

@@ -106,32 +106,41 @@ pub struct ProveMetrics {
     pub num_variables: usize,
 }
 
-/// The proof plus everything needed to verify it.
-// Variant sizes legitimately differ: a Groth16 vk embeds its gamma_abc
-// vector while Spartan's proof is boxed; both are heap-dominated anyway.
+/// The proof itself, without key material: a verifier checks it against a
+/// [`VerifierKey`] it obtained for the statement's shape, never against
+/// anything the prover supplied.
+// Three inline points against a boxed Spartan proof; boxing the Groth16
+// proof would only add an allocation per proof.
 #[allow(clippy::large_enum_variant)]
 #[derive(Clone, Debug)]
 pub enum ProofData {
-    /// A Groth16 proof with its verification key.
+    /// A Groth16 proof.
     Groth16 {
-        /// Verification key produced by the trusted setup.
-        vk: groth16::VerifyingKey,
         /// The proof.
         proof: groth16::Proof,
     },
-    /// A Spartan-style proof (the verifier re-derives its preprocessing from
-    /// the circuit structure).
+    /// A Spartan-style proof.
     Spartan {
         /// The proof.
         proof: Box<SpartanProof>,
     },
 }
 
-/// The output of [`ProofSystem::prove_assignment`]: the proof data, the
-/// public inputs it binds, and the collected metrics.
+impl ProofData {
+    /// The backend that produced this proof.
+    pub fn backend(&self) -> Backend {
+        match self {
+            ProofData::Groth16 { .. } => Backend::Groth16,
+            ProofData::Spartan { .. } => Backend::Spartan,
+        }
+    }
+}
+
+/// The output of [`ProofSystem::prove_assignment`]: the proof, the public
+/// inputs it binds, and the collected metrics.
 #[derive(Clone, Debug)]
 pub struct ProofArtifacts {
-    /// The proof and verification material.
+    /// The proof.
     pub data: ProofData,
     /// The public inputs the proof commits to.
     pub public_inputs: Vec<Fr>,

@@ -23,7 +23,6 @@
 //! ## Example
 //!
 //! ```rust
-//! use zkvc_core::api::compile_shape;
 //! use zkvc_core::matmul::{MatMulBuilder, Strategy};
 //! use zkvc_core::backend::Backend;
 //! use rand::rngs::StdRng;
@@ -37,10 +36,10 @@
 //!     .strategy(Strategy::CrpcPsq)
 //!     .build_circuit_integers(&x, &w);
 //! // Setup + prove in one call (see `zkvc_core::api` for the split,
-//! // prove-many sequence), then verify against the circuit's shape.
+//! // prove-many sequence), then verify under the setup's verifier key.
 //! let system = Backend::Groth16.system();
-//! let artifacts = system.prove_oneshot(&circuit, &mut rng);
-//! assert!(system.verify_with_shape(&compile_shape(&circuit), &artifacts));
+//! let (artifacts, vk) = system.prove_oneshot(&circuit, &mut rng);
+//! assert!(system.verify(&vk, &artifacts));
 //! ```
 
 #![forbid(unsafe_code)]

@@ -61,10 +61,13 @@
 //!
 //! ```text
 //! envelope := "ZKVCPRF" version:ascii-digit count:u32 public:fr*count tag:u8 body
-//! body     := vk_len:u32 vk proof     (tag 1: self-contained Groth16)
-//!           | spartan                 (tag 2)
-//!           | proof                   (tag 3: keyless Groth16)
+//! body     := spartan                 (tag 2)
+//!           | proof                   (tag 3: Groth16)
 //! ```
+//!
+//! An envelope carries no verifying key. Tag 1 once meant a Groth16
+//! envelope with its vk embedded; it is retired, decodes as an unknown
+//! tag, and must not be reused.
 //!
 //! # Versions
 //!

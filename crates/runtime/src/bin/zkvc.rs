@@ -33,8 +33,8 @@ use zkvc_r1cs::Severity;
 use zkvc_runtime::analysis::{self, Baseline};
 use zkvc_runtime::{
     build_statement, derive_verifier_key, fault, prove_batch_serial, run_client, run_sweep,
-    run_worker, serve, serve_listener, ClientConfig, EnvelopeProof, Error, JobOptions, JobSpec,
-    KeyCache, ListenAddr, NetConfig, ProofEnvelope, ProvingPool, ServeConfig, WorkerConfig,
+    run_worker, serve, serve_listener, ClientConfig, Error, JobOptions, JobSpec, KeyCache,
+    ListenAddr, NetConfig, ProofEnvelope, ProvingPool, ServeConfig, WorkerConfig,
 };
 
 const USAGE: &str = "\
@@ -771,35 +771,24 @@ fn cmd_prove(args: &[String]) -> Result<(), Error> {
         .ok_or_else(|| Error::Usage("prove requires --out FILE".into()))?;
 
     // Job 0 of a one-job batch at this seed: the pool's job body proves
-    // and self-verifies it, exactly the proof `serve` answers a
-    // `{spec, seed}` request with. As in `prove-batch`, a job that ends
-    // without a verified proof (a contained panic included) exits 1.
-    let cache = Arc::new(KeyCache::with_seed(seed));
-    let pool = ProvingPool::with_cache(1, seed, Arc::clone(&cache));
+    // and self-verifies it, and the file holds its envelope bytes as they
+    // are, the exact answer `serve` gives a `{spec, seed}` request. As in
+    // `prove-batch`, a job that ends without a verified proof (a contained
+    // panic included) exits 1.
+    let pool = ProvingPool::with_cache(1, seed, Arc::new(KeyCache::with_seed(seed)));
     pool.submit(spec, JobOptions::new());
     let report = pool.join();
     let result = match &report.results[..] {
         [result] if result.verified => result,
         _ => return Err(Error::VerificationFailed),
     };
-    // The pool's envelope is keyless; the file `zkvc prove` writes is
-    // self-contained, so the Groth16 vk goes back in.
-    let mut envelope = ProofEnvelope::decode(&result.proof_bytes)?;
-    let keys = cache
-        .get(&result.shape_digest, spec.backend(), seed)
-        .expect("the job just proved under this cache entry");
-    if let (EnvelopeProof::Groth16 { vk, .. }, zkvc_core::VerifierKey::Groth16(key)) =
-        (&mut envelope.proof, &keys.verifier)
-    {
-        *vk = Some(key.clone());
-    }
-    let bytes = envelope.to_bytes();
-    std::fs::write(out_path, &bytes).map_err(|e| Error::io(out_path, e))?;
+    let bytes = &result.proof_bytes;
+    std::fs::write(out_path, bytes).map_err(|e| Error::io(out_path, e))?;
     println!(
         "proved {spec} in {:.3}s ({} constraints, {} public outputs), wrote {} bytes to {out_path}",
         (result.build_time + result.prove_time).as_secs_f64(),
         result.num_constraints,
-        envelope.public_inputs.len(),
+        ProofEnvelope::decode(bytes)?.public_inputs.len(),
         bytes.len()
     );
     Ok(())
@@ -817,9 +806,9 @@ fn cmd_verify(args: &[String]) -> Result<(), Error> {
         .ok_or_else(|| Error::Usage("verify requires --in FILE".into()))?;
     let bytes = std::fs::read(in_path).map_err(|e| Error::io(in_path, e))?;
     let envelope = ProofEnvelope::decode(&bytes)?;
-    if envelope.backend != spec.backend() {
+    if envelope.backend() != spec.backend() {
         return Err(Error::BackendMismatch {
-            proof: envelope.backend,
+            proof: envelope.backend(),
             expected: spec.backend(),
         });
     }
@@ -848,11 +837,11 @@ fn cmd_verify(args: &[String]) -> Result<(), Error> {
     }
 
     // Second, cryptographic verification against the *expected* verifier
-    // key for the spec'd circuit shape — never against the envelope's own
-    // embedded vk — so an envelope built from some other circuit's setup
-    // fails even though it is internally consistent. The shape is compiled
-    // once, and the key is derived from its digest and the seed exactly as
-    // the prover's setup was seeded; for Groth16 only the verifying key's
+    // key for the spec'd circuit shape (the envelope carries none), so an
+    // envelope built from some other circuit's setup fails even though it
+    // is a valid proof of that circuit. The shape is compiled once, and
+    // the key is derived from its digest and the seed exactly as the
+    // prover's setup was seeded; for Groth16 only the verifying key's
     // points are computed.
     let t_key = Instant::now();
     let shape = Arc::new(compile_shape(statement.as_ref()));

@@ -4,7 +4,7 @@
 //! Every proof the runtime serves — a pool worker thread's, a remote
 //! `zkvc worker` executor's, `zkvc prove`'s — comes out of [`run`]:
 //! statement → cached shape + keys → witness pass → prover rng →
-//! `prove_assignment` → keyless envelope bytes → statement-bound verify,
+//! `prove_assignment` → envelope bytes → statement-bound verify,
 //! with the stage timings taken at those boundaries. The proof bytes are
 //! a pure function of `(spec, seed, statement id)`, which is what makes a
 //! proof bit-identical wherever it is placed; callers only dress the
@@ -66,8 +66,8 @@ impl StopWhen {
 /// What a finished job body hands its caller.
 #[derive(Default)]
 pub(crate) struct Proved {
-    /// Keyless envelope bytes: the Groth16 vk travels out of band (batch
-    /// key table, serve `key` line), never once per proof.
+    /// Envelope bytes. They carry no key: the Groth16 vk travels out of
+    /// band (batch key table, serve `key` line).
     pub(crate) proof_bytes: Vec<u8>,
     /// Whether the envelope — after its bytes round trip — bound the
     /// statement's public outputs and verified against the cached key.
@@ -262,9 +262,7 @@ fn prove(
     // would. Verification checks statement binding first: the envelope's
     // public inputs must be exactly the statement's expected public
     // outputs (the witness pass's instance values).
-    let proof_bytes = ProofEnvelope::from_artifacts(&artifacts)
-        .without_vk()
-        .to_bytes();
+    let proof_bytes = ProofEnvelope::from_artifacts(&artifacts).to_bytes();
     let t3 = Instant::now();
     let verified = envelope_verifies(&proof_bytes, &witness.instance, |envelope| {
         envelope.verify_with_key(&keys.verifier)

@@ -90,7 +90,10 @@ pub use pool::{
     PoolConfig, ProvingPool, ResultSink, SessionCtl,
 };
 pub use sched::Priority;
-pub use serial::{EnvelopeProof, ProofEnvelope};
+pub use serial::ProofEnvelope;
 pub use serve::{serve, ServeConfig, ServeSummary, DEFAULT_CACHE_BYTES};
 pub use spec::{JobSpec, ModelPreset, SMALL_MATMUL_CELLS};
 pub use worker::{run_worker, WorkerConfig, WorkerSummary};
+/// The proof a [`ProofEnvelope`] holds, under its earlier runtime name;
+/// kept for the benchmark under `benchmark/`, which matches on it.
+pub use zkvc_core::backend::ProofData as EnvelopeProof;

@@ -818,7 +818,7 @@ fn verify_result(
     let (spec, _count) = JobSpec::parse(&p.spec_str).ok()?;
     let bytes = unhex(p.proof_hex.as_deref()?)?;
     let envelope = ProofEnvelope::decode(&bytes).ok()?;
-    if envelope.backend != spec.backend() {
+    if envelope.backend() != spec.backend() {
         return Some(false);
     }
     let key = (p.spec_str.clone(), p.seed);
@@ -831,7 +831,7 @@ fn verify_result(
     if !expected.is_empty() && &envelope.public_inputs != expected {
         return Some(false);
     }
-    match envelope.backend {
+    match envelope.backend() {
         Backend::Groth16 => {
             let vk = keys.get(&(digest_hex.clone(), p.seed))?;
             Some(envelope.verify_with_key(&VerifierKey::Groth16(vk.clone())))

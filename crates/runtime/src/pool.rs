@@ -29,7 +29,6 @@ use std::time::{Duration, Instant};
 
 use core::fmt;
 
-use zkvc_core::api::compile_shape;
 use zkvc_core::VerifierKey;
 use zkvc_ff::codec::hex;
 use zkvc_hash::sha256;
@@ -184,7 +183,7 @@ pub struct JobResult {
     /// pool seed for batch jobs; per-request for `zkvc serve` jobs).
     pub seed: u64,
     /// Serialised proof envelope (backend tag, public inputs, proof).
-    /// Pool envelopes are keyless: Groth16 verification keys ship once per
+    /// Envelopes carry no key: Groth16 verification keys ship once per
     /// batch in [`BatchReport::key_table`]. Empty when `error` is set.
     pub proof_bytes: Vec<u8>,
     /// Whether the proof — after a bytes round trip — verified against the
@@ -222,7 +221,7 @@ pub struct JobResult {
 
 /// One entry of a batch's out-of-band key table: the verification key for
 /// every distinct Groth16 circuit shape the batch proved, shipped once per
-/// batch instead of embedded in every proof envelope (~330 B per proof).
+/// batch, since proof envelopes carry no key.
 #[derive(Clone, Debug)]
 pub struct BatchKey {
     /// Circuit-shape digest the key belongs to.
@@ -249,7 +248,7 @@ pub struct BatchReport {
     /// Key-cache counters at the end of the batch.
     pub cache: CacheStats,
     /// Groth16 verification keys for the batch's circuit shapes: job
-    /// envelopes are keyless, so a consumer verifies them against this
+    /// envelopes carry no key, so a consumer verifies them against this
     /// table (Spartan preprocessing is derived from the circuit structure
     /// and has no wire form). Sorted by digest for deterministic reports.
     pub key_table: Vec<BatchKey>,
@@ -1065,17 +1064,14 @@ pub fn prove_batch_serial(specs: &[JobSpec], seed: u64) -> BatchReport {
         let statement = build_statement(seed, id, spec);
         let build_time = t0.elapsed();
         let mut rng = job::prover_rng(seed, id);
-        let artifacts = spec
+        let (artifacts, vk) = spec
             .backend()
             .system()
             .prove_oneshot(statement.as_ref(), &mut rng);
         let proof_bytes = ProofEnvelope::from_artifacts(&artifacts).to_bytes();
-        // The naive baseline re-compiles the shape even to verify — that
-        // per-job re-synthesis is exactly what the split pipeline removes.
-        let shape = compile_shape(statement.as_ref());
         let t2 = Instant::now();
         let verified = envelope_verifies(&proof_bytes, &artifacts.public_inputs, |envelope| {
-            envelope.verify_with_shape(&shape)
+            envelope.verify_with_key(&vk)
         });
         let verify_time = t2.elapsed();
         results.push(JobResult {
@@ -1086,7 +1082,7 @@ pub fn prove_batch_serial(specs: &[JobSpec], seed: u64) -> BatchReport {
             verified,
             error: None,
             cache_hit: false,
-            shape_digest: shape.digest,
+            shape_digest: statement.shape_digest(),
             worker: 0,
             tag: None,
             queue_wait: Duration::ZERO,
@@ -1106,7 +1102,8 @@ pub fn prove_batch_serial(specs: &[JobSpec], seed: u64) -> BatchReport {
         seed,
         cache: CacheStats::default(),
         results,
-        // One-shot envelopes embed their vk, so there is no key table.
+        // Serial Groth16 keys come from per-job one-shot setups, not a
+        // shared cache, so there is no key table.
         key_table: Vec::new(),
         worker_panics: 0,
     }
@@ -1115,10 +1112,11 @@ pub fn prove_batch_serial(specs: &[JobSpec], seed: u64) -> BatchReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::derive_verifier_key;
     use crate::spec::ModelPreset;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use zkvc_core::api::generate_witness_for;
+    use zkvc_core::api::{compile_shape, generate_witness_for};
     use zkvc_core::matmul::Strategy;
     use zkvc_core::Backend;
 
@@ -1222,7 +1220,8 @@ mod tests {
     fn pool_rejects_replayed_statement_proofs() {
         // A proof for job id 0 presented as job id 1 (same shape, different
         // Y) must fail the exact acceptance predicate the job body and
-        // prove_batch_serial use, on both of their cryptographic paths.
+        // prove_batch_serial use, under the cached key and under the key
+        // `zkvc verify` derives alone from the spec and seed.
         let spec = JobSpec::new(3, 3, 3).with_backend(Backend::Spartan);
         let s0 = build_statement(21, 0, &spec);
         let s1 = build_statement(21, 1, &spec);
@@ -1237,17 +1236,18 @@ mod tests {
         let bytes = ProofEnvelope::from_artifacts(&artifacts).to_bytes();
         let p0 = s0.public_outputs();
         let p1 = s1.public_outputs();
+        let derived = derive_verifier_key(spec.backend(), &keys.shape, 21);
 
         // Honest: accepted for the statement it proves...
         assert!(envelope_verifies(&bytes, &p0, |e| e.verify_with_key(&keys.verifier)));
-        assert!(envelope_verifies(&bytes, &p0, |e| e.verify_with_shape(&keys.shape)));
+        assert!(envelope_verifies(&bytes, &p0, |e| e.verify_with_key(&derived)));
         // ...replayed: rejected for job 1's statement, even though the
         // cryptographic check alone would accept it (same shape and keys).
         assert!(ProofEnvelope::decode(&bytes)
             .unwrap()
             .verify_with_key(&keys.verifier));
         assert!(!envelope_verifies(&bytes, &p1, |e| e.verify_with_key(&keys.verifier)));
-        assert!(!envelope_verifies(&bytes, &p1, |e| e.verify_with_shape(&keys.shape)));
+        assert!(!envelope_verifies(&bytes, &p1, |e| e.verify_with_key(&derived)));
     }
 
     #[test]
@@ -1323,11 +1323,12 @@ mod tests {
         assert_eq!(report.cache.misses, 1);
         // And the proof matches the "job 0 at seed 5" statement exactly.
         let statement = build_statement(5, 0, &spec);
-        let shape = compile_shape(statement.as_ref());
+        let shape = Arc::new(compile_shape(statement.as_ref()));
+        let key = derive_verifier_key(spec.backend(), &shape, 5);
         assert!(envelope_verifies(
             &report.results[0].proof_bytes,
             &statement.public_outputs(),
-            |e| e.verify_with_shape(&shape)
+            |e| e.verify_with_key(&key)
         ));
     }
 

@@ -361,7 +361,7 @@ pub enum WorkerMsg {
         prove_ms: f64,
         /// Verification time, milliseconds.
         verify_ms: f64,
-        /// The keyless proof envelope bytes (decoded from `proof_hex`).
+        /// The proof envelope bytes (decoded from `proof_hex`).
         proof_bytes: Vec<u8>,
     },
     /// A leased job could not be completed on the worker.

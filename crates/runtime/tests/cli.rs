@@ -206,6 +206,22 @@ fn malformed_envelope_exits_2() {
     ]);
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("malformed proof envelope"));
+
+    // A valid Groth16 envelope restamped with the retired tag 1 (the form
+    // that embedded a verifying key) fails closed the same way.
+    let retired = tmp_file("retired-tag.bin");
+    let retired_str = retired.to_str().unwrap();
+    let out = zkvc(&["prove", "--spec", "2x2x2:g", "--out", retired_str]);
+    assert!(out.status.success());
+    let mut bytes = std::fs::read(&retired).unwrap();
+    let publics = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
+    let tag = 8 + 4 + 32 * publics;
+    assert_eq!(bytes[tag], 3, "the Groth16 tag");
+    bytes[tag] = 1;
+    std::fs::write(&retired, &bytes).unwrap();
+    let out = zkvc(&["verify", "--spec", "2x2x2:g", "--in", retired_str]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("malformed proof envelope"));
 }
 
 #[test]

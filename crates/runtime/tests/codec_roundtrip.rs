@@ -45,9 +45,7 @@ fn prove_with_shape(shape: CompiledShape<Fr>, spec: &JobSpec, seed: u64) -> Vec<
     let artifacts = backend
         .system()
         .prove_assignment(&keys.prover, &witness, &mut prover_rng);
-    let bytes = ProofEnvelope::from_artifacts(&artifacts)
-        .without_vk()
-        .to_bytes();
+    let bytes = ProofEnvelope::from_artifacts(&artifacts).to_bytes();
     let envelope = ProofEnvelope::decode(&bytes).expect("own envelope must parse");
     assert!(
         envelope.verify_with_key(&keys.verifier),

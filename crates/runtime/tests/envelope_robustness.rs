@@ -10,11 +10,12 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use zkvc_core::api::{compile_shape, generate_witness_for};
+use zkvc_core::backend::ProofData;
 use zkvc_core::matmul::{MatMulBuilder, Strategy};
 use zkvc_core::{Backend, VerifierKey};
 use zkvc_curve::G1Affine;
 use zkvc_ff::{Field, Fq};
-use zkvc_runtime::{EnvelopeProof, ProofEnvelope};
+use zkvc_runtime::ProofEnvelope;
 
 /// A small proved statement with its envelope bytes and verifier key.
 fn proved_envelope(
@@ -50,7 +51,7 @@ proptest! {
         for backend in Backend::ALL {
             let (bytes, vk) = proved_envelope(backend, a, n, b, seed);
             let envelope = ProofEnvelope::decode(&bytes).expect("decodes");
-            prop_assert_eq!(envelope.backend, backend);
+            prop_assert_eq!(envelope.backend(), backend);
             prop_assert_eq!(envelope.public_inputs.len(), a * b);
             prop_assert!(envelope.verify_with_key(&vk));
             prop_assert_eq!(envelope.to_bytes(), bytes);
@@ -178,7 +179,7 @@ fn small_order_proof_points_fail_verification_without_panicking() {
     let (bytes, vk) = proved_envelope(Backend::Groth16, 1, 2, 1, 44);
     for (a, b) in [(p4, two_torsion), (two_torsion, two_torsion)] {
         let mut forged = ProofEnvelope::decode(&bytes).expect("baseline decodes");
-        let EnvelopeProof::Groth16 { proof, .. } = &mut forged.proof else {
+        let ProofData::Groth16 { proof } = &mut forged.proof else {
             unreachable!()
         };
         proof.a = a;

@@ -196,6 +196,52 @@ fn serve_proofs_verify_offline_and_keys_stream_once() {
 }
 
 #[test]
+fn prove_writes_the_bytes_serve_answers_with() {
+    // `zkvc prove` and `zkvc serve` answer `{spec, seed}` with one
+    // envelope: publics, tag and proof, no key.
+    let spec = "3x4x3:zkvc:g";
+    let proof_path = tmp_file("prove-vs-serve.bin");
+    let prove = Command::new(env!("CARGO_BIN_EXE_zkvc"))
+        .args([
+            "prove",
+            "--spec",
+            spec,
+            "--seed",
+            "7",
+            "--out",
+            proof_path.to_str().unwrap(),
+        ])
+        .output()
+        .expect("zkvc prove runs");
+    assert!(
+        prove.status.success(),
+        "{}",
+        String::from_utf8_lossy(&prove.stderr)
+    );
+    let proved = std::fs::read(&proof_path).unwrap();
+    // magic + count + 9 publics + tag + three uncompressed points.
+    assert_eq!(proved.len(), 8 + 4 + 9 * 32 + 1 + 195);
+
+    let out = zkvc_serve(
+        &["--seed", "7"],
+        &format!("{{\"spec\":\"{spec}\",\"seed\":7}}\n"),
+    );
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let result = stdout
+        .lines()
+        .find(|l| l.contains("\"type\":\"result\""))
+        .expect("a result line");
+    assert!(result.contains("\"verified\":true"), "{result}");
+    let served = unhex(json_str_field(result, "proof_hex").expect("proof bytes included"));
+    assert_eq!(proved, served);
+}
+
+#[test]
 fn serve_usage_errors_exit_2() {
     // Bad flag values are invocation errors, before any serving starts.
     let out = zkvc_serve(&["--workers", "0"], "");

@@ -31,9 +31,9 @@ fn main() {
         let stats = CircuitStats::of(&shape);
         let system = Backend::Groth16.system();
         let t = Instant::now();
-        let artifacts = system.prove_oneshot(&circuit, &mut rng);
+        let (artifacts, vk) = system.prove_oneshot(&circuit, &mut rng);
         let total = t.elapsed();
-        assert!(system.verify_with_shape(&shape, &artifacts));
+        assert!(system.verify(&vk, &artifacts));
         println!(
             "{:<20} {:>12} {:>12} {:>12} {:>12.3} {:>12.3}",
             strategy.name(),

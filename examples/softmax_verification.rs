@@ -74,8 +74,8 @@ fn main() {
 
     let mut rng = StdRng::seed_from_u64(5);
     let system = Backend::Groth16.system();
-    let artifacts = system.prove_oneshot(&circuit, &mut rng);
-    let ok = system.verify_with_shape(&shape, &artifacts);
+    let (artifacts, vk) = system.prove_oneshot(&circuit, &mut rng);
+    let ok = system.verify(&vk, &artifacts);
     println!(
         "\nGroth16 proof of the SoftMax evaluation: {} bytes, proved in {:.3?}, verified: {ok}",
         artifacts.metrics.proof_size_bytes, artifacts.metrics.prove_time

@@ -46,15 +46,15 @@ fn main() {
         let shape = compile_shape(&statement);
         assert!(shape.is_satisfied(&generate_witness_for(&statement, &shape)));
         println!("  {:<12} {:>9} constraints", name, shape.num_constraints());
-        compiled.push((name, statement, shape));
+        compiled.push((name, statement));
     }
 
     // Prove the zkVC hybrid with the transparent backend.
-    let (name, statement, shape) = compiled.last().unwrap();
+    let (name, statement) = compiled.last().unwrap();
     let mut rng = StdRng::seed_from_u64(77);
     let system = Backend::Spartan.system();
-    let artifacts = system.prove_oneshot(statement, &mut rng);
-    let ok = system.verify_with_shape(shape, &artifacts);
+    let (artifacts, vk) = system.prove_oneshot(statement, &mut rng);
+    let ok = system.verify(&vk, &artifacts);
     println!(
         "\nProved the '{name}' schedule with the Spartan backend in {:.3?} ({} byte proof). Verified: {ok}",
         artifacts.metrics.prove_time, artifacts.metrics.proof_size_bytes

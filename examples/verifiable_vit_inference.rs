@@ -60,9 +60,9 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(9);
     for backend in Backend::ALL {
         let system = backend.system();
-        let artifacts = system.prove_oneshot(&statement, &mut rng);
+        let (artifacts, vk) = system.prove_oneshot(&statement, &mut rng);
         let t0 = Instant::now();
-        let ok = system.verify_with_shape(&shape, &artifacts);
+        let ok = system.verify(&vk, &artifacts);
         let verify_time = t0.elapsed();
         println!(
             "{:<8}  setup: {:>8.3?}  prove: {:>8.3?}  verify: {:>8.3?}  proof: {:>7} bytes  ok: {}",

@@ -42,13 +42,12 @@ fn every_strategy_proves_and_verifies_on_both_backends() {
         let job = MatMulBuilder::new(4, 6, 5)
             .strategy(strategy)
             .build_circuit_integers(&x, &w);
-        let shape = compile_shape(&job);
         assert!(is_satisfied(&job), "{strategy:?}");
         for backend in Backend::ALL {
             let system = backend.system();
-            let artifacts = system.prove_oneshot(&job, &mut rng);
+            let (artifacts, vk) = system.prove_oneshot(&job, &mut rng);
             assert!(
-                system.verify_with_shape(&shape, &artifacts),
+                system.verify(&vk, &artifacts),
                 "{strategy:?} on {backend:?}"
             );
         }
@@ -82,16 +81,15 @@ fn groth16_proof_does_not_verify_for_a_different_statement() {
         .strategy(Strategy::CrpcPsq)
         .build_circuit_integers(&x, &w);
     let system = Backend::Groth16.system();
-    let shape = compile_shape(&job);
-    let artifacts = system.prove_oneshot(&job, &mut rng);
-    assert!(system.verify_with_shape(&shape, &artifacts));
+    let (artifacts, vk) = system.prove_oneshot(&job, &mut rng);
+    assert!(system.verify(&vk, &artifacts));
     // The proof verifies under its own public inputs (there are none
     // beyond the statement structure), but a tampered proof must fail.
     let mut bad = artifacts;
-    if let zkvc::core::backend::ProofData::Groth16 { proof, .. } = &mut bad.data {
+    if let zkvc::core::backend::ProofData::Groth16 { proof } = &mut bad.data {
         proof.a = (proof.a.to_projective() + zkvc::curve::G1Projective::generator()).to_affine();
     }
-    assert!(!system.verify_with_shape(&shape, &bad));
+    assert!(!system.verify(&vk, &bad));
 }
 
 #[test]

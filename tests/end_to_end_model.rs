@@ -28,13 +28,13 @@ fn num_constraints(statement: &ModelStatement) -> usize {
 }
 
 /// Checks the statement's own witness satisfies its shape, proves it
-/// one-shot with Spartan and verifies against the shape.
+/// one-shot with Spartan and verifies under the setup's key.
 fn prove_and_verify_spartan(statement: &ModelStatement, rng: &mut StdRng) {
     let shape = compile_shape(statement);
     assert!(shape.is_satisfied(&generate_witness_for(statement, &shape)));
     let system = Backend::Spartan.system();
-    let artifacts = system.prove_oneshot(statement, rng);
-    assert!(system.verify_with_shape(&shape, &artifacts));
+    let (artifacts, vk) = system.prove_oneshot(statement, rng);
+    assert!(system.verify(&vk, &artifacts));
 }
 
 fn tiny_vit() -> ModelConfig {

@@ -28,7 +28,7 @@ fn batch_service_end_to_end_through_umbrella() {
     // Each proof decodes from bytes and reports the right backend.
     for (result, spec) in report.results.iter().zip(&specs) {
         let envelope = ProofEnvelope::decode(&result.proof_bytes).expect("decodes");
-        assert_eq!(envelope.backend, spec.backend());
+        assert_eq!(envelope.backend(), spec.backend());
     }
 }
 
