@@ -1,14 +1,13 @@
-//! Canonical byte encoding for [`CompiledShape`]: the bytes distributed
-//! proving ships. A coordinator compiles a shape once, encodes it here, and
-//! sends the bytes to each worker exactly once (compile-once becomes
-//! ship-once). The layout is in [`zkvc_ff::codec`].
+//! Canonical byte encoding for [`CompiledShape`]: one byte string per
+//! compiled shape, which decodes back to the identical shape. The layout
+//! is in [`zkvc_ff::codec`].
 //!
 //! The format is **versioned** (a leading version byte; a newer version is
 //! a typed [`DecodeError::FutureVersion`], never a parse panic),
 //! **digest-checked** (the shape digest travels verbatim — it is computed
 //! over the raw pre-CSR emission order and cannot be recomputed from the
-//! CSR matrices, so decoders validate it against the digest the
-//! coordinator announced out of band), and **round-trip stable**
+//! CSR matrices, so a decoder that knows which shape it expects checks
+//! the digest it was given), and **round-trip stable**
 //! (`decode(encode(x)) == x`, byte for byte, for every valid input).
 //!
 //! Decoding validates every structural invariant the rest of the codebase
@@ -234,8 +233,7 @@ pub fn decode_shape<F: PrimeField>(bytes: &[u8]) -> Result<CompiledShape<F>, Dec
 }
 
 /// Decodes a shape and additionally checks the carried digest equals
-/// `expected` — the ship-once handshake, where the coordinator announces
-/// a digest and the worker refuses bytes that do not match it.
+/// `expected`, refusing bytes that encode some other shape.
 pub fn decode_shape_expecting<F: PrimeField>(
     bytes: &[u8],
     expected: &[u8; 32],

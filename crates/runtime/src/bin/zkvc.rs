@@ -32,9 +32,9 @@ use zkvc_core::api::compile_shape;
 use zkvc_r1cs::Severity;
 use zkvc_runtime::analysis::{self, Baseline};
 use zkvc_runtime::{
-    build_statement, derive_verifier_key, fault, prove_batch_serial, run_client, run_sweep,
-    run_worker, serve, serve_listener, ClientConfig, Error, JobOptions, JobSpec, KeyCache,
-    ListenAddr, NetConfig, ProofEnvelope, ProvingPool, ServeConfig, WorkerConfig,
+    build_statement, derive_verifier_key, fault, prove_batch_serial, run_client, run_sweep, serve,
+    serve_listener, ClientConfig, Error, JobOptions, JobSpec, KeyCache, ListenAddr, NetConfig,
+    ProofEnvelope, ProvingPool, ServeConfig,
 };
 
 const USAGE: &str = "\
@@ -49,7 +49,6 @@ USAGE:
     zkvc client --connect ADDR [--spec SPEC] [--seed N] [--sessions K] [--count M]
                 [--jobs FILE] [--no-verify] [--report FILE] [--bench FILE] [--sweep LIST]
                 [--deadline-ms MS] [--retries R] [--backoff-ms MS] [--retry-seed N]
-    zkvc worker --connect ADDR [--capacity K]
     zkvc prove  --spec SPEC [--seed N] --out FILE
     zkvc verify --in FILE --spec SPEC [--seed N]
     zkvc analyze [--spec SPEC ...] [--seed N] [--json] [--deny LEVEL]
@@ -138,18 +137,6 @@ OPTIONS (client):
                        (default 50)
     --retry-seed N     seed for the deterministic backoff jitter (default 0)
 
-OPTIONS (worker):
-    joins a `zkvc serve --listen` coordinator as a remote proving worker:
-    registers on the zkvc-worker/v1 dialect, receives compiled circuit
-    shapes once each (canonical digest-checked bytes), re-derives the
-    same keys by deterministic setup, and proves the jobs it is leased —
-    bit-identically to the coordinator proving them itself. Heartbeats
-    every second; if the worker dies mid-job the coordinator re-queues
-    its leases, so clients never lose an answer. SIGINT/SIGTERM exits
-    cleanly after finishing accepted jobs.
-    --connect ADDR     the coordinator (unix:/path or tcp:HOST:PORT); required
-    --capacity K       concurrent proving slots to advertise (default 1)
-
 OPTIONS (analyze):
     statically lints compiled circuit shapes for soundness hazards —
     unconstrained witnesses, unbound public outputs, constant violations,
@@ -198,7 +185,6 @@ fn main() -> ExitCode {
         "prove-batch" => cmd_prove_batch(&args[1..]),
         "serve" => cmd_serve(&args[1..]),
         "client" => cmd_client(&args[1..]),
-        "worker" => cmd_worker(&args[1..]),
         "prove" => cmd_prove(&args[1..]),
         "verify" => cmd_verify(&args[1..]),
         "analyze" => cmd_analyze(&args[1..]),
@@ -491,37 +477,15 @@ fn cmd_serve(args: &[String]) -> Result<(), Error> {
         eprintln!("zkvc serve: listening on {bound} (SIGINT/SIGTERM drains and exits)");
     })?;
     eprintln!(
-        "zkvc serve: {} session(s) ({} disconnected, {} idle-reaped, {} worker(s)), {} job(s), {} verified, {} failed, {} rejected, {} shed",
+        "zkvc serve: {} session(s) ({} disconnected, {} idle-reaped), {} job(s), {} verified, {} failed, {} rejected, {} shed",
         totals.sessions,
         totals.disconnected,
         totals.reaped_idle,
-        totals.remote_workers,
         totals.jobs,
         totals.verified,
         totals.failed,
         totals.rejected,
         totals.shed
-    );
-    Ok(())
-}
-
-fn cmd_worker(args: &[String]) -> Result<(), Error> {
-    reject_unknown_args(args, &["--connect", "--capacity"], &[])?;
-    let addr = flag_value(args, "--connect")?
-        .ok_or_else(|| Error::Usage("worker requires --connect ADDR".into()))?;
-    let mut config = WorkerConfig::new(addr);
-    if let Some(s) = flag_value(args, "--capacity")? {
-        config.capacity = s
-            .parse::<usize>()
-            .ok()
-            .filter(|c| *c > 0)
-            .ok_or_else(|| Error::Usage(format!("bad --capacity {s:?}")))?;
-    }
-    config.shutdown = Some(sig::install_shutdown_flag());
-    let summary = run_worker(&config)?;
-    eprintln!(
-        "zkvc worker: id {} done, {} job(s) proved, {} failed, {} shape(s) received",
-        summary.worker_id, summary.jobs_done, summary.jobs_failed, summary.shapes_received
     );
     Ok(())
 }

@@ -301,7 +301,12 @@ impl KeyCache {
             .cell
             .get_or_init(|| {
                 ran_setup = true;
-                Arc::new(Self::run_setup(backend, shape, seed))
+                let keys = Arc::new(Self::run_setup(backend, shape, seed));
+                // Stamp before the cell publishes: once it does, a
+                // concurrent eviction scan may see it, and an unstamped
+                // (0) entry would be its least recently used victim.
+                slot.last_use.store(self.tick(), Ordering::Relaxed);
+                keys
             })
             .clone();
         slot.last_use.store(self.tick(), Ordering::Relaxed);

@@ -11,9 +11,9 @@
 //!   [`zkvc_ff::codec`]. The envelope and the shape carry a version; the
 //!   proofs and keys inside an envelope ride on the envelope's. Bytes from
 //!   a *newer* version decode to a typed [`Error::FutureVersion`], never a
-//!   parse panic, so a mixed-version fleet fails loudly and diagnosably.
-//! - **Line-protocol identifiers** — the `proto` strings of the serve and
-//!   worker dialects, checked on both ends of a connection.
+//!   parse panic, so a version mismatch fails loudly and diagnosably.
+//! - **Line-protocol identifier** — the `proto` string of the serve
+//!   dialect, checked on both ends of a connection.
 //! - **Report schemas** — the `schema` strings stamped into every JSON
 //!   report and bench file, so downstream tooling can dispatch on version.
 //!
@@ -40,18 +40,11 @@ pub(crate) const ENVELOPE_MAGIC: &[u8; 8] = b"ZKVCPRF1";
 /// The serve line-protocol identifier announced in every `ready` line.
 pub const SERVE_PROTO: &str = "zkvc-serve/v1";
 
-/// The worker dialect identifier announced in every `worker_register`
-/// line (and echoed back in `worker_ack`).
-pub const WORKER_PROTO: &str = "zkvc-worker/v1";
-
 /// Schema string of `zkvc client --report` JSON documents.
 pub const CLIENT_REPORT_SCHEMA: &str = "zkvc-client-report/v1";
 
 /// Schema string of `zkvc client --sweep` / serve bench JSON documents.
 pub const SERVE_BENCH_SCHEMA: &str = "zkvc-serve-bench/v1";
-
-/// Schema string of the distributed bench (`BENCH_distributed.json`).
-pub const DISTRIBUTED_BENCH_SCHEMA: &str = "zkvc-bench-distributed/v1";
 
 impl From<DecodeError> for Error {
     /// Maps decode failures onto the runtime error surface: future

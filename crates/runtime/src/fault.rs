@@ -2,11 +2,10 @@
 //!
 //! A *fault point* is a named place in the code that can misbehave on
 //! demand: the socket stream can return an IO error, stall, or deliver a
-//! short read; a worker can panic the instant it picks a job up or stall
-//! before proving. Production code calls the check functions here at
-//! those places; with no schedule armed the check is two atomic loads and
-//! injects nothing — faults are a test-only input, never a deployment
-//! knob.
+//! short read; a pool worker thread can panic the instant it picks a job
+//! up. Production code calls the check functions here at those places;
+//! with no schedule armed the check is two atomic loads and injects
+//! nothing — faults are a test-only input, never a deployment knob.
 //!
 //! ## Arming a schedule
 //!
@@ -34,12 +33,10 @@
 //! | `net.read.delay`     | stream read stalls `param` ms first           |
 //! | `net.write.io_error` | stream write fails with `BrokenPipe`          |
 //! | `net.write.delay`    | stream write stalls `param` ms first          |
-//! | `pool.pickup.panic`  | job body panics at pickup (contained; local   |
-//! |                      | pool and remote workers alike)                |
-//! | `pool.prove.delay`   | proving stalls `param` ms first (local pool   |
-//! |                      | and remote workers alike; the distributed     |
-//! |                      | bench uses it to emulate paper-scale proof    |
-//! |                      | latency on small CI shapes)                   |
+//! | `pool.pickup.panic`  | job body panics at pickup (contained)         |
+//!
+//! A schedule naming any other point is malformed: a misspelt point
+//! would otherwise arm nothing, silently.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -50,6 +47,18 @@ use std::time::Duration;
 /// process at the first fault-point check (changes after that are
 /// ignored).
 pub const ENV_VAR: &str = "ZKVC_FAULTS";
+
+/// The fault points a schedule may name: the rows of the module-doc
+/// table, in its order (`points_are_the_module_doc_table` keeps the two
+/// equal).
+const POINTS: [&str; 6] = [
+    "net.read.io_error",
+    "net.read.short",
+    "net.read.delay",
+    "net.write.io_error",
+    "net.write.delay",
+    "pool.pickup.panic",
+];
 
 struct Rule {
     prob: f64,
@@ -117,6 +126,12 @@ fn parse_schedule(raw: &str) -> Result<Schedule, String> {
                 .parse::<u64>()
                 .map_err(|_| format!("bad seed {value:?}"))?;
             continue;
+        }
+        if !POINTS.contains(&key) {
+            return Err(format!(
+                "unknown fault point {key:?} (expected one of {})",
+                POINTS.join(", ")
+            ));
         }
         let (prob_str, param_str) = match value.split_once('@') {
             Some((p, m)) => (p, Some(m)),
@@ -225,9 +240,27 @@ mod tests {
 
     #[test]
     fn rejects_malformed_schedules() {
-        for bad in ["nope", "p=2.0", "p=x", "seed=abc", "p=0.5@ms"] {
+        for bad in [
+            "nope",
+            "net.read.short=2.0",
+            "net.read.short=x",
+            "seed=abc",
+            "net.read.delay=0.5@ms",
+            "net.read.shrot=0.5",
+            "pool.prove.delay=1@60",
+        ] {
             assert!(parse_schedule(bad).is_err(), "{bad:?}");
         }
+    }
+
+    #[test]
+    fn points_are_the_module_doc_table() {
+        let table: Vec<&str> = include_str!("fault.rs")
+            .lines()
+            .filter_map(|line| line.strip_prefix("//! | `"))
+            .filter_map(|row| row.split_once('`').map(|(point, _)| point))
+            .collect();
+        assert_eq!(table, POINTS);
     }
 
     #[test]

@@ -1,15 +1,14 @@
 //! The job body: the one place a statement becomes a verified proof
 //! envelope.
 //!
-//! Every proof the runtime serves — a pool worker thread's, a remote
-//! `zkvc worker` executor's, `zkvc prove`'s — comes out of [`run`]:
-//! statement → cached shape + keys → witness pass → prover rng →
-//! `prove_assignment` → envelope bytes → statement-bound verify,
-//! with the stage timings taken at those boundaries. The proof bytes are
-//! a pure function of `(spec, seed, statement id)`, which is what makes a
-//! proof bit-identical wherever it is placed; callers only dress the
-//! [`Proved`] outcome for their transport (a [`JobResult`](crate::JobResult),
-//! a `job_done` line).
+//! Every proof the runtime serves — a pool worker thread's, `zkvc
+//! prove`'s — comes out of [`run`]: statement → cached shape + keys →
+//! witness pass → prover rng → `prove_assignment` → envelope bytes →
+//! statement-bound verify, with the stage timings taken at those
+//! boundaries. The proof bytes are a pure function of `(spec, seed,
+//! statement id)`, which is what makes a proof bit-identical whichever
+//! thread proves it; the pool dresses the [`Proved`] outcome as a
+//! [`JobResult`](crate::JobResult).
 //!
 //! [`run`] is also the one guard: it installs the kernel cancellation
 //! check, contains panics, and classifies whatever stopped the job as a
@@ -25,7 +24,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use zkvc_core::api::{generate_witness_for, Circuit};
 use zkvc_core::matmul::{MatMulBuilder, ZSource};
-use zkvc_ff::codec::hex;
 use zkvc_ff::Fr;
 use zkvc_hash::Transcript;
 use zkvc_nn::circuit::ModelStatement;
@@ -172,15 +170,11 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 ///
 /// `statement_id` is the job id for batch jobs and pinned to 0 for
 /// requests, so their proofs match `zkvc prove --spec S --seed N`.
-/// `leased` is the shape digest a coordinator leased the job under: keys
-/// shipped for it are looked up by digest first (no shape pass at all on
-/// the worker), and whatever is found must be that shape.
 pub(crate) fn run(
     cache: &KeyCache,
     spec: &JobSpec,
     seed: u64,
     statement_id: usize,
-    leased: Option<&[u8; 32]>,
     stop: &StopWhen,
 ) -> Result<Proved, JobError> {
     if let Some(error) = stop.status() {
@@ -193,7 +187,7 @@ pub(crate) fn run(
     catch_unwind(AssertUnwindSafe(|| {
         crate::fault::fire_panic("pool.pickup.panic");
         let _cancel = zkvc_ff::cancel::install(check);
-        prove(cache, spec, seed, statement_id, leased, stop)
+        prove(cache, spec, seed, statement_id, stop)
     }))
     .unwrap_or_else(|payload| {
         Err(if payload.is::<zkvc_ff::cancel::Cancelled>() {
@@ -211,7 +205,6 @@ fn prove(
     spec: &JobSpec,
     seed: u64,
     statement_id: usize,
-    leased: Option<&[u8; 32]>,
     stop: &StopWhen,
 ) -> Result<Proved, JobError> {
     let t0 = Instant::now();
@@ -227,22 +220,10 @@ fn prove(
     // Shape + keys: on a warm template no synthesis of any kind runs —
     // the compiled CSR shape and key material come straight from the
     // cache, keyed by the job spec. The first job of a spec pays one
-    // witness-free shape pass plus the setup. A leased job normally finds
-    // the keys its coordinator shipped; the template fallback keeps a
-    // worker correct even if a job somehow beats its shape line.
+    // witness-free shape pass plus the setup.
     let backend = spec.backend();
-    let (keys, cache_hit) = match leased.and_then(|d| cache.get(d, backend, seed)) {
-        Some(keys) => (keys, true),
-        None => cache.get_or_setup_template(backend, seed, &spec.to_string(), statement.as_ref()),
-    };
-    if let Some(digest) = leased {
-        assert!(
-            keys.digest == *digest,
-            "leased shape digest {} != locally compiled {}",
-            hex(digest),
-            hex(&keys.digest)
-        );
-    }
+    let (keys, cache_hit) =
+        cache.get_or_setup_template(backend, seed, &spec.to_string(), statement.as_ref());
 
     // Witness pass: the only per-job synthesis work — a flat assignment,
     // validated against the cached shape.
@@ -252,16 +233,15 @@ fn prove(
 
     let mut rng = prover_rng(seed, statement_id);
     let t2 = Instant::now();
-    crate::fault::fire_delay("pool.prove.delay");
     let artifacts = backend
         .system()
         .prove_assignment(&keys.prover, &witness, &mut rng);
     let prove_time = t2.elapsed();
 
-    // Cross the byte boundary before verifying, as a remote consumer
-    // would. Verification checks statement binding first: the envelope's
-    // public inputs must be exactly the statement's expected public
-    // outputs (the witness pass's instance values).
+    // Cross the byte boundary before verifying, as a client would.
+    // Verification checks statement binding first: the envelope's public
+    // inputs must be exactly the statement's expected public outputs (the
+    // witness pass's instance values).
     let proof_bytes = ProofEnvelope::from_artifacts(&artifacts).to_bytes();
     let t3 = Instant::now();
     let verified = envelope_verifies(&proof_bytes, &witness.instance, |envelope| {
@@ -282,39 +262,6 @@ fn prove(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{decode_shape_expecting, encode_shape};
-
-    fn never() -> StopWhen {
-        StopWhen {
-            deadline: None,
-            cancelled: Arc::new(|| false),
-        }
-    }
-
-    #[test]
-    fn pool_and_worker_calls_return_identical_proof_bytes() {
-        // The pool's call (template lookup on its own cache) against the
-        // worker's (keys set up from shipped shape bytes, found by the
-        // leased digest): same statement, same bytes, both backends.
-        for spec in ["3x2x3:zkvc:g", "3x2x3:zkvc:s"] {
-            let (spec, _) = JobSpec::parse(spec).unwrap();
-            let local = run(&KeyCache::new(), &spec, 7, 0, None, &never()).unwrap();
-            assert!(local.verified && !local.cache_hit, "{spec}");
-
-            let coordinator = KeyCache::new();
-            let statement = build_statement(7, 0, &spec);
-            let (keys, _) =
-                coordinator.get_or_setup_circuit_seeded(spec.backend(), statement.as_ref(), 7);
-            let worker = KeyCache::new();
-            let shipped = decode_shape_expecting(&encode_shape(&keys.shape), &keys.digest).unwrap();
-            worker.get_or_setup_shape(spec.backend(), Arc::new(shipped), 7);
-            let remote = run(&worker, &spec, 7, 0, Some(&keys.digest), &never()).unwrap();
-            assert!(remote.verified && remote.cache_hit, "{spec}");
-            assert_eq!(worker.stats().misses, 1, "no second setup");
-            assert_eq!(local.proof_bytes, remote.proof_bytes, "{spec}");
-            assert_eq!(local.shape_digest, remote.shape_digest, "{spec}");
-        }
-    }
 
     #[test]
     fn guard_classifies_what_stopped_the_job() {
@@ -325,7 +272,7 @@ mod tests {
             cancelled: Arc::new(|| true),
         };
         assert_eq!(
-            run(&cache, &spec, 1, 0, None, &expired).err(),
+            run(&cache, &spec, 1, 0, &expired).err(),
             Some(JobError::DeadlineExceeded),
             "deadline outranks cancellation"
         );
@@ -334,15 +281,9 @@ mod tests {
             cancelled: Arc::new(|| true),
         };
         assert_eq!(
-            run(&cache, &spec, 1, 0, None, &cancelled).err(),
+            run(&cache, &spec, 1, 0, &cancelled).err(),
             Some(JobError::Cancelled)
         );
         assert_eq!(cache.stats().misses, 0, "a stopped job sets nothing up");
-        // A lease naming a digest the spec does not compile to is a
-        // contained, reported failure — not a dead executor.
-        match run(&cache, &spec, 1, 0, Some(&[9u8; 32]), &never()) {
-            Err(JobError::Panicked(msg)) => assert!(msg.contains("leased shape digest"), "{msg}"),
-            other => panic!("expected a contained panic, got {:?}", other.err()),
-        }
     }
 }

@@ -63,7 +63,6 @@
 pub mod analysis;
 mod cache;
 pub mod codec;
-mod coordinator;
 mod error;
 pub mod fault;
 mod job;
@@ -75,7 +74,6 @@ mod serve;
 mod spec;
 mod util;
 pub mod wire;
-mod worker;
 
 pub use analysis::{analyze_spec, analyze_specs, Baseline, Preflight, SpecAnalysis};
 pub use cache::{derive_verifier_key, CacheStats, CircuitKeys, KeyCache};
@@ -93,7 +91,6 @@ pub use sched::Priority;
 pub use serial::ProofEnvelope;
 pub use serve::{serve, ServeConfig, ServeSummary, DEFAULT_CACHE_BYTES};
 pub use spec::{JobSpec, ModelPreset, SMALL_MATMUL_CELLS};
-pub use worker::{run_worker, WorkerConfig, WorkerSummary};
 /// The proof a [`ProofEnvelope`] holds, under its earlier runtime name;
 /// kept for the benchmark under `benchmark/`, which matches on it.
 pub use zkvc_core::backend::ProofData as EnvelopeProof;

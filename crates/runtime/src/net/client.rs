@@ -195,9 +195,8 @@ pub struct SessionReport {
     pub attempts: usize,
     /// Whether the session ended with the server's `summary` line.
     pub summary_seen: bool,
-    /// Local worker-thread count the server advertised in its ready
-    /// line (0 when no ready line was seen). Remote workers joining the
-    /// server later are not reflected here.
+    /// Worker-thread count the server advertised in its ready line (0
+    /// when no ready line was seen).
     pub server_workers: usize,
     /// Per-job records for the deterministic report.
     pub jobs: Vec<JobRecord>,

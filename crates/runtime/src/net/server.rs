@@ -26,13 +26,10 @@ use std::thread;
 use std::time::Duration;
 
 use crate::cache::KeyCache;
-use crate::coordinator::Coordinator;
 use crate::error::Error;
 use crate::net::addr::{AnyListener, AnyStream, ListenAddr};
 use crate::pool::{ProvingPool, ResultSink};
-use crate::serve::{
-    run_session, Output, ServeConfig, ServeSummary, Session, SessionEnd, SessionParams,
-};
+use crate::serve::{run_session, ServeConfig, ServeSummary, Session, SessionEnd, SessionParams};
 
 /// How often a blocked session read wakes to poll shutdown/idle/broken
 /// state. This bounds how stale a session's view of the shutdown flag
@@ -130,12 +127,6 @@ pub struct NetSummary {
     pub disconnected: usize,
     /// Sessions reaped by the idle timeout.
     pub reaped_idle: usize,
-    /// Connections that registered as remote proving workers
-    /// (zkvc-worker/v1) over the run's lifetime. Worker connections are
-    /// counted in `sessions` too, but contribute no job totals of their
-    /// own — their results are attributed to the client session that
-    /// submitted each job.
-    pub remote_workers: usize,
 }
 
 /// The live sessions, by id: the pool's one result sink routes each
@@ -191,12 +182,6 @@ pub fn serve_listener(
 
     let pool = Arc::new(config.serve.build_pool(&cache, sink));
 
-    // The distributed coordinator: its dispatcher thread competes with
-    // the local worker threads for queued jobs and places its leases on
-    // whatever remote workers have registered. With no workers connected
-    // it simply parks — a purely local server pays one idle thread.
-    let (coordinator, dispatcher) = Coordinator::start(&pool, &cache);
-
     let totals = Arc::new(Mutex::new(NetSummary::default()));
     let mut handles = Vec::new();
     let mut next_sid: u64 = 0;
@@ -211,18 +196,9 @@ pub fn serve_listener(
                 let params = Arc::clone(&params);
                 let shutdown = Arc::clone(&shutdown);
                 let totals = Arc::clone(&totals);
-                let coordinator = Arc::clone(&coordinator);
                 handles.push(thread::spawn(move || {
-                    let (summary, end, shed) = run_connection(
-                        stream,
-                        sid,
-                        &pool,
-                        &cache,
-                        &registry,
-                        &params,
-                        &shutdown,
-                        &coordinator,
-                    );
+                    let (summary, end, shed) =
+                        run_connection(stream, sid, &pool, &cache, &registry, &params, &shutdown);
                     let mut totals = totals.lock().expect("net totals poisoned");
                     totals.sessions += 1;
                     totals.jobs += summary.jobs;
@@ -233,7 +209,6 @@ pub fn serve_listener(
                     match end {
                         SessionEnd::Disconnected(_) => totals.disconnected += 1,
                         SessionEnd::ReapedIdle => totals.reaped_idle += 1,
-                        SessionEnd::Worker(_) => totals.remote_workers += 1,
                         SessionEnd::Eof | SessionEnd::Shutdown => {}
                     }
                 }));
@@ -248,18 +223,12 @@ pub fn serve_listener(
     }
 
     // Graceful drain: the accept loop has stopped; every session notices
-    // the flag within a read tick. Client sessions drain their in-flight
-    // jobs through the sink and write their summaries; worker-connection
-    // threads say goodbye to their workers and re-queue any outstanding
-    // leases onto the local pool. Only after all of that does the
-    // coordinator's dispatcher stop, the queue close, and the shared
+    // the flag within a read tick, drains its in-flight jobs through the
+    // sink and writes its summary. Only after all of that does the shared
     // pool join — so every accepted job is answered before exit.
     for handle in handles {
         let _ = handle.join();
     }
-    coordinator.shutdown();
-    pool.close_intake();
-    let _ = dispatcher.join();
     drop(listener);
     Arc::try_unwrap(pool)
         .expect("all session threads joined")
@@ -269,19 +238,15 @@ pub fn serve_listener(
 }
 
 /// One connection's lifecycle: register the session where the sink finds
-/// it, run the session loop over the stream, deregister. A connection
-/// whose `worker_register` line ended the loop is handed to the
-/// coordinator instead and this thread becomes the worker's reader.
-#[allow(clippy::too_many_arguments)]
+/// it, run the session loop over the stream, deregister.
 fn run_connection(
     stream: AnyStream,
     sid: u64,
-    pool: &Arc<ProvingPool>,
+    pool: &ProvingPool,
     cache: &KeyCache,
     registry: &Registry,
     params: &SessionParams,
     shutdown: &AtomicBool,
-    coordinator: &Coordinator,
 ) -> (ServeSummary, SessionEnd, usize) {
     let _ = stream.set_read_timeout(Some(READ_TICK));
     let Ok(write_half) = stream.try_clone() else {
@@ -295,23 +260,9 @@ fn run_connection(
 
     let mut reader = BufReader::new(stream);
     let (summary, end, shed) = run_session(&mut reader, &session, pool, cache, params, shutdown);
-    // Deregistering a worker connection first means no client result
-    // will ever route here while the coordinator owns the stream.
     registry
         .lock()
         .expect("session registry poisoned")
         .remove(&sid);
-    if let SessionEnd::Worker(capacity) = end {
-        let Ok(worker_write) = reader.get_ref().try_clone() else {
-            return (summary, SessionEnd::Disconnected(None), shed);
-        };
-        coordinator.run_worker_connection(
-            pool,
-            &mut reader,
-            Output::new(worker_write),
-            capacity,
-            shutdown,
-        );
-    }
     (summary, end, shed)
 }

@@ -620,31 +620,27 @@ impl JobOptions {
     }
 }
 
-pub(crate) struct QueuedJob {
+struct QueuedJob {
     /// Submission-order id (orders the report).
-    pub(crate) id: usize,
+    id: usize,
     /// Statement derivation id: equals `id` for batch jobs; pinned to 0
     /// for `zkvc serve` requests so their proofs match what
     /// `zkvc prove --spec S --seed N` produces and `zkvc verify` expects.
-    pub(crate) statement_id: usize,
+    statement_id: usize,
     /// Determinism seed for this job's statement and prover randomness.
-    pub(crate) seed: u64,
-    pub(crate) spec: JobSpec,
-    pub(crate) tag: Option<String>,
+    seed: u64,
+    spec: JobSpec,
+    tag: Option<String>,
     /// The session scope the job belongs to (socket sessions only): its
     /// cancellation is honoured alongside the pool-wide flag, and its
     /// in-flight slot is released once the result has been processed.
-    pub(crate) session: Option<Arc<SessionCtl>>,
-    pub(crate) enqueued: Instant,
+    session: Option<Arc<SessionCtl>>,
+    enqueued: Instant,
     /// Absolute time after which the job must stop (converted from the
     /// request's `deadline_ms` at admission). Enforced at worker pickup,
     /// after statement build, and — via the [`zkvc_ff::cancel`]
     /// checkpoints — mid-MSM and mid-FFT inside the prove itself.
-    pub(crate) deadline: Option<Instant>,
-    /// The scheduling class the job was admitted at, kept on the job so a
-    /// coordinator can re-queue a leased job (after a remote worker dies)
-    /// at its original priority.
-    pub(crate) priority: Priority,
+    deadline: Option<Instant>,
 }
 
 impl QueuedJob {
@@ -662,12 +658,9 @@ impl QueuedJob {
     }
 }
 
-/// The shared result-delivery tail of every job, local or remote: sink
+/// The result-delivery tail every worker thread runs after each job: sink
 /// first, then retention, then the session slot, then the global
-/// in-flight count. Split out of the worker loop so the distributed
-/// coordinator delivers remotely-proved results through the identical
-/// path — which is what guarantees each admitted job is answered exactly
-/// once, whoever proves it.
+/// in-flight count.
 struct Deliverer {
     sink: Option<ResultSink>,
     results: Arc<Mutex<Vec<JobResult>>>,
@@ -698,7 +691,6 @@ pub struct ProvingPool {
     handles: Vec<thread::JoinHandle<()>>,
     results: Arc<Mutex<Vec<JobResult>>>,
     cache: Arc<KeyCache>,
-    deliverer: Arc<Deliverer>,
     workers: usize,
     seed: u64,
     next_id: AtomicUsize,
@@ -755,7 +747,7 @@ impl ProvingPool {
             let deliverer = Arc::clone(&deliverer);
             handles.push(
                 thread::Builder::new()
-                    .name(format!("zkvc-worker-{w}"))
+                    .name(format!("zkvc-pool-{w}"))
                     .spawn(move || {
                         while let Some(job) = sched.next(w) {
                             deliverer.deliver(&job, execute_job(&job, w, &cache, &sched));
@@ -769,7 +761,6 @@ impl ProvingPool {
             handles,
             results,
             cache,
-            deliverer,
             workers,
             seed: config.seed,
             next_id: AtomicUsize::new(0),
@@ -809,85 +800,31 @@ impl ProvingPool {
             Some(seed) => (seed, 0),
             None => (self.seed, id),
         };
-        self.enqueue(QueuedJob {
-            id,
-            statement_id,
-            seed,
-            spec,
-            tag,
-            session,
-            enqueued: now,
-            deadline: deadline.map(|d| now + d),
-            priority: priority.unwrap_or_else(|| spec.priority()),
-        })
+        let priority = priority.unwrap_or_else(|| spec.priority());
+        self.enqueue(
+            QueuedJob {
+                id,
+                statement_id,
+                seed,
+                spec,
+                tag,
+                session,
+                enqueued: now,
+                deadline: deadline.map(|d| now + d),
+            },
+            priority,
+        )
     }
 
-    /// Shared tail of every submit path: counts the job in flight and
-    /// hands it to the scheduler at the priority recorded on the job.
-    fn enqueue(&self, job: QueuedJob) -> usize {
+    /// Counts the job in flight and hands it to the scheduler.
+    fn enqueue(&self, job: QueuedJob, priority: Priority) -> usize {
         let id = job.id;
-        let priority = job.priority;
         self.in_flight.fetch_add(1, Ordering::SeqCst);
         if self.sched.submit(job, priority).is_err() {
             self.in_flight.fetch_sub(1, Ordering::SeqCst);
             panic!("pool already joined");
         }
         id
-    }
-
-    /// Claims the next queued job for an external executor (the
-    /// distributed coordinator's dispatcher), competing with the local
-    /// worker threads through the same scheduler lane mechanics. Blocks
-    /// until a job is available; `None` once the queue is closed and
-    /// drained. The leased job stays counted in flight — whoever holds it
-    /// must eventually [`Self::deliver`] a result for it (or
-    /// [`Self::requeue`] it).
-    pub(crate) fn lease(&self, lane: usize) -> Option<QueuedJob> {
-        self.sched.next(lane)
-    }
-
-    /// Puts a leased job back on the queue at its original priority —
-    /// the failure-handling path when a remote worker dies with leases
-    /// outstanding. Does *not* touch the in-flight count (the job never
-    /// stopped being in flight). Returns the job back as `Err` when the
-    /// queue has already closed; the caller must then execute it inline
-    /// (via [`Self::settle_locally`]) so the job is still answered.
-    // The Err variant hands the whole job back by value on purpose: the
-    // caller must still answer it, so losing it to a boxing round-trip
-    // buys nothing.
-    #[allow(clippy::result_large_err)]
-    pub(crate) fn requeue(&self, job: QueuedJob) -> Result<(), QueuedJob> {
-        let priority = job.priority;
-        self.sched.submit(job, priority)
-    }
-
-    /// Runs a job on the caller's thread through the job body and
-    /// delivers its result (the coordinator's inline fallback, and its
-    /// cheap way to answer a job that is already cancelled or past its
-    /// deadline).
-    pub(crate) fn settle_locally(&self, job: &QueuedJob, worker: usize) {
-        self.deliver(job, execute_job(job, worker, &self.cache, &self.sched));
-    }
-
-    /// The reason `job` must stop right now, if any (deadline first, then
-    /// pool/session cancellation).
-    pub(crate) fn job_status(&self, job: &QueuedJob) -> Option<JobError> {
-        job.stop_when(&self.sched).status()
-    }
-
-    /// Delivers a result for a leased job through the identical tail the
-    /// local workers use: sink, retention, session slot, in-flight count.
-    pub(crate) fn deliver(&self, job: &QueuedJob, result: JobResult) {
-        self.deliverer.deliver(job, result);
-    }
-
-    /// Closes the queue without joining the worker threads: no new
-    /// submissions are accepted, [`Self::lease`] returns `None` once the
-    /// backlog drains. The coordinator uses this to stop its dispatcher
-    /// before the pool is finally joined (close is idempotent — the later
-    /// [`Self::join`] closes again harmlessly).
-    pub(crate) fn close_intake(&self) {
-        self.sched.close();
     }
 
     /// Requests cooperative cancellation: jobs not yet started are
@@ -993,18 +930,19 @@ impl Drop for ProvingPool {
     }
 }
 
-/// The one place a pooled [`JobResult`] is spelled out: the job's
-/// identity, who ran it — a local thread, or the remote worker whose
-/// `job_done`/`job_failed` the coordinator is dressing — and either what
-/// the job body proved or why it stopped (nothing proved: empty bytes,
-/// zero digest, zero timings).
-pub(crate) fn job_result(
+/// Runs one job through the job body on the calling thread and spells
+/// out its [`JobResult`]: the job's identity, the worker thread that ran
+/// it, and either what the job body proved or why it stopped (nothing
+/// proved: empty bytes, zero digest, zero timings). Never panics.
+fn execute_job(
     job: &QueuedJob,
     worker: usize,
-    queue_wait: Duration,
-    outcome: Result<Proved, JobError>,
+    cache: &KeyCache,
+    sched: &Arc<Scheduler<QueuedJob>>,
 ) -> JobResult {
-    let (proved, error) = match outcome {
+    let queue_wait = job.enqueued.elapsed();
+    let stop = job.stop_when(sched);
+    let (proved, error) = match job::run(cache, &job.spec, job.seed, job.statement_id, &stop) {
         Ok(proved) => (proved, None),
         Err(error) => (Proved::default(), Some(error)),
     };
@@ -1026,20 +964,6 @@ pub(crate) fn job_result(
         num_constraints: proved.num_constraints,
         session_id: job.session.as_ref().map(|s| s.id()),
     }
-}
-
-/// Runs one job through the job body on the calling thread. Never
-/// panics.
-fn execute_job(
-    job: &QueuedJob,
-    worker: usize,
-    cache: &KeyCache,
-    sched: &Arc<Scheduler<QueuedJob>>,
-) -> JobResult {
-    let queue_wait = job.enqueued.elapsed();
-    let stop = job.stop_when(sched);
-    let outcome = job::run(cache, &job.spec, job.seed, job.statement_id, None, &stop);
-    job_result(job, worker, queue_wait, outcome)
 }
 
 /// Proves `specs` on a `workers`-thread pool with a fresh cache; the

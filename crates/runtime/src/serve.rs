@@ -37,10 +37,7 @@ use crate::cache::KeyCache;
 use crate::error::Error;
 use crate::net::NetConfig;
 use crate::pool::{JobOptions, JobResult, PoolConfig, ProvingPool, ResultSink, SessionCtl};
-use crate::wire::{
-    error_line, is_poll_tick, parse_request, parse_worker_register, result_line, LineReader,
-    LineReject,
-};
+use crate::wire::{error_line, is_poll_tick, parse_request, result_line, LineReader, LineReject};
 
 /// Default byte bound for the resident key cache (see
 /// [`ServeConfig::cache_bytes`]).
@@ -347,8 +344,7 @@ pub(crate) struct SessionParams {
     /// listener's sessions), when the pre-flight is enabled.
     preflight: Option<Preflight>,
     /// A listener connection: its `ready`/`summary` lines carry the
-    /// session id, and a `worker_register` line turns it into a remote
-    /// worker. The stdin session does neither.
+    /// session id. The stdin session's do not.
     listener: bool,
 }
 
@@ -375,10 +371,6 @@ pub(crate) enum SessionEnd {
     Disconnected(Option<io::Error>),
     /// The idle timeout fired with nothing in flight.
     ReapedIdle,
-    /// A listener connection announced itself as a remote worker with
-    /// this capacity. Nothing was drained or summarised: the caller owns
-    /// the rest of the stream.
-    Worker(usize),
 }
 
 /// One session's whole life on any transport: the `ready` handshake,
@@ -463,18 +455,6 @@ pub(crate) fn run_session<R: BufRead, W: Write>(
         let line = line.trim();
         if line.is_empty() {
             continue;
-        }
-        if params.listener {
-            match parse_worker_register(line) {
-                Some(Ok(capacity)) => {
-                    return (ServeSummary::default(), SessionEnd::Worker(capacity), shed);
-                }
-                Some(Err(reason)) => {
-                    reject(None, Error::Request(reason));
-                    continue;
-                }
-                None => {}
-            }
         }
         let request = match parse_request(line) {
             Ok(request) => request,

@@ -13,15 +13,13 @@
 
 use std::io::{self, BufRead};
 
-use zkvc_core::Backend;
 use zkvc_ff::codec::hex;
 
-use crate::codec::WORKER_PROTO;
 use crate::error::Error;
 use crate::pool::{JobError, JobResult};
 use crate::sched::Priority;
 use crate::spec::JobSpec;
-use crate::util::{json_escape, unhex};
+use crate::util::json_escape;
 
 /// Why a request line was rejected before parsing.
 #[derive(Debug, PartialEq, Eq)]
@@ -327,318 +325,6 @@ pub fn error_line(id_json: Option<&str>, error: &Error) -> String {
         retry,
         json_escape(&error.to_string())
     )
-}
-
-// ---------------------------------------------------------------------------
-// The `zkvc-worker/v1` dialect: the messages a proving worker and its
-// coordinator exchange over the same flat JSON-lines framing. A worker
-// connects to a normal `zkvc serve --listen` endpoint and speaks
-// `worker_register` as its first line; the session is then handed off to
-// the coordinator and every later line on the connection is one of these
-// messages. See the worker appendix of `docs/PROTOCOL.md`.
-// ---------------------------------------------------------------------------
-
-/// A message a registered worker sends its coordinator.
-#[derive(Clone, Debug, PartialEq)]
-pub enum WorkerMsg {
-    /// Unsolicited liveness signal (~1 Hz); a coordinator declares a
-    /// worker dead when these stop arriving.
-    Heartbeat,
-    /// A leased job was proved (or failed verification) on the worker.
-    JobDone {
-        /// The lease id the coordinator assigned in its `job` message.
-        lease: u64,
-        /// Whether the proof verified on the worker against the shipped
-        /// (or locally re-derived) key material.
-        verified: bool,
-        /// Whether the worker's key material came from its own cache.
-        cache_hit: bool,
-        /// R1CS constraints proved.
-        constraints: usize,
-        /// Witness build time, milliseconds.
-        build_ms: f64,
-        /// Proving time, milliseconds.
-        prove_ms: f64,
-        /// Verification time, milliseconds.
-        verify_ms: f64,
-        /// The proof envelope bytes (decoded from `proof_hex`).
-        proof_bytes: Vec<u8>,
-    },
-    /// A leased job could not be completed on the worker.
-    JobFailed {
-        /// The lease id the coordinator assigned in its `job` message.
-        lease: u64,
-        /// Stable one-word failure class (mirrors [`JobError::kind`]).
-        kind: String,
-        /// Human-readable failure detail.
-        error: String,
-    },
-}
-
-/// A message a coordinator sends a registered worker.
-#[derive(Clone, Debug, PartialEq)]
-pub enum CoordMsg {
-    /// The `ready` handshake every serve transport opens with (the worker
-    /// sees it before it registers); carries the server's `proto`.
-    Ready {
-        /// The serve protocol identifier announced by the server.
-        proto: String,
-    },
-    /// Registration accepted: the worker's coordinator-assigned id.
-    Ack {
-        /// The id the coordinator will know this worker by.
-        worker: u64,
-    },
-    /// A compiled circuit shape, shipped once per worker per
-    /// `(digest, backend, seed)`: the worker decodes the canonical bytes,
-    /// checks the digest, and runs the deterministic setup so its keys
-    /// are bit-identical to the coordinator's.
-    Shape {
-        /// Digest of the shipped shape (the encoding embeds it too; the
-        /// worker cross-checks).
-        shape_digest: [u8; 32],
-        /// Backend to run setup for.
-        backend: Backend,
-        /// Setup seed (same derivation as the coordinator's cache).
-        seed: u64,
-        /// The canonical `zkvc_r1cs` shape encoding (decoded from hex).
-        bytes: Vec<u8>,
-    },
-    /// A job lease: prove this spec deterministically and answer with
-    /// `job_done` or `job_failed` carrying the same lease id.
-    Job {
-        /// Coordinator-assigned lease id, echoed in the answer.
-        lease: u64,
-        /// The spec string (same grammar as a serve request `spec`).
-        spec: String,
-        /// Statement seed.
-        seed: u64,
-        /// Statement id (0 for request-mode jobs, the job id for batch
-        /// jobs) — part of the determinism contract.
-        statement_id: usize,
-        /// Digest of the shape this job proves (shipped earlier, or
-        /// derivable locally from the spec).
-        shape_digest: [u8; 32],
-        /// Milliseconds of deadline budget remaining at dispatch, when
-        /// the request carried a deadline.
-        deadline_ms: Option<u64>,
-    },
-    /// Orderly goodbye: the worker should finish nothing more and exit.
-    Shutdown,
-}
-
-/// Renders the worker registration line — the first thing a worker sends
-/// after reading the server's `ready` line.
-pub fn worker_register_line(capacity: usize) -> String {
-    format!("{{\"type\":\"worker_register\",\"proto\":\"{WORKER_PROTO}\",\"capacity\":{capacity}}}")
-}
-
-/// Parses a request line as a worker registration: `None` when the line
-/// is not a `worker_register` message at all (an ordinary request),
-/// `Some(Err(..))` when it is one but malformed (wrong dialect, bad
-/// capacity), and the worker's announced capacity otherwise.
-pub fn parse_worker_register(line: &str) -> Option<Result<usize, String>> {
-    let fields = parse_json_object(line).ok()?;
-    match field(&fields, "type") {
-        Some(Json::Str(t)) if t == "worker_register" => {}
-        _ => return None,
-    }
-    let check = || -> Result<usize, String> {
-        match field(&fields, "proto") {
-            Some(Json::Str(p)) if p == WORKER_PROTO => {}
-            Some(Json::Str(p)) => {
-                return Err(format!(
-                    "worker speaks {p:?}, this server speaks {WORKER_PROTO:?}"
-                ))
-            }
-            _ => return Err("worker_register is missing its \"proto\" field".into()),
-        }
-        let capacity = match field(&fields, "capacity") {
-            Some(Json::Num(raw)) => raw.parse::<usize>().ok().filter(|c| *c > 0),
-            None => Some(1),
-            _ => None,
-        };
-        capacity.ok_or_else(|| "\"capacity\" must be a positive integer".into())
-    };
-    Some(check())
-}
-
-/// Renders the registration acknowledgement.
-pub fn worker_ack_line(worker: u64) -> String {
-    format!("{{\"type\":\"worker_ack\",\"proto\":\"{WORKER_PROTO}\",\"worker\":{worker}}}")
-}
-
-/// Renders a worker heartbeat line.
-pub fn heartbeat_line() -> String {
-    "{\"type\":\"heartbeat\"}".to_string()
-}
-
-/// Renders a ship-once `shape` message.
-pub fn shape_line(digest: &[u8; 32], backend: Backend, seed: u64, bytes: &[u8]) -> String {
-    format!(
-        "{{\"type\":\"shape\",\"shape_digest\":\"{}\",\"backend\":\"{backend}\",\"seed\":{seed},\"bytes_hex\":\"{}\"}}",
-        hex(digest),
-        hex(bytes)
-    )
-}
-
-/// Renders a job-lease message.
-pub fn job_line(
-    lease: u64,
-    spec: &JobSpec,
-    seed: u64,
-    statement_id: usize,
-    shape_digest: &[u8; 32],
-    deadline_ms: Option<u64>,
-) -> String {
-    let deadline = deadline_ms
-        .map(|ms| format!(",\"deadline_ms\":{ms}"))
-        .unwrap_or_default();
-    format!(
-        "{{\"type\":\"job\",\"lease\":{lease},\"spec\":\"{}\",\"seed\":{seed},\"statement_id\":{statement_id},\"shape_digest\":\"{}\"{deadline}}}",
-        json_escape(&spec.to_string()),
-        hex(shape_digest)
-    )
-}
-
-/// Renders a `job_done` answer.
-#[allow(clippy::too_many_arguments)]
-pub fn job_done_line(
-    lease: u64,
-    verified: bool,
-    cache_hit: bool,
-    constraints: usize,
-    build_ms: f64,
-    prove_ms: f64,
-    verify_ms: f64,
-    proof_bytes: &[u8],
-) -> String {
-    format!(
-        "{{\"type\":\"job_done\",\"lease\":{lease},\"verified\":{verified},\"cache_hit\":{cache_hit},\"constraints\":{constraints},\"build_ms\":{build_ms:.3},\"prove_ms\":{prove_ms:.3},\"verify_ms\":{verify_ms:.3},\"proof_hex\":\"{}\"}}",
-        hex(proof_bytes)
-    )
-}
-
-/// Renders a `job_failed` answer.
-pub fn job_failed_line(lease: u64, kind: &str, error: &str) -> String {
-    format!(
-        "{{\"type\":\"job_failed\",\"lease\":{lease},\"kind\":\"{}\",\"error\":\"{}\"}}",
-        json_escape(kind),
-        json_escape(error)
-    )
-}
-
-/// Renders the coordinator's orderly-goodbye message.
-pub fn worker_shutdown_line() -> String {
-    "{\"type\":\"worker_shutdown\"}".to_string()
-}
-
-fn parse_backend(token: &str) -> Option<Backend> {
-    match token {
-        "groth16" => Some(Backend::Groth16),
-        "spartan" => Some(Backend::Spartan),
-        _ => None,
-    }
-}
-
-fn take_digest(fields: &[(String, Json)], key: &str) -> Result<[u8; 32], String> {
-    let hex_str = match field(fields, key) {
-        Some(Json::Str(s)) => s.as_str(),
-        _ => return Err(format!("missing or non-string {key:?}")),
-    };
-    let bytes = unhex(hex_str).ok_or_else(|| format!("{key:?} is not valid hex"))?;
-    <[u8; 32]>::try_from(bytes).map_err(|_| format!("{key:?} must be 32 bytes of hex"))
-}
-
-fn take_u64(fields: &[(String, Json)], key: &str) -> Result<u64, String> {
-    match field(fields, key) {
-        Some(Json::Num(raw)) => raw
-            .parse::<u64>()
-            .map_err(|_| format!("{key:?} must be a non-negative integer")),
-        _ => Err(format!("missing or non-numeric {key:?}")),
-    }
-}
-
-fn take_f64(fields: &[(String, Json)], key: &str) -> Result<f64, String> {
-    match field(fields, key) {
-        Some(Json::Num(raw)) => raw
-            .parse::<f64>()
-            .map_err(|_| format!("{key:?} must be a number")),
-        _ => Err(format!("missing or non-numeric {key:?}")),
-    }
-}
-
-fn take_bool(fields: &[(String, Json)], key: &str) -> Result<bool, String> {
-    match field(fields, key) {
-        Some(Json::Bool(b)) => Ok(*b),
-        _ => Err(format!("missing or non-boolean {key:?}")),
-    }
-}
-
-fn take_str<'a>(fields: &'a [(String, Json)], key: &str) -> Result<&'a str, String> {
-    match field(fields, key) {
-        Some(Json::Str(s)) => Ok(s.as_str()),
-        _ => Err(format!("missing or non-string {key:?}")),
-    }
-}
-
-/// Parses one line a worker sent its coordinator (post-registration).
-pub fn parse_worker_msg(line: &str) -> Result<WorkerMsg, String> {
-    let fields = parse_json_object(line)?;
-    match take_str(&fields, "type")? {
-        "heartbeat" => Ok(WorkerMsg::Heartbeat),
-        "job_done" => Ok(WorkerMsg::JobDone {
-            lease: take_u64(&fields, "lease")?,
-            verified: take_bool(&fields, "verified")?,
-            cache_hit: take_bool(&fields, "cache_hit")?,
-            constraints: take_u64(&fields, "constraints")? as usize,
-            build_ms: take_f64(&fields, "build_ms")?,
-            prove_ms: take_f64(&fields, "prove_ms")?,
-            verify_ms: take_f64(&fields, "verify_ms")?,
-            proof_bytes: unhex(take_str(&fields, "proof_hex")?)
-                .ok_or("\"proof_hex\" is not valid hex")?,
-        }),
-        "job_failed" => Ok(WorkerMsg::JobFailed {
-            lease: take_u64(&fields, "lease")?,
-            kind: take_str(&fields, "kind")?.to_string(),
-            error: take_str(&fields, "error")?.to_string(),
-        }),
-        other => Err(format!("unknown worker message type {other:?}")),
-    }
-}
-
-/// Parses one line a coordinator sent a worker.
-pub fn parse_coord_msg(line: &str) -> Result<CoordMsg, String> {
-    let fields = parse_json_object(line)?;
-    match take_str(&fields, "type")? {
-        "ready" => Ok(CoordMsg::Ready {
-            proto: take_str(&fields, "proto")?.to_string(),
-        }),
-        "worker_ack" => Ok(CoordMsg::Ack {
-            worker: take_u64(&fields, "worker")?,
-        }),
-        "shape" => Ok(CoordMsg::Shape {
-            shape_digest: take_digest(&fields, "shape_digest")?,
-            backend: parse_backend(take_str(&fields, "backend")?)
-                .ok_or("\"backend\" must be \"groth16\" or \"spartan\"")?,
-            seed: take_u64(&fields, "seed")?,
-            bytes: unhex(take_str(&fields, "bytes_hex")?)
-                .ok_or("\"bytes_hex\" is not valid hex")?,
-        }),
-        "job" => Ok(CoordMsg::Job {
-            lease: take_u64(&fields, "lease")?,
-            spec: take_str(&fields, "spec")?.to_string(),
-            seed: take_u64(&fields, "seed")?,
-            statement_id: take_u64(&fields, "statement_id")? as usize,
-            shape_digest: take_digest(&fields, "shape_digest")?,
-            deadline_ms: match field(&fields, "deadline_ms") {
-                Some(_) => Some(take_u64(&fields, "deadline_ms")?),
-                None => None,
-            },
-        }),
-        "worker_shutdown" => Ok(CoordMsg::Shutdown),
-        other => Err(format!("unknown coordinator message type {other:?}")),
-    }
 }
 
 /// Minimal JSON parser for one flat object: string keys, and string /
@@ -968,96 +654,6 @@ mod tests {
             Some(Ok("{tail".to_string()))
         );
         assert_eq!(reader.read_line(&mut input).unwrap(), None);
-    }
-
-    #[test]
-    fn worker_messages_round_trip_through_their_lines() {
-        assert_eq!(parse_worker_register(&worker_register_line(3)), Some(Ok(3)));
-        assert_eq!(
-            parse_worker_register(r#"{"spec": "2x2x2"}"#),
-            None,
-            "an ordinary request is not a registration"
-        );
-        match parse_worker_register(
-            r#"{"type": "worker_register", "proto": "zkvc-worker/v9", "capacity": 1}"#,
-        ) {
-            Some(Err(reason)) => assert!(reason.contains("zkvc-worker/v1"), "{reason}"),
-            other => panic!("expected a dialect rejection, got {other:?}"),
-        }
-
-        let digest = [7u8; 32];
-        let spec = JobSpec::new(2, 3, 2);
-        match parse_coord_msg(&job_line(9, &spec, 5, 0, &digest, Some(1500))).unwrap() {
-            CoordMsg::Job {
-                lease,
-                spec: s,
-                seed,
-                statement_id,
-                shape_digest,
-                deadline_ms,
-            } => {
-                assert_eq!(lease, 9);
-                assert_eq!(s, spec.to_string());
-                assert_eq!(seed, 5);
-                assert_eq!(statement_id, 0);
-                assert_eq!(shape_digest, digest);
-                assert_eq!(deadline_ms, Some(1500));
-            }
-            other => panic!("expected Job, got {other:?}"),
-        }
-        match parse_coord_msg(&shape_line(&digest, Backend::Groth16, 4, b"bytes")).unwrap() {
-            CoordMsg::Shape {
-                shape_digest,
-                backend,
-                seed,
-                bytes,
-            } => {
-                assert_eq!(shape_digest, digest);
-                assert_eq!(backend, Backend::Groth16);
-                assert_eq!(seed, 4);
-                assert_eq!(bytes, b"bytes");
-            }
-            other => panic!("expected Shape, got {other:?}"),
-        }
-        assert_eq!(
-            parse_coord_msg(&worker_ack_line(2)).unwrap(),
-            CoordMsg::Ack { worker: 2 }
-        );
-        assert_eq!(
-            parse_coord_msg(&worker_shutdown_line()).unwrap(),
-            CoordMsg::Shutdown
-        );
-
-        match parse_worker_msg(&job_done_line(9, true, false, 42, 1.0, 2.5, 0.5, b"proof")).unwrap()
-        {
-            WorkerMsg::JobDone {
-                lease,
-                verified,
-                cache_hit,
-                constraints,
-                proof_bytes,
-                ..
-            } => {
-                assert_eq!(lease, 9);
-                assert!(verified);
-                assert!(!cache_hit);
-                assert_eq!(constraints, 42);
-                assert_eq!(proof_bytes, b"proof");
-            }
-            other => panic!("expected JobDone, got {other:?}"),
-        }
-        match parse_worker_msg(&job_failed_line(9, "panicked", "boom \"quoted\"")).unwrap() {
-            WorkerMsg::JobFailed { lease, kind, error } => {
-                assert_eq!(lease, 9);
-                assert_eq!(kind, "panicked");
-                assert_eq!(error, "boom \"quoted\"");
-            }
-            other => panic!("expected JobFailed, got {other:?}"),
-        }
-        assert_eq!(
-            parse_worker_msg(&heartbeat_line()).unwrap(),
-            WorkerMsg::Heartbeat
-        );
     }
 
     #[test]

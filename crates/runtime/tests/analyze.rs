@@ -295,6 +295,17 @@ fn malformed_fault_schedule_is_a_startup_error() {
     assert!(stderr.contains("ZKVC_FAULTS"), "{stderr}");
     assert!(stderr.contains("bad probability"), "{stderr}");
 
+    // A misspelt point is refused too, rather than arming nothing.
+    let out = Command::new(env!("CARGO_BIN_EXE_zkvc"))
+        .args(["analyze", "--spec", "2x3x2:vanilla:s"])
+        .env("ZKVC_FAULTS", "seed=1;net.read.shrot=0.5")
+        .output()
+        .expect("zkvc binary runs");
+    assert_eq!(out.status.code(), Some(2), "unknown point is a usage error");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("ZKVC_FAULTS"), "{stderr}");
+    assert!(stderr.contains("unknown fault point"), "{stderr}");
+
     // A well-formed schedule passes validation and the command runs.
     let out = Command::new(env!("CARGO_BIN_EXE_zkvc"))
         .args(["analyze", "--spec", "2x3x2:vanilla:s"])

@@ -160,6 +160,16 @@ fn usage_errors_exit_2() {
     ]);
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown argument \"--key-cache\""));
+    // There is no remote-worker tier: `worker` is an unknown command.
+    let out = zkvc(&[
+        "worker",
+        "--connect",
+        "unix:/nonexistent.sock",
+        "--capacity",
+        "2",
+    ]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command \"worker\""));
 }
 
 #[test]
@@ -250,4 +260,43 @@ fn backend_mismatch_exits_2() {
     let out = zkvc(&["verify", "--spec", "2x2x2:g", "--in", proof_str]);
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("spartan"));
+}
+
+/// sha256 of the `prove-batch --report` file for the CI warm-shape batch:
+/// every proof digest, shape digest and key digest of that batch, pinned.
+const BATCH_REPORT_SHA256: &str =
+    "3368b589a58895ba335d1d398fb4838b3ccb23013c71233678b16be812aeb47a";
+
+#[test]
+fn batch_report_bytes_are_pinned_across_worker_counts() {
+    for workers in ["2", "4"] {
+        let report = tmp_file(&format!("batch-report-w{workers}.json"));
+        let out = zkvc(&[
+            "prove-batch",
+            "--spec",
+            "3x4x3:zkvc:g:x4",
+            "--spec",
+            "mixer-block:spartan:x3",
+            "--spec",
+            "2x2x2:vanilla:s:x4",
+            "--workers",
+            workers,
+            "--seed",
+            "7",
+            "--report",
+            report.to_str().unwrap(),
+        ]);
+        assert!(
+            out.status.success(),
+            "prove-batch --workers {workers} failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let bytes = std::fs::read(&report).expect("report written");
+        assert_eq!(
+            zkvc_ff::codec::hex(&zkvc_hash::sha256(&bytes)),
+            BATCH_REPORT_SHA256,
+            "--workers {workers}: report moved:\n{}",
+            String::from_utf8_lossy(&bytes)
+        );
+    }
 }

@@ -1,15 +1,12 @@
-//! Canonical-encoding round-trips for the shapes the distributed protocol
-//! ships from coordinator to workers.
+//! Canonical-encoding round-trips for compiled circuit shapes.
 //!
-//! The coordinator sends a [`CompiledShape`] to each worker exactly once
-//! per digest; the worker re-derives keys from the decoded bytes and
-//! rebuilds each witness from the job spec (no witness crosses the wire).
-//! That is only sound if (a) encode/decode is lossless for every shape the
-//! fleet can produce — all model presets, all matmul strategies, random
-//! dimensions — and (b) a *decoded* shape proves bit-identically to the
-//! original under the same deterministic setup and prover randomness
+//! The shape encoding is the canonical byte form of a [`CompiledShape`].
+//! It is canonical only if (a) encode/decode is lossless for every shape
+//! the runtime can produce — all model presets, all matmul strategies,
+//! random dimensions — and (b) a *decoded* shape proves bit-identically to
+//! the original under the same deterministic setup and prover randomness
 //! (digest stability is key-cache compatibility, so any drift would split
-//! the fleet's key material silently).
+//! key material silently).
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -34,7 +31,7 @@ fn assert_shapes_equal(original: &CompiledShape<Fr>, decoded: &CompiledShape<Fr>
 }
 
 /// Proves `spec` at `seed` using keys set up from `shape`, exactly the way
-/// a pool worker or remote worker does, and returns the envelope bytes.
+/// a pool worker does, and returns the envelope bytes.
 fn prove_with_shape(shape: CompiledShape<Fr>, spec: &JobSpec, seed: u64) -> Vec<u8> {
     let backend = spec.backend();
     let statement = build_statement(seed, 0, spec);
@@ -119,9 +116,8 @@ fn preset_shapes_roundtrip_on_all_backends() {
 
 /// Digest stability is proof compatibility: keys set up from a shape that
 /// crossed the byte boundary produce *bit-identical* proofs to keys set
-/// up from the in-memory original — the exact property the distributed
-/// protocol relies on when a remote worker proves against shipped bytes
-/// while the coordinator's local pool proves against its own compilation.
+/// up from the in-memory original, so a shape read back from its bytes is
+/// the same circuit for setup and proving.
 #[test]
 fn decoded_shapes_prove_bit_identically() {
     let mut specs: Vec<JobSpec> = Strategy::ALL
@@ -133,13 +129,13 @@ fn decoded_shapes_prove_bit_identically() {
         let seed = 23;
         let statement = build_statement(seed, 0, &spec);
         let shape: CompiledShape<Fr> = compile_shape(statement.as_ref());
-        let shipped: CompiledShape<Fr> =
+        let decoded: CompiledShape<Fr> =
             decode_shape_expecting(&encode_shape(&shape), &shape.digest)
-                .expect("decode shipped shape");
-        let local = prove_with_shape(shape, &spec, seed);
-        let remote = prove_with_shape(shipped, &spec, seed);
+                .expect("decode encoded shape");
+        let original = prove_with_shape(shape, &spec, seed);
+        let round_tripped = prove_with_shape(decoded, &spec, seed);
         assert_eq!(
-            local, remote,
+            original, round_tripped,
             "{spec}: decoded shape must prove bit-identically"
         );
     }

@@ -234,6 +234,35 @@ fn garbage_poisons_only_its_own_connection() {
 }
 
 #[test]
+fn stale_worker_registration_is_an_ordinary_bad_request() {
+    // A listener session is only ever a client session: a registration
+    // line from an old remote prover is answered like any other unknown
+    // request, and the same session goes on proving.
+    let server = Server::start_unix("stale-worker", NetConfig::new(ServeConfig::new(1)));
+    let stream = AnyStream::connect(&server.addr).expect("connect");
+    let mut writer = stream.try_clone().expect("clone");
+    writeln!(
+        writer,
+        r#"{{"type":"worker_register","proto":"zkvc-worker/v1","capacity":2}}"#
+    )
+    .unwrap();
+    writeln!(writer, r#"{{"spec":"2x2x2:zkvc:s","seed":7}}"#).unwrap();
+    writer.shutdown_write().unwrap();
+    let lines = read_until_summary(&mut BufReader::new(stream));
+
+    assert_eq!(count(&lines, "\"type\":\"error\""), 1, "{lines:?}");
+    assert_eq!(count(&lines, "\"code\":2"), 1, "{lines:?}");
+    assert_eq!(count(&lines, "\"type\":\"result\""), 1, "{lines:?}");
+    assert_eq!(count(&lines, "\"verified\":true"), 1, "{lines:?}");
+    let summary = lines.last().unwrap();
+    assert!(summary.contains("\"type\":\"summary\""), "{lines:?}");
+    assert!(summary.contains("\"rejected\":1"), "{lines:?}");
+
+    let totals = server.finish();
+    assert_eq!((totals.jobs, totals.verified, totals.rejected), (1, 1, 1));
+}
+
+#[test]
 fn disconnect_mid_batch_cancels_inflight_and_server_survives() {
     // One worker, a deep batch of slow Groth16 jobs, and a client that
     // vanishes right after the handshake. The first result write hits the
