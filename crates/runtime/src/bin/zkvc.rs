@@ -5,7 +5,7 @@
 //! layer.
 //!
 //! ```text
-//! zkvc prove-batch --spec 8x8x16:crpc+psq:groth16:x8 --workers 4 [--seed N] [--compare-serial] [--report FILE]
+//! zkvc prove-batch --spec 8x8x16:crpc+psq:groth16:x8 --workers 4 [--seed N] [--report FILE]
 //! zkvc serve [--workers K] [--seed N] [--queue-bound B] [--max-request BYTES] [--no-proofs]
 //! zkvc serve --listen unix:/run/zkvc.sock [--idle-timeout SECS] [--session-bound B] [--admission-bound N]
 //! zkvc client --connect unix:/run/zkvc.sock --spec 4x4x4:zkvc:g --sessions 8 --count 16
@@ -32,9 +32,9 @@ use zkvc_core::api::compile_shape;
 use zkvc_r1cs::Severity;
 use zkvc_runtime::analysis::{self, Baseline};
 use zkvc_runtime::{
-    build_statement, derive_verifier_key, fault, prove_batch_serial, run_client, run_sweep, serve,
-    serve_listener, ClientConfig, Error, JobOptions, JobSpec, KeyCache, ListenAddr, NetConfig,
-    ProofEnvelope, ProvingPool, ServeConfig,
+    build_statement, derive_verifier_key, fault, run_client, serve, serve_listener, ClientConfig,
+    Error, JobOptions, JobSpec, KeyCache, ListenAddr, NetConfig, ProofEnvelope, ProvingPool,
+    ServeConfig,
 };
 
 const USAGE: &str = "\
@@ -47,7 +47,7 @@ USAGE:
                 [--idle-timeout SECS|none] [--session-bound B]
                 [--admission-bound N|none] [--retry-after-ms MS]
     zkvc client --connect ADDR [--spec SPEC] [--seed N] [--sessions K] [--count M]
-                [--jobs FILE] [--no-verify] [--report FILE] [--bench FILE] [--sweep LIST]
+                [--jobs FILE] [--no-verify] [--report FILE]
                 [--deadline-ms MS] [--retries R] [--backoff-ms MS] [--retry-seed N]
     zkvc prove  --spec SPEC [--seed N] --out FILE
     zkvc verify --in FILE --spec SPEC [--seed N]
@@ -62,14 +62,17 @@ SPEC grammar:
               mixer-block | bert-block | vit-micro
     STRATEGY: vanilla | vanilla+psq | crpc | crpc+psq (alias: zkvc)
     BACKEND:  groth16 (alias: g) | spartan (alias: s)
-    private:  keep matmul outputs as witnesses (shape binding only);
-              by default Y is public, so the proof binds the statement
+    private:  keep matmul outputs as witnesses (shape binding only).
+              By default Y is public. Vanilla strategies then bind Y;
+              CRPC strategies (crpc, crpc+psq, zkvc) under the served
+              fixed Z are soundness-BROKEN against a malicious prover on
+              both backends: it can prove any Y. See docs/SOUNDNESS.md
+              and known_break_1a_universal_forgery_verifies.
     xCOUNT:   repeat the job COUNT times (prove-batch and serve)
 
 OPTIONS (prove-batch):
     --workers K        worker threads (default: available parallelism)
     --seed N           determinism seed (default 0); same seed => same proofs
-    --compare-serial   also run N independent one-shot proves and report the speedup
     --report FILE      write a machine-readable batch report (deterministic
                        fields only: verdicts, proof digests, key table) —
                        two same-seed runs must produce identical files
@@ -121,10 +124,6 @@ OPTIONS (client):
     --report FILE      write a deterministic per-job report (ids, verdicts,
                        proof digests) — two runs against same-seed servers
                        must produce identical files
-    --bench FILE       sweep session counts and write BENCH_serve.json-style
-                       throughput/latency points to FILE
-    --sweep LIST       comma-separated session counts for --bench
-                       (default 1,2,4,8)
     --deadline-ms MS   attach a deadline_ms to every generated request: the
                        server abandons proofs still running MS ms after
                        admission and answers deadline_exceeded
@@ -161,7 +160,7 @@ OPTIONS (prove / verify):
                        run: it trusts no key stored on disk or in the file.
 
 EXAMPLES:
-    zkvc prove-batch --spec 8x8x16:crpc+psq:groth16:x8 --workers 4 --compare-serial
+    zkvc prove-batch --spec 8x8x16:crpc+psq:groth16:x8 --workers 4
     zkvc prove-batch --spec 4x4x4:zkvc:g:x4 --spec mixer-block:spartan:x4
     echo '{\"spec\": \"4x4x4:zkvc:s\", \"id\": 1}' | zkvc serve --workers 2
     zkvc prove --spec 8x8x16:zkvc:g --out proof.bin && zkvc verify --in proof.bin --spec 8x8x16:zkvc:g
@@ -273,48 +272,25 @@ fn workers_from_args(args: &[String]) -> Result<usize, Error> {
 }
 
 fn cmd_prove_batch(args: &[String]) -> Result<(), Error> {
-    reject_unknown_args(
-        args,
-        &["--spec", "--seed", "--workers", "--report"],
-        &["--compare-serial"],
-    )?;
+    reject_unknown_args(args, &["--spec", "--seed", "--workers", "--report"], &[])?;
     let (specs, seed) = parse_common(args)?;
     if specs.is_empty() {
         return Err(Error::Usage("prove-batch needs at least one --spec".into()));
     }
     let workers = workers_from_args(args)?;
 
-    let t0 = Instant::now();
     let pool = ProvingPool::with_cache(workers, seed, Arc::new(KeyCache::with_seed(seed)));
     for spec in &specs {
         pool.submit(*spec, JobOptions::new());
     }
     let report = pool.join();
-    let pooled_wall = t0.elapsed();
     print!("{}", report.render_table("zkvc prove-batch"));
     if let Some(path) = flag_value(args, "--report")? {
         std::fs::write(path, report.render_report_json()).map_err(|e| Error::io(path, e))?;
         println!("wrote deterministic batch report to {path}");
     }
 
-    let mut all_ok = report.all_verified();
-    if args.iter().any(|a| a == "--compare-serial") {
-        let t1 = Instant::now();
-        let serial = prove_batch_serial(&specs, seed);
-        let serial_wall = t1.elapsed();
-        print!(
-            "{}",
-            serial.render_table("serial baseline (one-shot prove per job)")
-        );
-        println!(
-            "speedup: {:.2}x (pooled {:.3}s vs serial {:.3}s)",
-            serial_wall.as_secs_f64() / pooled_wall.as_secs_f64(),
-            pooled_wall.as_secs_f64(),
-            serial_wall.as_secs_f64()
-        );
-        all_ok &= serial.all_verified();
-    }
-    if all_ok {
+    if report.all_verified() {
         Ok(())
     } else {
         Err(Error::VerificationFailed)
@@ -501,8 +477,6 @@ fn cmd_client(args: &[String]) -> Result<(), Error> {
             "--count",
             "--jobs",
             "--report",
-            "--bench",
-            "--sweep",
             "--deadline-ms",
             "--retries",
             "--backoff-ms",
@@ -592,26 +566,6 @@ fn cmd_client(args: &[String]) -> Result<(), Error> {
             .parse::<u64>()
             .map_err(|_| Error::Usage(format!("bad --retry-seed {s:?}")))?;
         config = config.retry_seed(seed);
-    }
-
-    if let Some(path) = flag_value(args, "--bench")? {
-        let sweep: Vec<usize> = match flag_value(args, "--sweep")? {
-            Some(list) => list
-                .split(',')
-                .map(|s| {
-                    s.trim()
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|k| *k > 0)
-                        .ok_or_else(|| Error::Usage(format!("bad --sweep entry {s:?}")))
-                })
-                .collect::<Result<_, _>>()?,
-            None => vec![1, 2, 4, 8],
-        };
-        let json = run_sweep(&config, &sweep)?;
-        std::fs::write(path, format!("{json}\n")).map_err(|e| Error::io(path, e))?;
-        println!("wrote serve bench ({} point(s)) to {path}", sweep.len());
-        return Ok(());
     }
 
     let report = run_client(&config)?;

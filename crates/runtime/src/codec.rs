@@ -14,8 +14,8 @@
 //!   parse panic, so a version mismatch fails loudly and diagnosably.
 //! - **Line-protocol identifier** — the `proto` string of the serve
 //!   dialect, checked on both ends of a connection.
-//! - **Report schemas** — the `schema` strings stamped into every JSON
-//!   report and bench file, so downstream tooling can dispatch on version.
+//! - **Report schema** — the `schema` string stamped into `zkvc client
+//!   --report` documents, so downstream tooling can dispatch on version.
 //!
 //! Version-bump protocol: a format change bumps exactly one constant
 //! here, and decoders keep accepting every version they historically
@@ -42,9 +42,6 @@ pub const SERVE_PROTO: &str = "zkvc-serve/v1";
 
 /// Schema string of `zkvc client --report` JSON documents.
 pub const CLIENT_REPORT_SCHEMA: &str = "zkvc-client-report/v1";
-
-/// Schema string of `zkvc client --sweep` / serve bench JSON documents.
-pub const SERVE_BENCH_SCHEMA: &str = "zkvc-serve-bench/v1";
 
 impl From<DecodeError> for Error {
     /// Maps decode failures onto the runtime error surface: future

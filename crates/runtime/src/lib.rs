@@ -80,8 +80,8 @@ pub use cache::{derive_verifier_key, CacheStats, CircuitKeys, KeyCache};
 pub use error::Error;
 pub use job::build_statement;
 pub use net::{
-    run_client, run_sweep, serve_listener, AnyStream, ClientConfig, ClientReport, ListenAddr,
-    NetConfig, NetSummary, SessionReport,
+    run_client, serve_listener, AnyStream, ClientConfig, ClientReport, ListenAddr, NetConfig,
+    NetSummary, SessionReport,
 };
 pub use pool::{
     prove_batch, prove_batch_serial, BatchKey, BatchReport, JobError, JobOptions, JobResult,

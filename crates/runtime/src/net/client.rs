@@ -9,10 +9,11 @@
 //! seed)`, Groth16 pairing checks against the *streamed* `key` lines
 //! (never a key the client derived itself — that is the whole
 //! trust-the-wire exercise), and transparent Spartan verification
-//! against locally derived preprocessing.
+//! against a key derived from `(spec, seed)`, as `zkvc verify` derives it.
 //!
 //! Per-proof latency (request write to result read) and aggregate
-//! throughput feed `BENCH_serve.json` via [`run_sweep`].
+//! throughput are printed in the CLI summary; they are informational, and
+//! the repository benchmark under `benchmark/` is the one measurement.
 
 use std::collections::{HashMap, HashSet};
 use std::io::{BufRead, BufReader, Write};
@@ -20,13 +21,15 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use zkvc_core::{Backend, Circuit, VerifierKey};
+use zkvc_core::api::compile_shape;
+use zkvc_core::{Backend, VerifierKey};
 use zkvc_ff::codec::hex;
 use zkvc_ff::Fr;
 use zkvc_hash::sha256;
+use zkvc_r1cs::CompiledShape;
 
-use crate::cache::KeyCache;
-use crate::codec::{CLIENT_REPORT_SCHEMA, SERVE_BENCH_SCHEMA, SERVE_PROTO};
+use crate::cache::derive_verifier_key;
+use crate::codec::{CLIENT_REPORT_SCHEMA, SERVE_PROTO};
 use crate::error::Error;
 use crate::job::build_statement;
 use crate::net::addr::{AnyStream, ListenAddr};
@@ -36,11 +39,10 @@ use crate::util::{json_escape, unhex};
 use crate::wire::{field, parse_json_object, Json};
 
 /// Statement data memoised per `(spec, seed)` during the local
-/// verification pass: the public inputs, the locally recomputed shape
-/// digest (hex), and the rebuilt circuit.
-type StatementMemo = HashMap<(String, u64), (Vec<Fr>, String, Box<dyn Circuit>)>;
+/// verification pass: the public inputs and the locally compiled shape.
+type StatementMemo = HashMap<(String, u64), (Vec<Fr>, Arc<CompiledShape<Fr>>)>;
 
-/// Configuration for [`run_client`] / [`run_sweep`].
+/// Configuration for [`run_client`].
 #[derive(Clone, Debug)]
 pub struct ClientConfig {
     /// The serve endpoint to connect to.
@@ -195,9 +197,6 @@ pub struct SessionReport {
     pub attempts: usize,
     /// Whether the session ended with the server's `summary` line.
     pub summary_seen: bool,
-    /// Worker-thread count the server advertised in its ready line (0
-    /// when no ready line was seen).
-    pub server_workers: usize,
     /// Per-job records for the deterministic report.
     pub jobs: Vec<JobRecord>,
 }
@@ -254,16 +253,6 @@ impl ClientReport {
     /// Total connection attempts across all sessions.
     pub fn attempts(&self) -> usize {
         self.sum(|s| s.attempts)
-    }
-
-    /// The worker-thread count the server advertised (max over sessions;
-    /// 0 when no session saw a ready line).
-    pub fn server_workers(&self) -> usize {
-        self.sessions
-            .iter()
-            .map(|s| s.server_workers)
-            .max()
-            .unwrap_or(0)
     }
 
     /// Results per wall-clock second across all sessions.
@@ -369,45 +358,6 @@ pub fn run_client(config: &ClientConfig) -> Result<ClientReport, Error> {
         sessions,
         wall_s: started.elapsed().as_secs_f64(),
     })
-}
-
-/// Runs [`run_client`] once per session count in `sweep` and renders the
-/// `BENCH_serve.json` document: throughput and latency percentiles vs
-/// concurrency against one resident server (so later points run against
-/// a warm key cache, like production traffic would).
-pub fn run_sweep(config: &ClientConfig, sweep: &[usize]) -> Result<String, Error> {
-    let mut points = Vec::new();
-    for &sessions in sweep {
-        let report = run_client(&config.clone().sessions(sessions))?;
-        points.push(format!(
-            "{{\"sessions\":{sessions},\"workers\":{},\"cores\":{},\"jobs\":{},\"verdict_failures\":{},\"verified_local\":{},\"jobs_per_sec\":{:.3},\"p50_ms\":{:.3},\"p99_ms\":{:.3},\"wall_s\":{:.3}}}",
-            report.server_workers(),
-            available_cores(),
-            report.results(),
-            report.verdict_failures(),
-            report.verified_local(),
-            report.jobs_per_sec(),
-            report.latency_ms(50.0),
-            report.latency_ms(99.0),
-            report.wall_s,
-        ));
-    }
-    Ok(format!(
-        "{{\"schema\":\"{SERVE_BENCH_SCHEMA}\",\"spec\":\"{}\",\"seed\":{},\"count_per_session\":{},\"threads\":{},\"cores\":{},\"points\":[{}]}}",
-        json_escape(&config.spec.to_string()),
-        config
-            .seed.map_or_else(|| "null".into(), |s| s.to_string()),
-        config.count,
-        available_cores(),
-        available_cores(),
-        points.join(",")
-    ))
-}
-
-/// Machine core count for bench provenance (what the hardware offered,
-/// as opposed to what `--workers` used of it).
-pub(crate) fn available_cores() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
 }
 
 /// A `result` line held until the session ends: verification runs after
@@ -708,9 +658,6 @@ fn run_attempt(
         match field(&fields, "type").and_then(str_val).unwrap_or("") {
             "ready" => {
                 proto_ok = field(&fields, "proto").and_then(str_val) == Some(SERVE_PROTO);
-                if let Some(workers) = field(&fields, "workers").and_then(num_u64) {
-                    report.server_workers = workers as usize;
-                }
             }
             "key" => {
                 let digest = field(&fields, "shape_digest").and_then(str_val);
@@ -807,7 +754,8 @@ fn run_attempt(
 /// statement binding first, then cryptographic verification against the
 /// expected key for the shape — the streamed vk for Groth16 (looked up
 /// by the *locally recomputed* shape digest, so a server lying about
-/// digests fails here), derived transparent preprocessing for Spartan.
+/// digests fails here), for Spartan the key [`derive_verifier_key`] gives
+/// for the shape and seed.
 fn verify_result(
     p: &PendingResult,
     keys: &HashMap<(String, u64), zkvc_groth16::VerifyingKey>,
@@ -821,35 +769,24 @@ fn verify_result(
         return Some(false);
     }
     let key = (p.spec_str.clone(), p.seed);
-    let (expected, digest_hex, statement) = statements.entry(key.clone()).or_insert_with(|| {
+    let (expected, shape) = statements.entry(key.clone()).or_insert_with(|| {
         let statement = build_statement(p.seed, 0, &spec);
-        let expected = statement.public_outputs();
-        let digest_hex = hex(&statement.shape_digest());
-        (expected, digest_hex, statement)
+        let shape = Arc::new(compile_shape(statement.as_ref()));
+        (statement.public_outputs(), shape)
     });
     if !expected.is_empty() && &envelope.public_inputs != expected {
         return Some(false);
     }
     match envelope.backend() {
         Backend::Groth16 => {
-            let vk = keys.get(&(digest_hex.clone(), p.seed))?;
+            let vk = keys.get(&(hex(&shape.digest), p.seed))?;
             Some(envelope.verify_with_key(&VerifierKey::Groth16(vk.clone())))
         }
         Backend::Spartan => {
-            let verifier = match spartan_verifiers.get(&key) {
-                Some(v) => v.clone(),
-                None => {
-                    let cache = KeyCache::with_seed(p.seed);
-                    let verifier = cache
-                        .get_or_setup_circuit(Backend::Spartan, statement.as_ref())
-                        .0
-                        .verifier
-                        .clone();
-                    spartan_verifiers.insert(key, verifier.clone());
-                    verifier
-                }
-            };
-            Some(envelope.verify_with_key(&verifier))
+            let verifier = spartan_verifiers
+                .entry(key)
+                .or_insert_with(|| derive_verifier_key(Backend::Spartan, shape, p.seed));
+            Some(envelope.verify_with_key(verifier))
         }
     }
 }

@@ -15,10 +15,11 @@
 //!   per-session [`SessionCtl`](crate::SessionCtl) bounds its in-flight
 //!   jobs (backpressure lands in the client's socket, not in server
 //!   memory) and cancels the remainder when the client disconnects.
-//! * [`run_client`] / [`run_sweep`] — the measuring client: streams
-//!   requests, verifies returned envelopes against the streamed `key`
-//!   lines, and reports latency percentiles and throughput
-//!   (`BENCH_serve.json`).
+//! * [`run_client`] — the conformance client: streams requests, checks
+//!   that result ids stay in their session, verifies returned envelopes
+//!   against the streamed `key` lines, and exits nonzero on any failure.
+//!   Its latency and throughput lines are informational; `benchmark/` is
+//!   the one measurement of the server.
 //!
 //! Everything is hand-rolled on `std` blocking sockets — no async
 //! runtime. Read timeouts double as the poll tick that notices shutdown
@@ -29,5 +30,5 @@ mod client;
 mod server;
 
 pub use addr::{AnyStream, ListenAddr};
-pub use client::{run_client, run_sweep, ClientConfig, ClientReport, SessionReport};
+pub use client::{run_client, ClientConfig, ClientReport, SessionReport};
 pub use server::{serve_listener, NetConfig, NetSummary};

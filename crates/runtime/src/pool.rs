@@ -306,27 +306,6 @@ impl BatchReport {
             .count()
     }
 
-    /// Sum of per-job proving times (CPU time, not wall time).
-    pub fn total_prove_time(&self) -> Duration {
-        self.results.iter().map(|r| r.prove_time).sum()
-    }
-
-    /// Mean queue wait of the jobs selected by `pred` (e.g. only the
-    /// high-priority ones), or zero when none match.
-    pub fn mean_queue_wait(&self, pred: impl Fn(&JobResult) -> bool) -> Duration {
-        let waits: Vec<Duration> = self
-            .results
-            .iter()
-            .filter(|r| pred(r))
-            .map(|r| r.queue_wait)
-            .collect();
-        if waits.is_empty() {
-            Duration::ZERO
-        } else {
-            waits.iter().sum::<Duration>() / waits.len() as u32
-        }
-    }
-
     /// Renders the per-job metrics table plus aggregate lines, as printed
     /// by the `zkvc` CLI.
     pub fn render_table(&self, title: &str) -> String {
@@ -976,8 +955,8 @@ pub fn prove_batch(specs: &[JobSpec], workers: usize, seed: u64) -> BatchReport 
     pool.join()
 }
 
-/// The naive baseline the pool is measured against: the same deterministic
-/// jobs, proved sequentially with a fresh one-shot
+/// The reference oracle the tier-1 tests compare the pool against: the
+/// same deterministic jobs, proved sequentially with a fresh one-shot
 /// [`ProofSystem::prove_oneshot`](zkvc_core::ProofSystem::prove_oneshot)
 /// (setup re-run per job, no cache, no parallelism).
 pub fn prove_batch_serial(specs: &[JobSpec], seed: u64) -> BatchReport {

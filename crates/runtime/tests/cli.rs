@@ -170,6 +170,23 @@ fn usage_errors_exit_2() {
     ]);
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command \"worker\""));
+    // The timing-only paths are gone: `benchmark/` is the one measurement.
+    let client = ["client", "--connect", "unix:/x", "--spec", "2x2x2"];
+    for (args, flag) in [
+        ([&client[..], &["--bench", "F"]].concat(), "--bench"),
+        ([&client[..], &["--sweep", "1,2"]].concat(), "--sweep"),
+        (
+            vec!["prove-batch", "--spec", "2x2x2", "--compare-serial"],
+            "--compare-serial",
+        ),
+    ] {
+        let out = zkvc(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains(&format!("unknown argument \"{flag}\"")),
+            "{args:?}"
+        );
+    }
 }
 
 #[test]

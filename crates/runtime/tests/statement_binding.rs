@@ -161,6 +161,91 @@ fn known_break_1a_fold_preserving_forgery_verifies() {
 }
 
 #[test]
+fn known_break_1a_universal_forgery_verifies() {
+    // KNOWN BREAK, ROADMAP item 1(a), like the test above but for *any*
+    // Y'. With `x_00 = 1`, `w_00 = fold_Z(Y')` and every other X and W
+    // entry zero, `folds_Z(X, W) = fold_Z(Y')` whatever Y' is. The repairs
+    // 1(b) and 1(c) flip the final assertion to a rejection.
+    //
+    // Y' has full rank 3 > n, so no X (3xn) and W (nx3) give Y' = XW.
+    let y_forged: Vec<Fr> = [1i64, 2, 3, 0, 1, 4, 5, 6, 0]
+        .into_iter()
+        .map(Fr::from_i64)
+        .collect();
+    let y = |i: usize, j: usize| y_forged[3 * i + j];
+    let det = y(0, 0) * (y(1, 1) * y(2, 2) - y(1, 2) * y(2, 1))
+        - y(0, 1) * (y(1, 0) * y(2, 2) - y(1, 2) * y(2, 0))
+        + y(0, 2) * (y(1, 0) * y(2, 1) - y(1, 1) * y(2, 0));
+    assert_ne!(det, Fr::zero(), "rank(Y') = 3");
+
+    let z = Fr::random(&mut StdRng::seed_from_u64(76));
+    // Horner: sum_m Z^m y_m.
+    let fold = y_forged
+        .iter()
+        .rev()
+        .fold(Fr::zero(), |acc, y| acc * z + *y);
+    let mut rng = StdRng::seed_from_u64(77);
+    for n in [1, 2] {
+        let x: Vec<Vec<i64>> = (0..3)
+            .map(|i| (0..n).map(|k| (2 + 3 * i + k) as i64).collect())
+            .collect();
+        let w: Vec<Vec<i64>> = (0..n)
+            .map(|k| (0..3).map(|j| (7 + 2 * j + 5 * k) as i64).collect())
+            .collect();
+        for strategy in [Strategy::Crpc, Strategy::CrpcPsq] {
+            let job = MatMulBuilder::new(3, n, 3)
+                .strategy(strategy)
+                .public_outputs(true)
+                .z_source(ZSource::Fixed(z))
+                .build_circuit_integers(&x, &w);
+            let shape = Arc::new(compile_shape(&job));
+            let mut forged = generate_witness_for(&job, &shape);
+
+            // The kit again. Instance = Y row-major; witness = X (3n,
+            // row-major), W (3n), the fold's Y witnesses (9), then the
+            // products t_k (CRPC, n of them) or the PSQ prefix
+            // accumulators (n - 1).
+            let y_wit = 6 * n;
+            let products = if strategy == Strategy::Crpc { n } else { n - 1 };
+            assert_eq!(
+                (forged.instance.len(), forged.witness.len()),
+                (9, y_wit + 9 + products)
+            );
+            forged.witness[..y_wit].fill(Fr::zero());
+            forged.witness[0] = Fr::one(); // x_00
+            forged.witness[3 * n] = fold; // w_00
+            forged.instance.copy_from_slice(&y_forged);
+            forged.witness[y_wit..y_wit + 9].copy_from_slice(&y_forged);
+            // Only k = 0 has a non-zero product, x_00 * w_00 = fold: t_0 is
+            // the fold and later t_k are zero; every prefix sum is the fold.
+            for (k, v) in forged.witness[y_wit + 9..].iter_mut().enumerate() {
+                *v = if k == 0 || strategy == Strategy::CrpcPsq {
+                    fold
+                } else {
+                    Fr::zero()
+                };
+            }
+            assert!(
+                shape.is_satisfied(&forged),
+                "{strategy:?} 3x{n}x3: the forgery satisfies the R1CS"
+            );
+
+            for backend in Backend::ALL {
+                let system = backend.system();
+                let (pk, vk) = system.setup_shape(&shape, &mut rng);
+                let artifacts = system.prove_assignment(&pk, &forged, &mut rng);
+                assert_eq!(artifacts.public_inputs, y_forged);
+                assert!(
+                    system.verify(&vk, &artifacts),
+                    "{backend:?}/{strategy:?} 3x{n}x3 rejects the universal forgery: \
+                     1(a)'s known break is fixed, flip this test"
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn tampered_y_fails_through_the_envelope() {
     // The same property across the wire format: decode, swap a public
     // input, re-encode, decode again — still rejected.
