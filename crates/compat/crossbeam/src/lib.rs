@@ -1,131 +1,16 @@
 //! Offline stand-in for the `crossbeam` crate.
 //!
-//! Two pieces of crossbeam are used in this workspace: [`thread::scope`]
-//! (by the parallel MSM driver in `zkvc-curve`) and [`deque`] (by the
-//! work-stealing proving-pool scheduler in `zkvc-runtime`). Since Rust
-//! 1.63 the standard library provides scoped threads natively, so the
-//! `thread` shim keeps crossbeam's call-site shape —
+//! One piece of crossbeam is used in this workspace: [`thread::scope`]
+//! (by the parallel kernels in `zkvc-ff`, `zkvc-curve` and
+//! `zkvc-spartan`, and by the `zkvc client` session threads in
+//! `zkvc-runtime`). Since Rust 1.63 the standard library provides scoped
+//! threads natively, so the shim keeps crossbeam's call-site shape —
 //! `scope(|s| { s.spawn(|_| ...); }).expect(...)` — while delegating all
-//! the actual work to [`std::thread::scope`]. The `deque` shim keeps
-//! crossbeam-deque's `Worker`/`Stealer`/`Steal` API *names* over a
-//! `Mutex<VecDeque>`: correct and contention-adequate for queues of
-//! millisecond-scale proving jobs. Note one deliberate semantic
-//! divergence: this `Worker` is `Sync` and accepts pushes from any
-//! thread, which the real single-owner `Worker` forbids — a port to the
-//! real crate must route cross-thread submissions through an `Injector`
-//! (see the `deque` module docs).
+//! the actual work to [`std::thread::scope`].
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
 #![warn(missing_docs)]
-
-/// Work-stealing double-ended queues, crossbeam-deque-style.
-///
-/// One divergence from the real crate, chosen deliberately: this
-/// [`Worker`](deque::Worker) is `Sync` and may be pushed to from any
-/// thread, so a scheduler can distribute submissions across per-worker
-/// shards directly instead of routing everything through an `Injector`.
-pub mod deque {
-    use std::collections::VecDeque;
-    use std::sync::{Arc, Mutex};
-
-    /// The result of one steal attempt.
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    pub enum Steal<T> {
-        /// The queue was empty.
-        Empty,
-        /// One item was stolen.
-        Success(T),
-        /// The operation lost a race and may be retried (never produced by
-        /// this mutex-based shim; kept for API parity with crossbeam).
-        Retry,
-    }
-
-    impl<T> Steal<T> {
-        /// The stolen item, if the steal succeeded.
-        pub fn success(self) -> Option<T> {
-            match self {
-                Steal::Success(item) => Some(item),
-                Steal::Empty | Steal::Retry => None,
-            }
-        }
-    }
-
-    /// A FIFO queue owned by one scheduler shard: the owner pushes to the
-    /// back and pops from the front; thieves steal from the front too, so
-    /// both ends preserve submission order.
-    #[derive(Debug)]
-    pub struct Worker<T> {
-        queue: Arc<Mutex<VecDeque<T>>>,
-    }
-
-    impl<T> Worker<T> {
-        /// An empty FIFO worker queue.
-        pub fn new_fifo() -> Self {
-            Worker {
-                queue: Arc::new(Mutex::new(VecDeque::new())),
-            }
-        }
-
-        /// Enqueues an item at the back.
-        pub fn push(&self, item: T) {
-            self.queue.lock().expect("deque poisoned").push_back(item);
-        }
-
-        /// Dequeues the oldest item, if any.
-        pub fn pop(&self) -> Option<T> {
-            self.queue.lock().expect("deque poisoned").pop_front()
-        }
-
-        /// A handle other workers use to steal from this queue.
-        pub fn stealer(&self) -> Stealer<T> {
-            Stealer {
-                queue: Arc::clone(&self.queue),
-            }
-        }
-
-        /// Number of queued items.
-        pub fn len(&self) -> usize {
-            self.queue.lock().expect("deque poisoned").len()
-        }
-
-        /// `true` when nothing is queued.
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
-        }
-    }
-
-    impl<T> Default for Worker<T> {
-        fn default() -> Self {
-            Self::new_fifo()
-        }
-    }
-
-    /// A stealing handle onto some [`Worker`]'s queue.
-    #[derive(Debug)]
-    pub struct Stealer<T> {
-        queue: Arc<Mutex<VecDeque<T>>>,
-    }
-
-    impl<T> Clone for Stealer<T> {
-        fn clone(&self) -> Self {
-            Stealer {
-                queue: Arc::clone(&self.queue),
-            }
-        }
-    }
-
-    impl<T> Stealer<T> {
-        /// Steals the oldest queued item (FIFO steal, matching
-        /// [`Worker::new_fifo`] semantics).
-        pub fn steal(&self) -> Steal<T> {
-            match self.queue.lock().expect("deque poisoned").pop_front() {
-                Some(item) => Steal::Success(item),
-                None => Steal::Empty,
-            }
-        }
-    }
-}
 
 /// Scoped threads, crossbeam-style.
 pub mod thread {
@@ -169,54 +54,7 @@ pub mod thread {
 
 #[cfg(test)]
 mod tests {
-    use super::deque::{Steal, Worker};
     use super::thread;
-
-    #[test]
-    fn deque_fifo_push_pop_steal() {
-        let w = Worker::new_fifo();
-        let s = w.stealer();
-        assert!(w.is_empty());
-        assert_eq!(s.steal(), Steal::Empty);
-        for i in 0..4 {
-            w.push(i);
-        }
-        assert_eq!(w.len(), 4);
-        // Owner pops oldest-first; thieves steal oldest-first too.
-        assert_eq!(w.pop(), Some(0));
-        assert_eq!(s.steal(), Steal::Success(1));
-        assert_eq!(s.steal().success(), Some(2));
-        assert_eq!(w.pop(), Some(3));
-        assert_eq!(w.pop(), None);
-    }
-
-    #[test]
-    fn deque_steals_race_safely_across_threads() {
-        let w = Worker::new_fifo();
-        for i in 0..1000u64 {
-            w.push(i);
-        }
-        let mut sums = Vec::new();
-        thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for _ in 0..4 {
-                let s = w.stealer();
-                handles.push(scope.spawn(move |_| {
-                    let mut sum = 0u64;
-                    while let Steal::Success(v) = s.steal() {
-                        sum += v;
-                    }
-                    sum
-                }));
-            }
-            for h in handles {
-                sums.push(h.join().unwrap());
-            }
-        })
-        .unwrap();
-        assert_eq!(sums.iter().sum::<u64>(), 999 * 1000 / 2);
-        assert!(w.is_empty());
-    }
 
     #[test]
     fn scoped_threads_join_and_borrow() {

@@ -163,11 +163,6 @@ impl KeyCache {
         self
     }
 
-    /// The configured shape-byte bound, if any.
-    pub fn shape_byte_bound(&self) -> Option<usize> {
-        self.max_shape_bytes
-    }
-
     /// Next tick of the logical recency clock.
     fn tick(&self) -> u64 {
         self.clock.fetch_add(1, Ordering::Relaxed) + 1
@@ -241,36 +236,23 @@ impl KeyCache {
 
     /// Trait-object entry point: any [`Circuit`] — a matmul statement, a
     /// whole model forward pass — is cached under its compiled shape's
-    /// digest and the cache's own default setup seed, running the backend's
+    /// digest and the cache's own setup seed, running the backend's
     /// [`ProofSystem::setup_shape`](zkvc_core::ProofSystem::setup_shape) at
     /// most once per shape. The boolean is `true` when the entry already
     /// existed (a cache hit). The shape pass is witness-free; no witness
     /// value is materialised on this path.
-    pub fn get_or_setup_circuit(
-        &self,
-        backend: Backend,
-        circuit: &dyn Circuit,
-    ) -> (Arc<CircuitKeys>, bool) {
-        self.get_or_setup_circuit_seeded(backend, circuit, self.seed)
-    }
-
-    /// Seed-explicit entry point: the entry is keyed by
-    /// `(digest, backend, seed)`, so jobs carrying different seeds
-    /// (resident `zkvc serve` requests) get independent — and independently
-    /// reproducible — key material, while same-seed jobs still share one
-    /// setup.
     ///
     /// Warm lookups cost one [`Circuit::shape_digest`] — one witness-free
     /// shape pass — and never lower a shape to CSR; only the first (miss)
     /// call compiles. Pool jobs that know their spec
     /// should prefer [`KeyCache::get_or_setup_template`], whose warm path
     /// skips even the digest.
-    pub fn get_or_setup_circuit_seeded(
+    pub fn get_or_setup_circuit(
         &self,
         backend: Backend,
         circuit: &dyn Circuit,
-        seed: u64,
     ) -> (Arc<CircuitKeys>, bool) {
+        let seed = self.seed;
         let digest = circuit.shape_digest();
         if let Some(keys) = self.get(&digest, backend, seed) {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -430,12 +412,6 @@ impl KeyCache {
             evictions: self.evictions.load(Ordering::Relaxed),
             shape_bytes,
         }
-    }
-
-    /// Drops every cached entry and template alias (counters are kept).
-    pub fn clear(&self) {
-        self.entries.lock().expect("key cache poisoned").clear();
-        self.templates.lock().expect("key cache poisoned").clear();
     }
 }
 
@@ -628,13 +604,14 @@ mod tests {
     fn entries_are_seed_aware() {
         let cache = KeyCache::with_seed(1);
         let circuit = matmul(5, 3);
-        let digest = circuit.shape_digest();
+        let shape = Arc::new(compile_shape(&circuit));
+        let digest = shape.digest;
 
         // Default-seed lookup and an explicit same-seed lookup share one
         // entry; a different seed gets its own (deterministic) setup.
         let (k1, hit1) = cache.get_or_setup_circuit(Backend::Spartan, &circuit);
-        let (k2, hit2) = cache.get_or_setup_circuit_seeded(Backend::Spartan, &circuit, 1);
-        let (k3, hit3) = cache.get_or_setup_circuit_seeded(Backend::Spartan, &circuit, 2);
+        let (k2, hit2) = cache.get_or_setup_shape(Backend::Spartan, Arc::clone(&shape), 1);
+        let (k3, hit3) = cache.get_or_setup_shape(Backend::Spartan, shape, 2);
         assert!(!hit1 && hit2 && !hit3);
         assert!(Arc::ptr_eq(&k1, &k2));
         assert_eq!(k1.setup_seed, 1);
@@ -659,7 +636,6 @@ mod tests {
         // Room for the hot shape plus any single cold one — never two colds.
         let bound = probe + max_cold;
         let cache = KeyCache::new().bound_shape_bytes(bound);
-        assert_eq!(cache.shape_byte_bound(), Some(bound));
 
         let (hot, _) = cache.get_or_setup_template(Backend::Spartan, 0, "hot", &hot_circuit);
         // A stream of one-off shapes (largest first), with the hot template
@@ -706,15 +682,5 @@ mod tests {
         assert!(cache.get(&k2.digest, Backend::Spartan, 0).is_some());
         assert_eq!(cache.stats().evictions, 1);
         assert_eq!(cache.stats().entries, 1);
-    }
-
-    #[test]
-    fn clear_retains_counters() {
-        let cache = KeyCache::new();
-        cache.get_or_setup_circuit(Backend::Spartan, &matmul(1, 2));
-        cache.clear();
-        let stats = cache.stats();
-        assert_eq!(stats.entries, 0);
-        assert_eq!(stats.misses, 1);
     }
 }

@@ -18,10 +18,10 @@
 //! * [`derive_verifier_key`] — the verifier key alone, from the same seed
 //!   the cache's setup uses: `zkvc verify` re-derives its key from
 //!   `(spec, seed)` on every run and reads no key from disk.
-//! * [`ProvingPool`] — worker threads fed by a sharded **work-stealing
-//!   scheduler** (per-worker deques, steal-on-idle, job priorities,
-//!   bounded-queue backpressure, cooperative cancellation, per-job panic
-//!   containment) with `submit`/`join` semantics, per-job metrics
+//! * [`ProvingPool`] — worker threads taking jobs from **one queue**
+//!   (a FIFO per priority under one lock, so priority is global and an
+//!   idle worker always finds runnable work; bounded-queue backpressure,
+//!   cooperative cancellation, per-job panic containment) with `submit`/`join` semantics, per-job metrics
 //!   ([`JobResult`]) and aggregate throughput stats ([`BatchReport`]).
 //! * [`serve`] — the resident `zkvc serve` loop: JSON-lines requests in,
 //!   streamed proof responses out, key cache warm across requests.

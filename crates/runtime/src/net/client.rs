@@ -342,18 +342,22 @@ impl ClientReport {
 /// the report instead.
 pub fn run_client(config: &ClientConfig) -> Result<ClientReport, Error> {
     let started = Instant::now();
-    let mut handles = Vec::new();
-    for k in 0..config.sessions.max(1) {
-        let config = config.clone();
-        handles.push(thread::spawn(move || run_one_session(&config, k)));
-    }
-    let mut sessions = Vec::new();
-    for handle in handles {
-        let report = handle
-            .join()
-            .map_err(|_| Error::Request("client session thread panicked".into()))??;
-        sessions.push(report);
-    }
+    let sessions = crossbeam::thread::scope(|s| {
+        let handles: Vec<_> = (0..config.sessions.max(1))
+            .map(|k| s.spawn(move |_| run_one_session(config, k)))
+            .collect();
+        // Join every session before reporting the first failure, so a
+        // panicking session surfaces as an error, not a scope panic.
+        let joined: Vec<_> = handles
+            .into_iter()
+            .map(thread::ScopedJoinHandle::join)
+            .collect();
+        joined
+            .into_iter()
+            .map(|r| r.map_err(|_| Error::Request("client session thread panicked".into()))?)
+            .collect::<Result<Vec<_>, Error>>()
+    })
+    .expect("client session scope")?;
     Ok(ClientReport {
         sessions,
         wall_s: started.elapsed().as_secs_f64(),

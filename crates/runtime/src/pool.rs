@@ -1,14 +1,13 @@
-//! The proving pool: a fixed set of worker threads fed by the sharded
-//! work-stealing [`Scheduler`](crate::sched::Scheduler), sharing one
+//! The proving pool: a fixed set of worker threads taking jobs from one
+//! two-level FIFO [`Scheduler`](crate::sched::Scheduler), sharing one
 //! [`KeyCache`] so each circuit shape pays for setup exactly once across
 //! the whole batch.
 //!
 //! Every job is fully deterministic given `(job seed, statement id)`:
 //! inputs, the CRPC folding challenge, setup randomness (via the cache)
 //! and prover randomness are all derived from them, so a batch re-run
-//! reproduces byte-identical proofs regardless of how jobs land on
-//! workers or who steals what. Proofs
-//! additionally make a round trip through the
+//! reproduces byte-identical proofs regardless of which worker picks up
+//! which job. Proofs additionally make a round trip through the
 //! [`ProofEnvelope`](crate::ProofEnvelope) byte format before
 //! verification, so the pool continuously exercises the cross-process
 //! path.
@@ -523,9 +522,9 @@ pub type ResultSink = Arc<dyn Fn(&JobResult) + Send + Sync>;
 ///     JobSpec::new(2, 2, 2),
 ///     JobOptions::new()
 ///         .seed(7)
-///         .tag("req-1")
+///         .tag(Some("req-1".into()))
 ///         .priority(Priority::High)
-///         .deadline(std::time::Duration::from_secs(30)),
+///         .deadline(Some(std::time::Duration::from_secs(30))),
 /// );
 /// pool.join();
 /// ```
@@ -569,32 +568,19 @@ impl JobOptions {
         self
     }
 
-    /// Gives the job a deadline, measured from admission: once it passes,
-    /// the job is answered [`JobError::DeadlineExceeded`] — unstarted jobs
-    /// without proving, a running prove at its next kernel checkpoint.
-    pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Attaches an opaque tag, echoed untouched in [`JobResult::tag`]
-    /// (`zkvc serve` uses it to echo request ids).
-    pub fn tag(mut self, tag: impl Into<String>) -> Self {
-        self.tag = Some(tag.into());
-        self
-    }
-
-    /// [`Self::tag`] taking an `Option` — convenience for call sites that
-    /// already hold one (the serve request parser).
-    pub fn tag_opt(mut self, tag: Option<String>) -> Self {
-        self.tag = tag;
-        self
-    }
-
-    /// [`Self::deadline`] taking an `Option` — convenience for call sites
-    /// that already hold one.
-    pub fn deadline_opt(mut self, deadline: Option<Duration>) -> Self {
+    /// Gives the job a deadline (or none), measured from admission: once
+    /// it passes, the job is answered [`JobError::DeadlineExceeded`] —
+    /// unstarted jobs without proving, a running prove at its next kernel
+    /// checkpoint.
+    pub fn deadline(mut self, deadline: Option<Duration>) -> Self {
         self.deadline = deadline;
+        self
+    }
+
+    /// Attaches an opaque tag (or none), echoed untouched in
+    /// [`JobResult::tag`] (`zkvc serve` uses it to echo request ids).
+    pub fn tag(mut self, tag: Option<String>) -> Self {
+        self.tag = tag;
         self
     }
 }
@@ -710,7 +696,7 @@ impl ProvingPool {
     #[allow(clippy::needless_pass_by_value)]
     pub fn configured(config: PoolConfig, cache: Arc<KeyCache>, sink: Option<ResultSink>) -> Self {
         let workers = config.workers.max(1);
-        let sched = Arc::new(Scheduler::<QueuedJob>::new(workers, config.queue_bound));
+        let sched = Arc::new(Scheduler::<QueuedJob>::new(config.queue_bound));
         let results = Arc::new(Mutex::new(Vec::new()));
         let in_flight = Arc::new(AtomicUsize::new(0));
         let deliverer = Arc::new(Deliverer {
@@ -728,7 +714,7 @@ impl ProvingPool {
                 thread::Builder::new()
                     .name(format!("zkvc-pool-{w}"))
                     .spawn(move || {
-                        while let Some(job) = sched.next(w) {
+                        while let Some(job) = sched.next() {
                             deliverer.deliver(&job, execute_job(&job, w, &cache, &sched));
                         }
                     })
@@ -817,11 +803,6 @@ impl ProvingPool {
     /// `true` once the pool has been cancelled.
     pub fn is_cancelled(&self) -> bool {
         self.sched.is_cancelled()
-    }
-
-    /// Jobs accepted but not yet picked up by a worker.
-    pub fn queued(&self) -> usize {
-        self.sched.queued()
     }
 
     /// Jobs admitted (any submit path, any session) and not yet fully
@@ -1054,7 +1035,7 @@ mod tests {
         assert!(report.jobs_per_sec() > 0.0);
 
         // Re-running the identical batch reproduces byte-identical proofs,
-        // regardless of how many workers share (and steal) the backlog.
+        // regardless of how many workers share the queue.
         for (label, rerun) in [
             ("2 workers", prove_batch(&specs, 2, 42)),
             ("1 worker", prove_batch(&specs, 1, 42)),
@@ -1214,8 +1195,8 @@ mod tests {
         let cache = Arc::new(KeyCache::with_seed(0));
         let pool = ProvingPool::with_cache(1, 0, cache);
         let spec = JobSpec::new(3, 3, 3).with_backend(Backend::Spartan);
-        pool.submit(spec, JobOptions::new().seed(5).tag("a"));
-        pool.submit(spec, JobOptions::new().seed(5).tag("b"));
+        pool.submit(spec, JobOptions::new().seed(5).tag(Some("a".into())));
+        pool.submit(spec, JobOptions::new().seed(5).tag(Some("b".into())));
         let report = pool.join();
         assert!(report.all_verified());
         assert_eq!(report.results[0].tag.as_deref(), Some("a"));

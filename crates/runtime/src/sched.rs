@@ -1,22 +1,22 @@
-//! The sharded, work-stealing job scheduler underneath
-//! [`ProvingPool`](crate::ProvingPool).
+//! The job queue underneath [`ProvingPool`](crate::ProvingPool): one
+//! two-level FIFO — a deque per [`Priority`] — under one lock.
 //!
-//! Jobs land on per-worker shards (round-robin at submission); each shard
-//! is a pair of FIFO deques, one per [`Priority`]. A worker drains its own
-//! shard first and **steals from the other shards when idle**, so a skewed
-//! batch — one model-block job pinning a worker for seconds next to a pile
-//! of small matmuls — never leaves runnable work stranded behind a busy
-//! worker. Priorities are global: every worker exhausts *all* reachable
-//! high-priority work (own shard, then victims) before touching a normal
-//! job, which is what keeps small interactive matmuls from starving behind
-//! model blocks.
+//! Every worker asks the same queue, so priority is global by
+//! construction: [`Scheduler::next`] hands out the oldest high-priority
+//! job while there is one, and only then the oldest normal job. That is
+//! what keeps small interactive matmuls from starving behind model
+//! blocks, and an idle worker always finds whatever is runnable — no job
+//! can be stranded behind a busy worker. Proving jobs take milliseconds
+//! to seconds, so a single mutex sees no contention worth designing
+//! around, and because a push and the wakeup it sends happen under the
+//! same lock, no wakeup can be missed.
 //!
 //! Two further properties the proving service needs from its queue:
 //!
 //! * **Bounded-queue backpressure** — [`Scheduler::submit`] blocks once
-//!   `queue_bound` jobs are waiting, so a producer that outpaces the
-//!   workers (a client flooding `zkvc serve`) holds its own requests in
-//!   the pipe instead of ballooning the process heap.
+//!   `bound` jobs are waiting, so a producer that outpaces the workers (a
+//!   client flooding `zkvc serve`) holds its own requests in the pipe
+//!   instead of ballooning the process heap.
 //! * **Cooperative cancellation** — [`Scheduler::cancel`] flips a flag
 //!   that job execution checks at pickup (and at checkpoints inside a
 //!   job); queued work keeps flowing to workers so the *caller* can drain
@@ -26,14 +26,12 @@
 //! so its concurrency semantics are unit-testable without touching a
 //! backend.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
-use std::time::Duration;
-
-use crossbeam::deque::{Steal, Stealer, Worker};
 
 /// Scheduling class of one job. High-priority work is dispatched before
-/// normal work everywhere (own shard and steals alike).
+/// any normal work.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Priority {
     /// Dispatch ahead of normal work (small interactive statements).
@@ -42,72 +40,47 @@ pub enum Priority {
     Normal,
 }
 
-/// One worker's slice of the queue: a deque per priority level.
-struct Shard<T> {
-    high: Worker<T>,
-    high_stealer: Stealer<T>,
-    normal: Worker<T>,
-    normal_stealer: Stealer<T>,
-}
-
-impl<T> Shard<T> {
-    fn new() -> Self {
-        let high = Worker::new_fifo();
-        let normal = Worker::new_fifo();
-        Shard {
-            high_stealer: high.stealer(),
-            normal_stealer: normal.stealer(),
-            high,
-            normal,
-        }
-    }
-}
-
-/// Counters guarded by the coordination mutex. `queued` counts accepted
-/// jobs not yet handed to a worker; it is incremented *before* the shard
-/// push (see [`Scheduler::submit`]) so the idle test in
-/// [`Scheduler::next`] can never report "empty" while a publish is in
-/// flight.
-struct State {
-    queued: usize,
+/// The queued jobs, one FIFO per priority, and whether the queue is
+/// closed to new submissions.
+struct Queue<T> {
+    high: VecDeque<T>,
+    normal: VecDeque<T>,
     closed: bool,
 }
 
-/// A sharded work-stealing scheduler; see the module docs.
+impl<T> Queue<T> {
+    /// Jobs accepted but not yet handed to a worker.
+    fn len(&self) -> usize {
+        self.high.len() + self.normal.len()
+    }
+}
+
+/// A bounded two-level FIFO job queue; see the module docs.
 pub struct Scheduler<T> {
-    shards: Vec<Shard<T>>,
-    state: Mutex<State>,
-    /// Workers park here when no job is reachable.
+    queue: Mutex<Queue<T>>,
+    /// Workers park here while the queue is empty.
     work: Condvar,
-    /// Submitters park here when the queue is at its bound.
+    /// Submitters park here while the queue is at its bound.
     space: Condvar,
     cancelled: AtomicBool,
-    next_shard: AtomicUsize,
     bound: usize,
 }
 
 impl<T> Scheduler<T> {
-    /// A scheduler with one shard per worker, blocking submissions once
-    /// `bound` jobs are queued (`bound` is clamped to at least 1).
-    pub fn new(workers: usize, bound: usize) -> Self {
-        let workers = workers.max(1);
+    /// An empty queue that blocks submissions once `bound` jobs are
+    /// waiting (`bound` is clamped to at least 1).
+    pub fn new(bound: usize) -> Self {
         Scheduler {
-            shards: (0..workers).map(|_| Shard::new()).collect(),
-            state: Mutex::new(State {
-                queued: 0,
+            queue: Mutex::new(Queue {
+                high: VecDeque::new(),
+                normal: VecDeque::new(),
                 closed: false,
             }),
             work: Condvar::new(),
             space: Condvar::new(),
             cancelled: AtomicBool::new(false),
-            next_shard: AtomicUsize::new(0),
             bound: bound.max(1),
         }
-    }
-
-    /// Jobs accepted but not yet picked up by a worker.
-    pub fn queued(&self) -> usize {
-        self.state.lock().expect("scheduler state poisoned").queued
     }
 
     /// Enqueues a job, blocking while the queue is at its bound (the
@@ -115,94 +88,49 @@ impl<T> Scheduler<T> {
     /// deadlock a blocked producer). Returns the job back as `Err` when
     /// the scheduler is already closed.
     pub fn submit(&self, item: T, priority: Priority) -> Result<(), T> {
-        {
-            let mut st = self.state.lock().expect("scheduler state poisoned");
-            loop {
-                if st.closed {
-                    return Err(item);
-                }
-                if st.queued < self.bound || self.is_cancelled() {
-                    break;
-                }
-                st = self.space.wait(st).expect("scheduler state poisoned");
+        let mut q = self.queue.lock().expect("scheduler queue poisoned");
+        loop {
+            if q.closed {
+                return Err(item);
             }
-            st.queued += 1;
+            if q.len() < self.bound || self.is_cancelled() {
+                break;
+            }
+            q = self.space.wait(q).expect("scheduler queue poisoned");
         }
-        let shard =
-            &self.shards[self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len()];
         match priority {
-            Priority::High => shard.high.push(item),
-            Priority::Normal => shard.normal.push(item),
+            Priority::High => q.high.push_back(item),
+            Priority::Normal => q.normal.push_back(item),
         }
+        drop(q);
         self.work.notify_one();
         Ok(())
     }
 
-    /// One dispatch attempt for `worker`: own shard first (high before
-    /// normal), then steal-on-idle from the other shards in ring order —
-    /// all reachable high-priority work is preferred over any normal job.
-    fn try_pop(&self, worker: usize) -> Option<T> {
-        let n = self.shards.len();
-        let worker = worker % n;
-        if let Some(item) = self.shards[worker].high.pop() {
-            return Some(item);
-        }
-        for k in 1..n {
-            if let Steal::Success(item) = self.shards[(worker + k) % n].high_stealer.steal() {
-                return Some(item);
-            }
-        }
-        if let Some(item) = self.shards[worker].normal.pop() {
-            return Some(item);
-        }
-        for k in 1..n {
-            if let Steal::Success(item) = self.shards[(worker + k) % n].normal_stealer.steal() {
-                return Some(item);
-            }
-        }
-        None
-    }
-
-    /// Blocks until a job is available for `worker` (own or stolen) and
-    /// returns it, or returns `None` when the scheduler is closed and
-    /// fully drained — the worker's signal to exit. Cancellation does
-    /// *not* stop delivery: remaining jobs still flow out so the caller
-    /// can record them as cancelled.
-    pub fn next(&self, worker: usize) -> Option<T> {
+    /// Blocks until a job is queued and returns the oldest high-priority
+    /// one, else the oldest normal one; returns `None` once the scheduler
+    /// is closed and drained — the worker's signal to exit. Cancellation
+    /// does *not* stop delivery: remaining jobs still flow out so the
+    /// caller can record them as cancelled.
+    pub fn next(&self) -> Option<T> {
+        let mut q = self.queue.lock().expect("scheduler queue poisoned");
         loop {
-            if let Some(item) = self.try_pop(worker) {
-                let mut st = self.state.lock().expect("scheduler state poisoned");
-                st.queued -= 1;
-                drop(st);
+            if let Some(item) = q.high.pop_front().or_else(|| q.normal.pop_front()) {
+                drop(q);
                 self.space.notify_one();
                 return Some(item);
             }
-            let st = self.state.lock().expect("scheduler state poisoned");
-            if st.queued == 0 {
-                if st.closed {
-                    return None;
-                }
-                // The timeout is a belt-and-braces guard against a missed
-                // wakeup; correctness only needs the re-scan on wake.
-                let (_g, _) = self
-                    .work
-                    .wait_timeout(st, Duration::from_millis(50))
-                    .expect("scheduler state poisoned");
-            } else {
-                // A submitter has incremented `queued` but not yet pushed
-                // to its shard: spin past the tiny publish window.
-                drop(st);
-                std::thread::yield_now();
+            if q.closed {
+                return None;
             }
+            q = self.work.wait(q).expect("scheduler queue poisoned");
         }
     }
 
     /// Closes the queue: no new submissions are accepted, workers drain
     /// what is left and then see `None` from [`Scheduler::next`].
     pub fn close(&self) {
-        let mut st = self.state.lock().expect("scheduler state poisoned");
-        st.closed = true;
-        drop(st);
+        self.queue.lock().expect("scheduler queue poisoned").closed = true;
         self.work.notify_all();
         self.space.notify_all();
     }
@@ -213,7 +141,7 @@ impl<T> Scheduler<T> {
     pub fn cancel(&self) {
         self.cancelled.store(true, Ordering::SeqCst);
         // Empty critical section orders the flag store before the wakeups.
-        drop(self.state.lock().expect("scheduler state poisoned"));
+        drop(self.queue.lock().expect("scheduler queue poisoned"));
         self.work.notify_all();
         self.space.notify_all();
     }
@@ -227,38 +155,51 @@ impl<T> Scheduler<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
+    use std::sync::{mpsc, Arc};
+    use std::time::Duration;
+
+    impl<T> Scheduler<T> {
+        fn queued(&self) -> usize {
+            self.queue.lock().unwrap().len()
+        }
+    }
 
     #[test]
-    fn steal_on_idle_balances_a_skewed_backlog() {
-        // Four jobs land round-robin on two shards. Worker 0 takes exactly
-        // one job and then stalls (a long model block, say). Worker 1 must
-        // drain *everything else*, including the jobs parked on shard 0 —
-        // that is steal-on-idle, deterministically.
-        let sched = Scheduler::new(2, 64);
+    fn fifo_within_a_priority_whoever_asks() {
+        let sched = Scheduler::new(64);
+        for i in 0..8 {
+            sched.submit(i, Priority::Normal).unwrap();
+        }
+        let order: Vec<i32> = (0..8).map(|_| sched.next().unwrap()).collect();
+        assert_eq!(order, (0..8).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn one_idle_worker_drains_the_whole_backlog() {
+        // Worker 0 takes exactly one job and then stalls (a long model
+        // block, say). The idle worker must drain *everything else*: no
+        // job waits on the busy one.
+        let sched = Scheduler::new(64);
         for i in 0..4 {
             sched.submit(i, Priority::Normal).unwrap();
         }
-        let first = sched.next(0).unwrap();
+        let first = sched.next().unwrap();
         let mut worker1 = Vec::new();
         while sched.queued() > 0 {
-            worker1.push(sched.next(1).unwrap());
+            worker1.push(sched.next().unwrap());
         }
         let mut all: Vec<i32> = worker1.clone();
         all.push(first);
         all.sort_unstable();
         assert_eq!(all, vec![0, 1, 2, 3]);
-        assert_eq!(worker1.len(), 3, "worker 1 stole shard 0's backlog");
+        assert_eq!(worker1.len(), 3, "the idle worker drained the backlog");
     }
 
     #[test]
     fn high_priority_jobs_jump_normal_backlogs_everywhere() {
-        // Normal jobs across both shards, then high-priority ones: every
-        // reachable high job must be dispatched before any normal job,
-        // from the owner's shard or a victim's.
-        let sched = Scheduler::new(2, 64);
+        // Normal jobs first, then high-priority ones: every queued high
+        // job must be dispatched before any normal job.
+        let sched = Scheduler::new(64);
         for i in 0..4 {
             sched
                 .submit((Priority::Normal, i), Priority::Normal)
@@ -267,48 +208,44 @@ mod tests {
         for i in 0..3 {
             sched.submit((Priority::High, i), Priority::High).unwrap();
         }
-        let order: Vec<(Priority, i32)> = (0..7).map(|_| sched.next(0).unwrap()).collect();
+        let order: Vec<(Priority, i32)> = (0..7).map(|_| sched.next().unwrap()).collect();
         let highs = order.iter().take(3).map(|(p, _)| *p).collect::<Vec<_>>();
         assert_eq!(highs, vec![Priority::High; 3], "{order:?}");
     }
 
     #[test]
     fn submit_blocks_at_the_bound_and_unblocks_on_pop() {
-        let sched = Arc::new(Scheduler::new(1, 2));
+        let sched = Arc::new(Scheduler::new(2));
         sched.submit(0, Priority::Normal).unwrap();
         sched.submit(1, Priority::Normal).unwrap();
         assert_eq!(sched.queued(), 2);
 
-        let submitted = Arc::new(AtomicBool::new(false));
+        let (tx, rx) = mpsc::channel();
         let handle = {
             let sched = Arc::clone(&sched);
-            let submitted = Arc::clone(&submitted);
-            std::thread::spawn(move || {
-                sched.submit(2, Priority::Normal).unwrap();
-                submitted.store(true, Ordering::SeqCst);
-            })
+            std::thread::spawn(move || tx.send(sched.submit(2, Priority::Normal)).unwrap())
         };
         // The third submit must still be blocked after a generous delay...
-        std::thread::sleep(Duration::from_millis(100));
-        assert!(
-            !submitted.load(Ordering::SeqCst),
+        assert_eq!(
+            rx.recv_timeout(Duration::from_millis(100)),
+            Err(mpsc::RecvTimeoutError::Timeout),
             "submit above the bound must block"
         );
         // ...and must complete promptly once a worker frees a slot.
-        assert_eq!(sched.next(0), Some(0));
-        let t0 = Instant::now();
-        while !submitted.load(Ordering::SeqCst) {
-            assert!(t0.elapsed() < Duration::from_secs(5), "submit never woke");
-            std::thread::yield_now();
-        }
+        assert_eq!(sched.next(), Some(0));
+        assert_eq!(
+            rx.recv_timeout(Duration::from_secs(5)),
+            Ok(Ok(())),
+            "submit never woke"
+        );
         handle.join().unwrap();
-        assert_eq!(sched.next(0), Some(1));
-        assert_eq!(sched.next(0), Some(2));
+        assert_eq!(sched.next(), Some(1));
+        assert_eq!(sched.next(), Some(2));
     }
 
     #[test]
     fn cancel_releases_blocked_producers_and_keeps_draining() {
-        let sched = Arc::new(Scheduler::new(1, 1));
+        let sched = Arc::new(Scheduler::new(1));
         sched.submit(0, Priority::Normal).unwrap();
         let handle = {
             let sched = Arc::clone(&sched);
@@ -320,14 +257,14 @@ mod tests {
         // job is still queued for an accountable cancelled drain.
         handle.join().unwrap().unwrap();
         assert!(sched.is_cancelled());
-        assert_eq!(sched.next(0), Some(0));
-        assert_eq!(sched.next(0), Some(1));
+        assert_eq!(sched.next(), Some(0));
+        assert_eq!(sched.next(), Some(1));
         assert_eq!(sched.queued(), 0);
     }
 
     #[test]
     fn close_drains_then_exits_workers() {
-        let sched = Arc::new(Scheduler::new(2, 16));
+        let sched = Arc::new(Scheduler::new(16));
         for i in 0..8 {
             sched.submit(i, Priority::Normal).unwrap();
         }
@@ -335,11 +272,11 @@ mod tests {
         assert!(sched.submit(99, Priority::Normal).is_err(), "closed");
         let mut seen = Vec::new();
         let mut handles = Vec::new();
-        for w in 0..2 {
+        for _ in 0..2 {
             let sched = Arc::clone(&sched);
             handles.push(std::thread::spawn(move || {
                 let mut got = Vec::new();
-                while let Some(item) = sched.next(w) {
+                while let Some(item) = sched.next() {
                     got.push(item);
                 }
                 got
@@ -353,11 +290,45 @@ mod tests {
     }
 
     #[test]
+    fn close_releases_a_parked_worker_and_a_blocked_producer() {
+        // A worker parked on an empty queue and a producer parked on a
+        // full one must both wake on close: the worker with `None`, the
+        // producer with its job back. Every wait is bounded, so a lost
+        // wakeup fails the test instead of hanging it.
+        let idle = Arc::new(Scheduler::<i32>::new(1));
+        let full = Arc::new(Scheduler::new(1));
+        full.submit(0, Priority::Normal).unwrap();
+        let (worker_tx, worker_rx) = mpsc::channel();
+        let (producer_tx, producer_rx) = mpsc::channel();
+        let worker = {
+            let idle = Arc::clone(&idle);
+            std::thread::spawn(move || worker_tx.send(idle.next()).unwrap())
+        };
+        let producer = {
+            let full = Arc::clone(&full);
+            std::thread::spawn(move || producer_tx.send(full.submit(1, Priority::Normal)).unwrap())
+        };
+        // Give both threads time to park; the verdicts below hold whether
+        // or not they have, since a closed queue answers the same way.
+        std::thread::sleep(Duration::from_millis(50));
+        idle.close();
+        full.close();
+        let limit = Duration::from_secs(5);
+        assert_eq!(worker_rx.recv_timeout(limit), Ok(None), "worker woke");
+        assert_eq!(producer_rx.recv_timeout(limit), Ok(Err(1)), "producer woke");
+        worker.join().unwrap();
+        producer.join().unwrap();
+        // The job accepted before close still drains.
+        assert_eq!(full.next(), Some(0));
+        assert_eq!(full.next(), None);
+    }
+
+    #[test]
     fn blocked_workers_wake_on_late_submissions() {
-        let sched = Arc::new(Scheduler::new(1, 16));
+        let sched = Arc::new(Scheduler::new(16));
         let worker = {
             let sched = Arc::clone(&sched);
-            std::thread::spawn(move || sched.next(0))
+            std::thread::spawn(move || sched.next())
         };
         std::thread::sleep(Duration::from_millis(30));
         sched.submit(7, Priority::Normal).unwrap();

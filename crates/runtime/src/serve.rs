@@ -513,9 +513,9 @@ pub(crate) fn run_session<R: BufRead, W: Write>(
                 JobOptions::new()
                     .seed(seed)
                     .priority(priority)
-                    .tag_opt(request.id_json.clone())
+                    .tag(request.id_json.clone())
                     .session(Arc::clone(&session.ctl))
-                    .deadline_opt(deadline),
+                    .deadline(deadline),
             );
         }
     };

@@ -29,8 +29,16 @@ use zkvc_runtime::{
 };
 
 /// A spec slow enough (setup included) to hold a one-worker pool while
-/// the shed test's clients arrive.
-const SLOW_SPEC: &str = "16x16x16:zkvc:g";
+/// the shed test's clients arrive, which is 150 ms after the hog's
+/// submission plus a few retries. The cold setup + prove has to outlast
+/// that in both build profiles: `16x16x16:zkvc:g` takes ~0.4 s in debug
+/// but only ~45 ms in release, where the one-block MLP-Mixer on Spartan
+/// (~0.9 s cold) holds the pool instead.
+const SLOW_SPEC: &str = if cfg!(debug_assertions) {
+    "16x16x16:zkvc:g"
+} else {
+    "mixer-block:s"
+};
 /// The deadline tests' spec and budget. The budget has to land *inside*
 /// the warm prove in both build profiles: well above everything that
 /// precedes the prove (statement + witness pass: ~1 ms release, ~5 ms

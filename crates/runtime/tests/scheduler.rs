@@ -1,8 +1,8 @@
-//! Scheduler-semantics integration tests for the work-stealing pool:
-//! cancellation drains promptly, a panicking job is contained as a
-//! recorded result (not a process abort), verdicts are bit-identical
-//! across scheduling policies and to the serial baseline, and skewed
-//! batches complete under priorities + stealing.
+//! Scheduler-semantics integration tests for the proving pool and its one
+//! priority queue: cancellation drains promptly, a panicking job is
+//! contained as a recorded result (not a process abort), verdicts are
+//! bit-identical across worker counts and to the serial baseline, and
+//! skewed batches complete under priorities.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -124,11 +124,10 @@ fn abandoned_pool_with_poison_job_is_safe() {
     drop(pool); // must return, not abort
 }
 
-/// The acceptance property behind the whole scheduler rewrite: proofs and
-/// verdicts are a function of `(seed, job id)` only. Three workers
-/// stealing from each other, one worker with nobody to steal from, and the
-/// serial baseline must agree bit-for-bit on a skewed batch (one model
-/// block + many small matmuls).
+/// Proofs and verdicts are a function of `(seed, job id)` only, never of
+/// which worker picked a job up: three workers sharing the queue, one
+/// worker taking every job in order, and the serial baseline must agree
+/// bit-for-bit on a skewed batch (one model block + many small matmuls).
 #[test]
 fn skewed_batch_verdicts_identical_across_worker_counts_and_serial() {
     let mut specs = vec![JobSpec::model(ModelPreset::MixerBlock).with_backend(Backend::Spartan)];
@@ -164,9 +163,9 @@ fn skewed_batch_verdicts_identical_across_worker_counts_and_serial() {
     assert_eq!(ws.render_report_json(), one.render_report_json());
 }
 
-/// Work-stealing spreads a skewed backlog across workers: with the model
-/// job submitted first, the small matmuls behind it still complete and
-/// the batch verifies end-to-end under priorities + stealing.
+/// A skewed backlog spreads across workers: with the model job submitted
+/// first, the small matmuls behind it go to whichever worker is idle, and
+/// the batch verifies end-to-end under priorities.
 #[test]
 fn skewed_batch_completes_with_priorities() {
     let mut specs = vec![JobSpec::model(ModelPreset::BertBlock).with_backend(Backend::Spartan)];
