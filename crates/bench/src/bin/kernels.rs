@@ -72,7 +72,6 @@ fn bench_synth(shapes: &[(&str, (usize, usize, usize), Strategy)]) -> Vec<SynthR
         let mut rng = StdRng::seed_from_u64(7_000 + i as u64);
         let circuit = MatMulBuilder::new(dims.0, dims.1, dims.2)
             .strategy(*strategy)
-            .public_outputs(true)
             .build_circuit_random(&mut rng);
         let shape = compile_shape(&circuit);
 

@@ -63,10 +63,9 @@ pub fn full_mode() -> bool {
 }
 
 /// The model statement the Table III/IV harnesses prove: synthetic weights
-/// from `seed`, and a full-width CRPC challenge derived from it too (a
-/// deployment would sample it at setup time or from a transcript over the
-/// committed weights — see `zkvc_core::matmul::ZSource`; the cost profile
-/// only needs it not to be small).
+/// from `seed`, and a full-width CRPC challenge derived from it too (the
+/// cost profile only needs it not to be small; like the served `Z` it is
+/// public before any output exists, see `docs/SOUNDNESS.md`).
 pub fn model_statement(
     model: &ModelConfig,
     schedule: &MixerSchedule,
@@ -212,7 +211,8 @@ mod tests {
     fn matmul_run_is_consistent() {
         let r = run_matmul("t", (2, 3, 2), Strategy::CrpcPsq, Backend::Spartan, 1);
         assert!(r.ok);
-        assert_eq!(r.constraints, 3);
+        // The served statement: n product rows plus a*b binding rows.
+        assert_eq!(r.constraints, 3 + 2 * 2);
     }
 
     #[test]

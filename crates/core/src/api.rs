@@ -20,9 +20,9 @@
 //! proof *binds*. A circuit with no instance variables (e.g. a matmul with
 //! X, W and Y all private) only commits to its shape — any honest proof for
 //! the same shape verifies interchangeably. Exposing outputs as public
-//! inputs (see `MatMulBuilder::public_outputs`) upgrades that to
-//! statement-level binding: a proof replayed against different claimed
-//! outputs fails verification.
+//! inputs (`MatMulBuilder`'s default, see `MatMulBuilder::public_outputs`)
+//! upgrades that to statement-level binding: a proof replayed against
+//! different claimed outputs fails verification.
 //!
 //! ```rust
 //! use std::sync::Arc;
@@ -37,7 +37,6 @@
 //! let w = vec![vec![5i64, 6], vec![7, 8]];
 //! let circuit = MatMulBuilder::new(2, 2, 2)
 //!     .strategy(Strategy::CrpcPsq)
-//!     .public_outputs(true)
 //!     .build_circuit_integers(&x, &w);
 //!
 //! // Pick a proof system at runtime; once per shape: compile + setup.
@@ -680,7 +679,9 @@ mod tests {
         assert!(cs.is_satisfied());
         assert_eq!(circuit.shape_digest(), shape_digest(&cs));
 
-        let private = matmul(Strategy::CrpcPsq);
+        let private = MatMulBuilder::new(2, 3, 2)
+            .public_outputs(false)
+            .build_circuit_integers(&vec![vec![1; 3]; 2], &vec![vec![1; 2]; 3]);
         assert!(private.name().contains("2x3x2"));
         // Private-output statements bind nothing.
         assert!(private.public_outputs().is_empty());

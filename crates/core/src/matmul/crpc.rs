@@ -77,31 +77,29 @@ fn folded_operands(
     (xcol, wrow)
 }
 
-/// Emits the `n` CRPC product constraints plus the long addition equating
-/// the accumulated products with `folded` — the one copy of the
-/// soundness-critical loop shared by [`synthesize_crpc`] and
-/// [`synthesize_crpc_into`]. `n + 1` constraints.
-fn synthesize_crpc_fold<S: ConstraintSink<Fr> + ?Sized>(
+/// CRPC without PSQ: `n` product constraints plus one long addition that
+/// equates the accumulated products with the folded output (Table II row
+/// 3), `n + 1` constraints. With `y_out`, the fold runs over freshly
+/// allocated output witnesses and each is pinned to its supplied cell
+/// ([`bind_outputs`]): `n + 1 + a*b` constraints.
+pub(super) fn synthesize<S: ConstraintSink<Fr> + ?Sized>(
     cs: &mut S,
     x: &[Vec<LinearCombination<Fr>>],
     w: &[Vec<LinearCombination<Fr>>],
-    zp: &[Fr],
-    folded: LinearCombination<Fr>,
-) {
-    let n = w.len();
+    y_out: Option<&[Vec<LinearCombination<Fr>>]>,
+    z: Fr,
+) -> Vec<Vec<LinearCombination<Fr>>> {
     let b = w[0].len();
-    let mut t_vars = Vec::with_capacity(n);
-    for k in 0..n {
-        let (xcol, wrow) = folded_operands(x, w, k, zp, b);
+    let zp = powers_of(z, x.len() * b);
+    let (y, folded) = allocate_outputs(cs, x, w, &zp);
+    // long addition: sum_k t_k = folded output
+    let mut sum_lc = LinearCombination::zero();
+    for k in 0..w.len() {
+        let (xcol, wrow) = folded_operands(x, w, k, &zp, b);
         let val = cs.lc_product(&xcol, &wrow);
         let t = cs.alloc_witness_opt(val);
         cs.enforce_named(xcol, wrow, t.into(), "crpc product");
-        t_vars.push(t);
-    }
-    // long addition: sum_k t_k = folded output
-    let mut sum_lc = LinearCombination::zero();
-    for t in &t_vars {
-        sum_lc.push(*t, Fr::one());
+        sum_lc.push(t, Fr::one());
     }
     cs.enforce_named(
         sum_lc,
@@ -109,25 +107,30 @@ fn synthesize_crpc_fold<S: ConstraintSink<Fr> + ?Sized>(
         folded,
         "crpc fold equality",
     );
+    bind_outputs(cs, &y, y_out);
+    y
 }
 
-/// Emits the `n` CRPC+PSQ prefix-sum product constraints, with the final
-/// product writing directly into `folded` — shared by
-/// [`synthesize_crpc_psq`] and [`synthesize_crpc_psq_into`]. `n`
-/// constraints.
-fn synthesize_crpc_psq_fold<S: ConstraintSink<Fr> + ?Sized>(
+/// CRPC + PSQ — the full zkVC encoding: the `n` folded products are chained
+/// as prefix sums, and the final product constraint writes directly into the
+/// folded output, so exactly `n` constraints are emitted (Table II row 4).
+/// With `y_out`, each output witness is pinned to its supplied cell:
+/// `n + a*b` constraints.
+pub(super) fn synthesize_psq<S: ConstraintSink<Fr> + ?Sized>(
     cs: &mut S,
     x: &[Vec<LinearCombination<Fr>>],
     w: &[Vec<LinearCombination<Fr>>],
-    zp: &[Fr],
-    folded: &LinearCombination<Fr>,
-) {
+    y_out: Option<&[Vec<LinearCombination<Fr>>]>,
+    z: Fr,
+) -> Vec<Vec<LinearCombination<Fr>>> {
     let n = w.len();
     let b = w[0].len();
+    let zp = powers_of(z, x.len() * b);
+    let (y, folded) = allocate_outputs(cs, x, w, &zp);
     let mut prev_lc = LinearCombination::zero();
     let mut prev_val = cs.wants_values().then(Fr::zero);
     for k in 0..n {
-        let (xcol, wrow) = folded_operands(x, w, k, zp, b);
+        let (xcol, wrow) = folded_operands(x, w, k, &zp, b);
         if k + 1 == n {
             // last step: xcol * wrow = folded - acc_{n-2}
             cs.enforce_named(
@@ -149,43 +152,12 @@ fn synthesize_crpc_psq_fold<S: ConstraintSink<Fr> + ?Sized>(
             prev_val = val;
         }
     }
-}
-
-/// CRPC without PSQ: `n` product constraints plus one long addition that
-/// equates the accumulated products with the folded output (Table II row 3).
-pub fn synthesize_crpc<S: ConstraintSink<Fr> + ?Sized>(
-    cs: &mut S,
-    x: &[Vec<LinearCombination<Fr>>],
-    w: &[Vec<LinearCombination<Fr>>],
-    z: Fr,
-) -> Vec<Vec<LinearCombination<Fr>>> {
-    let a = x.len();
-    let b = w[0].len();
-    let zp = powers_of(z, a * b);
-    let (y, folded) = allocate_outputs(cs, x, w, &zp);
-    synthesize_crpc_fold(cs, x, w, &zp, folded);
+    bind_outputs(cs, &y, y_out);
     y
 }
 
-/// CRPC + PSQ — the full zkVC encoding: the `n` folded products are chained
-/// as prefix sums, and the final product constraint writes directly into the
-/// folded output, so exactly `n` constraints are emitted (Table II row 4).
-pub fn synthesize_crpc_psq<S: ConstraintSink<Fr> + ?Sized>(
-    cs: &mut S,
-    x: &[Vec<LinearCombination<Fr>>],
-    w: &[Vec<LinearCombination<Fr>>],
-    z: Fr,
-) -> Vec<Vec<LinearCombination<Fr>>> {
-    let a = x.len();
-    let b = w[0].len();
-    let zp = powers_of(z, a * b);
-    let (y, folded) = allocate_outputs(cs, x, w, &zp);
-    synthesize_crpc_psq_fold(cs, x, w, &zp, &folded);
-    y
-}
-
-/// Binds each caller-supplied output cell to the corresponding witness
-/// output with its own equality constraint (`a*b` constraints).
+/// Binds each caller-supplied output cell, if any, to the corresponding
+/// witness output with its own equality constraint (`a*b` constraints).
 ///
 /// The per-cell constraints are what make public CRPC outputs *bind*: the
 /// Z-fold alone is a single public linear relation with a publicly known
@@ -196,58 +168,18 @@ pub fn synthesize_crpc_psq<S: ConstraintSink<Fr> + ?Sized>(
 fn bind_outputs<S: ConstraintSink<Fr> + ?Sized>(
     cs: &mut S,
     y_wit: &[Vec<LinearCombination<Fr>>],
-    y_out: &[Vec<LinearCombination<Fr>>],
+    y_out: Option<&[Vec<LinearCombination<Fr>>]>,
 ) {
-    for (wit_row, out_row) in y_wit.iter().zip(y_out.iter()) {
+    for (wit_row, out_row) in y_wit.iter().zip(y_out.unwrap_or_default()) {
         crate::api::bind_public_outputs(cs, wit_row, out_row);
     }
-}
-
-/// [`synthesize_crpc`] with caller-supplied output cells (typically public
-/// instance variables holding the honest product): the fold runs over
-/// freshly allocated output witnesses, and each witness is additionally
-/// pinned to its supplied cell with a per-cell equality constraint —
-/// `n + 1 + a*b` constraints in total (the `a*b` binding constraints are
-/// the price of statement-level outputs).
-pub fn synthesize_crpc_into<S: ConstraintSink<Fr> + ?Sized>(
-    cs: &mut S,
-    x: &[Vec<LinearCombination<Fr>>],
-    w: &[Vec<LinearCombination<Fr>>],
-    y_out: &[Vec<LinearCombination<Fr>>],
-    z: Fr,
-) {
-    let a = x.len();
-    let b = w[0].len();
-    let zp = powers_of(z, a * b);
-    let (y_wit, folded) = allocate_outputs(cs, x, w, &zp);
-    synthesize_crpc_fold(cs, x, w, &zp, folded);
-    bind_outputs(cs, &y_wit, y_out);
-}
-
-/// [`synthesize_crpc_psq`] with caller-supplied output cells: the
-/// prefix-sum fold runs over freshly allocated output witnesses, each
-/// pinned to its supplied cell — `n + a*b` constraints (the per-cell
-/// constraints are required because the public-Z fold alone is forgeable).
-pub fn synthesize_crpc_psq_into<S: ConstraintSink<Fr> + ?Sized>(
-    cs: &mut S,
-    x: &[Vec<LinearCombination<Fr>>],
-    w: &[Vec<LinearCombination<Fr>>],
-    y_out: &[Vec<LinearCombination<Fr>>],
-    z: Fr,
-) {
-    let a = x.len();
-    let b = w[0].len();
-    let zp = powers_of(z, a * b);
-    let (y_wit, folded) = allocate_outputs(cs, x, w, &zp);
-    synthesize_crpc_psq_fold(cs, x, w, &zp, &folded);
-    bind_outputs(cs, &y_wit, y_out);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::matmul::tests::single_pass;
-    use crate::matmul::{synthesize_vanilla, MatMulBuilder, Strategy, ZSource};
+    use crate::matmul::{synthesize_matmul, MatMulBuilder, Strategy};
     use proptest::prelude::*;
     use zkvc_ff::PrimeField;
     use zkvc_r1cs::ConstraintSystem;
@@ -278,14 +210,14 @@ mod tests {
         let mut cs_v = ConstraintSystem::<Fr>::new();
         let xv = alloc_matrix(&mut cs_v, &x_vals);
         let wv = alloc_matrix(&mut cs_v, &w_vals);
-        let y_v = synthesize_vanilla(&mut cs_v, &xv, &wv);
+        let y_v = synthesize_matmul(&mut cs_v, &xv, &wv, Strategy::Vanilla, Fr::zero());
 
         for (strategy, expected_constraints) in [(Strategy::Crpc, 3 + 1), (Strategy::CrpcPsq, 3)] {
             let mut cs = ConstraintSystem::<Fr>::new();
             let x = alloc_matrix(&mut cs, &x_vals);
             let w = alloc_matrix(&mut cs, &w_vals);
             let input_constraints = cs.num_constraints();
-            let y = super::super::synthesize_matmul(&mut cs, &x, &w, strategy, Fr::from_u64(7919));
+            let y = synthesize_matmul(&mut cs, &x, &w, strategy, Fr::from_u64(7919));
             assert!(cs.is_satisfied(), "{strategy:?}");
             assert_eq!(
                 cs.num_constraints() - input_constraints,
@@ -312,20 +244,22 @@ mod tests {
         let mut cs = ConstraintSystem::<Fr>::new();
         let x = alloc_matrix(&mut cs, &x_vals);
         let w = alloc_matrix(&mut cs, &w_vals);
-        synthesize_crpc_psq(&mut cs, &x, &w, Fr::from_u64(65537));
+        synthesize_psq(&mut cs, &x, &w, None, Fr::from_u64(65537));
         assert!(cs.is_satisfied());
         assert_eq!(cs.num_constraints(), 2);
     }
 
     #[test]
     fn wrong_y_is_rejected_for_random_z() {
-        // A cheating prover fixes Y before Z is derived (transcript mode), so
-        // Schwartz-Zippel applies. Simulate by corrupting y after building.
+        // An honest-Z completeness check, not an attack: a Y corrupted
+        // after Z is fixed breaks the fold (Schwartz-Zippel). The outputs
+        // stay private so that the fold, not a binding row, catches it.
         let x = vec![vec![1i64, 2, 3], vec![4, 5, 6]];
         let w = vec![vec![7i64, 8], vec![9, 10], vec![11, 12]];
         for strategy in [Strategy::Crpc, Strategy::CrpcPsq] {
             let job = MatMulBuilder::new(2, 3, 2)
                 .strategy(strategy)
+                .public_outputs(false)
                 .build_circuit_integers(&x, &w);
             let num_inputs = 2 * 3 + 3 * 2;
             for y_idx in 0..4 {
@@ -347,7 +281,7 @@ mod tests {
         for z in [0u64, 1, 2] {
             let job = MatMulBuilder::new(2, 2, 2)
                 .strategy(Strategy::CrpcPsq)
-                .z_source(ZSource::Fixed(Fr::from_u64(z)))
+                .z(Fr::from_u64(z))
                 .build_circuit_integers(&x, &w);
             assert!(single_pass(&job).is_satisfied(), "z={z}");
         }

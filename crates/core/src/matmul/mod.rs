@@ -11,23 +11,16 @@
 //! | [`Strategy::CrpcPsq`]    | `n`           | the full zkVC construction |
 //!
 //! CRPC soundness rests on the Schwartz–Zippel lemma: the folded identity
-//! is an equality of polynomials in `Z` of degree `< a*b`, so a single
-//! random `Z` from the 246-bit scalar field catches any incorrect `Y` with
-//! probability `1 - (a*b)/|F|`. The challenge is derived from a Fiat-Shamir
-//! transcript over `(X, W, Y)` by default ([`ZSource::Transcript`]), or
-//! supplied explicitly ([`ZSource::Fixed`]) when the caller samples it at
-//! setup time (the Groth16 flow used for the paper's measurements).
+//! is an equality of polynomials in `Z` of degree `< a*b`, so a `Y` fixed
+//! before a random `Z` is drawn from the 246-bit scalar field passes with
+//! probability at most `(a*b)/|F|`. The builder's `Z` is one public field
+//! element set by [`MatMulBuilder::z`], defaulting to a value derived from
+//! `(a, n, b)` alone; the served path sets the runtime's `fixed_z`. Either
+//! way `Z` is known before `Y` exists, so CRPC statements are
+//! soundness-BROKEN against a malicious prover (`docs/SOUNDNESS.md`).
 
 mod crpc;
 mod vanilla;
-
-pub use crpc::{
-    synthesize_crpc, synthesize_crpc_into, synthesize_crpc_psq, synthesize_crpc_psq_into,
-};
-pub use vanilla::{
-    synthesize_vanilla, synthesize_vanilla_into, synthesize_vanilla_psq,
-    synthesize_vanilla_psq_into,
-};
 
 use core::fmt;
 use std::str::FromStr;
@@ -120,22 +113,6 @@ impl FromStr for Strategy {
     }
 }
 
-/// Where the CRPC folding challenge `Z` comes from.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum ZSource {
-    /// Derive `Z` by hashing the statement `(X, W, Y)` with a Fiat-Shamir
-    /// transcript. Sound without any setup assumption; this is the default
-    /// and the mode the Spartan backend uses (the R1CS is rebuilt per
-    /// statement, which is free of trusted setup).
-    Transcript,
-    /// Use a caller-supplied `Z` — e.g. sampled once at Groth16 setup time,
-    /// which matches the constraint counts the paper reports for zkVC-G.
-    /// The caller is responsible for sampling it after the statement is
-    /// fixed (or accepting the standard "challenge baked into the CRS"
-    /// assumption).
-    Fixed(Fr),
-}
-
 /// Synthesises the chosen matmul encoding over existing linear combinations
 /// and returns the output cells as linear combinations.
 ///
@@ -152,12 +129,7 @@ pub fn synthesize_matmul<S: ConstraintSink<Fr> + ?Sized>(
     z: Fr,
 ) -> Vec<Vec<LinearCombination<Fr>>> {
     validate_dims(x, w);
-    match strategy {
-        Strategy::Vanilla => synthesize_vanilla(cs, x, w),
-        Strategy::VanillaPsq => synthesize_vanilla_psq(cs, x, w),
-        Strategy::Crpc => synthesize_crpc(cs, x, w, z),
-        Strategy::CrpcPsq => synthesize_crpc_psq(cs, x, w, z),
-    }
+    synthesize(cs, x, w, None, strategy, z)
 }
 
 /// Synthesises the chosen matmul encoding with the output cells *supplied
@@ -191,11 +163,24 @@ pub fn synthesize_matmul_into<S: ConstraintSink<Fr> + ?Sized>(
         y.len() == a && y.iter().all(|r| r.len() == b),
         "output matrix must be {a} x {b}"
     );
+    synthesize(cs, x, w, Some(y), strategy, z);
+}
+
+/// The one strategy dispatch: each strategy's single emission loop writes
+/// its outputs into `y_out` when supplied, or into fresh witnesses.
+fn synthesize<S: ConstraintSink<Fr> + ?Sized>(
+    cs: &mut S,
+    x: &[Vec<LinearCombination<Fr>>],
+    w: &[Vec<LinearCombination<Fr>>],
+    y_out: Option<&[Vec<LinearCombination<Fr>>]>,
+    strategy: Strategy,
+    z: Fr,
+) -> Vec<Vec<LinearCombination<Fr>>> {
     match strategy {
-        Strategy::Vanilla => synthesize_vanilla_into(cs, x, w, y),
-        Strategy::VanillaPsq => synthesize_vanilla_psq_into(cs, x, w, y),
-        Strategy::Crpc => synthesize_crpc_into(cs, x, w, y, z),
-        Strategy::CrpcPsq => synthesize_crpc_psq_into(cs, x, w, y, z),
+        Strategy::Vanilla => vanilla::synthesize(cs, x, w, y_out),
+        Strategy::VanillaPsq => vanilla::synthesize_psq(cs, x, w, y_out),
+        Strategy::Crpc => crpc::synthesize(cs, x, w, y_out, z),
+        Strategy::CrpcPsq => crpc::synthesize_psq(cs, x, w, y_out, z),
     }
 }
 
@@ -271,7 +256,7 @@ pub struct MatMulCircuit {
     pub dims: (usize, usize, usize),
     /// The strategy used.
     pub strategy: Strategy,
-    /// The CRPC challenge (identity for vanilla strategies).
+    /// The CRPC challenge (unused by the vanilla strategies).
     pub z: Fr,
     /// Whether `Y` is allocated as public instance variables.
     pub outputs_public: bool,
@@ -341,23 +326,30 @@ pub struct MatMulBuilder {
     n: usize,
     b: usize,
     strategy: Strategy,
-    z_source: ZSource,
+    z: Fr,
     public_outputs: bool,
 }
 
 impl MatMulBuilder {
     /// Creates a builder for `Y[a x b] = X[a x n] * W[n x b]`, defaulting to
-    /// the full zkVC strategy (CRPC + PSQ) with a transcript-derived `Z` and
-    /// private outputs.
+    /// the statement `zkvc prove` serves: the full zkVC strategy (CRPC +
+    /// PSQ) with public outputs, and a shape-level `Z` derived from
+    /// `(a, n, b)` alone. Like the served `Z`, that default is public before
+    /// any `Y` exists, so CRPC is soundness-BROKEN against a prover that
+    /// writes its own witness (`docs/SOUNDNESS.md`).
     pub fn new(a: usize, n: usize, b: usize) -> Self {
         assert!(a > 0 && n > 0 && b > 0, "dimensions must be positive");
+        let mut t = Transcript::new(b"zkvc-matmul-default-z");
+        t.append_u64(b"a", a as u64);
+        t.append_u64(b"n", n as u64);
+        t.append_u64(b"b", b as u64);
         MatMulBuilder {
             a,
             n,
             b,
             strategy: Strategy::CrpcPsq,
-            z_source: ZSource::Transcript,
-            public_outputs: false,
+            z: t.challenge_field(b"z"),
+            public_outputs: true,
         }
     }
 
@@ -367,22 +359,23 @@ impl MatMulBuilder {
         self
     }
 
-    /// When `true`, allocates `Y` as *public instance* variables, each
-    /// bound by its own constraint, so the proof binds the concrete output
-    /// matrix (statement-level binding); a proof for the same shape but a
-    /// different `Y` then fails verification. When `false` (the default),
-    /// `Y` stays a private witness and the proof binds only the circuit
-    /// shape. Vanilla strategies keep their constraint counts; CRPC
-    /// strategies pay `a*b` extra per-cell binding constraints (see
-    /// [`synthesize_matmul_into`]).
+    /// When `true` (the default), allocates `Y` as *public instance*
+    /// variables, each bound by its own constraint, so the proof binds the
+    /// concrete output matrix (statement-level binding); a proof for the
+    /// same shape but a different `Y` then fails verification. Vanilla
+    /// strategies keep their constraint counts; CRPC strategies pay `a*b`
+    /// extra per-cell binding constraints (see [`synthesize_matmul_into`]).
+    /// When `false`, `Y` stays a private witness and the proof binds only
+    /// the circuit shape, which the all-zero assignment satisfies (the
+    /// analyzer's `unbound-public` rule denies it).
     pub fn public_outputs(mut self, public_outputs: bool) -> Self {
         self.public_outputs = public_outputs;
         self
     }
 
-    /// Selects how the CRPC challenge is obtained.
-    pub fn z_source(mut self, z_source: ZSource) -> Self {
-        self.z_source = z_source;
+    /// Sets the CRPC challenge `Z` (ignored by the vanilla strategies).
+    pub fn z(mut self, z: Fr) -> Self {
+        self.z = z;
         self
     }
 
@@ -426,9 +419,8 @@ impl MatMulBuilder {
     }
 
     /// Builds the statement from field-element matrices: the honest product
-    /// and the CRPC challenge are computed, and synthesis is deferred to
-    /// the two-pass pipeline (shape pass for setup/digests, witness pass
-    /// for proving).
+    /// is computed, and synthesis is deferred to the two-pass pipeline
+    /// (shape pass for setup/digests, witness pass for proving).
     ///
     /// # Panics
     /// Panics if the matrix dimensions do not match the builder.
@@ -456,34 +448,13 @@ impl MatMulBuilder {
             }
         }
 
-        // CRPC challenge.
-        let z = match self.z_source {
-            ZSource::Fixed(z) => z,
-            ZSource::Transcript => {
-                let mut t = Transcript::new(b"zkvc-crpc-challenge");
-                t.append_u64(b"a", self.a as u64);
-                t.append_u64(b"n", self.n as u64);
-                t.append_u64(b"b", self.b as u64);
-                for row in x {
-                    t.append_fields(b"x", row);
-                }
-                for row in w {
-                    t.append_fields(b"w", row);
-                }
-                for row in &y {
-                    t.append_fields(b"y", row);
-                }
-                t.challenge_field(b"z")
-            }
-        };
-
         MatMulCircuit {
             x: x.to_vec(),
             w: w.to_vec(),
             y,
             dims: (self.a, self.n, self.b),
             strategy: self.strategy,
-            z,
+            z: self.z,
             outputs_public: self.public_outputs,
         }
     }
@@ -539,6 +510,7 @@ pub(crate) mod tests {
             .map(|s| {
                 let job = MatMulBuilder::new(a, n, b)
                     .strategy(*s)
+                    .public_outputs(false)
                     .build_circuit_random(&mut rng);
                 assert!(single_pass(&job).is_satisfied());
                 (*s, stats(&job).num_constraints)
@@ -599,6 +571,7 @@ pub(crate) mod tests {
         for strategy in Strategy::ALL {
             let job = MatMulBuilder::new(3, 2, 2)
                 .strategy(strategy)
+                .public_outputs(false)
                 .build_circuit_integers(&x, &w);
             // Find the first witness variable holding a Y value and corrupt it.
             // Y variables are allocated by the strategy after the 6 + 4 input
@@ -622,6 +595,7 @@ pub(crate) mod tests {
         let (x, w) = small_matrices();
         let job = MatMulBuilder::new(3, 2, 2)
             .strategy(Strategy::CrpcPsq)
+            .public_outputs(false)
             .build_circuit_integers(&x, &w);
         let num_inputs = 3 * 2 + 2 * 2;
         for y_idx in 0..6 {
@@ -634,18 +608,33 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn transcript_z_depends_on_statement() {
+    fn default_z_is_shape_level_and_explicit_z_is_honoured() {
+        // The default Z depends on (a, n, b) only: two statements of one
+        // shape with different X and W compile to one shape, whatever the
+        // strategy, so they share keys exactly as served jobs do.
         let (x, w) = small_matrices();
-        let j1 = MatMulBuilder::new(3, 2, 2).build_circuit_integers(&x, &w);
-        let mut x2 = x.clone();
+        let (mut x2, mut w2) = (x.clone(), w.clone());
         x2[0][0] += 1;
-        let j2 = MatMulBuilder::new(3, 2, 2).build_circuit_integers(&x2, &w);
-        assert_ne!(j1.z, j2.z);
-        // Fixed z is honoured.
+        w2[1][1] -= 3;
+        for strategy in Strategy::ALL {
+            let builder = MatMulBuilder::new(3, 2, 2).strategy(strategy);
+            let j1 = builder.build_circuit_integers(&x, &w);
+            let j2 = builder.build_circuit_integers(&x2, &w2);
+            assert_ne!(j1.y, j2.y, "{strategy:?}");
+            assert_eq!(j1.z, j2.z, "{strategy:?}");
+            assert_eq!(
+                compile_shape(&j1).digest,
+                compile_shape(&j2).digest,
+                "{strategy:?}"
+            );
+        }
+        // An explicit Z is honoured, and for CRPC it is part of the shape.
         let j3 = MatMulBuilder::new(3, 2, 2)
-            .z_source(ZSource::Fixed(Fr::from_u64(1234)))
+            .z(Fr::from_u64(1234))
             .build_circuit_integers(&x, &w);
         assert_eq!(j3.z, Fr::from_u64(1234));
+        let j1 = MatMulBuilder::new(3, 2, 2).build_circuit_integers(&x, &w);
+        assert_ne!(compile_shape(&j3).digest, compile_shape(&j1).digest);
     }
 
     #[test]
@@ -699,9 +688,9 @@ pub(crate) mod tests {
             (Strategy::CrpcPsq, n + a * b),
         ];
         for (strategy, count) in expected {
+            // No setter: public outputs are the default.
             let job = MatMulBuilder::new(a, n, b)
                 .strategy(strategy)
-                .public_outputs(true)
                 .build_circuit_random(&mut rng);
             let cs = single_pass(&job);
             assert!(cs.is_satisfied(), "{strategy:?}");
@@ -720,7 +709,6 @@ pub(crate) mod tests {
         for strategy in Strategy::ALL {
             let job = MatMulBuilder::new(3, 2, 2)
                 .strategy(strategy)
-                .public_outputs(true)
                 .build_circuit_integers(&x, &w);
             let honest = single_pass(&job);
             assert!(honest.is_satisfied(), "{strategy:?}");
@@ -748,7 +736,6 @@ pub(crate) mod tests {
         for strategy in [Strategy::Crpc, Strategy::CrpcPsq] {
             let job = MatMulBuilder::new(3, 2, 2)
                 .strategy(strategy)
-                .public_outputs(true)
                 .build_circuit_integers(&x, &w);
             let mut cs = single_pass(&job);
             assert!(cs.is_satisfied(), "{strategy:?}");
@@ -771,10 +758,10 @@ pub(crate) mod tests {
         for strategy in Strategy::ALL {
             let private = MatMulBuilder::new(3, 2, 2)
                 .strategy(strategy)
+                .public_outputs(false)
                 .build_circuit_integers(&x, &w);
             let public = MatMulBuilder::new(3, 2, 2)
                 .strategy(strategy)
-                .public_outputs(true)
                 .build_circuit_integers(&x, &w);
             assert_eq!(private.y, public.y, "{strategy:?}");
             // Vanilla public-output circuits drop the Y witnesses; CRPC

@@ -12,61 +12,11 @@ use zkvc_r1cs::{ConstraintSink, LinearCombination, SinkExt};
 /// element summing the `n` intermediate products (Figure 4(a) / Figure 5(a)
 /// of the paper).
 ///
-/// Cost: `a*b*n + a*b` constraints and `a*b*n + a*b` fresh witness
-/// variables; the addition rows carry `n` left wires each.
-pub fn synthesize_vanilla<S: ConstraintSink<Fr> + ?Sized>(
-    cs: &mut S,
-    x: &[Vec<LinearCombination<Fr>>],
-    w: &[Vec<LinearCombination<Fr>>],
-) -> Vec<Vec<LinearCombination<Fr>>> {
-    vanilla_core(cs, x, w, None)
-}
-
-/// Vanilla products with Prefix-Sum Query accumulation (Figure 5(b)): the
-/// running sums `acc_k = acc_{k-1} + x_ik * w_kj` are stored instead of the
-/// individual products, so the long addition row disappears and each
-/// constraint keeps a single left wire.
-///
-/// Cost: `a*b*n` constraints and `a*b*n` fresh witness variables; the final
-/// prefix sum *is* the output element.
-pub fn synthesize_vanilla_psq<S: ConstraintSink<Fr> + ?Sized>(
-    cs: &mut S,
-    x: &[Vec<LinearCombination<Fr>>],
-    w: &[Vec<LinearCombination<Fr>>],
-) -> Vec<Vec<LinearCombination<Fr>>> {
-    vanilla_psq_core(cs, x, w, None)
-}
-
-/// [`synthesize_vanilla`] with caller-supplied output cells: the long
-/// addition writes directly into `y_out[i][j]` (typically a public instance
-/// variable holding the honest product) instead of a fresh witness. Same
-/// `a*b*n + a*b` constraints, `a*b` fewer witness variables.
-pub fn synthesize_vanilla_into<S: ConstraintSink<Fr> + ?Sized>(
-    cs: &mut S,
-    x: &[Vec<LinearCombination<Fr>>],
-    w: &[Vec<LinearCombination<Fr>>],
-    y_out: &[Vec<LinearCombination<Fr>>],
-) {
-    vanilla_core(cs, x, w, Some(y_out));
-}
-
-/// [`synthesize_vanilla_psq`] with caller-supplied output cells: the last
-/// prefix-sum constraint writes `y_out[i][j] - acc_{n-2}` instead of
-/// allocating the final accumulator. Same `a*b*n` constraints.
-pub fn synthesize_vanilla_psq_into<S: ConstraintSink<Fr> + ?Sized>(
-    cs: &mut S,
-    x: &[Vec<LinearCombination<Fr>>],
-    w: &[Vec<LinearCombination<Fr>>],
-    y_out: &[Vec<LinearCombination<Fr>>],
-) {
-    vanilla_psq_core(cs, x, w, Some(y_out));
-}
-
-/// The one copy of the vanilla constraint-emission loop: products are
-/// computed (only when the sink carries values) and their witnesses
-/// allocated exactly once; the long addition writes into the supplied cell
-/// when `y_out` is given, or into a fresh witness otherwise.
-fn vanilla_core<S: ConstraintSink<Fr> + ?Sized>(
+/// Cost: `a*b*n + a*b` constraints. The long addition writes into the
+/// supplied cell `y_out[i][j]` when given (typically a public instance
+/// variable holding the honest product), or into a fresh witness
+/// otherwise; the addition rows carry `n` left wires each.
+pub(super) fn synthesize<S: ConstraintSink<Fr> + ?Sized>(
     cs: &mut S,
     x: &[Vec<LinearCombination<Fr>>],
     w: &[Vec<LinearCombination<Fr>>],
@@ -107,11 +57,15 @@ fn vanilla_core<S: ConstraintSink<Fr> + ?Sized>(
     y
 }
 
-/// The one copy of the PSQ constraint-emission loop: each product feeds a
-/// prefix-sum accumulator exactly once; the final constraint writes into
-/// the supplied cell when `y_out` is given, or into a fresh accumulator
-/// witness (which *is* the output) otherwise.
-fn vanilla_psq_core<S: ConstraintSink<Fr> + ?Sized>(
+/// Vanilla products with Prefix-Sum Query accumulation (Figure 5(b)): the
+/// running sums `acc_k = acc_{k-1} + x_ik * w_kj` are stored instead of the
+/// individual products, so the long addition row disappears and each
+/// constraint keeps a single left wire.
+///
+/// Cost: `a*b*n` constraints. The last prefix-sum constraint writes
+/// `y_out[i][j] - acc_{n-2}` when a cell is supplied, or allocates the
+/// final accumulator (which *is* the output) otherwise.
+pub(super) fn synthesize_psq<S: ConstraintSink<Fr> + ?Sized>(
     cs: &mut S,
     x: &[Vec<LinearCombination<Fr>>],
     w: &[Vec<LinearCombination<Fr>>],
@@ -195,7 +149,7 @@ mod tests {
     fn vanilla_computes_correct_values() {
         let mut cs = ConstraintSystem::<Fr>::new();
         let (x, w) = inputs(&mut cs);
-        let y = synthesize_vanilla(&mut cs, &x, &w);
+        let y = synthesize(&mut cs, &x, &w, None);
         assert!(cs.is_satisfied());
         // Y = [[14, 32], [32, 77]]
         assert_eq!(cs.eval_lc(&y[0][0]), Fr::from_u64(14));
@@ -210,11 +164,11 @@ mod tests {
     fn psq_matches_vanilla_values_with_fewer_wires() {
         let mut cs_v = ConstraintSystem::<Fr>::new();
         let (x, w) = inputs(&mut cs_v);
-        let y_v = synthesize_vanilla(&mut cs_v, &x, &w);
+        let y_v = synthesize(&mut cs_v, &x, &w, None);
 
         let mut cs_p = ConstraintSystem::<Fr>::new();
         let (x2, w2) = inputs(&mut cs_p);
-        let y_p = synthesize_vanilla_psq(&mut cs_p, &x2, &w2);
+        let y_p = synthesize_psq(&mut cs_p, &x2, &w2, None);
 
         assert!(cs_v.is_satisfied());
         assert!(cs_p.is_satisfied());
@@ -234,7 +188,7 @@ mod tests {
     fn psq_rejects_tampered_prefix_sum() {
         let mut cs = ConstraintSystem::<Fr>::new();
         let (x, w) = inputs(&mut cs);
-        synthesize_vanilla_psq(&mut cs, &x, &w);
+        synthesize_psq(&mut cs, &x, &w, None);
         assert!(cs.is_satisfied());
         let mut witness = cs.witness_assignment().to_vec();
         // first prefix-sum variable sits right after the 12 input variables

@@ -321,7 +321,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use zkvc_ff::PrimeField;
-    use zkvc_r1cs::ConstraintSystem;
+    use zkvc_r1cs::{ConstraintSystem, LinearCombination};
 
     fn square_circuit() -> ConstraintSystem<Fr> {
         let mut cs = ConstraintSystem::<Fr>::new();
@@ -333,6 +333,56 @@ mod tests {
 
     fn decode_proof(bytes: &[u8]) -> Option<Proof> {
         decode_exact(bytes, Proof::decode).ok()
+    }
+
+    #[test]
+    fn known_break_6_trapdoor_from_the_setup_seed_forges_a_false_claim() {
+        // KNOWN BREAK, docs/SOUNDNESS.md "Below the circuits" item 6. Setup
+        // runs from a seeded rng, so whoever knows the seed redraws the
+        // toxic waste and runs the simulator: for any a, b and public
+        // input x,
+        //   A = a·G, B = b·G,
+        //   C = (a·b − α·β − Σ_i x_i·(β·u_i(τ) + α·v_i(τ) + w_i(τ))) / δ
+        // satisfies the verification equation with no witness at all.
+        // The runtime's `known_break_6_*` test aims this at a served key.
+        //
+        // The circuit pins `out` to 1 (`1 · 1 = out`), so `out = 2` is
+        // false for every witness.
+        let mut cs = ConstraintSystem::<Fr>::new();
+        let out = cs.alloc_instance(Fr::one());
+        let x = cs.alloc_witness(Fr::one());
+        cs.enforce(x.into(), x.into(), out.into());
+        let one = LinearCombination::constant(Fr::one());
+        cs.enforce(one.clone(), one, out.into());
+        assert!(cs.is_satisfied());
+
+        const SEED: u64 = 0x5eed;
+        let (pk, vk) = setup(&cs, &mut StdRng::seed_from_u64(SEED));
+        let toxic = ToxicWaste::draw(&mut StdRng::seed_from_u64(SEED));
+        let qap = zkvc_qap::evaluate_qap_at_point(&pk.shape.matrices, &toxic.tau);
+
+        let claim = [Fr::from_u64(2)];
+        let mut rng = StdRng::seed_from_u64(SEED + 1);
+        let (a, b) = (Fr::random(&mut rng), Fr::random(&mut rng));
+        let inputs = [Fr::one()]
+            .iter()
+            .chain(&claim)
+            .enumerate()
+            .fold(Fr::zero(), |acc, (i, x)| acc + *x * toxic.combined(&qap, i));
+        let c = (a * b - toxic.alpha * toxic.beta - inputs) * toxic.delta.inverse().unwrap();
+        let g = zkvc_curve::G1Projective::generator();
+        let forged = Proof {
+            a: (g * a).to_affine(),
+            b: (g * b).to_affine(),
+            c: (g * c).to_affine(),
+        };
+        assert!(
+            crate::verify(&vk, &claim, &forged),
+            "the trapdoor forgery is rejected: item 6's known break is fixed, flip this test"
+        );
+        assert!(verify_three_pairings(&vk, &claim, &forged));
+        // The forgery is made for its claim: it fails for the true `out = 1`.
+        assert!(!crate::verify(&vk, &[Fr::one()], &forged));
     }
 
     #[test]

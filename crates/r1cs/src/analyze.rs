@@ -24,7 +24,7 @@
 //!
 //! Every finding carries a stable rule id, a severity, and the constraint
 //! row / variable column it anchors to, so reports are machine-checkable
-//! (the `zkvc analyze` CLI gates CI on them) and waivable by fingerprint.
+//! (the `zkvc analyze` CLI gates CI on them).
 
 use zkvc_ff::PrimeField;
 
@@ -44,7 +44,7 @@ pub enum Severity {
 }
 
 impl Severity {
-    /// The lowercase token used in reports, CLI flags and baselines.
+    /// The lowercase token used in reports and CLI flags.
     pub fn token(self) -> &'static str {
         match self {
             Severity::Info => "info",
@@ -112,7 +112,7 @@ impl Rule {
         Rule::DuplicateConstraint,
     ];
 
-    /// The stable rule id used in reports and baselines.
+    /// The stable rule id used in reports.
     pub fn id(self) -> &'static str {
         match self {
             Rule::UnconstrainedWitness => "unconstrained-witness",
@@ -177,17 +177,6 @@ impl Finding {
     fn at_column(mut self, col: usize) -> Self {
         self.column = Some(col);
         self
-    }
-
-    /// A stable fingerprint for baselines: rule id plus the anchor
-    /// (`rule@r<row>`, `rule@c<col>`, or bare `rule`). Deliberately
-    /// message-free so wording changes never invalidate a waiver.
-    pub fn fingerprint(&self) -> String {
-        match (self.constraint, self.column) {
-            (Some(r), _) => format!("{}@r{r}", self.rule.id()),
-            (None, Some(c)) => format!("{}@c{c}", self.rule.id()),
-            (None, None) => self.rule.id().to_string(),
-        }
     }
 }
 
@@ -573,7 +562,7 @@ mod tests {
         let f = &report.findings[0];
         assert_eq!(f.severity, Severity::Deny);
         assert_eq!(f.column, Some(3), "orphan is column 3 (1 + ni=1 + idx 1)");
-        assert_eq!(f.fingerprint(), "unconstrained-witness@c3");
+        assert_eq!(f.constraint, None, "column-anchored");
     }
 
     #[test]
@@ -603,7 +592,8 @@ mod tests {
         cs.enforce(x.into(), x.into(), y.into());
         let report = CompiledShape::from_cs(&cs).analyze(1);
         assert_eq!(rules(&report), vec![Rule::UnboundPublic]);
-        assert_eq!(report.findings[0].fingerprint(), "unbound-public");
+        let f = &report.findings[0];
+        assert_eq!((f.constraint, f.column), (None, None), "shape-level");
     }
 
     #[test]

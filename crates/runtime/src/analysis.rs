@@ -6,9 +6,8 @@
 //! [`CompiledShape`](zkvc_r1cs::CompiledShape); this module owns the
 //! *spec-level* plumbing: building the statement a spec describes,
 //! compiling its shape, feeding the circuit's declared public-output
-//! count to the analyzer, sweeping the shipping spec matrix, rendering
-//! reports (human and JSON lines), and applying fingerprint baselines so
-//! a known, reviewed finding can be waived without disabling its rule.
+//! count to the analyzer, sweeping the shipping spec matrix, and
+//! rendering reports (human and JSON lines).
 //!
 //! Analysis is witness-free and backend-independent: the compiled shape
 //! is the same whether it will be proved under Groth16 or Spartan, so
@@ -133,87 +132,21 @@ impl Preflight {
     }
 }
 
-/// A set of waived finding fingerprints, parsed from a baseline file.
-///
-/// One waiver per line: either `SPEC FINGERPRINT` (waives the finding in
-/// that spec only) or a bare `FINGERPRINT` (waives it in every spec).
-/// Blank lines and `#`-comments are ignored. Fingerprints come from
-/// [`zkvc_r1cs::Finding::fingerprint`] and are message-free, so reworded
-/// diagnostics never invalidate a waiver.
-#[derive(Clone, Debug, Default)]
-pub struct Baseline {
-    entries: Vec<(Option<String>, String)>,
-}
-
-impl Baseline {
-    /// Parses baseline text. Never fails: unparseable lines cannot exist
-    /// (any non-comment line is one or two whitespace-separated tokens;
-    /// extra tokens are rejected).
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let mut entries = Vec::new();
-        for (n, line) in text.lines().enumerate() {
-            let line = line.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let mut tokens = line.split_whitespace();
-            let first = tokens.next().expect("non-empty line");
-            let second = tokens.next();
-            if tokens.next().is_some() {
-                return Err(format!(
-                    "baseline line {}: expected `SPEC FINGERPRINT` or `FINGERPRINT`, got {line:?}",
-                    n + 1
-                ));
-            }
-            match second {
-                Some(fp) => entries.push((Some(first.to_string()), fp.to_string())),
-                None => entries.push((None, first.to_string())),
-            }
-        }
-        Ok(Baseline { entries })
-    }
-
-    /// Whether a finding with `fingerprint` in `spec` is waived.
-    pub fn waives(&self, spec: &str, fingerprint: &str) -> bool {
-        self.entries
-            .iter()
-            .any(|(s, fp)| fp == fingerprint && s.as_deref().is_none_or(|s| s == spec))
-    }
-
-    /// Number of waiver entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the baseline holds no waivers.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
-/// Counts findings at or above `threshold` across a sweep, excluding
-/// baseline-waived ones — the number the CLI gates its exit code on.
-pub fn gate_count(results: &[SpecAnalysis], threshold: Severity, baseline: &Baseline) -> usize {
+/// Counts findings at or above `threshold` across a sweep — the number
+/// the CLI gates its exit code on.
+pub fn gate_count(results: &[SpecAnalysis], threshold: Severity) -> usize {
     results
         .iter()
-        .map(|r| {
-            let spec = r.spec.to_string();
-            r.report
-                .at_least(threshold)
-                .filter(|f| !baseline.waives(&spec, &f.fingerprint()))
-                .count()
-        })
+        .map(|r| r.report.at_least(threshold).count())
         .sum()
 }
 
 /// Renders a sweep as a human-readable report: one block per spec, every
-/// finding with its severity, fingerprint (for baseline authoring) and
-/// message, then a totals line.
-pub fn render_human(results: &[SpecAnalysis], baseline: &Baseline) -> String {
+/// finding with its severity, rule id and message, then a totals line.
+pub fn render_human(results: &[SpecAnalysis]) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     let mut total = 0usize;
-    let mut waived = 0usize;
     for r in results {
         let spec = r.spec.to_string();
         if r.report.is_clean() {
@@ -230,35 +163,22 @@ pub fn render_human(results: &[SpecAnalysis], baseline: &Baseline) -> String {
             r.report.findings.len(),
             r.report.num_constraints
         );
+        total += r.report.findings.len();
         for f in &r.report.findings {
-            let fp = f.fingerprint();
-            let tag = if baseline.waives(&spec, &fp) {
-                waived += 1;
-                " (waived)"
-            } else {
-                total += 1;
-                ""
-            };
-            let _ = writeln!(out, "  {} [{fp}]{tag}: {}", f.severity, f.message);
+            let _ = writeln!(out, "  {} [{}]: {}", f.severity, f.rule.id(), f.message);
         }
     }
     let _ = writeln!(
         out,
-        "analyzed {} spec(s): {total} finding(s){}",
-        results.len(),
-        if waived > 0 {
-            format!(", {waived} waived")
-        } else {
-            String::new()
-        }
+        "analyzed {} spec(s): {total} finding(s)",
+        results.len()
     );
     out
 }
 
 /// Renders a sweep as one flat JSON object (the machine-readable report
-/// the CI gate archives). Waived findings are included with
-/// `"waived":true` so the artifact shows what the baseline hides.
-pub fn render_json(results: &[SpecAnalysis], baseline: &Baseline) -> String {
+/// the CI gate archives).
+pub fn render_json(results: &[SpecAnalysis]) -> String {
     use std::fmt::Write as _;
     let mut out = String::from("{\"type\":\"analysis\",\"specs\":[");
     let mut worst: Option<Severity> = None;
@@ -281,15 +201,11 @@ pub fn render_json(results: &[SpecAnalysis], baseline: &Baseline) -> String {
             if j > 0 {
                 out.push(',');
             }
-            let fp = f.fingerprint();
-            let is_waived = baseline.waives(&spec, &fp);
-            if !is_waived {
-                total += 1;
-                worst = worst.max(Some(f.severity));
-            }
+            total += 1;
+            worst = worst.max(Some(f.severity));
             let _ = write!(
                 out,
-                "{{\"rule\":\"{}\",\"severity\":\"{}\",\"constraint\":{},\"column\":{},\"fingerprint\":\"{fp}\",\"waived\":{is_waived},\"message\":\"{}\"}}",
+                "{{\"rule\":\"{}\",\"severity\":\"{}\",\"constraint\":{},\"column\":{},\"message\":\"{}\"}}",
                 f.rule.id(),
                 f.severity,
                 f.constraint.map_or("null".to_string(), |r| r.to_string()),
@@ -353,32 +269,12 @@ mod tests {
     }
 
     #[test]
-    fn baseline_waives_by_fingerprint_and_spec() {
-        let text = "\
-            # reviewed 2026-08: shape-only binding is intentional here\n\
-            3x2x3:vanilla:groth16:private unbound-public\n\
-            dead-constraint@r7   # global waiver\n";
-        let baseline = Baseline::parse(text).unwrap();
-        assert_eq!(baseline.len(), 2);
-        assert!(baseline.waives("3x2x3:vanilla:groth16:private", "unbound-public"));
-        assert!(!baseline.waives("4x4x4:vanilla:groth16:private", "unbound-public"));
-        assert!(baseline.waives("anything", "dead-constraint@r7"));
-        assert!(!baseline.waives("anything", "dead-constraint@r8"));
-
-        assert!(Baseline::parse("a b c\n").is_err());
-        assert!(Baseline::parse("").unwrap().is_empty());
-    }
-
-    #[test]
-    fn gate_count_respects_threshold_and_baseline() {
+    fn gate_count_respects_threshold() {
         let (private, _) = JobSpec::parse("3x2x3:vanilla:g:private").unwrap();
         let results = analyze_specs(&[private], 0);
-        let none = Baseline::default();
-        assert!(gate_count(&results, Severity::Deny, &none) > 0);
-
-        let fp = results[0].report.findings[0].fingerprint();
-        let waiver = Baseline::parse(&format!("{private} {fp}\n")).unwrap();
-        assert_eq!(gate_count(&results, Severity::Deny, &waiver), 0);
+        assert!(gate_count(&results, Severity::Deny) > 0);
+        let (clean, _) = JobSpec::parse("2x2x2:zkvc:s").unwrap();
+        assert_eq!(gate_count(&analyze_specs(&[clean], 0), Severity::Info), 0);
     }
 
     #[test]
@@ -386,25 +282,21 @@ mod tests {
         let (clean, _) = JobSpec::parse("2x2x2:zkvc:s").unwrap();
         let (private, _) = JobSpec::parse("3x2x3:vanilla:g:private").unwrap();
         let results = analyze_specs(&[clean, private], 0);
-        let baseline = Baseline::default();
 
-        let human = render_human(&results, &baseline);
+        let human = render_human(&results);
         assert!(human.contains("2x2x2:crpc+psq:spartan: clean"), "{human}");
         assert!(human.contains("unbound-public"), "{human}");
         assert!(human.contains("analyzed 2 spec(s)"), "{human}");
 
-        let json = render_json(&results, &baseline);
+        let json = render_json(&results);
         // The nested arrays make it non-flat for the wire parser, but it
         // must at least be balanced and carry the gate fields.
         assert!(json.contains("\"total_findings\":"), "{json}");
         assert!(json.contains("\"worst\":\"deny\""), "{json}");
-        assert!(
-            json.contains("\"fingerprint\":\"unbound-public\""),
-            "{json}"
-        );
+        assert!(json.contains("\"rule\":\"unbound-public\""), "{json}");
 
         // A clean sweep's summary fields parse as JSON scalars.
-        let clean_json = render_json(&results[..1], &baseline);
+        let clean_json = render_json(&results[..1]);
         assert!(clean_json.contains("\"worst\":null"), "{clean_json}");
         // Sanity: the per-finding object for the private spec is flat.
         let start = json.find("{\"rule\":").unwrap();

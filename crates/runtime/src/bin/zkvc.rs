@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 
 use zkvc_core::api::compile_shape;
 use zkvc_r1cs::Severity;
-use zkvc_runtime::analysis::{self, Baseline};
+use zkvc_runtime::analysis;
 use zkvc_runtime::{
     build_statement, derive_verifier_key, fault, run_client, serve, serve_listener, ClientConfig,
     Error, JobOptions, JobSpec, KeyCache, ListenAddr, NetConfig, ProofEnvelope, ProvingPool,
@@ -52,7 +52,6 @@ USAGE:
     zkvc prove  --spec SPEC [--seed N] --out FILE
     zkvc verify --in FILE --spec SPEC [--seed N]
     zkvc analyze [--spec SPEC ...] [--seed N] [--json] [--deny LEVEL]
-                 [--baseline FILE]
     zkvc help
 
 SPEC grammar:
@@ -147,11 +146,8 @@ OPTIONS (analyze):
                        shapes are seed-independent, values are not)
     --json             emit one machine-readable JSON report object instead
                        of the human table (this is the CI artifact format)
-    --deny LEVEL       exit 1 when any non-waived finding is at or above
-                       LEVEL: info | warn | deny (default deny)
-    --baseline FILE    waive reviewed findings: one `SPEC FINGERPRINT` (or
-                       bare `FINGERPRINT` for any spec) per line, `#`
-                       comments allowed; fingerprints are shown in reports
+    --deny LEVEL       exit 1 when any finding is at or above LEVEL:
+                       info | warn | deny (default deny)
 
 OPTIONS (prove / verify):
     --seed N           determinism seed (default 0); verify must use the seed
@@ -635,11 +631,7 @@ mod sig {
 }
 
 fn cmd_analyze(args: &[String]) -> Result<(), Error> {
-    reject_unknown_args(
-        args,
-        &["--spec", "--seed", "--deny", "--baseline"],
-        &["--json"],
-    )?;
+    reject_unknown_args(args, &["--spec", "--seed", "--deny"], &["--json"])?;
     let (mut specs, seed) = parse_common(args)?;
     // :xCOUNT repetition is meaningless for analysis; collapse it.
     specs.dedup();
@@ -652,21 +644,14 @@ fn cmd_analyze(args: &[String]) -> Result<(), Error> {
         })?,
         None => Severity::Deny,
     };
-    let baseline = match flag_value(args, "--baseline")? {
-        Some(path) => {
-            let text = std::fs::read_to_string(path).map_err(|e| Error::io(path, e))?;
-            Baseline::parse(&text).map_err(Error::Usage)?
-        }
-        None => Baseline::default(),
-    };
 
     let results = analysis::analyze_specs(&specs, seed);
     if args.iter().any(|a| a == "--json") {
-        println!("{}", analysis::render_json(&results, &baseline));
+        println!("{}", analysis::render_json(&results));
     } else {
-        print!("{}", analysis::render_human(&results, &baseline));
+        print!("{}", analysis::render_human(&results));
     }
-    let gated = analysis::gate_count(&results, deny, &baseline);
+    let gated = analysis::gate_count(&results, deny);
     if gated == 0 {
         Ok(())
     } else {

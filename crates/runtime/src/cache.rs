@@ -517,15 +517,87 @@ mod tests {
     }
 
     #[test]
+    fn known_break_6_groth16_trapdoor_from_the_service_seed_forges_a_false_y() {
+        // KNOWN BREAK, docs/SOUNDNESS.md "Below the circuits" item 6: the
+        // served Groth16 setup runs from `setup_seed(digest, backend,
+        // seed)`, so whoever knows the service seed redraws the toxic waste
+        // (in `ToxicWaste::draw`'s order: tau, alpha, beta, then gamma and
+        // delta, each redrawn while zero) and runs the simulator
+        //   A = a·G, B = b·G, C = (a·b − α·β − γ·Σ_i x_i·gamma_abc_i) / δ,
+        // where gamma_abc_i = (β·u_i(τ) + α·v_i(τ) + w_i(τ))/γ · G is read
+        // off the verifying key. No witness is involved. Taking the key
+        // from a ceremony the prover cannot replay flips this test.
+        use crate::{JobSpec, ProofEnvelope};
+        use zkvc_core::backend::ProofData;
+        use zkvc_ff::{Field, PrimeField};
+
+        let seed = 7;
+        // 3x4x3: Y' is the served Y with one cell changed, so it is not the
+        // product of the X and W `(spec, seed)` derive. 3x1x3: Y' has rank
+        // 3 > n = 1, so no X and W give it at all.
+        let cases = [
+            ("3x4x3:vanilla:g", None),
+            ("3x1x3:vanilla:g", Some([1u64, 0, 0, 0, 1, 0, 0, 0, 1])),
+        ];
+        for (label, forged_y) in cases {
+            let (spec, _) = JobSpec::parse(label).unwrap();
+            let statement = crate::build_statement(seed, 0, &spec);
+            let shape = Arc::new(compile_shape(statement.as_ref()));
+            let VerifierKey::Groth16(vk) = derive_verifier_key(Backend::Groth16, &shape, seed)
+            else {
+                unreachable!("a Groth16 spec");
+            };
+            let mut claim = statement.public_outputs();
+            match forged_y {
+                Some(y) => claim = y.into_iter().map(Fr::from_u64).collect(),
+                None => claim[0] += Fr::one(),
+            }
+            assert_ne!(claim, statement.public_outputs(), "{label}");
+
+            let mut rng = StdRng::seed_from_u64(setup_seed(&shape.digest, Backend::Groth16, seed));
+            let [_tau, alpha, beta] = [(); 3].map(|()| Fr::random(&mut rng));
+            let mut nonzero = || loop {
+                let s = Fr::random(&mut rng);
+                if !s.is_zero() {
+                    break s;
+                }
+            };
+            let (gamma, delta) = (nonzero(), nonzero());
+            let delta_inv = delta.inverse().unwrap();
+            let (a, b) = (Fr::from_u64(3), Fr::from_u64(5));
+            let g = zkvc_curve::G1Projective::generator();
+            let inputs = zkvc_groth16::prepare_inputs(&vk, &claim);
+            let c = g * ((a * b - alpha * beta) * delta_inv) - inputs * (gamma * delta_inv);
+            let envelope = ProofEnvelope {
+                public_inputs: claim,
+                proof: ProofData::Groth16 {
+                    proof: zkvc_groth16::Proof {
+                        a: (g * a).to_affine(),
+                        b: (g * b).to_affine(),
+                        c: c.to_affine(),
+                    },
+                },
+            };
+            // As `zkvc verify` reads it: envelope bytes, key from the seed.
+            let decoded = ProofEnvelope::decode(&envelope.to_bytes()).unwrap();
+            assert!(
+                decoded.verify_with_key(&VerifierKey::Groth16(vk)),
+                "{label}: the trapdoor forgery is rejected: item 6's known break is fixed, \
+                 flip this test"
+            );
+        }
+    }
+
+    #[test]
     fn cached_shape_matches_circuit() {
         let cache = KeyCache::new();
         let circuit = matmul(12, 3);
         let (keys, _) = cache.get_or_setup_circuit(Backend::Groth16, &circuit);
         assert_eq!(keys.shape.digest, keys.digest);
         assert_eq!(keys.digest, circuit.shape_digest());
-        // 2x3x2 vanilla: abn products + ab additions, no public outputs.
+        // 2x3x2 vanilla: abn products + ab additions into the public Y.
         assert_eq!(keys.shape.num_constraints(), 2 * 2 * 3 + 2 * 2);
-        assert_eq!(keys.shape.num_instance(), 0);
+        assert_eq!(keys.shape.num_instance(), 2 * 2);
         assert!(keys
             .shape
             .is_satisfied(&generate_witness_for(&circuit, &keys.shape)));

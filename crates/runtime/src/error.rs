@@ -92,11 +92,11 @@ pub enum Error {
         last: String,
     },
     /// `zkvc analyze` found lint violations at or above its gate
-    /// threshold (after baseline waivers). A soundness-class failure —
+    /// threshold. A soundness-class failure —
     /// the circuit is bad, not the invocation — so it exits `1` like a
     /// bad proof.
     AnalysisFailed {
-        /// Gated findings remaining after waivers.
+        /// Findings at or above the threshold.
         findings: usize,
         /// The gate threshold's lowercase token (`warn`, `deny`, ...).
         threshold: String,

@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use zkvc_core::api::{generate_witness_for, Circuit};
-use zkvc_core::matmul::{MatMulBuilder, ZSource};
+use zkvc_core::matmul::MatMulBuilder;
 use zkvc_ff::Fr;
 use zkvc_hash::Transcript;
 use zkvc_nn::circuit::ModelStatement;
@@ -83,8 +83,9 @@ pub(crate) struct Proved {
 /// Derives the fixed CRPC folding challenge shared by every job with the
 /// same (seed, statement shape) — required so same-shape jobs share one
 /// circuit template and therefore one cache entry. This is the paper's
-/// "challenge sampled at setup time" Groth16 flow (`ZSource::Fixed`); see
-/// the soundness note on [`zkvc_core::matmul::ZSource`].
+/// "challenge sampled at setup time" Groth16 flow. It is public before any
+/// `Y` exists, so CRPC statements under it are soundness-BROKEN against a
+/// malicious prover (`docs/SOUNDNESS.md`, "served `Z`").
 fn fixed_z(seed: u64, spec: &JobSpec) -> Fr {
     let mut t = Transcript::new(b"zkvc-runtime-template-z");
     t.append_u64(b"seed", seed);
@@ -113,13 +114,12 @@ pub fn build_statement(seed: u64, id: usize, spec: &JobSpec) -> Box<dyn Circuit>
             ..
         } => {
             let mut rng = StdRng::seed_from_u64(input_seed);
-            let mut builder = MatMulBuilder::new(dims.0, dims.1, dims.2)
+            let circuit = MatMulBuilder::new(dims.0, dims.1, dims.2)
                 .strategy(*strategy)
-                .public_outputs(*public_outputs);
-            if strategy.uses_crpc() {
-                builder = builder.z_source(ZSource::Fixed(fixed_z(seed, spec)));
-            }
-            Box::new(builder.build_circuit_random(&mut rng))
+                .public_outputs(*public_outputs)
+                .z(fixed_z(seed, spec))
+                .build_circuit_random(&mut rng);
+            Box::new(circuit)
         }
         JobSpec::Model {
             preset, strategy, ..

@@ -75,7 +75,7 @@ mod spec;
 mod util;
 pub mod wire;
 
-pub use analysis::{analyze_spec, analyze_specs, Baseline, Preflight, SpecAnalysis};
+pub use analysis::{analyze_spec, analyze_specs, Preflight, SpecAnalysis};
 pub use cache::{derive_verifier_key, CacheStats, CircuitKeys, KeyCache};
 pub use error::Error;
 pub use job::build_statement;

@@ -184,7 +184,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let job = MatMulBuilder::new(2, 3, 2)
             .strategy(Strategy::CrpcPsq)
-            .public_outputs(true)
             .build_circuit_random(&mut rng);
         let (keys, _) = KeyCache::new().get_or_setup_circuit(Backend::Groth16, &job);
         let witness = generate_witness_for(&job, &keys.shape);

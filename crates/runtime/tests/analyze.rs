@@ -1,16 +1,15 @@
 //! The static-analysis surface, end to end: every lint rule firing on a
 //! committed known-bad fixture, every shipping spec analyzing clean, the
-//! `zkvc analyze` CLI's reports / gate / baseline waivers, the serve
+//! `zkvc analyze` CLI's reports and gate, the serve
 //! pre-flight (`--analyze-on-compile`), and the eager `ZKVC_FAULTS`
 //! startup validation.
 
 use std::io::Cursor;
-use std::path::PathBuf;
 use std::process::{Command, Output};
 
 use zkvc_ff::{Fr, PrimeField};
 use zkvc_r1cs::{CompiledShape, ConstraintSystem, LinearCombination, Rule, Severity};
-use zkvc_runtime::analysis::{analyze_spec, analyze_specs, default_sweep, gate_count, Baseline};
+use zkvc_runtime::analysis::{analyze_spec, analyze_specs, default_sweep, gate_count};
 use zkvc_runtime::{serve, JobSpec, ServeConfig};
 
 fn zkvc(args: &[&str]) -> Output {
@@ -18,12 +17,6 @@ fn zkvc(args: &[&str]) -> Output {
         .args(args)
         .output()
         .expect("zkvc binary runs")
-}
-
-fn tmp_file(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("zkvc-analyze-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    dir.join(name)
 }
 
 /// One known-bad constraint system per rule: the analyzer must flag each
@@ -134,10 +127,7 @@ fn shipping_sweep_is_clean() {
             r.report.findings
         );
     }
-    assert_eq!(
-        gate_count(&results, Severity::Info, &Baseline::default()),
-        0
-    );
+    assert_eq!(gate_count(&results, Severity::Info), 0);
 }
 
 #[test]
@@ -181,6 +171,17 @@ fn analyze_cli_passes_clean_specs_and_rejects_private_ones() {
     assert!(out.status.success());
     let out = zkvc(&["analyze", "--spec", "2x3x2:vanilla:s", "--deny", "bogus"]);
     assert_eq!(out.status.code(), Some(2), "bad --deny is a usage error");
+    // There is no waiver list: a finding can only be fixed, not hidden.
+    let out = zkvc(&[
+        "analyze",
+        "--spec",
+        "4x4x4:zkvc:g:private",
+        "--baseline",
+        "x",
+    ]);
+    assert_eq!(out.status.code(), Some(2), "--baseline is not an argument");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown argument"), "{stderr}");
 }
 
 #[test]
@@ -197,43 +198,6 @@ fn analyze_cli_emits_json_reports() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("\"rule\":\"unbound-public\""), "{stdout}");
     assert!(stdout.contains("\"worst\":\"deny\""), "{stdout}");
-}
-
-#[test]
-fn analyze_cli_baseline_waives_reviewed_findings() {
-    let baseline = tmp_file("waivers.txt");
-    std::fs::write(
-        &baseline,
-        "# reviewed: shape-only binding is intentional for this probe spec\n\
-         4x4x4:crpc+psq:groth16:private unbound-public\n",
-    )
-    .unwrap();
-    let out = zkvc(&[
-        "analyze",
-        "--spec",
-        "4x4x4:zkvc:g:private",
-        "--baseline",
-        baseline.to_str().unwrap(),
-    ]);
-    assert!(
-        out.status.success(),
-        "waived finding must not gate: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("(waived)"), "{stdout}");
-    assert!(stdout.contains("0 finding(s), 1 waived"), "{stdout}");
-
-    // A malformed baseline is a usage error, not a silent no-gate.
-    std::fs::write(&baseline, "too many tokens here\n").unwrap();
-    let out = zkvc(&[
-        "analyze",
-        "--spec",
-        "2x3x2:vanilla:s",
-        "--baseline",
-        baseline.to_str().unwrap(),
-    ]);
-    assert_eq!(out.status.code(), Some(2));
 }
 
 #[test]

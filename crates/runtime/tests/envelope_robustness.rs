@@ -28,7 +28,6 @@ fn proved_envelope(
     let mut rng = StdRng::seed_from_u64(seed);
     let job = MatMulBuilder::new(a, n, b)
         .strategy(Strategy::CrpcPsq)
-        .public_outputs(true)
         .build_circuit_random(&mut rng);
     let system = backend.system();
     let shape = Arc::new(compile_shape(&job));
@@ -138,7 +137,6 @@ fn truncated_and_padded_groth16_key_table_entries_rejected() {
     let mut rng = StdRng::seed_from_u64(43);
     let job = MatMulBuilder::new(2, 2, 2)
         .strategy(Strategy::Vanilla)
-        .public_outputs(true)
         .build_circuit_random(&mut rng);
     let (_pk, vk) = Backend::Groth16
         .system()

@@ -1,16 +1,20 @@
 //! Statement-level binding acceptance tests: proving `Y = X * W` with
 //! public outputs and then verifying against a tampered `Y'` must fail for
 //! both backends and all four circuit strategies — keyed verification,
-//! envelope round trips and the pool's rebuilt-statement check included.
+//! envelope round trips and the pool's rebuilt-statement check included —
+//! and so must a proof of any assignment with one cell changed.
 
-use std::sync::Arc;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, OnceLock};
 
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use zkvc_core::api::{compile_shape, generate_witness_for, Circuit, ProofSystem};
-use zkvc_core::matmul::{MatMulBuilder, MatMulCircuit, Strategy, ZSource};
-use zkvc_core::{Backend, ProofArtifacts, VerifierKey};
+use zkvc_core::matmul::{MatMulBuilder, MatMulCircuit, Strategy};
+use zkvc_core::{Backend, ProofArtifacts, ProverKey, VerifierKey};
 use zkvc_ff::{Field, Fr, PrimeField};
+use zkvc_r1cs::CompiledShape;
 use zkvc_runtime::{build_statement, CircuitKeys, JobSpec, KeyCache, ProofEnvelope};
 
 fn public_job(strategy: Strategy) -> MatMulCircuit {
@@ -18,7 +22,6 @@ fn public_job(strategy: Strategy) -> MatMulCircuit {
     let w = vec![vec![6i64, -2], vec![3, 8], vec![-1, 9]];
     MatMulBuilder::new(2, 3, 2)
         .strategy(strategy)
-        .public_outputs(true)
         .build_circuit_integers(&x, &w)
 }
 
@@ -103,8 +106,8 @@ fn known_break_1a_fold_preserving_forgery_verifies() {
     // drawn after X, Y and com(W)) and 1(c) (Groth16: Z sampled by the
     // verifier at setup) flip the final assertion to a rejection.
     //
-    // The served CRPC statement takes Z from `ZSource::Fixed`, and the
-    // prover knows it before Y exists. The per-cell binding rows tie the
+    // The served CRPC statement takes a fixed, public Z (`fixed_z`), and
+    // the prover knows it before Y exists. The per-cell binding rows tie the
     // public Y to the fold's Y witnesses, but a malicious prover moves
     // *both*: `y_0 += Z, y_1 -= 1` keeps `sum Z^m y_m`, so the one PSQ
     // product still holds. With n = 1 the honest Y has rank 1, while the
@@ -114,8 +117,7 @@ fn known_break_1a_fold_preserving_forgery_verifies() {
     let w = vec![vec![7i64, 11, 13]];
     let job = MatMulBuilder::new(3, 1, 3)
         .strategy(Strategy::CrpcPsq)
-        .public_outputs(true)
-        .z_source(ZSource::Fixed(z))
+        .z(z)
         .build_circuit_integers(&x, &w);
     let shape = Arc::new(compile_shape(&job));
     let mut forged = generate_witness_for(&job, &shape);
@@ -195,8 +197,7 @@ fn known_break_1a_universal_forgery_verifies() {
         for strategy in [Strategy::Crpc, Strategy::CrpcPsq] {
             let job = MatMulBuilder::new(3, n, 3)
                 .strategy(strategy)
-                .public_outputs(true)
-                .z_source(ZSource::Fixed(z))
+                .z(z)
                 .build_circuit_integers(&x, &w);
             let shape = Arc::new(compile_shape(&job));
             let mut forged = generate_witness_for(&job, &shape);
@@ -317,4 +318,106 @@ fn private_jobs_still_prove_but_bind_nothing() {
     let mut rng = StdRng::seed_from_u64(6);
     let artifacts = prove_with(&keys, statement.as_ref(), &mut rng);
     assert!(spec.backend().system().verify(&keys.verifier, &artifacts));
+}
+
+/// The mutation proptest's shape: `Y` is 2x3 over `n = 2`, so every
+/// strategy has product rows, accumulators or sums beyond the inputs.
+const MUTATED: (usize, usize, usize) = (2, 2, 3);
+
+/// Per strategy (in [`Strategy::ALL`] order), the default builder's shape
+/// and its keys on each backend (in [`Backend::ALL`] order), set up once
+/// for every case: the default `Z` depends on the dimensions only, so
+/// every drawn `X` and `W` compiles to this one shape.
+type MutationKeys = Vec<(Arc<CompiledShape<Fr>>, Vec<(ProverKey, VerifierKey)>)>;
+
+fn mutation_keys() -> &'static MutationKeys {
+    static KEYS: OnceLock<MutationKeys> = OnceLock::new();
+    KEYS.get_or_init(|| {
+        let (a, n, b) = MUTATED;
+        let mut rng = StdRng::seed_from_u64(78);
+        Strategy::ALL
+            .iter()
+            .map(|strategy| {
+                let circuit = MatMulBuilder::new(a, n, b)
+                    .strategy(*strategy)
+                    .build_circuit_integers(&vec![vec![1; n]; a], &vec![vec![1; b]; n]);
+                let shape = Arc::new(compile_shape(&circuit));
+                let keys = Backend::ALL
+                    .iter()
+                    .map(|backend| backend.system().setup_shape(&shape, &mut rng))
+                    .collect();
+                (shape, keys)
+            })
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Changing any one cell of an honest assignment, instance or witness,
+    /// leaves it unsatisfied, and neither backend accepts a proof of it
+    /// (proved for one drawn cell per strategy and case).
+    /// Operands are drawn from `1..256`: a zero `w_kj` would leave a
+    /// vanilla product row blind to `x_ik`, which is a true property of
+    /// the relation, not a binding failure.
+    #[test]
+    fn prop_one_cell_mutation_is_unsatisfied_and_rejected_by_both_backends(
+        x in prop::collection::vec(1u64..256, 4..5),
+        w in prop::collection::vec(1u64..256, 6..7),
+        cell in 0usize..64,
+        delta in 1u64..256,
+        seed in 0u64..1000,
+    ) {
+        let (a, n, b) = MUTATED;
+        let to_matrix = |v: &[u64], cols: usize| -> Vec<Vec<Fr>> {
+            v.chunks(cols).map(|row| row.iter().copied().map(Fr::from_u64).collect()).collect()
+        };
+        let (x, w) = (to_matrix(&x, n), to_matrix(&w, b));
+        let mut rng = StdRng::seed_from_u64(seed);
+        for (strategy, (shape, keys)) in Strategy::ALL.iter().zip(mutation_keys()) {
+            let circuit = MatMulBuilder::new(a, n, b)
+                .strategy(*strategy)
+                .build_circuit_field(&x, &w);
+            let honest = generate_witness_for(&circuit, shape);
+            prop_assert!(shape.is_satisfied(&honest), "{:?} honest", strategy);
+            let num_instance = honest.instance.len();
+            let mutate = |cell: usize| {
+                let mut mutated = honest.clone();
+                if cell < num_instance {
+                    mutated.instance[cell] += Fr::from_u64(delta);
+                } else {
+                    mutated.witness[cell - num_instance] += Fr::from_u64(delta);
+                }
+                mutated
+            };
+            // Satisfiability is cheap: every cell. Proving is not: one.
+            let num_cells = num_instance + honest.witness.len();
+            for cell in 0..num_cells {
+                prop_assert!(!shape.is_satisfied(&mutate(cell)), "{:?} cell {}", strategy, cell);
+            }
+            let cell = cell % num_cells;
+            let mutated = mutate(cell);
+            for (backend, (pk, vk)) in Backend::ALL.iter().zip(keys) {
+                let system = backend.system();
+                // A debug build's Groth16 prover refuses an unsatisfied
+                // assignment outright (its QAP division self-check); any
+                // proof that does come out must fail verification.
+                let proved = catch_unwind(AssertUnwindSafe(|| {
+                    system.prove_assignment(pk, &mutated, &mut rng)
+                }));
+                if let Ok(artifacts) = proved {
+                    prop_assert!(
+                        !system.verify(vk, &artifacts),
+                        "{:?}/{:?} accepted a proof with cell {} changed",
+                        backend,
+                        strategy,
+                        cell
+                    );
+                } else {
+                    prop_assert!(cfg!(debug_assertions) && *backend == Backend::Groth16);
+                }
+            }
+        }
+    }
 }

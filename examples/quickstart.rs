@@ -16,15 +16,14 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(42);
 
     // The server computed Y = X * W and wants to convince the client without
-    // revealing W. With `public_outputs(true)` the proof *binds* Y: it is
-    // part of the statement, not the witness.
+    // revealing W. The builder's outputs are public, so the proof *binds*
+    // Y: it is part of the statement, not the witness.
     let x = vec![vec![3i64, -1, 4], vec![1, 5, -9], vec![2, 6, 5]];
     let w = vec![vec![2i64, 7], vec![1, -8], vec![-2, 8]];
 
     println!("Building the CRPC+PSQ circuit for a 3x3 * 3x2 multiplication...");
     let circuit = MatMulBuilder::new(3, 3, 2)
         .strategy(Strategy::CrpcPsq)
-        .public_outputs(true)
         .build_circuit_integers(&x, &w);
     // The witness-free shape pass: everything setup needs, no values.
     let shape = Arc::new(compile_shape(&circuit));

@@ -21,10 +21,10 @@
 //! let mut rng = StdRng::seed_from_u64(1);
 //! let x = vec![vec![1i64, 2], vec![3, 4]];
 //! let w = vec![vec![5i64, 6], vec![7, 8]];
-//! // Public outputs: the proof binds Y, not just the circuit shape.
+//! // Public outputs (the default): the proof binds Y, not just the
+//! // circuit shape.
 //! let circuit = MatMulBuilder::new(2, 2, 2)
 //!     .strategy(Strategy::CrpcPsq)
-//!     .public_outputs(true)
 //!     .build_circuit_integers(&x, &w);
 //! let system = Backend::Spartan.system();
 //! // Once per shape: compile + setup. Once per statement: witness + prove.

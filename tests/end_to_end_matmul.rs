@@ -6,7 +6,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use zkvc::core::api::{compile_shape, generate_witness_for};
-use zkvc::core::matmul::{CircuitStats, MatMulBuilder, MatMulCircuit, Strategy, ZSource};
+use zkvc::core::matmul::{CircuitStats, MatMulBuilder, MatMulCircuit, Strategy};
 use zkvc::core::Backend;
 use zkvc::ff::{Field, Fr, PrimeField};
 
@@ -58,11 +58,14 @@ fn every_strategy_proves_and_verifies_on_both_backends() {
 fn zkvc_strategy_reduces_constraints_as_the_paper_claims() {
     let (a, n, b) = (8usize, 12usize, 10usize);
     let (x, w) = matrices(a, n, b, 7);
+    // The paper's counts are for the bare encodings, outputs private.
     let vanilla = MatMulBuilder::new(a, n, b)
         .strategy(Strategy::Vanilla)
+        .public_outputs(false)
         .build_circuit_integers(&x, &w);
     let zkvc = MatMulBuilder::new(a, n, b)
         .strategy(Strategy::CrpcPsq)
+        .public_outputs(false)
         .build_circuit_integers(&x, &w);
     let constraints = |c: &MatMulCircuit| CircuitStats::of(&compile_shape(c)).num_constraints;
     // O(abn) -> O(n)
@@ -83,8 +86,8 @@ fn groth16_proof_does_not_verify_for_a_different_statement() {
     let system = Backend::Groth16.system();
     let (artifacts, vk) = system.prove_oneshot(&job, &mut rng);
     assert!(system.verify(&vk, &artifacts));
-    // The proof verifies under its own public inputs (there are none
-    // beyond the statement structure), but a tampered proof must fail.
+    // The proof verifies under its own public inputs (the output Y), but
+    // a tampered proof must fail.
     let mut bad = artifacts;
     if let zkvc::core::backend::ProofData::Groth16 { proof } = &mut bad.data {
         proof.a = (proof.a.to_projective() + zkvc::curve::G1Projective::generator()).to_affine();
@@ -100,6 +103,7 @@ fn dishonest_witness_cannot_be_proved_with_spartan() {
     let (x, w) = matrices(3, 3, 3, 5);
     let job = MatMulBuilder::new(3, 3, 3)
         .strategy(Strategy::CrpcPsq)
+        .public_outputs(false)
         .build_circuit_integers(&x, &w);
     let system = Backend::Spartan.system();
     let shape = Arc::new(compile_shape(&job));
@@ -113,20 +117,21 @@ fn dishonest_witness_cannot_be_proved_with_spartan() {
 }
 
 #[test]
-fn fixed_z_matches_transcript_z_semantics() {
-    // Completeness does not depend on where Z comes from.
+fn crpc_completes_at_two_explicit_z_values() {
+    // Completeness does not depend on the value of Z.
     let (x, w) = matrices(2, 5, 2, 11);
-    let fixed = MatMulBuilder::new(2, 5, 2)
-        .strategy(Strategy::Crpc)
-        .z_source(ZSource::Fixed(Fr::from_u64(31337)))
-        .build_circuit_integers(&x, &w);
-    let transcript = MatMulBuilder::new(2, 5, 2)
-        .strategy(Strategy::Crpc)
-        .build_circuit_integers(&x, &w);
-    assert!(is_satisfied(&fixed));
-    assert!(is_satisfied(&transcript));
-    assert_eq!(fixed.y, transcript.y);
-    assert_ne!(fixed.z, Fr::zero());
+    let at = |z: u64| {
+        MatMulBuilder::new(2, 5, 2)
+            .strategy(Strategy::Crpc)
+            .z(Fr::from_u64(z))
+            .build_circuit_integers(&x, &w)
+    };
+    let (first, second) = (at(31337), at(7919));
+    assert!(is_satisfied(&first));
+    assert!(is_satisfied(&second));
+    assert_eq!(first.y, second.y);
+    assert_ne!(first.z, Fr::zero());
+    assert_ne!(first.z, second.z);
 }
 
 #[test]

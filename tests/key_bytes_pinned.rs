@@ -11,7 +11,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use zkvc::core::api::compile_shape;
-use zkvc::core::matmul::{MatMulBuilder, Strategy, ZSource};
+use zkvc::core::matmul::{MatMulBuilder, Strategy};
 use zkvc::ff::{Fr, PrimeField};
 use zkvc::groth16::setup_shape;
 use zkvc::hash::{sha256, Sha256};
@@ -33,7 +33,8 @@ fn key_digests(a: usize, n: usize, b: usize, strategy: Strategy) -> (String, Str
         .collect();
     let circuit = MatMulBuilder::new(a, n, b)
         .strategy(strategy)
-        .z_source(ZSource::Fixed(Fr::from_u64(0x5eed)))
+        .public_outputs(false)
+        .z(Fr::from_u64(0x5eed))
         .build_circuit_integers(&x, &w);
     let mut rng = StdRng::seed_from_u64(SETUP_SEED);
     let (pk, vk) = setup_shape(Arc::new(compile_shape(&circuit)), &mut rng);

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use zkvc::core::api::{compile_shape, Circuit};
-use zkvc::core::matmul::{MatMulBuilder, Strategy, ZSource};
+use zkvc::core::matmul::{MatMulBuilder, Strategy};
 use zkvc::ff::{Fr, PrimeField};
 use zkvc::groth16::{setup_shape, verifying_key_for_shape};
 use zkvc::runtime::{build_statement, JobSpec};
@@ -38,7 +38,8 @@ fn pinned_matmul(a: usize, n: usize, b: usize, strategy: Strategy) -> impl Circu
         .collect();
     MatMulBuilder::new(a, n, b)
         .strategy(strategy)
-        .z_source(ZSource::Fixed(Fr::from_u64(0x5eed)))
+        .public_outputs(false)
+        .z(Fr::from_u64(0x5eed))
         .build_circuit_integers(&x, &w)
 }
 
