@@ -92,23 +92,24 @@ pub fn run_matmul(
     let circuit = MatMulBuilder::new(dims.0, dims.1, dims.2)
         .strategy(strategy)
         .build_circuit_random(&mut rng);
-    let system = backend.system();
     let t0 = Instant::now();
     let shape = Arc::new(compile_shape(&circuit));
-    let (pk, vk) = system.setup_shape(&shape, &mut rng);
+    let (pk, vk) = backend.setup_shape(&shape, &mut rng);
     let setup = t0.elapsed();
     let witness = generate_witness_for(&circuit, &shape);
-    let artifacts = system.prove_assignment(&pk, &witness, &mut rng);
     let t1 = Instant::now();
-    let ok = system.verify(&vk, &artifacts);
-    let verify = t1.elapsed();
+    let artifacts = backend.prove_assignment(&pk, &witness, &mut rng);
+    let prove = t1.elapsed();
+    let t2 = Instant::now();
+    let ok = vk.verify(&artifacts.public_inputs, &artifacts.data);
+    let verify = t2.elapsed();
     RunResult {
         label: label.to_string(),
         setup,
-        prove: artifacts.metrics.prove_time,
+        prove,
         verify,
-        proof_bytes: artifacts.metrics.proof_size_bytes,
-        constraints: artifacts.metrics.num_constraints,
+        proof_bytes: artifacts.data.size_in_bytes(),
+        constraints: shape.num_constraints(),
         ok,
     }
 }

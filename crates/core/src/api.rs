@@ -1,5 +1,8 @@
-//! The circuit-generic proving API: the [`Circuit`] and [`ProofSystem`]
-//! traits that decouple *what* is proved from *how* it is proved.
+//! The circuit half of the proving API: the [`Circuit`] trait, the two
+//! passes over it, and the one statement-binding construction. *What* is
+//! proved lives here; *how* — setup, prove and verify on Groth16 or
+//! Spartan — lives on [`Backend`](crate::Backend) and
+//! [`VerifierKey`](crate::VerifierKey).
 //!
 //! A [`Circuit`] is a *driver*: its [`Circuit::synthesize`] emits the
 //! constraint structure (and, when the sink carries values, the witness)
@@ -12,10 +15,6 @@
 //! prover accepts — and a prove-many workload compiles each shape exactly
 //! once.
 //!
-//! The two systems built in this workspace are [`Groth16System`] (`zkVC-G`)
-//! and [`SpartanSystem`] (`zkVC-S`); the [`Backend`] enum is the `Copy`,
-//! hashable tag that names them ([`Backend::system`]).
-//!
 //! A circuit's **public outputs** are its instance assignment: the values a
 //! proof *binds*. A circuit with no instance variables (e.g. a matmul with
 //! X, W and Y all private) only commits to its shape — any honest proof for
@@ -26,7 +25,7 @@
 //!
 //! ```rust
 //! use std::sync::Arc;
-//! use zkvc_core::api::{compile_shape, generate_witness_for, ProofSystem};
+//! use zkvc_core::api::{compile_shape, generate_witness_for};
 //! use zkvc_core::matmul::{MatMulBuilder, Strategy};
 //! use zkvc_core::Backend;
 //! use rand::rngs::StdRng;
@@ -39,35 +38,27 @@
 //!     .strategy(Strategy::CrpcPsq)
 //!     .build_circuit_integers(&x, &w);
 //!
-//! // Pick a proof system at runtime; once per shape: compile + setup.
-//! let system: &dyn ProofSystem = Backend::Spartan.system();
+//! // Pick a backend at runtime; once per shape: compile + setup.
+//! let backend = Backend::Spartan;
 //! let shape = Arc::new(compile_shape(&circuit));
-//! let (pk, vk) = system.setup_shape(&shape, &mut rng);
+//! let (pk, vk) = backend.setup_shape(&shape, &mut rng);
 //! // Once per statement: witness pass + prove.
 //! let witness = generate_witness_for(&circuit, &shape);
-//! let artifacts = system.prove_assignment(&pk, &witness, &mut rng);
-//! assert!(system.verify(&vk, &artifacts));
+//! let artifacts = backend.prove_assignment(&pk, &witness, &mut rng);
+//! assert!(vk.verify(&artifacts.public_inputs, &artifacts.data));
 //!
 //! // The proof binds the public outputs: tampering with Y must fail.
-//! let mut tampered = artifacts.clone();
-//! tampered.public_inputs[0] += zkvc_ff::Fr::one();
+//! let mut tampered = artifacts.public_inputs.clone();
+//! tampered[0] += zkvc_ff::Fr::one();
 //! # use zkvc_ff::Field;
-//! assert!(!system.verify(&vk, &tampered));
+//! assert!(!vk.verify(&tampered, &artifacts.data));
 //! ```
 
-use std::sync::Arc;
-use std::time::Instant;
-
-use rand::RngCore;
 use zkvc_ff::Fr;
-use zkvc_groth16 as groth16;
 use zkvc_r1cs::{
     CompiledShape, ConstraintSink, LinearCombination, ShapeBuilder, WitnessAssignment,
     WitnessFiller,
 };
-use zkvc_spartan::SpartanProver;
-
-use crate::backend::{Backend, ProofArtifacts, ProofData, ProverKey, VerifierKey};
 
 /// A statement plus (when asked for) its witness, as a synthesis driver.
 ///
@@ -148,236 +139,6 @@ pub fn generate_witness_for<C: Circuit + ?Sized>(
     filler.finish_for(shape)
 }
 
-/// A zero-knowledge proof system that can prove and verify any [`Circuit`]:
-/// per-shape setup, per-statement prove, and verify against prepared key
-/// material.
-///
-/// The API is shape/assignment-level: [`ProofSystem::setup_shape`]
-/// consumes a witness-free [`CompiledShape`] (and the returned keys retain
-/// it), [`ProofSystem::prove_assignment`] consumes only a statement's flat
-/// [`WitnessAssignment`]. [`ProofSystem::prove_oneshot`] is the one
-/// circuit-level convenience, for callers that prove a shape exactly once.
-///
-/// The trait is object-safe — the runtime's pool, cache and CLI all work
-/// with `&dyn ProofSystem` — which is why randomness arrives as
-/// `&mut dyn RngCore` rather than a generic parameter.
-pub trait ProofSystem: Send + Sync {
-    /// The [`Backend`] tag this system dispatches as.
-    fn backend(&self) -> Backend;
-
-    /// Short system name ("groth16", "spartan").
-    fn name(&self) -> &'static str {
-        self.backend().name()
-    }
-
-    /// Runs the per-circuit-shape setup — CRS generation for Groth16,
-    /// transparent preprocessing for Spartan — from a compiled shape.
-    /// Witness-free by construction: a shape pass never materialises
-    /// values, and this method only sees its output.
-    fn setup_shape(
-        &self,
-        shape: &Arc<CompiledShape<Fr>>,
-        rng: &mut dyn RngCore,
-    ) -> (ProverKey, VerifierKey);
-
-    /// The verifier half of [`ProofSystem::setup_shape`] from the same rng
-    /// state: the key a verifier re-derives for itself. The default runs
-    /// the whole setup and keeps the verifier key; Groth16 overrides it to
-    /// skip the proving key's group work.
-    fn setup_verifier(&self, shape: &Arc<CompiledShape<Fr>>, rng: &mut dyn RngCore) -> VerifierKey {
-        self.setup_shape(shape, rng).1
-    }
-
-    /// Proves a statement given only its flat assignment, against a key
-    /// prepared by [`ProofSystem::setup_shape`] for the statement's shape.
-    /// This is the prove-many hot path: no synthesis, no matrix
-    /// extraction. The returned metrics report zero setup time (the key is
-    /// assumed amortised).
-    ///
-    /// # Panics
-    /// Panics if the key belongs to a different proof system or the
-    /// assignment does not match the key's shape.
-    fn prove_assignment(
-        &self,
-        key: &ProverKey,
-        witness: &WitnessAssignment<Fr>,
-        rng: &mut dyn RngCore,
-    ) -> ProofArtifacts;
-
-    /// Verifies artifacts against a key prepared by
-    /// [`ProofSystem::setup_shape`] or [`ProofSystem::setup_verifier`].
-    /// The key is the only verification material: artifacts carry none.
-    /// Returns `false` (rather than panicking) on key/proof mismatch.
-    fn verify(&self, key: &VerifierKey, artifacts: &ProofArtifacts) -> bool;
-
-    /// One-shot setup + prove, with the setup time recorded in the
-    /// metrics. The shape is compiled once and shared by both steps; the
-    /// setup's verifier key comes back beside the proof, for
-    /// [`ProofSystem::verify`].
-    fn prove_oneshot(
-        &self,
-        circuit: &dyn Circuit,
-        rng: &mut dyn RngCore,
-    ) -> (ProofArtifacts, VerifierKey) {
-        let t0 = Instant::now();
-        let shape = Arc::new(compile_shape(circuit));
-        let (pk, vk) = self.setup_shape(&shape, rng);
-        let setup_time = t0.elapsed();
-        let witness = generate_witness_for(circuit, &shape);
-        let mut artifacts = self.prove_assignment(&pk, &witness, rng);
-        artifacts.metrics.setup_time = setup_time;
-        (artifacts, vk)
-    }
-}
-
-/// The Groth16 proof system (`zkVC-G`): constant proof size and pairing
-/// verification, per-circuit trusted setup.
-#[derive(Copy, Clone, Debug, Default)]
-pub struct Groth16System;
-
-/// The Spartan-style transparent proof system (`zkVC-S`): no trusted setup,
-/// logarithmic-size proofs.
-#[derive(Copy, Clone, Debug, Default)]
-pub struct SpartanSystem;
-
-/// The static [`Groth16System`] instance [`Backend::system`] dispatches to.
-pub static GROTH16: Groth16System = Groth16System;
-
-/// The static [`SpartanSystem`] instance [`Backend::system`] dispatches to.
-pub static SPARTAN: SpartanSystem = SpartanSystem;
-
-fn artifacts_from(
-    data: ProofData,
-    proof_size_bytes: usize,
-    public_inputs: Vec<Fr>,
-    num_constraints: usize,
-    num_variables: usize,
-    prove_time: std::time::Duration,
-) -> ProofArtifacts {
-    ProofArtifacts {
-        metrics: crate::backend::ProveMetrics {
-            backend: data.backend(),
-            setup_time: std::time::Duration::ZERO,
-            prove_time,
-            proof_size_bytes,
-            num_constraints,
-            num_variables,
-        },
-        data,
-        public_inputs,
-    }
-}
-
-impl ProofSystem for Groth16System {
-    fn backend(&self) -> Backend {
-        Backend::Groth16
-    }
-
-    fn setup_shape(
-        &self,
-        shape: &Arc<CompiledShape<Fr>>,
-        rng: &mut dyn RngCore,
-    ) -> (ProverKey, VerifierKey) {
-        let (pk, vk) = groth16::setup_shape(Arc::clone(shape), rng);
-        (ProverKey::Groth16(pk), VerifierKey::Groth16(vk))
-    }
-
-    fn setup_verifier(&self, shape: &Arc<CompiledShape<Fr>>, rng: &mut dyn RngCore) -> VerifierKey {
-        VerifierKey::Groth16(groth16::verifying_key_for_shape(shape, rng))
-    }
-
-    fn prove_assignment(
-        &self,
-        key: &ProverKey,
-        witness: &WitnessAssignment<Fr>,
-        rng: &mut dyn RngCore,
-    ) -> ProofArtifacts {
-        let ProverKey::Groth16(pk) = key else {
-            panic!(
-                "backend/key mismatch: Groth16 cannot prove with a {:?} key",
-                key.backend()
-            );
-        };
-        let z = witness.full();
-        let t0 = Instant::now();
-        let proof = groth16::prove_assignment(pk, &z, rng);
-        let prove_time = t0.elapsed();
-        let size = proof.size_in_bytes();
-        artifacts_from(
-            ProofData::Groth16 { proof },
-            size,
-            witness.instance.clone(),
-            pk.shape.num_constraints(),
-            pk.shape.num_variables(),
-            prove_time,
-        )
-    }
-
-    fn verify(&self, key: &VerifierKey, artifacts: &ProofArtifacts) -> bool {
-        match (key, &artifacts.data) {
-            (VerifierKey::Groth16(vk), ProofData::Groth16 { proof }) => {
-                groth16::verify(vk, &artifacts.public_inputs, proof)
-            }
-            _ => false,
-        }
-    }
-}
-
-impl ProofSystem for SpartanSystem {
-    fn backend(&self) -> Backend {
-        Backend::Spartan
-    }
-
-    fn setup_shape(
-        &self,
-        shape: &Arc<CompiledShape<Fr>>,
-        _rng: &mut dyn RngCore,
-    ) -> (ProverKey, VerifierKey) {
-        // Preprocess once; the verifier reuses the prover's instance
-        // instead of re-deriving it from the shape.
-        let prover = SpartanProver::preprocess_shape(shape);
-        let verifier = prover.to_verifier();
-        (ProverKey::Spartan(prover), VerifierKey::Spartan(verifier))
-    }
-
-    fn prove_assignment(
-        &self,
-        key: &ProverKey,
-        witness: &WitnessAssignment<Fr>,
-        rng: &mut dyn RngCore,
-    ) -> ProofArtifacts {
-        let ProverKey::Spartan(prover) = key else {
-            panic!(
-                "backend/key mismatch: Spartan cannot prove with a {:?} key",
-                key.backend()
-            );
-        };
-        let t0 = Instant::now();
-        let proof = prover.prove_assignment(&witness.instance, &witness.witness, rng);
-        let prove_time = t0.elapsed();
-        let size = proof.size_in_bytes();
-        artifacts_from(
-            ProofData::Spartan {
-                proof: Box::new(proof),
-            },
-            size,
-            witness.instance.clone(),
-            prover.num_constraints(),
-            prover.num_variables(),
-            prove_time,
-        )
-    }
-
-    fn verify(&self, key: &VerifierKey, artifacts: &ProofArtifacts) -> bool {
-        match (key, &artifacts.data) {
-            (VerifierKey::Spartan(verifier), ProofData::Spartan { proof }) => {
-                verifier.verify(&artifacts.public_inputs, proof)
-            }
-            _ => false,
-        }
-    }
-}
-
 /// Pins each value to its public counterpart with one equality constraint
 /// per cell: `(value_i - public_i) * 1 = 0`.
 ///
@@ -414,11 +175,12 @@ pub fn bind_public_outputs<S: ConstraintSink<Fr> + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matmul::{CircuitStats, MatMulBuilder, MatMulCircuit, Strategy};
+    use crate::backend::{Backend, ProofArtifacts, ProverKey, VerifierKey};
+    use crate::matmul::{MatMulBuilder, MatMulCircuit, Strategy};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::time::Duration;
+    use std::sync::Arc;
     use zkvc_ff::{Field, PrimeField};
     use zkvc_r1cs::{shape_digest, ConstraintSystem, SinkExt};
 
@@ -462,12 +224,12 @@ mod tests {
 
     /// Compile + setup: the once-per-shape half of the pipeline.
     fn setup(
-        system: &dyn ProofSystem,
+        backend: Backend,
         circuit: &dyn Circuit,
         rng: &mut StdRng,
     ) -> (Arc<CompiledShape<Fr>>, ProverKey, VerifierKey) {
         let shape = Arc::new(compile_shape(circuit));
-        let (pk, vk) = system.setup_shape(&shape, rng);
+        let (pk, vk) = backend.setup_shape(&shape, rng);
         (shape, pk, vk)
     }
 
@@ -475,13 +237,13 @@ mod tests {
     /// state, as a verifier holding only the shape and the setup seed
     /// would: the second key every verdict below is checked under.
     fn setup_and_rederive(
-        system: &dyn ProofSystem,
+        backend: Backend,
         circuit: &dyn Circuit,
         rng: &mut StdRng,
     ) -> (Arc<CompiledShape<Fr>>, ProverKey, [VerifierKey; 2]) {
         let mut verifier_rng = rng.clone();
-        let (shape, pk, vk) = setup(system, circuit, rng);
-        let rederived = system.setup_verifier(&shape, &mut verifier_rng);
+        let (shape, pk, vk) = setup(backend, circuit, rng);
+        let rederived = backend.setup_verifier(&shape, &mut verifier_rng);
         (shape, pk, [vk, rederived])
     }
 
@@ -489,33 +251,27 @@ mod tests {
     fn every_strategy_roundtrips_on_every_backend() {
         let mut rng = StdRng::seed_from_u64(11);
         for backend in Backend::ALL {
-            let system: &dyn ProofSystem = backend.system();
-            assert_eq!(system.backend(), backend);
-            assert_eq!(system.name(), backend.name());
             for strategy in Strategy::ALL {
                 let circuit = matmul(strategy);
-                let (shape, pk, keys) = setup_and_rederive(system, &circuit, &mut rng);
+                let (shape, pk, keys) = setup_and_rederive(backend, &circuit, &mut rng);
                 assert_eq!(pk.backend(), backend);
                 let witness = generate_witness_for(&circuit, &shape);
-                let artifacts = system.prove_assignment(&pk, &witness, &mut rng);
+                let artifacts = backend.prove_assignment(&pk, &witness, &mut rng);
                 assert_eq!(artifacts.data.backend(), backend);
                 for vk in &keys {
                     assert_eq!(vk.backend(), backend);
-                    assert!(system.verify(vk, &artifacts), "{backend:?}/{strategy:?}");
+                    assert!(
+                        vk.verify(&artifacts.public_inputs, &artifacts.data),
+                        "{backend:?}/{strategy:?}"
+                    );
                 }
                 assert_eq!(artifacts.public_inputs, witness.instance);
 
-                let stats = CircuitStats::of(&shape);
-                let metrics = &artifacts.metrics;
-                assert_eq!(metrics.backend, backend);
-                assert_eq!(metrics.num_constraints, stats.num_constraints);
-                assert_eq!(metrics.num_variables, stats.num_variables);
-                assert_eq!(metrics.setup_time, Duration::ZERO, "key is amortised");
-                assert!(metrics.prove_time > Duration::ZERO);
+                let size = artifacts.data.size_in_bytes();
                 if backend == Backend::Groth16 {
-                    assert_eq!(metrics.proof_size_bytes, 195);
+                    assert_eq!(size, 195);
                 } else {
-                    assert!(metrics.proof_size_bytes > 0);
+                    assert!(size > 0);
                 }
             }
         }
@@ -527,13 +283,15 @@ mod tests {
         // runtime's KeyCache builds on.
         let mut rng = StdRng::seed_from_u64(21);
         for backend in Backend::ALL {
-            let system = backend.system();
-            let (shape, pk, keys) = setup_and_rederive(system, &Square::of(12), &mut rng);
+            let (shape, pk, keys) = setup_and_rederive(backend, &Square::of(12), &mut rng);
             for w in [12, 13] {
                 let witness = generate_witness_for(&Square::of(w), &shape);
-                let artifacts = system.prove_assignment(&pk, &witness, &mut rng);
+                let artifacts = backend.prove_assignment(&pk, &witness, &mut rng);
                 for vk in &keys {
-                    assert!(system.verify(vk, &artifacts), "{backend:?} w={w}");
+                    assert!(
+                        vk.verify(&artifacts.public_inputs, &artifacts.data),
+                        "{backend:?} w={w}"
+                    );
                 }
                 assert_eq!(artifacts.public_inputs, vec![Fr::from_u64(w * w)]);
             }
@@ -546,41 +304,30 @@ mod tests {
         // verifier derives without the prover's keys.
         let mut rng = StdRng::seed_from_u64(14);
         for backend in Backend::ALL {
-            let system = backend.system();
             let circuit = Square::of(12);
-            let (shape, pk, [vk, rederived]) = setup_and_rederive(system, &circuit, &mut rng);
+            let (shape, pk, [vk, rederived]) = setup_and_rederive(backend, &circuit, &mut rng);
             let witness = generate_witness_for(&circuit, &shape);
-            let mut artifacts = system.prove_assignment(&pk, &witness, &mut rng);
-            assert!(system.verify(&rederived, &artifacts), "{backend:?} honest");
+            let mut artifacts = backend.prove_assignment(&pk, &witness, &mut rng);
+            let verifies = |vk: &VerifierKey, artifacts: &ProofArtifacts| {
+                vk.verify(&artifacts.public_inputs, &artifacts.data)
+            };
+            assert!(verifies(&rederived, &artifacts), "{backend:?} honest");
             artifacts.public_inputs[0] = Fr::from_u64(143);
-            assert!(!system.verify(&vk, &artifacts), "{backend:?} keyed");
-            assert!(
-                !system.verify(&rederived, &artifacts),
-                "{backend:?} keyless"
-            );
+            assert!(!verifies(&vk, &artifacts), "{backend:?} keyed");
+            assert!(!verifies(&rederived, &artifacts), "{backend:?} keyless");
         }
     }
 
     #[test]
     fn cross_backend_artifacts_and_keys_are_rejected() {
-        // A mismatch is a `false`, not a panic, on every verify path.
+        // A key/proof mismatch is a `false`, not a panic.
         let mut rng = StdRng::seed_from_u64(13);
         let circuit = matmul(Strategy::CrpcPsq);
-        let [(g, vk_g), (s, vk_s)] =
-            Backend::ALL.map(|b| b.system().prove_oneshot(&circuit, &mut rng));
-        assert!(
-            g.metrics.setup_time > Duration::ZERO,
-            "oneshot records setup"
-        );
-        for system in Backend::ALL.map(|b| b.system()) {
-            assert!(!system.verify(&vk_g, &s));
-            assert!(!system.verify(&vk_s, &g));
-        }
-        assert!(Backend::Groth16.system().verify(&vk_g, &g));
-        assert!(Backend::Spartan.system().verify(&vk_s, &s));
-        // A matching key does not rescue a proof sent to the wrong system.
-        assert!(!Backend::Spartan.system().verify(&vk_g, &g));
-        assert!(!Backend::Groth16.system().verify(&vk_s, &s));
+        let [(g, vk_g), (s, vk_s)] = Backend::ALL.map(|b| b.prove_oneshot(&circuit, &mut rng));
+        assert!(!vk_g.verify(&s.public_inputs, &s.data));
+        assert!(!vk_s.verify(&g.public_inputs, &g.data));
+        assert!(vk_g.verify(&g.public_inputs, &g.data));
+        assert!(vk_s.verify(&s.public_inputs, &s.data));
     }
 
     #[test]
@@ -588,11 +335,9 @@ mod tests {
     fn groth16_proving_with_a_spartan_key_panics() {
         let mut rng = StdRng::seed_from_u64(23);
         let circuit = Square::of(4);
-        let (shape, pk, _) = setup(Backend::Spartan.system(), &circuit, &mut rng);
+        let (shape, pk, _) = setup(Backend::Spartan, &circuit, &mut rng);
         let witness = generate_witness_for(&circuit, &shape);
-        Backend::Groth16
-            .system()
-            .prove_assignment(&pk, &witness, &mut rng);
+        Backend::Groth16.prove_assignment(&pk, &witness, &mut rng);
     }
 
     #[test]
@@ -600,11 +345,9 @@ mod tests {
     fn spartan_proving_with_a_groth16_key_panics() {
         let mut rng = StdRng::seed_from_u64(33);
         let circuit = Square::of(4);
-        let (shape, pk, _) = setup(Backend::Groth16.system(), &circuit, &mut rng);
+        let (shape, pk, _) = setup(Backend::Groth16, &circuit, &mut rng);
         let witness = generate_witness_for(&circuit, &shape);
-        Backend::Spartan
-            .system()
-            .prove_assignment(&pk, &witness, &mut rng);
+        Backend::Spartan.prove_assignment(&pk, &witness, &mut rng);
     }
 
     #[test]
@@ -614,8 +357,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(37);
         let honest = Square::of(5);
         for backend in Backend::ALL {
-            let system = backend.system();
-
             // (a) different variable counts: the witness pass itself
             // refuses the foreign shape.
             let other_counts = compile_shape(&matmul(Strategy::Vanilla));
@@ -626,16 +367,16 @@ mod tests {
             // cannot tell, so the prover must — by panicking or by
             // producing a proof that does not verify.
             let shape_a = compile_shape(&honest);
-            let (shape_b, pk_b, vk_b) = setup(system, &Square { w: 5, coeff: 3 }, &mut rng);
+            let (shape_b, pk_b, vk_b) = setup(backend, &Square { w: 5, coeff: 3 }, &mut rng);
             assert_ne!(shape_a.digest, shape_b.digest);
             let witness_a = generate_witness_for(&honest, &shape_b);
             assert!(shape_a.is_satisfied(&witness_a) && !shape_b.is_satisfied(&witness_a));
             let proved = catch_unwind(AssertUnwindSafe(|| {
-                system.prove_assignment(&pk_b, &witness_a, &mut rng)
+                backend.prove_assignment(&pk_b, &witness_a, &mut rng)
             }));
             if let Ok(artifacts) = proved {
                 assert!(
-                    !system.verify(&vk_b, &artifacts),
+                    !vk_b.verify(&artifacts.public_inputs, &artifacts.data),
                     "{backend:?}: shape-A witness proved under a shape-B key"
                 );
             }
@@ -662,7 +403,7 @@ mod tests {
         assert_eq!(circuit.shape_digest(), shape.digest);
         let mut rng = StdRng::seed_from_u64(36);
         for backend in Backend::ALL {
-            let _ = backend.system().setup_shape(&shape, &mut rng);
+            let _ = backend.setup_shape(&shape, &mut rng);
         }
         // The witness pass, by contrast, must blow up.
         assert!(catch_unwind(|| generate_witness_for(&circuit, &shape)).is_err());

@@ -13,11 +13,11 @@
 //!   exponential), GELU (quadratic polynomial) and reciprocal-square-root
 //!   gadgets, all over fixed-point arithmetic.
 //! * [`fixed`] — NITI-style fixed-point quantisation shared with `zkvc-nn`.
-//! * [`api`] — the circuit-generic proving API: the [`Circuit`] and
-//!   [`ProofSystem`] traits and their Groth16/Spartan implementations.
-//! * [`backend`] — the [`Backend`] enum, a `Copy` tag naming the two
-//!   [`ProofSystem`] implementations, plus the key/proof types and the
-//!   per-run cost metrics used by the benchmark harnesses.
+//! * [`api`] — the circuit half of the proving API: the [`Circuit`]
+//!   trait, its witness-free shape pass and its witness pass.
+//! * [`backend`] — the proving half: the [`Backend`] enum, a `Copy` tag
+//!   whose methods set up and prove on Groth16 or Spartan, and the key and
+//!   proof types, with [`VerifierKey::verify`] as the one verifier.
 //! * [`schemes`] — the qualitative feature matrix of Table I.
 //!
 //! ## Example
@@ -37,9 +37,8 @@
 //!     .build_circuit_integers(&x, &w);
 //! // Setup + prove in one call (see `zkvc_core::api` for the split,
 //! // prove-many sequence), then verify under the setup's verifier key.
-//! let system = Backend::Groth16.system();
-//! let (artifacts, vk) = system.prove_oneshot(&circuit, &mut rng);
-//! assert!(system.verify(&vk, &artifacts));
+//! let (artifacts, vk) = Backend::Groth16.prove_oneshot(&circuit, &mut rng);
+//! assert!(vk.verify(&artifacts.public_inputs, &artifacts.data));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -53,9 +52,7 @@ pub mod matmul;
 pub mod nonlinear;
 pub mod schemes;
 
-pub use api::{Circuit, ProofSystem};
-pub use backend::{
-    Backend, ProofArtifacts, ProveMetrics, ProverKey, UnknownTokenError, VerifierKey,
-};
+pub use api::Circuit;
+pub use backend::{Backend, ProofArtifacts, ProverKey, UnknownTokenError, VerifierKey};
 pub use fixed::FixedPointConfig;
 pub use matmul::{MatMulBuilder, MatMulCircuit, Strategy};

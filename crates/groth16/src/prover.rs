@@ -19,10 +19,11 @@ use crate::keys::{Proof, ProvingKey};
 /// prove-many hot path: no constraint synthesis, no matrix extraction —
 /// just the QAP quotient FFTs and the four MSMs.
 ///
+/// An assignment that does not satisfy the compiled constraints still
+/// yields a proof, in every build profile; it fails verification.
+///
 /// # Panics
-/// Panics if `z` does not match the key's variable count or does not
-/// satisfy the compiled constraints (the quotient division would not be
-/// exact).
+/// Panics if `z` does not match the key's variable count.
 pub fn prove_assignment<R: Rng + ?Sized>(pk: &ProvingKey, z: &[Fr], rng: &mut R) -> Proof {
     assert_eq!(
         pk.a_query.len(),

@@ -1,8 +1,8 @@
 //! The `zkvc` command-line interface: batch proving with key caching and a
 //! worker pool fed by one priority queue, a resident JSON-lines proving
 //! server, plus single-proof file round trips — for matmul statements
-//! *and* whole model-block inferences, all through the
-//! `Circuit`/`ProofSystem` trait layer.
+//! *and* whole model-block inferences, all through the `Circuit` trait and
+//! the `Backend` tag's setup and prove methods.
 //!
 //! ```text
 //! zkvc prove-batch --spec 8x8x16:crpc+psq:groth16:x8 --workers 4 [--seed N] [--report FILE]

@@ -3,7 +3,7 @@
 //!
 //! [`KeyCache`] maps a circuit-shape digest (plus backend and setup seed)
 //! to the [`CircuitKeys`] produced by
-//! [`ProofSystem::setup_shape`](zkvc_core::ProofSystem::setup_shape) — and,
+//! [`Backend::setup_shape`] — and,
 //! since the compile-once / prove-many split, the [`CompiledShape`] itself
 //! (CSR matrices) is stored beside the keys, so anything that needs the
 //! structure later (witness-pass validation, Spartan re-preprocessing, the
@@ -237,7 +237,7 @@ impl KeyCache {
     /// Trait-object entry point: any [`Circuit`] — a matmul statement, a
     /// whole model forward pass — is cached under its compiled shape's
     /// digest and the cache's own setup seed, running the backend's
-    /// [`ProofSystem::setup_shape`](zkvc_core::ProofSystem::setup_shape) at
+    /// [`Backend::setup_shape`] at
     /// most once per shape. The boolean is `true` when the entry already
     /// existed (a cache hit). The shape pass is witness-free; no witness
     /// value is materialised on this path.
@@ -352,7 +352,7 @@ impl KeyCache {
         let digest = shape.digest;
         let mut rng = StdRng::seed_from_u64(setup_seed(&digest, backend, seed));
         let t0 = Instant::now();
-        let (prover, verifier) = backend.system().setup_shape(&shape, &mut rng);
+        let (prover, verifier) = backend.setup_shape(&shape, &mut rng);
         CircuitKeys {
             backend,
             digest,
@@ -417,7 +417,7 @@ impl KeyCache {
 
 /// The verifier key [`KeyCache`] would set up for `shape` under
 /// `(backend, seed)`, derived alone through
-/// [`ProofSystem::setup_verifier`](zkvc_core::ProofSystem::setup_verifier)
+/// [`Backend::setup_verifier`]
 /// from the same rng seed: what `zkvc verify` checks a proof file against,
 /// so its key always comes from the statement and seed, never from a file.
 pub fn derive_verifier_key(
@@ -426,7 +426,7 @@ pub fn derive_verifier_key(
     seed: u64,
 ) -> VerifierKey {
     let mut rng = StdRng::seed_from_u64(setup_seed(&shape.digest, backend, seed));
-    backend.system().setup_verifier(shape, &mut rng)
+    backend.setup_verifier(shape, &mut rng)
 }
 
 /// Mixes the shape digest, backend tag and setup seed into the rng seed
@@ -487,9 +487,12 @@ mod tests {
             let (keys_again, hit) = cache.get_or_setup_circuit(backend, &fresh);
             assert!(hit, "{backend:?}");
             let witness = generate_witness_for(&fresh, &keys_again.shape);
-            let system = backend.system();
-            let artifacts = system.prove_assignment(&keys_again.prover, &witness, &mut rng);
-            assert!(system.verify(&keys.verifier, &artifacts), "{backend:?}");
+            let artifacts = backend.prove_assignment(&keys_again.prover, &witness, &mut rng);
+            assert!(
+                keys.verifier
+                    .verify(&artifacts.public_inputs, &artifacts.data),
+                "{backend:?}"
+            );
         }
     }
 
@@ -501,17 +504,17 @@ mod tests {
             let circuit = matmul(13, 3);
             let (keys, _) = cache.get_or_setup_circuit(backend, &circuit);
             let witness = generate_witness_for(&circuit, &keys.shape);
-            let system = backend.system();
-            let artifacts = system.prove_assignment(&keys.prover, &witness, &mut rng);
+            let artifacts = backend.prove_assignment(&keys.prover, &witness, &mut rng);
             let derived = derive_verifier_key(backend, &keys.shape, 5);
-            assert!(system.verify(&derived, &artifacts), "{backend:?}");
+            let verifies = |vk: &VerifierKey| vk.verify(&artifacts.public_inputs, &artifacts.data);
+            assert!(verifies(&derived), "{backend:?}");
             if let (VerifierKey::Groth16(cached), VerifierKey::Groth16(derived)) =
                 (&keys.verifier, &derived)
             {
                 assert_eq!(cached.to_bytes(), derived.to_bytes());
                 // Another seed is another CRS.
                 let other = derive_verifier_key(backend, &keys.shape, 6);
-                assert!(!system.verify(&other, &artifacts));
+                assert!(!verifies(&other));
             }
         }
     }

@@ -233,9 +233,7 @@ fn prove(
 
     let mut rng = prover_rng(seed, statement_id);
     let t2 = Instant::now();
-    let artifacts = backend
-        .system()
-        .prove_assignment(&keys.prover, &witness, &mut rng);
+    let artifacts = backend.prove_assignment(&keys.prover, &witness, &mut rng);
     let prove_time = t2.elapsed();
 
     // Cross the byte boundary before verifying, as a client would.
@@ -252,7 +250,7 @@ fn prove(
         verified,
         cache_hit,
         shape_digest: keys.digest,
-        num_constraints: artifacts.metrics.num_constraints,
+        num_constraints: keys.shape.num_constraints(),
         build_time,
         prove_time,
         verify_time: t3.elapsed(),

@@ -3,12 +3,13 @@
 //! The batch-proving service layer above the `zkvc-core` proof systems:
 //! turns the one-shot prove call into a reusable, concurrent pipeline. The
 //! whole layer is **circuit-generic** — jobs route through the
-//! [`Circuit`](zkvc_core::Circuit)/[`ProofSystem`](zkvc_core::ProofSystem)
-//! traits, so a bare matmul and a whole Transformer-block inference are
-//! the same thing to the pool, the cache and the CLI.
+//! [`Circuit`](zkvc_core::Circuit) trait and the
+//! [`Backend`](zkvc_core::Backend) tag's setup and prove methods, so a
+//! bare matmul and a whole Transformer-block inference are the same thing
+//! to the pool, the cache and the CLI.
 //!
 //! * [`KeyCache`] — runs
-//!   [`ProofSystem::setup_shape`](zkvc_core::ProofSystem::setup_shape)
+//!   [`Backend::setup_shape`](zkvc_core::Backend::setup_shape)
 //!   once per circuit shape (keyed by
 //!   [`Circuit::shape_digest`](zkvc_core::Circuit::shape_digest)) and
 //!   shares the resulting [`ProverKey`](zkvc_core::ProverKey)/

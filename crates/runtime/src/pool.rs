@@ -28,6 +28,7 @@ use std::time::{Duration, Instant};
 
 use core::fmt;
 
+use zkvc_core::api::{compile_shape, generate_witness_for};
 use zkvc_core::VerifierKey;
 use zkvc_ff::codec::hex;
 use zkvc_hash::sha256;
@@ -937,9 +938,8 @@ pub fn prove_batch(specs: &[JobSpec], workers: usize, seed: u64) -> BatchReport 
 }
 
 /// The reference oracle the tier-1 tests compare the pool against: the
-/// same deterministic jobs, proved sequentially with a fresh one-shot
-/// [`ProofSystem::prove_oneshot`](zkvc_core::ProofSystem::prove_oneshot)
-/// (setup re-run per job, no cache, no parallelism).
+/// same deterministic jobs, proved sequentially, each with its own shape
+/// compile and setup (no cache, no parallelism).
 pub fn prove_batch_serial(specs: &[JobSpec], seed: u64) -> BatchReport {
     let started = Instant::now();
     let mut results = Vec::with_capacity(specs.len());
@@ -947,11 +947,17 @@ pub fn prove_batch_serial(specs: &[JobSpec], seed: u64) -> BatchReport {
         let t0 = Instant::now();
         let statement = build_statement(seed, id, spec);
         let build_time = t0.elapsed();
+        let backend = spec.backend();
         let mut rng = job::prover_rng(seed, id);
-        let (artifacts, vk) = spec
-            .backend()
-            .system()
-            .prove_oneshot(statement.as_ref(), &mut rng);
+        // One-shot proving pays compile and setup every time; count them
+        // as part of the per-job proving cost, which is exactly the figure
+        // the key cache exists to improve.
+        let t1 = Instant::now();
+        let shape = Arc::new(compile_shape(statement.as_ref()));
+        let (pk, vk) = backend.setup_shape(&shape, &mut rng);
+        let witness = generate_witness_for(statement.as_ref(), &shape);
+        let artifacts = backend.prove_assignment(&pk, &witness, &mut rng);
+        let prove_time = t1.elapsed();
         let proof_bytes = ProofEnvelope::from_artifacts(&artifacts).to_bytes();
         let t2 = Instant::now();
         let verified = envelope_verifies(&proof_bytes, &artifacts.public_inputs, |envelope| {
@@ -966,17 +972,14 @@ pub fn prove_batch_serial(specs: &[JobSpec], seed: u64) -> BatchReport {
             verified,
             error: None,
             cache_hit: false,
-            shape_digest: statement.shape_digest(),
+            shape_digest: shape.digest,
             worker: 0,
             tag: None,
             queue_wait: Duration::ZERO,
             build_time,
-            // One-shot proving pays setup every time; count it as part of
-            // the per-job proving cost, which is exactly the figure the
-            // split API exists to improve.
-            prove_time: artifacts.metrics.setup_time + artifacts.metrics.prove_time,
+            prove_time,
             verify_time,
-            num_constraints: artifacts.metrics.num_constraints,
+            num_constraints: shape.num_constraints(),
             session_id: None,
         });
     }
@@ -984,7 +987,11 @@ pub fn prove_batch_serial(specs: &[JobSpec], seed: u64) -> BatchReport {
         wall_time: started.elapsed(),
         workers: 1,
         seed,
-        cache: CacheStats::default(),
+        // One setup per job, none shared.
+        cache: CacheStats {
+            misses: specs.len() as u64,
+            ..CacheStats::default()
+        },
         results,
         // Serial Groth16 keys come from per-job one-shot setups, not a
         // shared cache, so there is no key table.
@@ -1000,7 +1007,6 @@ mod tests {
     use crate::spec::ModelPreset;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use zkvc_core::api::{compile_shape, generate_witness_for};
     use zkvc_core::matmul::Strategy;
     use zkvc_core::Backend;
 
@@ -1115,8 +1121,9 @@ mod tests {
         let (keys, _) = cache.get_or_setup_circuit(spec.backend(), s0.as_ref());
         let mut rng = StdRng::seed_from_u64(99);
         let witness = generate_witness_for(s0.as_ref(), &keys.shape);
-        let system = spec.backend().system();
-        let artifacts = system.prove_assignment(&keys.prover, &witness, &mut rng);
+        let artifacts = spec
+            .backend()
+            .prove_assignment(&keys.prover, &witness, &mut rng);
         let bytes = ProofEnvelope::from_artifacts(&artifacts).to_bytes();
         let p0 = s0.public_outputs();
         let p1 = s1.public_outputs();
@@ -1175,7 +1182,13 @@ mod tests {
         let serial = prove_batch_serial(&specs, 11);
         assert!(serial.all_verified());
         assert_eq!(serial.workers, 1);
-        assert_eq!(serial.cache, CacheStats::default());
+        assert_eq!(
+            serial.cache,
+            CacheStats {
+                misses: 2,
+                ..CacheStats::default()
+            }
+        );
 
         let pooled = prove_batch(&specs, 2, 11);
         let verdicts = |r: &BatchReport| {

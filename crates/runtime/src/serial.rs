@@ -132,19 +132,11 @@ impl ProofEnvelope {
         })
     }
 
-    /// Verifies against a prepared verifier key (both backends); `false`
-    /// on a backend mismatch. Borrows the envelope: no copies on the
-    /// per-job verify path.
+    /// Verifies against a prepared verifier key through
+    /// [`VerifierKey::verify`]; `false` on a backend mismatch. Borrows the
+    /// envelope: no copies on the per-job verify path.
     pub fn verify_with_key(&self, key: &VerifierKey) -> bool {
-        match (&self.proof, key) {
-            (ProofData::Groth16 { proof }, VerifierKey::Groth16(vk)) => {
-                groth16::verify(vk, &self.public_inputs, proof)
-            }
-            (ProofData::Spartan { proof }, VerifierKey::Spartan(verifier)) => {
-                verifier.verify(&self.public_inputs, proof)
-            }
-            _ => false,
-        }
+        key.verify(&self.public_inputs, &self.proof)
     }
 }
 
@@ -168,7 +160,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let job = matmul(3, Strategy::CrpcPsq, &mut rng);
         for backend in Backend::ALL {
-            let (artifacts, vk) = backend.system().prove_oneshot(&job, &mut rng);
+            let (artifacts, vk) = backend.prove_oneshot(&job, &mut rng);
             let bytes = ProofEnvelope::from_artifacts(&artifacts).to_bytes();
             let envelope = ProofEnvelope::decode(&bytes).expect("round trip");
             assert_eq!(envelope.backend(), backend);
@@ -187,10 +179,7 @@ mod tests {
             .build_circuit_random(&mut rng);
         let (keys, _) = KeyCache::new().get_or_setup_circuit(Backend::Groth16, &job);
         let witness = generate_witness_for(&job, &keys.shape);
-        let artifacts =
-            Backend::Groth16
-                .system()
-                .prove_assignment(&keys.prover, &witness, &mut rng);
+        let artifacts = Backend::Groth16.prove_assignment(&keys.prover, &witness, &mut rng);
         let publics = artifacts.public_inputs.len();
         assert!(publics > 0);
 
@@ -221,7 +210,7 @@ mod tests {
         let job_a = matmul(3, Strategy::Vanilla, &mut rng);
         let job_b = matmul(2, Strategy::Vanilla, &mut rng);
         let (keys_a, _) = KeyCache::new().get_or_setup_circuit(Backend::Groth16, &job_a);
-        let (forged, vk_b) = Backend::Groth16.system().prove_oneshot(&job_b, &mut rng);
+        let (forged, vk_b) = Backend::Groth16.prove_oneshot(&job_b, &mut rng);
         let envelope =
             ProofEnvelope::decode(&ProofEnvelope::from_artifacts(&forged).to_bytes()).unwrap();
         // A real proof (circuit B's key accepts it)...
@@ -234,7 +223,7 @@ mod tests {
     fn decode_distinguishes_future_versions_from_garbage() {
         let mut rng = StdRng::seed_from_u64(11);
         let job = matmul(2, Strategy::Vanilla, &mut rng);
-        let (artifacts, _) = Backend::Spartan.system().prove_oneshot(&job, &mut rng);
+        let (artifacts, _) = Backend::Spartan.prove_oneshot(&job, &mut rng);
         let bytes = ProofEnvelope::from_artifacts(&artifacts).to_bytes();
         assert!(ProofEnvelope::decode(&bytes).is_ok());
         // Same payload stamped with a future version digit: typed error.
@@ -259,7 +248,7 @@ mod tests {
     fn malformed_envelopes_rejected() {
         let mut rng = StdRng::seed_from_u64(6);
         let job = matmul(2, Strategy::Vanilla, &mut rng);
-        let (artifacts, _) = Backend::Spartan.system().prove_oneshot(&job, &mut rng);
+        let (artifacts, _) = Backend::Spartan.prove_oneshot(&job, &mut rng);
         let bytes = ProofEnvelope::from_artifacts(&artifacts).to_bytes();
         assert!(ProofEnvelope::decode(&bytes[..bytes.len() - 1]).is_err());
         assert!(ProofEnvelope::decode(b"NOTMAGIC").is_err());
@@ -270,7 +259,7 @@ mod tests {
         assert!(ProofEnvelope::decode(&wrong_tag).is_err());
         // A truncated Groth16 envelope is rejected, and so is one stamped
         // with the retired tag 1.
-        let (g16, _) = Backend::Groth16.system().prove_oneshot(&job, &mut rng);
+        let (g16, _) = Backend::Groth16.prove_oneshot(&job, &mut rng);
         let g16 = ProofEnvelope::from_artifacts(&g16).to_bytes();
         assert!(ProofEnvelope::decode(&g16[..g16.len() - 1]).is_err());
         let mut retired = g16;

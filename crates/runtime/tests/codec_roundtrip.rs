@@ -39,9 +39,7 @@ fn prove_with_shape(shape: CompiledShape<Fr>, spec: &JobSpec, seed: u64) -> Vec<
     let (keys, _hit) = cache.get_or_setup_shape(backend, std::sync::Arc::new(shape), seed);
     let witness = generate_witness_for(statement.as_ref(), &keys.shape);
     let mut prover_rng = StdRng::seed_from_u64(seed ^ 0u64.wrapping_mul(0xD1B5_4A32_D192_ED03));
-    let artifacts = backend
-        .system()
-        .prove_assignment(&keys.prover, &witness, &mut prover_rng);
+    let artifacts = backend.prove_assignment(&keys.prover, &witness, &mut prover_rng);
     let bytes = ProofEnvelope::from_artifacts(&artifacts).to_bytes();
     let envelope = ProofEnvelope::decode(&bytes).expect("own envelope must parse");
     assert!(

@@ -178,10 +178,10 @@ fn build_corpus() -> Vec<Input> {
     let shape = Arc::new(compile_shape(statement.as_ref()));
     let witness = generate_witness_for(statement.as_ref(), &shape);
     let prove = |spec: &JobSpec| {
-        let system = spec.backend().system();
         let mut rng = StdRng::seed_from_u64(SEED);
-        let (pk, vk) = system.setup_shape(&shape, &mut rng);
-        (vk, system.prove_assignment(&pk, &witness, &mut rng))
+        let backend = spec.backend();
+        let (pk, vk) = backend.setup_shape(&shape, &mut rng);
+        (vk, backend.prove_assignment(&pk, &witness, &mut rng))
     };
     let (vk, g16) = prove(&groth16);
     let VerifierKey::Groth16(vk) = vk else {

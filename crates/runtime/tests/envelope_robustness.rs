@@ -29,11 +29,10 @@ fn proved_envelope(
     let job = MatMulBuilder::new(a, n, b)
         .strategy(Strategy::CrpcPsq)
         .build_circuit_random(&mut rng);
-    let system = backend.system();
     let shape = Arc::new(compile_shape(&job));
-    let (pk, vk) = system.setup_shape(&shape, &mut rng);
+    let (pk, vk) = backend.setup_shape(&shape, &mut rng);
     let witness = generate_witness_for(&job, &shape);
-    let artifacts = system.prove_assignment(&pk, &witness, &mut rng);
+    let artifacts = backend.prove_assignment(&pk, &witness, &mut rng);
     (ProofEnvelope::from_artifacts(&artifacts).to_bytes(), vk)
 }
 
@@ -138,9 +137,7 @@ fn truncated_and_padded_groth16_key_table_entries_rejected() {
     let job = MatMulBuilder::new(2, 2, 2)
         .strategy(Strategy::Vanilla)
         .build_circuit_random(&mut rng);
-    let (_pk, vk) = Backend::Groth16
-        .system()
-        .setup_shape(&Arc::new(compile_shape(&job)), &mut rng);
+    let (_pk, vk) = Backend::Groth16.setup_shape(&Arc::new(compile_shape(&job)), &mut rng);
     let VerifierKey::Groth16(vk) = vk else {
         unreachable!()
     };

@@ -4,13 +4,12 @@
 //! envelope round trips and the pool's rebuilt-statement check included —
 //! and so must a proof of any assignment with one cell changed.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use zkvc_core::api::{compile_shape, generate_witness_for, Circuit, ProofSystem};
+use zkvc_core::api::{compile_shape, generate_witness_for, Circuit};
 use zkvc_core::matmul::{MatMulBuilder, MatMulCircuit, Strategy};
 use zkvc_core::{Backend, ProofArtifacts, ProverKey, VerifierKey};
 use zkvc_ff::{Field, Fr, PrimeField};
@@ -28,35 +27,32 @@ fn public_job(strategy: Strategy) -> MatMulCircuit {
 /// Compile, set up, fill the witness and prove: one honest proof with the
 /// key that verifies it.
 fn setup_and_prove(
-    system: &dyn ProofSystem,
+    backend: Backend,
     circuit: &dyn Circuit,
     rng: &mut StdRng,
 ) -> (VerifierKey, ProofArtifacts) {
     let shape = Arc::new(compile_shape(circuit));
-    let (pk, vk) = system.setup_shape(&shape, rng);
+    let (pk, vk) = backend.setup_shape(&shape, rng);
     let witness = generate_witness_for(circuit, &shape);
-    (vk, system.prove_assignment(&pk, &witness, rng))
+    (vk, backend.prove_assignment(&pk, &witness, rng))
 }
 
 /// Proves `circuit` against keys a [`KeyCache`] already holds.
 fn prove_with(keys: &CircuitKeys, circuit: &dyn Circuit, rng: &mut StdRng) -> ProofArtifacts {
     let witness = generate_witness_for(circuit, &keys.shape);
-    keys.backend
-        .system()
-        .prove_assignment(&keys.prover, &witness, rng)
+    keys.backend.prove_assignment(&keys.prover, &witness, rng)
 }
 
 #[test]
 fn tampered_y_fails_for_both_backends_and_all_strategies() {
     let mut rng = StdRng::seed_from_u64(71);
     for backend in Backend::ALL {
-        let system: &dyn ProofSystem = backend.system();
         for strategy in Strategy::ALL {
             let job = public_job(strategy);
             assert_eq!(job.public_outputs().len(), 4, "Y is 2x2");
-            let (vk, artifacts) = setup_and_prove(system, &job, &mut rng);
+            let (vk, artifacts) = setup_and_prove(backend, &job, &mut rng);
             assert!(
-                system.verify(&vk, &artifacts),
+                vk.verify(&artifacts.public_inputs, &artifacts.data),
                 "honest {backend:?}/{strategy:?}"
             );
             // Tamper each output cell in turn: every one must be bound.
@@ -64,7 +60,7 @@ fn tampered_y_fails_for_both_backends_and_all_strategies() {
                 let mut tampered = artifacts.clone();
                 tampered.public_inputs[idx] += Fr::one();
                 assert!(
-                    !system.verify(&vk, &tampered),
+                    !vk.verify(&tampered.public_inputs, &tampered.data),
                     "{backend:?}/{strategy:?} accepted tampered y[{idx}]"
                 );
             }
@@ -81,18 +77,20 @@ fn fold_preserving_forgery_fails_for_crpc_public_outputs() {
     // on both backends, for both CRPC strategies.
     let mut rng = StdRng::seed_from_u64(73);
     for backend in Backend::ALL {
-        let system = backend.system();
         for strategy in [Strategy::Crpc, Strategy::CrpcPsq] {
             let job = public_job(strategy);
-            let (vk, artifacts) = setup_and_prove(system, &job, &mut rng);
-            assert!(system.verify(&vk, &artifacts), "{backend:?}/{strategy:?}");
+            let (vk, artifacts) = setup_and_prove(backend, &job, &mut rng);
+            assert!(
+                vk.verify(&artifacts.public_inputs, &artifacts.data),
+                "{backend:?}/{strategy:?}"
+            );
 
             let mut forged = artifacts.clone();
             forged.public_inputs[0] += job.z; // coeff Z^0: fold += Z
             forged.public_inputs[1] -= Fr::one(); // coeff Z^1: fold -= Z
             assert_ne!(forged.public_inputs, artifacts.public_inputs);
             assert!(
-                !system.verify(&vk, &forged),
+                !vk.verify(&forged.public_inputs, &forged.data),
                 "{backend:?}/{strategy:?} accepted a fold-preserving forged Y"
             );
         }
@@ -151,12 +149,11 @@ fn known_break_1a_fold_preserving_forgery_verifies() {
 
     let mut rng = StdRng::seed_from_u64(75);
     for backend in Backend::ALL {
-        let system = backend.system();
-        let (pk, vk) = system.setup_shape(&shape, &mut rng);
-        let artifacts = system.prove_assignment(&pk, &forged, &mut rng);
+        let (pk, vk) = backend.setup_shape(&shape, &mut rng);
+        let artifacts = backend.prove_assignment(&pk, &forged, &mut rng);
         assert_eq!(artifacts.public_inputs, forged.instance);
         assert!(
-            system.verify(&vk, &artifacts),
+            vk.verify(&artifacts.public_inputs, &artifacts.data),
             "{backend:?} rejects the forgery: 1(a)'s known break is fixed, flip this test"
         );
     }
@@ -232,12 +229,11 @@ fn known_break_1a_universal_forgery_verifies() {
             );
 
             for backend in Backend::ALL {
-                let system = backend.system();
-                let (pk, vk) = system.setup_shape(&shape, &mut rng);
-                let artifacts = system.prove_assignment(&pk, &forged, &mut rng);
+                let (pk, vk) = backend.setup_shape(&shape, &mut rng);
+                let artifacts = backend.prove_assignment(&pk, &forged, &mut rng);
                 assert_eq!(artifacts.public_inputs, y_forged);
                 assert!(
-                    system.verify(&vk, &artifacts),
+                    vk.verify(&artifacts.public_inputs, &artifacts.data),
                     "{backend:?}/{strategy:?} 3x{n}x3 rejects the universal forgery: \
                      1(a)'s known break is fixed, flip this test"
                 );
@@ -252,9 +248,8 @@ fn tampered_y_fails_through_the_envelope() {
     // input, re-encode, decode again — still rejected.
     let mut rng = StdRng::seed_from_u64(72);
     for backend in Backend::ALL {
-        let system = backend.system();
         let job = public_job(Strategy::CrpcPsq);
-        let (vk, artifacts) = setup_and_prove(system, &job, &mut rng);
+        let (vk, artifacts) = setup_and_prove(backend, &job, &mut rng);
 
         let bytes = ProofEnvelope::from_artifacts(&artifacts).to_bytes();
         let mut envelope = ProofEnvelope::decode(&bytes).expect("decodes");
@@ -317,7 +312,9 @@ fn private_jobs_still_prove_but_bind_nothing() {
     let (keys, _) = cache.get_or_setup_circuit(spec.backend(), statement.as_ref());
     let mut rng = StdRng::seed_from_u64(6);
     let artifacts = prove_with(&keys, statement.as_ref(), &mut rng);
-    assert!(spec.backend().system().verify(&keys.verifier, &artifacts));
+    assert!(keys
+        .verifier
+        .verify(&artifacts.public_inputs, &artifacts.data));
 }
 
 /// The mutation proptest's shape: `Y` is 2x3 over `n = 2`, so every
@@ -344,7 +341,7 @@ fn mutation_keys() -> &'static MutationKeys {
                 let shape = Arc::new(compile_shape(&circuit));
                 let keys = Backend::ALL
                     .iter()
-                    .map(|backend| backend.system().setup_shape(&shape, &mut rng))
+                    .map(|backend| backend.setup_shape(&shape, &mut rng))
                     .collect();
                 (shape, keys)
             })
@@ -399,24 +396,16 @@ proptest! {
             let cell = cell % num_cells;
             let mutated = mutate(cell);
             for (backend, (pk, vk)) in Backend::ALL.iter().zip(keys) {
-                let system = backend.system();
-                // A debug build's Groth16 prover refuses an unsatisfied
-                // assignment outright (its QAP division self-check); any
-                // proof that does come out must fail verification.
-                let proved = catch_unwind(AssertUnwindSafe(|| {
-                    system.prove_assignment(pk, &mutated, &mut rng)
-                }));
-                if let Ok(artifacts) = proved {
-                    prop_assert!(
-                        !system.verify(vk, &artifacts),
-                        "{:?}/{:?} accepted a proof with cell {} changed",
-                        backend,
-                        strategy,
-                        cell
-                    );
-                } else {
-                    prop_assert!(cfg!(debug_assertions) && *backend == Backend::Groth16);
-                }
+                // Both provers run on an unsatisfied assignment, in every
+                // build profile; the proof that comes out must not verify.
+                let artifacts = backend.prove_assignment(pk, &mutated, &mut rng);
+                prop_assert!(
+                    !vk.verify(&artifacts.public_inputs, &artifacts.data),
+                    "{:?}/{:?} accepted a proof with cell {} changed",
+                    backend,
+                    strategy,
+                    cell
+                );
             }
         }
     }

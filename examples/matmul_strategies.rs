@@ -4,6 +4,7 @@
 //!
 //! Run with: `cargo run --release --example matmul_strategies`
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
@@ -26,22 +27,26 @@ fn main() {
         let circuit = MatMulBuilder::new(a, n, b)
             .strategy(strategy)
             .build_circuit_random(&mut rng);
-        let shape = compile_shape(&circuit);
-        assert!(shape.is_satisfied(&generate_witness_for(&circuit, &shape)));
+        let shape = Arc::new(compile_shape(&circuit));
+        let witness = generate_witness_for(&circuit, &shape);
+        assert!(shape.is_satisfied(&witness));
         let stats = CircuitStats::of(&shape);
-        let system = Backend::Groth16.system();
-        let t = Instant::now();
-        let (artifacts, vk) = system.prove_oneshot(&circuit, &mut rng);
-        let total = t.elapsed();
-        assert!(system.verify(&vk, &artifacts));
+        let t0 = Instant::now();
+        let (pk, vk) = Backend::Groth16.setup_shape(&shape, &mut rng);
+        let setup = t0.elapsed();
+        let t1 = Instant::now();
+        let artifacts = Backend::Groth16.prove_assignment(&pk, &witness, &mut rng);
+        let prove = t1.elapsed();
+        let total = setup + prove;
+        assert!(vk.verify(&artifacts.public_inputs, &artifacts.data));
         println!(
             "{:<20} {:>12} {:>12} {:>12} {:>12.3} {:>12.3}",
             strategy.name(),
             stats.num_constraints,
             stats.num_variables,
             stats.num_left_wires,
-            artifacts.metrics.setup_time.as_secs_f64(),
-            artifacts.metrics.prove_time.as_secs_f64(),
+            setup.as_secs_f64(),
+            prove.as_secs_f64(),
         );
         if strategy == Strategy::Vanilla {
             baseline = Some(total);

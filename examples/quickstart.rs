@@ -1,13 +1,15 @@
 //! Quickstart: prove and verify a single matrix multiplication with zkVC
-//! through the circuit-generic `Circuit`/`ProofSystem` trait API.
+//! through the circuit-generic API: a `Circuit`, a `Backend` that sets up
+//! and proves, and the `VerifierKey` that verifies.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use zkvc::core::api::{compile_shape, generate_witness_for, ProofSystem};
+use zkvc::core::api::{compile_shape, generate_witness_for};
 use zkvc::core::matmul::{MatMulBuilder, Strategy};
 use zkvc::core::Backend;
 use zkvc::ff::Field;
@@ -38,25 +40,26 @@ fn main() {
     let witness = generate_witness_for(&circuit, &shape);
 
     for backend in Backend::ALL {
-        // Either proof system takes the same shape and assignment.
-        let system: &dyn ProofSystem = backend.system();
-        let (pk, vk) = system.setup_shape(&shape, &mut rng);
-        let artifacts = system.prove_assignment(&pk, &witness, &mut rng);
-        let ok = system.verify(&vk, &artifacts);
+        // Either backend takes the same shape and assignment.
+        let (pk, vk) = backend.setup_shape(&shape, &mut rng);
+        let t0 = Instant::now();
+        let artifacts = backend.prove_assignment(&pk, &witness, &mut rng);
+        let prove_time = t0.elapsed();
+        let ok = vk.verify(&artifacts.public_inputs, &artifacts.data);
         println!(
             "{:<8}  prove: {:>8.3?}  proof: {:>6} bytes  verified: {}",
-            system.name(),
-            artifacts.metrics.prove_time,
-            artifacts.metrics.proof_size_bytes,
+            backend.name(),
+            prove_time,
+            artifacts.data.size_in_bytes(),
             ok
         );
         assert!(ok, "verification must succeed for an honest prover");
 
         // Statement binding: the same proof against a tampered Y fails.
-        let mut tampered = artifacts.clone();
-        tampered.public_inputs[0] += zkvc::ff::Fr::one();
+        let mut tampered = artifacts.public_inputs.clone();
+        tampered[0] += zkvc::ff::Fr::one();
         assert!(
-            !system.verify(&vk, &tampered),
+            !vk.verify(&tampered, &artifacts.data),
             "a tampered Y must be rejected"
         );
     }

@@ -4,6 +4,8 @@
 //!
 //! Run with: `cargo run --release --example softmax_verification`
 
+use std::time::Instant;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use zkvc::core::api::{bind_public_outputs, compile_shape, generate_witness_for, Circuit};
@@ -73,12 +75,13 @@ fn main() {
     }
 
     let mut rng = StdRng::seed_from_u64(5);
-    let system = Backend::Groth16.system();
-    let (artifacts, vk) = system.prove_oneshot(&circuit, &mut rng);
-    let ok = system.verify(&vk, &artifacts);
+    let t0 = Instant::now();
+    let (artifacts, vk) = Backend::Groth16.prove_oneshot(&circuit, &mut rng);
+    let prove_time = t0.elapsed();
+    let ok = vk.verify(&artifacts.public_inputs, &artifacts.data);
     println!(
-        "\nGroth16 proof of the SoftMax evaluation: {} bytes, proved in {:.3?}, verified: {ok}",
-        artifacts.metrics.proof_size_bytes, artifacts.metrics.prove_time
+        "\nGroth16 proof of the SoftMax evaluation: {} bytes, set up and proved in {prove_time:.3?}, verified: {ok}",
+        artifacts.data.size_in_bytes()
     );
     assert!(ok);
 }

@@ -3,6 +3,8 @@
 //!
 //! Run with: `cargo run --release --example verifiable_bert_inference`
 
+use std::time::Instant;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use zkvc::core::api::{compile_shape, generate_witness_for};
@@ -52,12 +54,13 @@ fn main() {
     // Prove the zkVC hybrid with the transparent backend.
     let (name, statement) = compiled.last().unwrap();
     let mut rng = StdRng::seed_from_u64(77);
-    let system = Backend::Spartan.system();
-    let (artifacts, vk) = system.prove_oneshot(statement, &mut rng);
-    let ok = system.verify(&vk, &artifacts);
+    let t0 = Instant::now();
+    let (artifacts, vk) = Backend::Spartan.prove_oneshot(statement, &mut rng);
+    let prove_time = t0.elapsed();
+    let ok = vk.verify(&artifacts.public_inputs, &artifacts.data);
     println!(
-        "\nProved the '{name}' schedule with the Spartan backend in {:.3?} ({} byte proof). Verified: {ok}",
-        artifacts.metrics.prove_time, artifacts.metrics.proof_size_bytes
+        "\nSet up and proved the '{name}' schedule with the Spartan backend in {prove_time:.3?} ({} byte proof). Verified: {ok}",
+        artifacts.data.size_in_bytes()
     );
     assert!(ok);
 }

@@ -8,6 +8,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 use std::time::Instant;
 
 use zkvc::core::api::{compile_shape, generate_witness_for};
@@ -32,7 +33,7 @@ fn main() {
     // committed weights).
     let z = Fr::from_u64(0x9E37_79B9_7F4A_7C15);
     let statement = ModelStatement::new(model, schedule, Strategy::CrpcPsq, 2024, z);
-    let shape = compile_shape(&statement);
+    let shape = Arc::new(compile_shape(&statement));
     let witness = generate_witness_for(&statement, &shape);
     assert!(
         shape.is_satisfied(&witness),
@@ -59,18 +60,22 @@ fn main() {
 
     let mut rng = StdRng::seed_from_u64(9);
     for backend in Backend::ALL {
-        let system = backend.system();
-        let (artifacts, vk) = system.prove_oneshot(&statement, &mut rng);
         let t0 = Instant::now();
-        let ok = system.verify(&vk, &artifacts);
-        let verify_time = t0.elapsed();
+        let (pk, vk) = backend.setup_shape(&shape, &mut rng);
+        let setup_time = t0.elapsed();
+        let t1 = Instant::now();
+        let artifacts = backend.prove_assignment(&pk, &witness, &mut rng);
+        let prove_time = t1.elapsed();
+        let t2 = Instant::now();
+        let ok = vk.verify(&artifacts.public_inputs, &artifacts.data);
+        let verify_time = t2.elapsed();
         println!(
             "{:<8}  setup: {:>8.3?}  prove: {:>8.3?}  verify: {:>8.3?}  proof: {:>7} bytes  ok: {}",
             backend.name(),
-            artifacts.metrics.setup_time,
-            artifacts.metrics.prove_time,
+            setup_time,
+            prove_time,
             verify_time,
-            artifacts.metrics.proof_size_bytes,
+            artifacts.data.size_in_bytes(),
             ok
         );
         assert!(ok);

@@ -26,13 +26,13 @@
 //! let circuit = MatMulBuilder::new(2, 2, 2)
 //!     .strategy(Strategy::CrpcPsq)
 //!     .build_circuit_integers(&x, &w);
-//! let system = Backend::Spartan.system();
+//! let backend = Backend::Spartan;
 //! // Once per shape: compile + setup. Once per statement: witness + prove.
 //! let shape = Arc::new(compile_shape(&circuit));
-//! let (pk, vk) = system.setup_shape(&shape, &mut rng);
+//! let (pk, vk) = backend.setup_shape(&shape, &mut rng);
 //! let witness = generate_witness_for(&circuit, &shape);
-//! let proof = system.prove_assignment(&pk, &witness, &mut rng);
-//! assert!(system.verify(&vk, &proof));
+//! let proof = backend.prove_assignment(&pk, &witness, &mut rng);
+//! assert!(vk.verify(&proof.public_inputs, &proof.data));
 //! ```
 
 #![forbid(unsafe_code)]

@@ -44,10 +44,9 @@ fn every_strategy_proves_and_verifies_on_both_backends() {
             .build_circuit_integers(&x, &w);
         assert!(is_satisfied(&job), "{strategy:?}");
         for backend in Backend::ALL {
-            let system = backend.system();
-            let (artifacts, vk) = system.prove_oneshot(&job, &mut rng);
+            let (artifacts, vk) = backend.prove_oneshot(&job, &mut rng);
             assert!(
-                system.verify(&vk, &artifacts),
+                vk.verify(&artifacts.public_inputs, &artifacts.data),
                 "{strategy:?} on {backend:?}"
             );
         }
@@ -83,16 +82,15 @@ fn groth16_proof_does_not_verify_for_a_different_statement() {
     let job = MatMulBuilder::new(3, 4, 3)
         .strategy(Strategy::CrpcPsq)
         .build_circuit_integers(&x, &w);
-    let system = Backend::Groth16.system();
-    let (artifacts, vk) = system.prove_oneshot(&job, &mut rng);
-    assert!(system.verify(&vk, &artifacts));
+    let (artifacts, vk) = Backend::Groth16.prove_oneshot(&job, &mut rng);
+    assert!(vk.verify(&artifacts.public_inputs, &artifacts.data));
     // The proof verifies under its own public inputs (the output Y), but
     // a tampered proof must fail.
     let mut bad = artifacts;
     if let zkvc::core::backend::ProofData::Groth16 { proof } = &mut bad.data {
         proof.a = (proof.a.to_projective() + zkvc::curve::G1Projective::generator()).to_affine();
     }
-    assert!(!system.verify(&vk, &bad));
+    assert!(!vk.verify(&bad.public_inputs, &bad.data));
 }
 
 #[test]
@@ -105,15 +103,14 @@ fn dishonest_witness_cannot_be_proved_with_spartan() {
         .strategy(Strategy::CrpcPsq)
         .public_outputs(false)
         .build_circuit_integers(&x, &w);
-    let system = Backend::Spartan.system();
     let shape = Arc::new(compile_shape(&job));
-    let (pk, vk) = system.setup_shape(&shape, &mut rng);
+    let (pk, vk) = Backend::Spartan.setup_shape(&shape, &mut rng);
     let mut witness = generate_witness_for(&job, &shape);
     let y_index = 3 * 3 + 3 * 3; // first output variable after the inputs
     witness.witness[y_index] += Fr::from_u64(1);
     assert!(!shape.is_satisfied(&witness));
-    let artifacts = system.prove_assignment(&pk, &witness, &mut rng);
-    assert!(!system.verify(&vk, &artifacts));
+    let artifacts = Backend::Spartan.prove_assignment(&pk, &witness, &mut rng);
+    assert!(!vk.verify(&artifacts.public_inputs, &artifacts.data));
 }
 
 #[test]

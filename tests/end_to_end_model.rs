@@ -32,9 +32,8 @@ fn num_constraints(statement: &ModelStatement) -> usize {
 fn prove_and_verify_spartan(statement: &ModelStatement, rng: &mut StdRng) {
     let shape = compile_shape(statement);
     assert!(shape.is_satisfied(&generate_witness_for(statement, &shape)));
-    let system = Backend::Spartan.system();
-    let (artifacts, vk) = system.prove_oneshot(statement, rng);
-    assert!(system.verify(&vk, &artifacts));
+    let (artifacts, vk) = Backend::Spartan.prove_oneshot(statement, rng);
+    assert!(vk.verify(&artifacts.public_inputs, &artifacts.data));
 }
 
 fn tiny_vit() -> ModelConfig {

@@ -59,10 +59,11 @@ fn shape_digest_drives_key_reuse_across_callers() {
 
     // And the shared key proves/verifies both assignments.
     let mut rng = StdRng::seed_from_u64(3);
-    let system = Backend::Groth16.system();
     for circuit in [&c1, &c2] {
         let witness = generate_witness_for(circuit, &k1.shape);
-        let artifacts = system.prove_assignment(&k1.prover, &witness, &mut rng);
-        assert!(system.verify(&k2.verifier, &artifacts));
+        let artifacts = Backend::Groth16.prove_assignment(&k1.prover, &witness, &mut rng);
+        assert!(k2
+            .verifier
+            .verify(&artifacts.public_inputs, &artifacts.data));
     }
 }
