@@ -28,13 +28,11 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use zkvc_core::api::compile_shape;
 use zkvc_r1cs::Severity;
 use zkvc_runtime::analysis;
 use zkvc_runtime::{
-    build_statement, derive_verifier_key, fault, run_client, serve, serve_listener, ClientConfig,
-    Error, JobOptions, JobSpec, KeyCache, ListenAddr, NetConfig, ProofEnvelope, ProvingPool,
-    ServeConfig,
+    fault, run_client, serve, serve_listener, ClientConfig, Error, JobOptions, JobSpec, KeyCache,
+    ListenAddr, NetConfig, ProofEnvelope, ProvingPool, ServeConfig, StatementVerifier,
 };
 
 const USAGE: &str = "\
@@ -107,11 +105,16 @@ OPTIONS (serve):
                        past N: answered with a code-3 error carrying a
                        retry_after_ms hint, never queued (default none)
     --retry-after-ms MS  the hint shed responses carry (default 100)
+    Served Groth16 is sound only against a prover that does not know the
+    seed, and the server knows it: it can forge any Groth16 proof it
+    serves. See docs/SOUNDNESS.md.
 
 OPTIONS (client):
     connects to a `zkvc serve --listen` endpoint, streams requests, checks
     that result ids stay inside its own session, and re-verifies returned
-    envelopes against the streamed key lines. Exit 1 if anything failed.
+    envelopes as `zkvc verify` does, against the (SPEC, seed) it asked for
+    and a key derived from them; the server's key lines are skipped. Exit
+    1 if anything failed.
     --connect ADDR     the endpoint (unix:/path or tcp:HOST:PORT); required
     --spec SPEC        the spec generated requests prove (required unless
                        --jobs; an :xCOUNT suffix sets the default --count)
@@ -154,6 +157,9 @@ OPTIONS (prove / verify):
                        the proof was made with. verify rebuilds the statement
                        and derives the verifier key from (SPEC, seed) on every
                        run: it trusts no key stored on disk or in the file.
+    Groth16 keys come from the seed, so a Groth16 proof is sound only
+    against a prover that does not know the seed. A server that proves
+    with it knows it. See docs/SOUNDNESS.md.
 
 EXAMPLES:
     zkvc prove-batch --spec 8x8x16:crpc+psq:groth16:x8 --workers 4
@@ -708,60 +714,41 @@ fn cmd_verify(args: &[String]) -> Result<(), Error> {
     let in_path = flag_value(args, "--in")?
         .ok_or_else(|| Error::Usage("verify requires --in FILE".into()))?;
     let bytes = std::fs::read(in_path).map_err(|e| Error::io(in_path, e))?;
-    let envelope = ProofEnvelope::decode(&bytes)?;
-    if envelope.backend() != spec.backend() {
-        return Err(Error::BackendMismatch {
-            proof: envelope.backend(),
-            expected: spec.backend(),
-        });
-    }
-    // Rebuild the statement the spec names (inputs, weights and public
-    // outputs are all deterministic in the seed) and check the proof
-    // against it in two steps. First, statement binding: the envelope's
-    // public inputs must be exactly the statement's expected public
-    // outputs — a replayed proof for the same shape but a different Y (or
-    // different logits) is rejected here, before any cryptography runs.
-    // Circuits built with `:private` have no public outputs, in which case
-    // the proof binds the circuit shape + key material only.
-    let statement = build_statement(seed, 0, &spec);
-    let expected = statement.public_outputs();
-    if expected.is_empty() {
-        println!("statement binding: none (private outputs; shape + key binding only)");
-    } else if envelope.public_inputs == expected {
-        println!(
-            "statement binding: OK ({} public outputs match)",
-            expected.len()
-        );
-    } else {
-        println!(
-            "statement binding: MISMATCH (proof binds different outputs than {spec} job 0 at seed {seed})"
-        );
-        return Err(Error::StatementMismatch);
-    }
-
-    // Second, cryptographic verification against the *expected* verifier
-    // key for the spec'd circuit shape (the envelope carries none), so an
-    // envelope built from some other circuit's setup fails even though it
-    // is a valid proof of that circuit. The shape is compiled once, and
-    // the key is derived from its digest and the seed exactly as the
-    // prover's setup was seeded; for Groth16 only the verifying key's
-    // points are computed.
+    // The verifier comes from the spec and seed alone: the statement's
+    // expected public outputs (inputs, weights and outputs are all
+    // deterministic in the seed), and the key derived from its shape
+    // digest and the seed exactly as the prover's setup was seeded. The
+    // envelope carries no key, so a valid proof of some other circuit
+    // fails, and a replayed proof for the same shape but a different Y
+    // fails statement binding before any cryptography runs.
     let t_key = Instant::now();
-    let shape = Arc::new(compile_shape(statement.as_ref()));
-    let verifier = derive_verifier_key(spec.backend(), &shape, seed);
+    let verifier = StatementVerifier::new(&spec, seed);
     let key_time = t_key.elapsed();
 
     let t0 = Instant::now();
-    let ok = envelope.verify_with_key(&verifier);
+    let verdict = verifier.check(&bytes);
+    let verify_time = t0.elapsed();
+    let outputs = verifier.expected_outputs().len();
+    match verdict {
+        Ok(()) | Err(Error::VerificationFailed) => {}
+        Err(Error::StatementMismatch) => {
+            println!(
+                "statement binding: MISMATCH (proof binds different outputs than {spec} job 0 at seed {seed})"
+            );
+            return verdict;
+        }
+        Err(e) => return Err(e),
+    }
+    if outputs == 0 {
+        println!("statement binding: none (private outputs; shape + key binding only)");
+    } else {
+        println!("statement binding: OK ({outputs} public outputs match)");
+    }
     println!("key material: derived in {:.3}s", key_time.as_secs_f64());
     println!(
         "verification: {} in {:.3}s",
-        if ok { "OK" } else { "FAILED" },
-        t0.elapsed().as_secs_f64()
+        if verdict.is_ok() { "OK" } else { "FAILED" },
+        verify_time.as_secs_f64()
     );
-    if ok {
-        Ok(())
-    } else {
-        Err(Error::VerificationFailed)
-    }
+    verdict
 }

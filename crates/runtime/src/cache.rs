@@ -26,9 +26,13 @@
 //! byte-identical CRS material and proofs. For Groth16 this means the CRS
 //! trapdoor is derivable from public data — the right trade-off for a
 //! benchmarking/amortisation runtime, and the same "challenge baked into
-//! the CRS" assumption the paper's measured zkVC-G flow already makes; a
-//! deployment needing a real ceremony would inject entropy via
-//! [`KeyCache::with_seed`].
+//! the CRS" assumption the paper's measured zkVC-G flow already makes.
+//! Whoever holds the seed, the proving server included, can forge Groth16
+//! proofs (`docs/SOUNDNESS.md`). Feeding a secret seed to
+//! [`KeyCache::with_seed`] does not give a real ceremony either: verifiers
+//! derive their keys from that same seed, so it cannot stay secret from
+//! them. The repair is a setup the prover does not run, with a key file
+//! for verifiers.
 //!
 //! Entries are keyed by `(shape digest, backend, setup seed)`. The seed in
 //! the key is what lets one long-lived cache serve a resident `zkvc serve`
@@ -418,9 +422,11 @@ impl KeyCache {
 /// The verifier key [`KeyCache`] would set up for `shape` under
 /// `(backend, seed)`, derived alone through
 /// [`Backend::setup_verifier`]
-/// from the same rng seed: what `zkvc verify` checks a proof file against,
-/// so its key always comes from the statement and seed, never from a file.
-pub fn derive_verifier_key(
+/// from the same rng seed: the key a
+/// [`StatementVerifier`](crate::StatementVerifier) checks envelopes
+/// against, so it always comes from the statement and seed, never from a
+/// file or the wire.
+pub(crate) fn derive_verifier_key(
     backend: Backend,
     shape: &Arc<CompiledShape<Fr>>,
     seed: u64,

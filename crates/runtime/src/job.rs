@@ -22,13 +22,15 @@ use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use zkvc_core::api::{generate_witness_for, Circuit};
+use zkvc_core::api::{compile_shape, generate_witness_for, Circuit};
 use zkvc_core::matmul::MatMulBuilder;
+use zkvc_core::VerifierKey;
 use zkvc_ff::Fr;
 use zkvc_hash::Transcript;
 use zkvc_nn::circuit::ModelStatement;
 
-use crate::cache::KeyCache;
+use crate::cache::{derive_verifier_key, KeyCache};
+use crate::error::Error;
 use crate::pool::JobError;
 use crate::serial::ProofEnvelope;
 use crate::spec::JobSpec;
@@ -141,19 +143,67 @@ pub(crate) fn prover_rng(seed: u64, statement_id: usize) -> StdRng {
     StdRng::seed_from_u64(seed ^ (statement_id as u64).wrapping_mul(0xD1B5_4A32_D192_ED03))
 }
 
-/// The acceptance predicate for a proof that claims to prove a statement
-/// with the given expected public outputs: the envelope must decode, its
-/// public inputs must be exactly those outputs (statement binding — a
-/// replayed same-shape proof for a different `Y` dies here; trivially
-/// satisfied for circuits with no public outputs), and the proof must
-/// pass the supplied cryptographic check.
-pub(crate) fn envelope_verifies(
+/// The one envelope check: `bytes` must decode, name `key`'s backend,
+/// carry exactly `expected` as its public inputs, and verify under `key`.
+/// The public-input comparison is statement binding: a replayed
+/// same-shape proof for a different `Y` dies there, before any pairing.
+/// The pool's self-check and [`StatementVerifier::check`] both come here.
+pub(crate) fn check_envelope(
     bytes: &[u8],
-    expected_publics: &[Fr],
-    verify: impl FnOnce(&ProofEnvelope) -> bool,
-) -> bool {
-    ProofEnvelope::decode(bytes)
-        .is_ok_and(|envelope| envelope.public_inputs == expected_publics && verify(&envelope))
+    expected: &[Fr],
+    key: &VerifierKey,
+) -> Result<(), Error> {
+    let envelope = ProofEnvelope::decode(bytes)?;
+    if envelope.backend() != key.backend() {
+        return Err(Error::BackendMismatch {
+            proof: envelope.backend(),
+            expected: key.backend(),
+        });
+    }
+    if envelope.public_inputs != expected {
+        return Err(Error::StatementMismatch);
+    }
+    if envelope.verify_with_key(key) {
+        Ok(())
+    } else {
+        Err(Error::VerificationFailed)
+    }
+}
+
+/// The verifier for the statement `(spec, seed)` names, built from those
+/// two values alone: the public outputs of
+/// [`build_statement`]`(seed, 0, spec)` and the key the prover's setup
+/// would derive for its shape under `seed`. Nothing a prover sends goes
+/// into it. `zkvc verify` and `zkvc client` check envelopes with it.
+#[derive(Debug)]
+pub struct StatementVerifier {
+    expected: Vec<Fr>,
+    key: VerifierKey,
+}
+
+impl StatementVerifier {
+    /// Builds the statement, compiles its shape and derives its key.
+    pub fn new(spec: &JobSpec, seed: u64) -> Self {
+        let statement = build_statement(seed, 0, spec);
+        let shape = Arc::new(compile_shape(statement.as_ref()));
+        StatementVerifier {
+            expected: statement.public_outputs(),
+            key: derive_verifier_key(spec.backend(), &shape, seed),
+        }
+    }
+
+    /// The public outputs an envelope must carry: empty for a `:private`
+    /// statement, whose envelopes must then carry none.
+    pub fn expected_outputs(&self) -> &[Fr] {
+        &self.expected
+    }
+
+    /// Checks envelope bytes against the statement. Fails with the decode
+    /// error, [`Error::BackendMismatch`], [`Error::StatementMismatch`] or
+    /// [`Error::VerificationFailed`], in that order.
+    pub fn check(&self, bytes: &[u8]) -> Result<(), Error> {
+        check_envelope(bytes, &self.expected, &self.key)
+    }
 }
 
 fn panic_message(payload: &(dyn Any + Send)) -> String {
@@ -242,9 +292,7 @@ fn prove(
     // witness pass's instance values).
     let proof_bytes = ProofEnvelope::from_artifacts(&artifacts).to_bytes();
     let t3 = Instant::now();
-    let verified = envelope_verifies(&proof_bytes, &witness.instance, |envelope| {
-        envelope.verify_with_key(&keys.verifier)
-    });
+    let verified = check_envelope(&proof_bytes, &witness.instance, &keys.verifier).is_ok();
     Ok(Proved {
         proof_bytes,
         verified,

@@ -16,9 +16,11 @@
 //!   [`VerifierKey`](zkvc_core::VerifierKey) across every job that proves
 //!   that shape (Groth16 CRS and Spartan preprocessing both amortise this
 //!   way).
-//! * [`derive_verifier_key`] — the verifier key alone, from the same seed
-//!   the cache's setup uses: `zkvc verify` re-derives its key from
-//!   `(spec, seed)` on every run and reads no key from disk.
+//! * [`StatementVerifier`] — the one envelope check, built from `(spec,
+//!   seed)` alone: the statement's expected public outputs and the
+//!   verifier key derived from the same seed the cache's setup uses.
+//!   `zkvc verify` and `zkvc client` check proofs with it and read no key
+//!   from disk or from the wire.
 //! * [`ProvingPool`] — worker threads taking jobs from **one queue**
 //!   (a FIFO per priority under one lock, so priority is global and an
 //!   idle worker always finds runnable work; bounded-queue backpressure,
@@ -77,9 +79,9 @@ mod util;
 pub mod wire;
 
 pub use analysis::{analyze_spec, analyze_specs, Preflight, SpecAnalysis};
-pub use cache::{derive_verifier_key, CacheStats, CircuitKeys, KeyCache};
+pub use cache::{CacheStats, CircuitKeys, KeyCache};
 pub use error::Error;
-pub use job::build_statement;
+pub use job::{build_statement, StatementVerifier};
 pub use net::{
     run_client, serve_listener, AnyStream, ClientConfig, ClientReport, ListenAddr, NetConfig,
     NetSummary, SessionReport,

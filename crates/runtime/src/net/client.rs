@@ -4,12 +4,12 @@
 //! The client is also the protocol's conformance checker: it verifies
 //! that result ids belong to its own session (id spaces must never cross
 //! connections), that the handshake speaks `zkvc-serve/v1`, and — unless
-//! disabled — it **re-verifies every returned proof envelope locally**:
-//! statement binding against the deterministic statement for `(spec,
-//! seed)`, Groth16 pairing checks against the *streamed* `key` lines
-//! (never a key the client derived itself — that is the whole
-//! trust-the-wire exercise), and transparent Spartan verification
-//! against a key derived from `(spec, seed)`, as `zkvc verify` derives it.
+//! disabled — it **re-verifies every returned proof envelope locally**
+//! with the [`StatementVerifier`] `zkvc verify` uses: statement binding
+//! and the cryptographic check against a key derived from `(spec, seed)`.
+//! For generated requests that pair is the one the client asked for, so
+//! a result naming another statement fails. The server's `key` lines are
+//! skipped: a key the prover sends proves nothing about its proofs.
 //!
 //! Per-proof latency (request write to result read) and aggregate
 //! throughput are printed in the CLI summary; they are informational, and
@@ -21,26 +21,16 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use zkvc_core::api::compile_shape;
-use zkvc_core::{Backend, VerifierKey};
 use zkvc_ff::codec::hex;
-use zkvc_ff::Fr;
 use zkvc_hash::sha256;
-use zkvc_r1cs::CompiledShape;
 
-use crate::cache::derive_verifier_key;
 use crate::codec::{CLIENT_REPORT_SCHEMA, SERVE_PROTO};
 use crate::error::Error;
-use crate::job::build_statement;
+use crate::job::StatementVerifier;
 use crate::net::addr::{AnyStream, ListenAddr};
-use crate::serial::ProofEnvelope;
 use crate::spec::JobSpec;
 use crate::util::{json_escape, unhex};
 use crate::wire::{field, parse_json_object, Json};
-
-/// Statement data memoised per `(spec, seed)` during the local
-/// verification pass: the public inputs and the locally compiled shape.
-type StatementMemo = HashMap<(String, u64), (Vec<Fr>, Arc<CompiledShape<Fr>>)>;
 
 /// Configuration for [`run_client`].
 #[derive(Clone, Debug)]
@@ -185,8 +175,8 @@ pub struct SessionReport {
     pub verdict_failures: usize,
     /// Envelopes that passed local re-verification.
     pub verified_local: usize,
-    /// Envelopes that failed local re-verification (binding, pairing,
-    /// missing key, undecodable proof).
+    /// Envelopes that failed local re-verification (a result naming
+    /// another statement, binding, pairing, undecodable proof).
     pub verify_failures: usize,
     /// Request-to-result latency per job, milliseconds.
     pub latencies_ms: Vec<f64>,
@@ -365,12 +355,14 @@ pub fn run_client(config: &ClientConfig) -> Result<ClientReport, Error> {
 }
 
 /// A `result` line held until the session ends: verification runs after
-/// the read loop so `key` lines that arrive late (another worker's
-/// result raced ahead of the announcement) are still available.
+/// the read loop, so checking proofs does not inflate the latencies taken
+/// at read time.
 struct PendingResult {
     id_token: String,
-    spec_str: String,
-    seed: u64,
+    /// The `(spec, seed)` the proof must prove: for generated requests,
+    /// the pair the client asked for, or `None` when the result names
+    /// another; for raw `--jobs` lines, the pair the result names.
+    statement: Option<(JobSpec, u64)>,
     verified: bool,
     proof_hex: Option<String>,
     is_error: bool,
@@ -473,7 +465,6 @@ fn run_one_session(config: &ClientConfig, k: usize) -> Result<SessionReport, Err
         session: k,
         ..SessionReport::default()
     };
-    let mut keys: HashMap<(String, u64), zkvc_groth16::VerifyingKey> = HashMap::new();
     let mut pending: Vec<PendingResult> = Vec::new();
 
     let attempts = config.retries + 1;
@@ -502,7 +493,6 @@ fn run_one_session(config: &ClientConfig, k: usize) -> Result<SessionReport, Err
             &requests,
             &mut unanswered,
             &mut report,
-            &mut keys,
             &mut pending,
             &mut shed_hint,
         ) {
@@ -552,46 +542,46 @@ fn run_one_session(config: &ClientConfig, k: usize) -> Result<SessionReport, Err
         });
     }
 
-    // Local verification pass, now that every key line is in hand.
-    // Statements (and Spartan preprocessing) are deterministic in
-    // `(spec, seed)`, so each pair is derived once.
-    let mut statements = StatementMemo::new();
-    let mut spartan_verifiers: HashMap<(String, u64), VerifierKey> = HashMap::new();
+    // Local verification pass. Each `(spec, seed)` verifier is derived
+    // once.
+    let mut verifiers: HashMap<(JobSpec, u64), StatementVerifier> = HashMap::new();
     for p in &pending {
-        let mut record = JobRecord {
+        let bytes = p.proof_hex.as_deref().and_then(unhex);
+        if config.verify && !p.is_error {
+            let ok = match (p.statement, &bytes) {
+                (Some((spec, seed)), Some(bytes)) => verifiers
+                    .entry((spec, seed))
+                    .or_insert_with(|| StatementVerifier::new(&spec, seed))
+                    .check(bytes)
+                    .is_ok(),
+                _ => false,
+            };
+            if ok {
+                report.verified_local += 1;
+            } else {
+                report.verify_failures += 1;
+            }
+        }
+        report.jobs.push(JobRecord {
             id: p.id_token.clone(),
             verified: p.verified,
-            proof_sha256: String::new(),
-        };
-        if let Some(proof_hex) = &p.proof_hex {
-            if let Some(bytes) = unhex(proof_hex) {
-                record.proof_sha256 = hex(&sha256(&bytes));
-            }
-        }
-        if config.verify && !p.is_error {
-            match verify_result(p, &keys, &mut statements, &mut spartan_verifiers) {
-                Some(true) => report.verified_local += 1,
-                Some(false) | None => report.verify_failures += 1,
-            }
-        }
-        report.jobs.push(record);
+            proof_sha256: bytes.map(|b| hex(&sha256(&b))).unwrap_or_default(),
+        });
     }
     Ok(report)
 }
 
 /// One connection's worth of the session: connect, stream the
 /// still-unanswered requests, read responses until summary or EOF.
-/// Results, latencies, shed counts and key lines accumulate straight
-/// into the caller's state; protocol noise comes back in the tally for
-/// the caller to fold in (or discard, when this attempt gets retried).
-#[allow(clippy::too_many_arguments)]
+/// Results, latencies and shed counts accumulate straight into the
+/// caller's state; protocol noise comes back in the tally for the caller
+/// to fold in (or discard, when this attempt gets retried).
 fn run_attempt(
     config: &ClientConfig,
     k: usize,
     requests: &[(Option<String>, String)],
     unanswered: &mut HashSet<String>,
     report: &mut SessionReport,
-    keys: &mut HashMap<(String, u64), zkvc_groth16::VerifyingKey>,
     pending: &mut Vec<PendingResult>,
     shed_hint: &mut u64,
 ) -> Result<AttemptTally, Error> {
@@ -639,6 +629,7 @@ fn run_attempt(
     let generated = config.jobs.is_none();
     let mut tally = AttemptTally::default();
     let mut proto_ok = false;
+    let mut server_seed = None;
     let id_prefix = format!("c{k}-");
     let mut line = String::new();
     loop {
@@ -662,21 +653,10 @@ fn run_attempt(
         match field(&fields, "type").and_then(str_val).unwrap_or("") {
             "ready" => {
                 proto_ok = field(&fields, "proto").and_then(str_val) == Some(SERVE_PROTO);
+                server_seed = field(&fields, "seed").and_then(num_u64);
             }
-            "key" => {
-                let digest = field(&fields, "shape_digest").and_then(str_val);
-                let seed = field(&fields, "seed").and_then(num_u64);
-                let vk = field(&fields, "vk_hex")
-                    .and_then(str_val)
-                    .and_then(unhex)
-                    .and_then(|bytes| zkvc_groth16::VerifyingKey::from_bytes(&bytes));
-                match (digest, seed, vk) {
-                    (Some(digest), Some(seed), Some(vk)) => {
-                        keys.insert((digest.to_string(), seed), vk);
-                    }
-                    _ => tally.proto_errors += 1,
-                }
-            }
+            // Keys come from `(spec, seed)`, never from the prover.
+            "key" => {}
             "result" => {
                 report.results += 1;
                 // `fresh` guards the per-job accounting: a duplicate
@@ -707,14 +687,24 @@ fn run_attempt(
                     if !verified {
                         report.verdict_failures += 1;
                     }
+                    let named = field(&fields, "spec")
+                        .and_then(str_val)
+                        .and_then(|s| JobSpec::parse(s).ok())
+                        .map(|(spec, _)| spec)
+                        .zip(field(&fields, "seed").and_then(num_u64));
+                    // A generated request is checked against what the
+                    // client asked for, never the statement the server
+                    // names: an honest proof of a cheaper statement fails.
+                    let statement = if generated {
+                        let asked = config.seed.or(server_seed).map(|seed| (config.spec, seed));
+                        asked.filter(|asked| named == Some(*asked))
+                    } else {
+                        named
+                    };
                     pending.push(PendingResult {
                         id_token: field(&fields, "id")
                             .map_or_else(|| "null".into(), Json::to_token),
-                        spec_str: field(&fields, "spec")
-                            .and_then(str_val)
-                            .unwrap_or("")
-                            .to_string(),
-                        seed: field(&fields, "seed").and_then(num_u64).unwrap_or(0),
+                        statement,
                         verified,
                         proof_hex: field(&fields, "proof_hex")
                             .and_then(str_val)
@@ -752,45 +742,4 @@ fn run_attempt(
         tally.proto_errors += 1;
     }
     Ok(tally)
-}
-
-/// Re-verifies one result envelope exactly the way `zkvc verify` would:
-/// statement binding first, then cryptographic verification against the
-/// expected key for the shape — the streamed vk for Groth16 (looked up
-/// by the *locally recomputed* shape digest, so a server lying about
-/// digests fails here), for Spartan the key [`derive_verifier_key`] gives
-/// for the shape and seed.
-fn verify_result(
-    p: &PendingResult,
-    keys: &HashMap<(String, u64), zkvc_groth16::VerifyingKey>,
-    statements: &mut StatementMemo,
-    spartan_verifiers: &mut HashMap<(String, u64), VerifierKey>,
-) -> Option<bool> {
-    let (spec, _count) = JobSpec::parse(&p.spec_str).ok()?;
-    let bytes = unhex(p.proof_hex.as_deref()?)?;
-    let envelope = ProofEnvelope::decode(&bytes).ok()?;
-    if envelope.backend() != spec.backend() {
-        return Some(false);
-    }
-    let key = (p.spec_str.clone(), p.seed);
-    let (expected, shape) = statements.entry(key.clone()).or_insert_with(|| {
-        let statement = build_statement(p.seed, 0, &spec);
-        let shape = Arc::new(compile_shape(statement.as_ref()));
-        (statement.public_outputs(), shape)
-    });
-    if !expected.is_empty() && &envelope.public_inputs != expected {
-        return Some(false);
-    }
-    match envelope.backend() {
-        Backend::Groth16 => {
-            let vk = keys.get(&(hex(&shape.digest), p.seed))?;
-            Some(envelope.verify_with_key(&VerifierKey::Groth16(vk.clone())))
-        }
-        Backend::Spartan => {
-            let verifier = spartan_verifiers
-                .entry(key)
-                .or_insert_with(|| derive_verifier_key(Backend::Spartan, shape, p.seed));
-            Some(envelope.verify_with_key(verifier))
-        }
-    }
 }

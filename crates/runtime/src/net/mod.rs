@@ -17,7 +17,8 @@
 //!   memory) and cancels the remainder when the client disconnects.
 //! * [`run_client`] — the conformance client: streams requests, checks
 //!   that result ids stay in their session, verifies returned envelopes
-//!   against the streamed `key` lines, and exits nonzero on any failure.
+//!   against keys derived from the `(spec, seed)` it asked for (never the
+//!   server's `key` lines), and exits nonzero on any failure.
 //!   Its latency and throughput lines are informational; `benchmark/` is
 //!   the one measurement of the server.
 //!

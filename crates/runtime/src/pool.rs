@@ -34,7 +34,7 @@ use zkvc_ff::codec::hex;
 use zkvc_hash::sha256;
 
 use crate::cache::{CacheStats, KeyCache};
-use crate::job::{self, build_statement, envelope_verifies, Proved, StopWhen};
+use crate::job::{self, build_statement, check_envelope, Proved, StopWhen};
 use crate::sched::{Priority, Scheduler};
 use crate::serial::ProofEnvelope;
 use crate::spec::JobSpec;
@@ -960,9 +960,7 @@ pub fn prove_batch_serial(specs: &[JobSpec], seed: u64) -> BatchReport {
         let prove_time = t1.elapsed();
         let proof_bytes = ProofEnvelope::from_artifacts(&artifacts).to_bytes();
         let t2 = Instant::now();
-        let verified = envelope_verifies(&proof_bytes, &artifacts.public_inputs, |envelope| {
-            envelope.verify_with_key(&vk)
-        });
+        let verified = check_envelope(&proof_bytes, &artifacts.public_inputs, &vk).is_ok();
         let verify_time = t2.elapsed();
         results.push(JobResult {
             id,
@@ -1004,6 +1002,8 @@ pub fn prove_batch_serial(specs: &[JobSpec], seed: u64) -> BatchReport {
 mod tests {
     use super::*;
     use crate::cache::derive_verifier_key;
+    use crate::error::Error;
+    use crate::job::StatementVerifier;
     use crate::spec::ModelPreset;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1130,15 +1130,21 @@ mod tests {
         let derived = derive_verifier_key(spec.backend(), &keys.shape, 21);
 
         // Honest: accepted for the statement it proves...
-        assert!(envelope_verifies(&bytes, &p0, |e| e.verify_with_key(&keys.verifier)));
-        assert!(envelope_verifies(&bytes, &p0, |e| e.verify_with_key(&derived)));
+        assert!(check_envelope(&bytes, &p0, &keys.verifier).is_ok());
+        assert!(check_envelope(&bytes, &p0, &derived).is_ok());
         // ...replayed: rejected for job 1's statement, even though the
         // cryptographic check alone would accept it (same shape and keys).
         assert!(ProofEnvelope::decode(&bytes)
             .unwrap()
             .verify_with_key(&keys.verifier));
-        assert!(!envelope_verifies(&bytes, &p1, |e| e.verify_with_key(&keys.verifier)));
-        assert!(!envelope_verifies(&bytes, &p1, |e| e.verify_with_key(&derived)));
+        assert!(matches!(
+            check_envelope(&bytes, &p1, &keys.verifier),
+            Err(Error::StatementMismatch)
+        ));
+        assert!(matches!(
+            check_envelope(&bytes, &p1, &derived),
+            Err(Error::StatementMismatch)
+        ));
     }
 
     #[test]
@@ -1219,14 +1225,9 @@ mod tests {
         assert_eq!(report.results[0].proof_bytes, report.results[1].proof_bytes);
         assert_eq!(report.cache.misses, 1);
         // And the proof matches the "job 0 at seed 5" statement exactly.
-        let statement = build_statement(5, 0, &spec);
-        let shape = Arc::new(compile_shape(statement.as_ref()));
-        let key = derive_verifier_key(spec.backend(), &shape, 5);
-        assert!(envelope_verifies(
-            &report.results[0].proof_bytes,
-            &statement.public_outputs(),
-            |e| e.verify_with_key(&key)
-        ));
+        assert!(StatementVerifier::new(&spec, 5)
+            .check(&report.results[0].proof_bytes)
+            .is_ok());
     }
 
     #[test]

@@ -1,14 +1,15 @@
 //! A self-describing wire envelope for proofs produced by either backend:
 //! public inputs, backend tag and proof.
 //!
-//! An envelope carries no key material, and a verifier checks it with
-//! [`ProofEnvelope::verify_with_key`] against a key it holds for the
-//! statement's shape: one derived from the spec and seed (`zkvc verify`),
-//! or a Groth16 key shipped once per batch in the
-//! [`BatchReport::key_table`](crate::BatchReport). A key that rode inside
-//! every envelope would be the prover's word for what it proves, and large
-//! besides: at 1 568 publics the Groth16 vk is ≈ 102 KB against a 195-byte
-//! proof.
+//! An envelope carries no key material. A verifier checks it against a
+//! key derived from the spec and seed: the
+//! [`StatementVerifier`](crate::StatementVerifier) that `zkvc verify` and
+//! `zkvc client` use, or the pool's self-check with its cached key. The
+//! Groth16 keys a server announces (serve `key` lines, the
+//! [`BatchReport::key_table`](crate::BatchReport)) are the prover's word
+//! for what it proves, like a key riding inside every envelope would be,
+//! and no verifier in this crate reads them. Such a key is large besides:
+//! at 1 568 publics the Groth16 vk is ≈ 102 KB against a 195-byte proof.
 
 use zkvc_core::backend::ProofData;
 use zkvc_core::{Backend, ProofArtifacts, VerifierKey};

@@ -5,7 +5,7 @@
 
 /// Decodes lowercase/uppercase hex; `None` on odd length or bad digits.
 /// Runtime (not test-only): the `zkvc client` load driver decodes
-/// `vk_hex`/`proof_hex` fields from server responses with it.
+/// `proof_hex` fields from server responses with it.
 pub(crate) fn unhex(s: &str) -> Option<Vec<u8>> {
     if !s.len().is_multiple_of(2) {
         return None;

@@ -2,17 +2,29 @@
 //! scoping, per-connection fault isolation, disconnect cancellation, and
 //! graceful drain — all against a real `serve_listener` on a Unix socket
 //! (plus one TCP round trip), with raw `AnyStream` clients so the tests
-//! exercise the wire, not the client library.
+//! exercise the wire, not the client library. The client library's own
+//! tests close the file: one against a real server, and two against a
+//! scripted server that answers with proofs the client must reject.
 
 use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Write};
+use std::os::unix::net::UnixListener;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use zkvc_core::api::{compile_shape, generate_witness_for};
+use zkvc_core::{Backend, VerifierKey};
+use zkvc_ff::codec::hex;
+use zkvc_ff::{Field, Fr};
+use zkvc_runtime::codec::SERVE_PROTO;
 use zkvc_runtime::{
-    serve, serve_listener, AnyStream, Error, ListenAddr, NetConfig, NetSummary, ServeConfig,
+    build_statement, run_client, serve, serve_listener, AnyStream, ClientConfig, ClientReport,
+    Error, JobSpec, KeyCache, ListenAddr, NetConfig, NetSummary, ProofEnvelope, ServeConfig,
+    StatementVerifier,
 };
 
 struct Server {
@@ -469,12 +481,10 @@ fn tcp_transport_round_trips_on_an_ephemeral_port() {
 }
 
 #[test]
-fn client_driver_verifies_against_streamed_keys_across_sessions() {
+fn client_driver_verifies_against_derived_keys_across_sessions() {
     // The library client against a real server: 4 concurrent sessions of
-    // Groth16 jobs, envelopes re-verified locally against the streamed
-    // key lines (the client never derives a Groth16 key itself).
-    use zkvc_runtime::{run_client, ClientConfig, JobSpec};
-
+    // Groth16 jobs, envelopes re-verified locally against keys the client
+    // derives from `(spec, seed)`; the server's key lines are skipped.
     let server = Server::start_unix(
         "driver",
         NetConfig::new(ServeConfig::new(2).seed(3)).session_bound(16),
@@ -502,4 +512,124 @@ fn client_driver_verifies_against_streamed_keys_across_sessions() {
     let totals = server.finish();
     assert_eq!(totals.sessions, 4);
     assert_eq!(totals.verified, 12);
+}
+
+/// An honest Groth16 proof of `spec` job 0 at `seed`, made under the
+/// setup for `setup_seed`, and the serve `key` line announcing that
+/// setup's vk for `(shape digest, seed)`.
+fn groth16_proof(spec: &str, seed: u64, setup_seed: u64) -> (Vec<u8>, String) {
+    let (spec, _) = JobSpec::parse(spec).unwrap();
+    let statement = build_statement(seed, 0, &spec);
+    let shape = Arc::new(compile_shape(statement.as_ref()));
+    let (keys, _) = KeyCache::new().get_or_setup_shape(Backend::Groth16, shape, setup_seed);
+    let witness = generate_witness_for(statement.as_ref(), &keys.shape);
+    let artifacts =
+        keys.backend
+            .prove_assignment(&keys.prover, &witness, &mut StdRng::seed_from_u64(1));
+    let VerifierKey::Groth16(vk) = &keys.verifier else {
+        unreachable!("groth16 setup")
+    };
+    let key_line = format!(
+        "{{\"type\":\"key\",\"backend\":\"groth16\",\"shape_digest\":\"{}\",\"seed\":{seed},\"vk_hex\":\"{}\"}}",
+        hex(&keys.digest),
+        hex(&vk.to_bytes())
+    );
+    (
+        ProofEnvelope::from_artifacts(&artifacts).to_bytes(),
+        key_line,
+    )
+}
+
+/// Runs a one-request `3x3x3:zkvc:g` client at seed 11 against a scripted
+/// server on a fresh Unix socket. The server sends `ready`, reads the
+/// request, answers `c0-0` with an honest Groth16 proof of `answer_spec`
+/// at seed 11 under the setup for `setup_seed` (its `key` line first),
+/// then sends `summary`.
+fn client_against_scripted_server(name: &str, answer_spec: &str, setup_seed: u64) -> ClientReport {
+    let (proof, key_line) = groth16_proof(answer_spec, 11, setup_seed);
+    let path = std::env::temp_dir().join(format!("zkvc-net-{}-{name}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let listener = UnixListener::bind(&path).expect("bind scripted server");
+    let answer = format!(
+        "{{\"type\":\"result\",\"id\":\"c0-0\",\"job\":0,\"spec\":\"{answer_spec}\",\"seed\":11,\"verified\":true,\"proof_hex\":\"{}\"}}",
+        hex(&proof)
+    );
+    let server = thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("accept");
+        let mut writer = stream.try_clone().expect("clone");
+        writeln!(
+            writer,
+            "{{\"type\":\"ready\",\"proto\":\"{SERVE_PROTO}\",\"workers\":1,\"seed\":11,\"queue_bound\":4}}"
+        )
+        .unwrap();
+        let mut request = String::new();
+        BufReader::new(stream)
+            .read_line(&mut request)
+            .expect("read request");
+        assert!(request.contains("\"id\":\"c0-0\""), "{request}");
+        writeln!(writer, "{key_line}\n{answer}\n{{\"type\":\"summary\"}}").unwrap();
+    });
+    let (spec, _) = JobSpec::parse("3x3x3:zkvc:g").unwrap();
+    let report = run_client(
+        &ClientConfig::new(ListenAddr::Unix(path.clone()), spec)
+            .count(1)
+            .seed(Some(11))
+            .retries(0),
+    )
+    .expect("client run");
+    server.join().expect("scripted server");
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(report.results(), 1, "{report:?}");
+    report
+}
+
+#[test]
+fn client_rejects_a_proof_under_a_prover_picked_key() {
+    // Control: the honest setup passes through the scripted server.
+    let honest = client_against_scripted_server("honest-key", "3x3x3:zkvc:g", 11);
+    assert!(honest.all_ok(), "{honest:?}");
+    assert_eq!(honest.verified_local(), 1);
+    // The same statement proved under a setup the server picked, with its
+    // vk announced on a key line: an honest proof, under the wrong key.
+    let picked = client_against_scripted_server("picked-key", "3x3x3:zkvc:g", 12);
+    assert_eq!(picked.verify_failures(), 1, "{picked:?}");
+    assert_eq!(picked.verified_local(), 0);
+    assert!(!picked.all_ok());
+}
+
+#[test]
+fn client_rejects_an_honest_proof_of_a_cheaper_statement() {
+    // Asked for 3x3x3, the server proves 2x2x2 honestly under the honest
+    // seed and says so on the result line.
+    let report = client_against_scripted_server("cheaper", "2x2x2:zkvc:g", 11);
+    assert_eq!(report.verify_failures(), 1, "{report:?}");
+    assert_eq!(report.verified_local(), 0);
+    assert!(!report.all_ok());
+}
+
+#[test]
+fn statement_verifier_rejects_picked_keys_and_unexpected_publics() {
+    let (spec, _) = JobSpec::parse("3x3x3:zkvc:g").unwrap();
+    let verifier = StatementVerifier::new(&spec, 11);
+    let (honest, _) = groth16_proof("3x3x3:zkvc:g", 11, 11);
+    assert!(verifier.check(&honest).is_ok());
+    let (picked, _) = groth16_proof("3x3x3:zkvc:g", 11, 12);
+    assert!(matches!(
+        verifier.check(&picked),
+        Err(Error::VerificationFailed)
+    ));
+
+    // A `:private` statement expects no public inputs, so an envelope
+    // that carries one fails binding, before any pairing.
+    let (spec, _) = JobSpec::parse("3x3x3:zkvc:g:private").unwrap();
+    let verifier = StatementVerifier::new(&spec, 11);
+    assert!(verifier.expected_outputs().is_empty());
+    let (private, _) = groth16_proof("3x3x3:zkvc:g:private", 11, 11);
+    assert!(verifier.check(&private).is_ok());
+    let mut envelope = ProofEnvelope::decode(&private).unwrap();
+    envelope.public_inputs.push(Fr::one());
+    assert!(matches!(
+        verifier.check(&envelope.to_bytes()),
+        Err(Error::StatementMismatch)
+    ));
 }
