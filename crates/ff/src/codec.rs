@@ -42,10 +42,16 @@
 //! **Spartan proof** (`zkvc_spartan::SpartanProof`):
 //!
 //! ```text
-//! spartan  := comm_w:point sumcheck(sc1) claims:fr*3 sumcheck(sc2) eval_w:fr ipa
+//! spartan  := version:u8 rows:u32 comm_row:point*rows
+//!             sumcheck(sc1) claims:fr*3 sumcheck(sc2) eval_w:fr ipa
 //! sumcheck := rounds:u32 (len:u32 fr*len)*rounds
 //! ipa      := rounds:u32 L:point*rounds R:point*rounds a_final:fr
 //! ```
+//!
+//! `comm_row` is one commitment per row of the witness matrix; the
+//! verifier rejects any `rows` other than the one its shape fixes. The
+//! IPA opens the combined row, so its `rounds` is `log2` of the row
+//! length.
 //!
 //! **Groth16 proof and verifying key** (`zkvc_groth16`):
 //!
@@ -71,12 +77,17 @@
 //!
 //! # Versions
 //!
-//! Two formats carry their own version: the shape (its leading byte,
-//! `zkvc_r1cs::SHAPE_ENCODING_VERSION`) and the envelope (the digit after
-//! its magic, `zkvc_runtime::codec::ENVELOPE_FORMAT_VERSION`). A newer
-//! version decodes to [`DecodeError::FutureVersion`]. The Spartan proof,
-//! the Groth16 proof and the vk carry none: inside an envelope they ride on
-//! its version, and a bare vk (a serve `key` line) is unversioned.
+//! Three formats carry their own version: the shape (its leading byte,
+//! `zkvc_r1cs::SHAPE_ENCODING_VERSION`), the Spartan proof (its leading
+//! byte, `zkvc_spartan::SPARTAN_PROOF_VERSION`; the unversioned layout
+//! before it counts as 1) and the envelope (the digit after its magic,
+//! `zkvc_runtime::codec::ENVELOPE_FORMAT_VERSION`). A newer version
+//! decodes to [`DecodeError::FutureVersion`]; an older shape or Spartan
+//! version is `Malformed`, naming the version field. Unversioned Spartan
+//! bytes start with a point coordinate, so they fail as either. The
+//! Groth16 proof
+//! and the vk carry none: inside an envelope they ride on its version,
+//! and a bare vk (a serve `key` line) is unversioned.
 
 use core::fmt;
 

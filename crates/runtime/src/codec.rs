@@ -8,19 +8,22 @@
 //!   digit) and the canonical [`CompiledShape`](zkvc_r1cs::CompiledShape)
 //!   encoding (re-exported from `zkvc-r1cs`, where the structure lives).
 //!   Their layouts, and the decoder they all share, are in
-//!   [`zkvc_ff::codec`]. The envelope and the shape carry a version; the
-//!   proofs and keys inside an envelope ride on the envelope's. Bytes from
-//!   a *newer* version decode to a typed [`Error::FutureVersion`], never a
-//!   parse panic, so a version mismatch fails loudly and diagnosably.
+//!   [`zkvc_ff::codec`]. The envelope, the shape and the Spartan proof
+//!   carry a version; the Groth16 proof and keys inside an envelope ride
+//!   on the envelope's. Bytes from a *newer* version decode to a typed
+//!   [`Error::FutureVersion`], never a parse panic, so a version mismatch
+//!   fails loudly and diagnosably.
 //! - **Line-protocol identifier** — the `proto` string of the serve
 //!   dialect, checked on both ends of a connection.
 //! - **Report schema** — the `schema` string stamped into `zkvc client
 //!   --report` documents, so downstream tooling can dispatch on version.
 //!
 //! Version-bump protocol: a format change bumps exactly one constant
-//! here, and decoders keep accepting every version they historically
-//! wrote. Decoders never guess — an unknown version is an error, not a
-//! best-effort parse.
+//! (here, or `zkvc_spartan::SPARTAN_PROOF_VERSION` for the proof inside a
+//! Spartan envelope). Decoders never guess — an unknown version is an
+//! error, not a best-effort parse. A Spartan proof of an older version is
+//! refused too: it was made under another transcript, so no verifier of
+//! this build could accept it.
 
 use crate::error::Error;
 

@@ -18,7 +18,9 @@
 //!   [`ACCEPT_SET_SHA256`], recorded against the decoders as they stood
 //!   before they moved onto one shared reader, and re-recorded when the
 //!   envelope's retired vk-carrying form left the corpus (the four
-//!   remaining inputs kept every verdict). Verdicts are pinned; error
+//!   remaining inputs kept every verdict), and again when the Spartan
+//!   proof gained its version byte and row commitments (the shape, vk and
+//!   Groth16 envelope kept every verdict). Verdicts are pinned; error
 //!   variants are not.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -36,7 +38,7 @@ use zkvc_runtime::{build_statement, JobSpec, ProofEnvelope};
 
 /// sha256 of the verdict vector (one byte per mutation, 1 = accepted), in
 /// corpus order.
-const ACCEPT_SET_SHA256: &str = "c4f745d393511b5c4affc89d144449e70e2cbb4f0b18baf5f5f6a411ba4752d7";
+const ACCEPT_SET_SHA256: &str = "110e56abd8b05cbb1215cfa6a83b9a6d174b9cb901a2fad4800f3fffd75b76ab";
 
 const SEED: u64 = 7;
 
@@ -112,12 +114,14 @@ fn vk_prefixes(b: &[u8]) -> Vec<Prefix> {
     vec![count]
 }
 
-/// The Spartan proof's counts: both sum-checks' round counts and
-/// per-round lengths, and the IPA round count.
+/// The Spartan proof's counts: the row-commitment count after the
+/// version byte, both sum-checks' round counts and per-round lengths, and
+/// the IPA round count.
 fn spartan_prefixes(b: &[u8]) -> Vec<Prefix> {
     let u32_at = |at| Prefix { at, width: 4 };
-    let mut out = Vec::new();
-    let mut pos = 65;
+    let rows = u32_at(1);
+    let mut out = vec![rows];
+    let mut pos = 1 + 4 + 65 * rows.read(b);
     let sumcheck = |out: &mut Vec<Prefix>, pos: &mut usize| {
         let rounds = u32_at(*pos);
         out.push(rounds);
@@ -260,7 +264,7 @@ enum KnownBreak {
     /// finite and re-encodes with flag 0.
     NonBinaryFlag,
     /// An identity (flag 1) whose coordinates re-encode as the canonical
-    /// identity's: Spartan's `comm_w` goes through projective form.
+    /// identity's: Spartan's row commitments go through projective form.
     IdentityCoordinates,
 }
 
@@ -402,13 +406,16 @@ fn known_break_8a_noncanonical_points_are_accepted() {
         breaks.iter().any(|b| b.2 == KnownBreak::NonBinaryFlag),
         "{breaks:?}"
     );
-    // No flip in the corpus turns Spartan's `comm_w` flag from 0 into 1,
-    // so the second kind is shown directly.
+    // No flip in the corpus turns the flag of Spartan's first row
+    // commitment from 0 into 1, so the second kind is shown directly. The
+    // proof starts after the envelope header, with its version byte and
+    // row count.
     let spartan = &corpus()[3];
-    let flag = 8 + 4 + 32 * Prefix { at: 8, width: 4 }.read(&spartan.bytes) + 1 + 64;
+    let proof = 8 + 4 + 32 * Prefix { at: 8, width: 4 }.read(&spartan.bytes) + 1;
+    let flag = proof + 1 + 4 + 64;
     let mut identity = spartan.bytes.clone();
     identity[flag] = 1;
-    let reencoded = (spartan.decode)(&identity).expect("an identity comm_w decodes");
+    let reencoded = (spartan.decode)(&identity).expect("an identity row commitment decodes");
     assert_eq!(
         known_break(Mutation::Flip(flag), &identity, &reencoded),
         Some(KnownBreak::IdentityCoordinates)

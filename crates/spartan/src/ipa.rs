@@ -11,133 +11,19 @@
 //! coefficients `x^2` are carried in the *scalars* of the round's two
 //! cross-term MSMs (a field multiplication each instead of a group one),
 //! and the bases are re-materialised only every [`FOLD_STRIDE`] rounds.
-//!
-//! Before the first materialisation the bases are still the original
-//! generators, so the prover can also keep the *vector* unfolded: a
-//! witness of quantised values is almost all narrow entries, and their
-//! share of each cross term is a sum of MSMs over their raw bits
-//! ([`FirstStride`]).
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use zkvc_curve::{fold_bases, msm, G1Affine, G1Projective};
-use zkvc_ff::{batch_inverse, cancel, Field, Fr, PrimeField};
+use zkvc_ff::{batch_inverse, cancel, Field, Fr};
 use zkvc_hash::Transcript;
 
 /// Rounds between two materialisations of the folded generators: the
 /// cross-term MSMs stay at the size of the last materialised vector, and a
 /// materialisation folds `2^FOLD_STRIDE` blocks into one.
 const FOLD_STRIDE: usize = 3;
-
-/// Entries of the opened vector below `2^NARROW_BITS` are narrow: in the
-/// first stride they enter the cross terms through MSMs over their own
-/// bits. Everything else, a small negative `p - k` included, is wide.
-const NARROW_BITS: u32 = 32;
-
-/// The opened vector split once into narrow entries and a wide residual,
-/// for the rounds before the first materialisation.
-///
-/// In round `r` of that stride the bases are the original generators, and
-/// the current vector is `sum_q sigma[q] * A_q + wide`, where `A_q` is
-/// segment `q` of `narrow` (`2^r` equal segments, one per challenge
-/// product `sigma[q]`) and `wide` is the residual folded like the vector.
-/// With the generators `g_i = mu * sum_p t_p * bases[p*m + i]`,
-///
-/// ```text
-///   <a_L, g_R> = sum_{p,q} mu*t_p*sigma_q * <A_q left half, block p right half>
-///              + <wide_L, g_R>
-/// ```
-///
-/// and `R` likewise with the halves swapped. Each `<A_q half, block p>` is
-/// an MSM over raw narrow entries, which [`msm`] sizes by their largest
-/// bit; the residual is the usual gathered MSM restricted to its non-zero
-/// positions. One short MSM over the partial sums, the residual and `Q`
-/// gives the same group element as the full-width MSM, so the proof bytes
-/// do not depend on the split.
-struct FirstStride {
-    /// The opened vector with its wide entries zeroed; never folded.
-    narrow: Vec<Fr>,
-    /// Whether `narrow` has a non-zero entry: if not, no narrow MSM runs
-    /// and a cross term is exactly the full-width MSM.
-    any_narrow: bool,
-    /// The opened vector with its narrow entries zeroed, folded like it.
-    wide: Vec<Fr>,
-    /// The challenge product of each segment of `narrow`.
-    sigma: Vec<Fr>,
-}
-
-impl FirstStride {
-    fn split(a: &[Fr]) -> Self {
-        let (mut narrow, mut wide) = (a.to_vec(), a.to_vec());
-        for (n, w) in narrow.iter_mut().zip(wide.iter_mut()) {
-            if n.num_bits() <= NARROW_BITS {
-                *w = Fr::zero();
-            } else {
-                *n = Fr::zero();
-            }
-        }
-        FirstStride {
-            any_narrow: narrow.iter().any(|x| !x.is_zero()),
-            narrow,
-            wide,
-            sigma: vec![Fr::one()],
-        }
-    }
-
-    /// Pushes the points and scalars of one cross term, all but `c * Q`:
-    /// the vector's half at `half - offset` of each segment against the
-    /// half at `offset` of each block of `bases`.
-    fn gather(
-        &self,
-        bases: &[G1Affine],
-        coeffs: &[Fr],
-        mu: Fr,
-        offset: usize,
-        points: &mut Vec<G1Affine>,
-        scalars: &mut Vec<Fr>,
-    ) {
-        let m = self.wide.len();
-        let half = m / 2;
-        let a_offset = half - offset;
-        if self.any_narrow {
-            // One after another: each `msm` already spreads over the cores.
-            let mut sums = Vec::with_capacity(self.sigma.len() * coeffs.len());
-            for (q, s) in self.sigma.iter().enumerate() {
-                let segment = &self.narrow[q * m + a_offset..][..half];
-                for (p, t) in coeffs.iter().enumerate() {
-                    sums.push(msm(&bases[p * m + offset..][..half], segment));
-                    scalars.push(mu * *t * *s);
-                }
-            }
-            points.extend(G1Projective::batch_to_affine(&sums));
-        }
-        let residual = &self.wide[a_offset..][..half];
-        for (p, t) in coeffs.iter().enumerate() {
-            let scale = mu * *t;
-            for (i, x) in residual.iter().enumerate().filter(|(_, x)| !x.is_zero()) {
-                points.push(bases[p * m + offset + i]);
-                scalars.push(scale * *x);
-            }
-        }
-    }
-
-    /// Folds the residual like the vector and splits every segment in two.
-    fn fold(&mut self, x: Fr, x_inv: Fr) {
-        let half = self.wide.len() / 2;
-        let (w_l, w_r) = self.wide.split_at_mut(half);
-        for (l, r) in w_l.iter_mut().zip(w_r.iter()) {
-            *l = *l * x + *r * x_inv;
-        }
-        self.wide.truncate(half);
-        self.sigma = self
-            .sigma
-            .iter()
-            .flat_map(|s| [*s * x, *s * x_inv])
-            .collect();
-    }
-}
 
 /// `Q` and the longest `G` derived so far, per label. `hash_to_curve` of
 /// `(label, i)` is a pure function, so every point is derived at most once
@@ -213,9 +99,10 @@ pub struct InnerProductProof {
 }
 
 impl InnerProductProof {
-    /// Serialised size in bytes (65 bytes per point + 32 for the scalar).
+    /// Size of [`Self::to_bytes`] in bytes: the round count, 65 bytes per
+    /// point and 32 for the scalar.
     pub fn size_in_bytes(&self) -> usize {
-        (self.l_vec.len() + self.r_vec.len()) * 65 + 32
+        4 + (self.l_vec.len() + self.r_vec.len()) * 65 + 32
     }
 
     /// Proves that the committed vector `a` satisfies `<a, b> = c`, where the
@@ -248,10 +135,8 @@ impl InnerProductProof {
         let mut bases = Cow::Borrowed(gens.g());
         let mut mu = Fr::one();
         let mut coeffs = vec![Fr::one()];
-        let mut first_stride = Some(FirstStride::split(&a));
         // Gather buffers of the cross-term MSMs: never more than half the
-        // original length plus `Q` (plus the first stride's at most
-        // `4^FOLD_STRIDE / 4` partial sums), reused by every round.
+        // original length plus `Q`, reused by every round.
         let mut points = Vec::with_capacity(a.len() / 2 + 1);
         let mut scalars = Vec::with_capacity(a.len() / 2 + 1);
 
@@ -260,7 +145,6 @@ impl InnerProductProof {
             if coeffs.len() == 1 << FOLD_STRIDE {
                 bases = Cow::Owned(fold_bases(&bases, &coeffs));
                 coeffs = vec![Fr::one()];
-                first_stride = None;
             }
             let m = a.len();
             let half = m / 2;
@@ -274,14 +158,10 @@ impl InnerProductProof {
             let mut cross_term = |a_half: &[Fr], offset: usize, c: Fr| {
                 points.clear();
                 scalars.clear();
-                if let Some(stride) = &first_stride {
-                    stride.gather(&bases, &coeffs, mu, offset, &mut points, &mut scalars);
-                } else {
-                    for (p, t) in coeffs.iter().enumerate() {
-                        let scale = mu * *t;
-                        points.extend_from_slice(&bases[p * m + offset..][..half]);
-                        scalars.extend(a_half.iter().map(|x| scale * *x));
-                    }
+                for (p, t) in coeffs.iter().enumerate() {
+                    let scale = mu * *t;
+                    points.extend_from_slice(&bases[p * m + offset..][..half]);
+                    scalars.extend(a_half.iter().map(|x| scale * *x));
                 }
                 points.push(gens.q);
                 scalars.push(c);
@@ -302,9 +182,6 @@ impl InnerProductProof {
             }
             a.truncate(half);
             b.truncate(half);
-            if let Some(stride) = &mut first_stride {
-                stride.fold(x, x_inv);
-            }
             mu *= x_inv;
             let x_sq = x.square();
             coeffs = coeffs.iter().flat_map(|t| [*t, *t * x_sq]).collect();
@@ -392,6 +269,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use zkvc_ff::PrimeField;
 
     /// The per-round generator fold `g' = x^-1 * g_L + x * g_R` the prover
     /// replaced, kept as the byte-identity oracle.
@@ -515,7 +393,7 @@ mod tests {
         }
     }
 
-    /// `n` narrow entries, as a quantised witness holds them: up to 19
+    /// `n` small entries, as a quantised witness holds them: up to 19
     /// bits, some zero.
     fn small_vec(n: usize, rng: &mut StdRng) -> Vec<Fr> {
         (0..n)
@@ -527,13 +405,12 @@ mod tests {
     fn lazy_prover_matches_the_reference_fold_byte_for_byte() {
         // n = 1..=8 never materialise, 8 and 64 end exactly on a stride,
         // the rest end in a partial stride; 16 and up materialise at least
-        // once, 128 and up twice. Besides random (all-wide), zero, single
-        // and zero-padded vectors, the witness shapes of the first
-        // stride's narrow/wide split: all narrow, narrow with a few wide
-        // entries (in the left and the right half of the segments of
-        // every first-stride round), the edge of the narrow range
-        // (2^32 - 1 is narrow, 2^32 wide), and small negatives, which are
-        // wide.
+        // once, 128 and up twice. Besides random (full-width), zero,
+        // single and zero-padded vectors, quantised-witness shapes whose
+        // cross-term scalars start short (`msm` stops at their highest
+        // set bit): all small, small with a few full-width entries (in
+        // the left and the right half of every early round), both sides
+        // of 2^32, and small negatives, which are full width.
         let mut rng = StdRng::seed_from_u64(104);
         let edge = Fr::from_u64(1 << 32);
         for log_n in 0..=9usize {

@@ -5,9 +5,10 @@
 //! Decoding validates every group element against the curve equation and
 //! every scalar against the field modulus, so a tampered encoding either
 //! fails to decode or decodes to a proof that the verifier rejects via
-//! Fiat-Shamir.
+//! Fiat-Shamir. A proof starts with [`SPARTAN_PROOF_VERSION`]; any other
+//! leading byte fails closed with a typed error before the body is read.
 
-use zkvc_curve::G1Affine;
+use zkvc_curve::{G1Affine, G1Projective};
 use zkvc_ff::codec::{ByteReader, DecodeError};
 use zkvc_ff::{Fr, PrimeField};
 
@@ -15,20 +16,28 @@ use crate::ipa::InnerProductProof;
 use crate::snark::SpartanProof;
 use crate::sumcheck::SumcheckProof;
 
+/// The version byte at the head of every encoded [`SpartanProof`]. The
+/// unversioned layout before it, one witness commitment opened by a
+/// linear-size IPA, counts as version 1.
+pub const SPARTAN_PROOF_VERSION: u8 = 2;
+
 fn write_fr(out: &mut Vec<u8>, v: &Fr) {
     out.extend_from_slice(&v.to_bytes_le());
 }
 
 impl SumcheckProof {
+    /// Size of [`Self::to_bytes`] in bytes.
+    pub fn size_in_bytes(&self) -> usize {
+        4 + self
+            .round_polys
+            .iter()
+            .map(|r| 4 + 32 * r.len())
+            .sum::<usize>()
+    }
+
     /// Serialises the round polynomials.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(
-            4 + self
-                .round_polys
-                .iter()
-                .map(|r| 4 + 32 * r.len())
-                .sum::<usize>(),
-        );
+        let mut out = Vec::with_capacity(self.size_in_bytes());
         out.extend_from_slice(&(self.round_polys.len() as u32).to_le_bytes());
         for round in &self.round_polys {
             out.extend_from_slice(&(round.len() as u32).to_le_bytes());
@@ -54,7 +63,7 @@ impl SumcheckProof {
 impl InnerProductProof {
     /// Serialises the folding cross-terms and final scalar.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(4 + 65 * (self.l_vec.len() + self.r_vec.len()) + 32);
+        let mut out = Vec::with_capacity(self.size_in_bytes());
         out.extend_from_slice(&(self.l_vec.len() as u32).to_le_bytes());
         for p in &self.l_vec {
             out.extend_from_slice(&p.to_bytes());
@@ -82,8 +91,12 @@ impl InnerProductProof {
 impl SpartanProof {
     /// Canonical byte serialisation of the whole proof.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&self.comm_w.to_affine().to_bytes());
+        let mut out = Vec::with_capacity(self.size_in_bytes());
+        out.push(SPARTAN_PROOF_VERSION);
+        out.extend_from_slice(&(self.comm_rows.len() as u32).to_le_bytes());
+        for row in G1Projective::batch_to_affine(&self.comm_rows) {
+            out.extend_from_slice(&row.to_bytes());
+        }
         out.extend_from_slice(&self.sc1.to_bytes());
         write_fr(&mut out, &self.claims.0);
         write_fr(&mut out, &self.claims.1);
@@ -95,10 +108,29 @@ impl SpartanProof {
     }
 
     /// Reads a proof written by [`Self::to_bytes`], validating every group
-    /// element and field element.
+    /// element and field element. A newer version byte is
+    /// [`DecodeError::FutureVersion`], an older one a `Malformed` "Spartan
+    /// proof version", as for the shape.
     pub fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
+        let version = r.u8("Spartan proof version")?;
+        if version > SPARTAN_PROOF_VERSION {
+            return Err(DecodeError::FutureVersion {
+                context: "Spartan proof",
+                found: version,
+                supported: SPARTAN_PROOF_VERSION,
+            });
+        }
+        if version != SPARTAN_PROOF_VERSION {
+            return Err(DecodeError::Malformed {
+                context: "Spartan proof version",
+                detail: format!(
+                    "stale version {version} (this build reads version {SPARTAN_PROOF_VERSION})"
+                ),
+            });
+        }
+        let rows = r.count_u32(65, "Spartan row commitments")?;
         Ok(SpartanProof {
-            comm_w: G1Affine::decode(r)?.to_projective(),
+            comm_rows: r.items(rows, |r| Ok(G1Affine::decode(r)?.to_projective()))?,
             sc1: SumcheckProof::decode(r)?,
             claims: (
                 r.field("Spartan claim")?,
@@ -155,7 +187,7 @@ mod tests {
         let (cs, proof) = proof_fixture();
         let bytes = proof.to_bytes();
         let back = decode(&bytes).expect("round trip");
-        assert_eq!(back.comm_w, proof.comm_w);
+        assert_eq!(back.comm_rows, proof.comm_rows);
         assert_eq!(back.sc1, proof.sc1);
         assert_eq!(back.claims, proof.claims);
         assert_eq!(back.sc2, proof.sc2);
@@ -165,6 +197,40 @@ mod tests {
         assert!(verifier.verify(cs.instance_assignment(), &back));
         // Serialisation is stable.
         assert_eq!(back.to_bytes(), bytes);
+    }
+
+    #[test]
+    fn size_in_bytes_is_the_encoded_length() {
+        let (_cs, proof) = proof_fixture();
+        assert_eq!(proof.to_bytes().len(), proof.size_in_bytes());
+        assert_eq!(proof.sc1.to_bytes().len(), proof.sc1.size_in_bytes());
+        assert_eq!(proof.ipa.to_bytes().len(), proof.ipa.size_in_bytes());
+    }
+
+    #[test]
+    fn other_versions_fail_closed_with_typed_errors() {
+        let (_cs, proof) = proof_fixture();
+        let mut bytes = proof.to_bytes();
+        assert_eq!(bytes[0], SPARTAN_PROOF_VERSION);
+        bytes[0] = SPARTAN_PROOF_VERSION + 1;
+        assert!(matches!(
+            decode_exact(&bytes, SpartanProof::decode),
+            Err(DecodeError::FutureVersion {
+                context: "Spartan proof",
+                found: 3,
+                supported: SPARTAN_PROOF_VERSION,
+            })
+        ));
+        for stale in [0, 1] {
+            bytes[0] = stale;
+            assert!(matches!(
+                decode_exact(&bytes, SpartanProof::decode),
+                Err(DecodeError::Malformed {
+                    context: "Spartan proof version",
+                    ..
+                })
+            ));
+        }
     }
 
     #[test]
@@ -210,10 +276,14 @@ mod tests {
         assert!(decode_exact(&bytes, SumcheckProof::decode).is_err());
         // Same header as an IPA proof (each claimed round needs 130 bytes).
         assert!(decode_exact(&bytes, InnerProductProof::decode).is_err());
-        // And embedded mid-proof: a valid point followed by a huge count.
+        // And embedded mid-proof: the row commitments followed by a huge
+        // count, and a huge row count.
         let (_cs, proof) = proof_fixture();
-        let mut embedded = proof.comm_w.to_affine().to_bytes().to_vec();
+        let rows = 5 + 65 * proof.comm_rows.len();
+        let mut embedded = proof.to_bytes()[..rows].to_vec();
         embedded.extend_from_slice(&(1u32 << 20).to_le_bytes());
+        assert!(decode(&embedded).is_none());
+        embedded[1..5].copy_from_slice(&(1u32 << 20).to_le_bytes());
         assert!(decode(&embedded).is_none());
     }
 
